@@ -85,16 +85,23 @@ def _parse_vstar(args, spec):
     return reference_vstar()
 
 
+def _violation_doc(v) -> dict:
+    """One violation with 1-based location: "edge" [i, j], "cell" i, or none."""
+    doc = {"constraint": v.constraint}
+    if isinstance(v.index, tuple):
+        doc["edge"] = [i + 1 for i in v.index]
+    elif v.index is not None:
+        doc["cell"] = v.index + 1
+    doc.update(residual=v.residual, message=v.message)
+    return doc
+
+
 def cmd_validate(args) -> int:
     spec, ds = _load_pair(args)
     violations = validate_spec(spec)
     cycle = find_cycle(spec.P)
     doc = {
-        "violations": [
-            {"constraint": v.constraint, "cell": v.index + 1,
-             "residual": v.residual, "message": v.message}
-            for v in violations
-        ],
+        "violations": [_violation_doc(v) for v in violations],
         "cycle": [i + 1 for i in cycle],
         "acyclic": not cycle,
         "ok": not violations and not cycle,

@@ -29,6 +29,8 @@ FAMILIES = ("freeway-main", "freeway-onramp", "piecewise")
 
 _D_DIM = 4
 
+DEMAND_FLOOR = 1e-12   # a density (or demand) below this is an empty cell
+
 
 # --- base curves -----------------------------------------------------------
 # Quadratic/affine segments shared by the built-in families.  Knees at 27.5
@@ -145,7 +147,11 @@ class SupplyFunction:
 
 
 def _demand_values(fd: DemandFunction, d1, d2, d3, z):
-    """Branch-blended demand; no domain checks. Broadcasts d-weights over z."""
+    """Branch-blended demand; no domain checks. Broadcasts d-weights over z.
+
+    Densities below DEMAND_FLOOR are empty cells and emit nothing; that also
+    keeps f < z at subnormal densities, where 0.7 * z rounds back to z.
+    """
     z = np.asarray(z, dtype=float)
     if fd.family == "piecewise":
         sub = _eval_pieces(fd.subcritical, np.minimum(z, fd.delta))
@@ -159,7 +165,7 @@ def _demand_values(fd: DemandFunction, d1, d2, d3, z):
         else:
             sub = w1 * _phi1(z) + w2 * _phi4(z) + w3 * _phi5(z)
         over = d3 * _phi6(z) + (1.0 - d3) * _phi7(z)
-    return np.where(z <= fd.delta, sub, over)
+    return np.where(z < DEMAND_FLOOR, 0.0, np.where(z <= fd.delta, sub, over))
 
 
 def _supply_values(sf: SupplyFunction, d4, x):
@@ -179,9 +185,12 @@ class DiagramSet:
     supplies: tuple[SupplyFunction, ...]
     d_lo: np.ndarray
     d_hi: np.ndarray
-    # cached per-cell arrays and family index groups
+    # cached per-cell arrays and family index groups; _wave is None unless
+    # some supply pins its scale (NaN marks the cells scaled by d4)
     _a: np.ndarray = field(init=False, repr=False, compare=False)
     _delta: np.ndarray = field(init=False, repr=False, compare=False)
+    _qcap: np.ndarray = field(init=False, repr=False, compare=False)
+    _wave: np.ndarray | None = field(init=False, repr=False, compare=False)
     _groups: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -202,6 +211,11 @@ class DiagramSet:
                 raise ValueError("demand and supply disagree on the jam capacity")
         object.__setattr__(self, "_a", np.array([fd.a for fd in self.demands]))
         object.__setattr__(self, "_delta", np.array([fd.delta for fd in self.demands]))
+        object.__setattr__(self, "_qcap", np.array([sf.qcap for sf in self.supplies],
+                                                   dtype=float))
+        wave = np.array([np.nan if sf.wave is None else sf.wave for sf in self.supplies],
+                        dtype=float)
+        object.__setattr__(self, "_wave", None if np.isnan(wave).all() else wave)
         groups = {
             fam: np.array([k for k, fd in enumerate(self.demands) if fd.family == fam],
                           dtype=int)
@@ -221,11 +235,7 @@ class DiagramSet:
 
     def min_supply_at_zero(self) -> np.ndarray:
         """Per-cell inf over d of g(d, 0) — the guaranteed empty-cell supply."""
-        low = np.empty(self.n)
-        for k, sf in enumerate(self.supplies):
-            scale = self.d_lo[3] if sf.wave is None else sf.wave
-            low[k] = scale * min(sf.qcap, sf.a)
-        return low
+        return supply_batch(self, self.d_lo[None, :], np.zeros((1, self.n)))[0]
 
 
 def eval_demand(fd: DemandFunction, d, x) -> float:
@@ -264,7 +274,11 @@ def supply_all(ds: DiagramSet, d, x) -> np.ndarray:
 
 
 def demand_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Demand for a batch: D is (N, 4), X is (N, n); returns (N, n)."""
+    """Demand for a batch: D is (N, 4), X is (N, n); returns (N, n).
+
+    Elementwise per row, so a row's values do not depend on the batch it is
+    evaluated in.  Densities below DEMAND_FLOOR give 0, as in `eval_demand`.
+    """
     N = X.shape[0]
     out = np.empty((N, ds.n))
     d1 = D[:, 0:1]
@@ -285,16 +299,15 @@ def demand_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
         out[:, idx] = np.where(z <= ds._delta[idx], sub, over)
     for k in ds._groups["piecewise"]:
         out[:, k] = _demand_values(ds.demands[k], d1[:, 0], d2[:, 0], d3[:, 0], X[:, k])
+    out[X < DEMAND_FLOOR] = 0.0
     return out
 
 
 def supply_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    N = X.shape[0]
-    out = np.empty((N, ds.n))
-    for k, sf in enumerate(ds.supplies):
-        scale = D[:, 3] if sf.wave is None else sf.wave
-        out[:, k] = scale * np.minimum(sf.qcap, sf.a - X[:, k])
-    return out
+    """Supply for a batch: D is (N, 4), X is (N, n); returns (N, n)."""
+    scale = D[:, 3:4] if ds._wave is None else np.where(np.isnan(ds._wave), D[:, 3:4],
+                                                        ds._wave)
+    return scale * np.minimum(ds._qcap, ds._a - X)
 
 
 # --- uncertainty sampling ---------------------------------------------------

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramSet, demand_all, supply_all
+from .diagrams import DEMAND_FLOOR, DiagramSet, demand_all, supply_all
 from .errors import DimensionError, DomainError, NumericalError
 from .network import NetworkSpec
 
-DEMAND_FLOOR = 1e-12   # below this a cell has nothing to throttle: s = 1
 STATE_TOL = 1e-9       # admission tolerance for x against the state box
 
 

@@ -26,9 +26,9 @@ from .errors import (DimensionError, NumericalError, StructuralError,
                      ThrottleBoundViolation, TrappingInfeasible)
 from .network import NetworkSpec, topological_sort
 
-RHO_AGREE_TOL = 1e-9   # structural vs. iterative spectral radius
-SQUARINGS = 48         # matrix squarings: norm^(1/2^48) is far below the tol
+SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
 JAM_PATTERN_LIMIT = 12  # enumerate binary jam patterns up to this cell count
+ROW_BLOCK = 1024        # rows per throttle-bound call in the gamma search
 
 
 def weights_r(P: np.ndarray) -> np.ndarray:
@@ -93,6 +93,11 @@ def spectral_radius(M: np.ndarray, squarings: int = SQUARINGS) -> float:
     whenever two cells share the slowest release rate.  Squaring instead
     evaluates ||M^(2^J)||_F^(1/2^J) with the scale tracked in log space, so
     the polynomial Jordan factor is annihilated by the 2^-J exponent.
+
+    `certify` does not use it: `build_gamma` reads rho off the triangular
+    structure exactly, while the squarings here underflow to 0 on badly
+    scaled matrices (a mainline's gains grow like (2G/L)^depth).  It remains
+    an independent estimate to check that value against.
     """
     B = np.array(M, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -120,10 +125,13 @@ def build_gamma(P, L, G, vstar, b, K, tau) -> tuple[np.ndarray, float]:
     Gamma = [[A, 0], [diag(v* - b) K / tau, A]] with
     A = I + P' diag(G) - diag(L): excesses contract on their own, deficits
     additionally absorb whatever inflow the controller withholds, which the
-    lower-left block bounds through the gain.  The spectral radius of the
-    block-triangular matrix is the structural value max_i (1 - L_i); it is
-    cross-checked against the iterative estimate and disagreement beyond
-    RHO_AGREE_TOL raises StructuralError.
+    lower-left block bounds through the gain.  A couples each cell only to
+    its upstream senders, so in topological order it is lower triangular and
+    Gamma is block lower-triangular with triangular diagonal blocks.  Its
+    spectral radius is then exactly the largest diagonal modulus,
+    max_i |1 - L_i| for a network without self-loops.  That structure is
+    checked entry by entry: a nonzero coupling to a cell placed later in the
+    order raises StructuralError naming both cells.
     """
     P = np.asarray(P, dtype=float)
     L = np.asarray(L, dtype=float)
@@ -135,12 +143,21 @@ def build_gamma(P, L, G, vstar, b, K, tau) -> tuple[np.ndarray, float]:
     A = np.eye(n) + P.T * G - np.diag(L)
     B = (vstar - b)[:, None] * K / tau
     Gamma = np.block([[A, np.zeros((n, n))], [B, A]])
-    rho = float(np.max(1.0 - L))
-    rho_iter = spectral_radius(Gamma)
-    if abs(rho_iter - rho) > RHO_AGREE_TOL:
+    bad = ~np.isfinite(Gamma).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad)) % n
+        raise NumericalError(f"cell {i + 1}: comparison matrix has non-finite "
+                             f"entries", cell=i)
+    order = list(topological_sort(P).order)
+    upper = np.triu(A[np.ix_(order, order)], k=1)
+    if np.any(upper != 0):
+        row, col = (int(k) for k in np.argwhere(upper != 0)[0])
+        i, j = order[row], order[col]
         raise StructuralError(
-            f"spectral radius mismatch: structural {rho:.12g} vs "
-            f"iterated {rho_iter:.12g}")
+            f"cell {i + 1}: Gamma couples it to cell {j + 1} ({A[i, j]:.3g}), "
+            f"which the topological order places after it, so Gamma is not "
+            f"triangular")
+    rho = float(np.max(np.abs(np.diag(A))))
     return Gamma, rho
 
 
@@ -172,6 +189,28 @@ def _check_match(spec: NetworkSpec, ds: DiagramSet) -> None:
         raise ValueError("diagram jam capacities disagree with the network spec")
 
 
+def _claim_levels(spec: NetworkSpec):
+    """Junction claims grouped by priority level, once per network.
+
+    Level k holds the k-th claimant of every junction that has one, so within
+    a level each junction appears once and the levels run in priority order.
+    Each level is (junction positions, senders, P[i, j] * a_i, P[i, j],
+    whether a sender repeats); positions index the junction columns `cols`.
+    """
+    cols = [j for j in range(spec.n) if spec.predecessors[j]]
+    depth = max((len(spec.predecessors[j]) for j in cols), default=0)
+    levels = []
+    for k in range(depth):
+        pos = [c for c, j in enumerate(cols) if len(spec.predecessors[j]) > k]
+        snd = np.array([spec.predecessors[cols[c]][k] for c in pos], dtype=int)
+        rcv = np.array([cols[c] for c in pos], dtype=int)
+        p = spec.P[snd, rcv]
+        levels.append((slice(None) if len(pos) == len(cols) else np.array(pos),
+                       snd, p * spec.a[snd], p,
+                       len(np.unique(snd)) < len(snd)))
+    return np.array(cols, dtype=int), levels
+
+
 def stilde_bound(spec: NetworkSpec, ds: DiagramSet):
     """Allocation-free lower bound on the outflow throttles, batched.
 
@@ -181,26 +220,32 @@ def stilde_bound(spec: NetworkSpec, ds: DiagramSet):
     divided by the claimant's worst-case demand P[i, j] * a_i instead of the
     realized one.  Demands never reach the jam capacity, so the realized
     throttle can only be larger.
+
+    The claims are grouped once by priority level (see `_claim_levels`), so a
+    call costs a few array operations per level, not per junction edge; a
+    sender claiming at two junctions of one level takes the smaller bound
+    through ``np.minimum.at``.  Every value is computed with the same
+    floating-point operations as a per-junction loop, and rows do not
+    interact, so S is bit-identical to the loop's at any batch size.
     """
     _check_match(spec, ds)
-    P = spec.P
-    a = spec.a
-    junctions = [(j, spec.predecessors[j]) for j in range(spec.n)
-                 if spec.predecessors[j]]
+    cols, levels = _claim_levels(spec)
 
     def bound(X: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
         D = np.atleast_2d(np.asarray(D, dtype=float))
         F = demand_batch(ds, D, X)
-        Gm = supply_batch(ds, D, X)
+        rem = supply_batch(ds, D, X)[:, cols] - V[:, cols]
         S = np.ones_like(F)
-        for j, preds in junctions:
-            rem = Gm[:, j] - V[:, j]
-            for i in preds:
-                frac = np.clip(rem / (P[i, j] * a[i]), 0.0, 1.0)
-                np.minimum(S[:, i], frac, out=S[:, i])
-                rem = rem - P[i, j] * F[:, i]
+        for k, (pos, snd, cap, p, repeats) in enumerate(levels):
+            frac = np.clip(rem[:, pos] / cap, 0.0, 1.0)
+            if repeats:
+                np.minimum.at(S.T, snd, frac.T)
+            else:
+                S[:, snd] = np.minimum(S[:, snd], frac)
+            if k + 1 < len(levels):
+                rem[:, pos] -= p * F[:, snd]
         return S
 
     return bound
@@ -228,6 +273,39 @@ class DrainConstants:
     n_evaluated: int
 
 
+def _seed_cloud(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
+                n_samples: int, seed: int):
+    """Seeds of the gamma search, stacked as (X, V, D).
+
+    Structured seeds come first: binary jam patterns (every one for small
+    networks, 4096 random ones otherwise) x inflows at both box ends x all
+    uncertainty corners.  A joint scrambled-Sobol cloud over (x, v, d)
+    follows.
+    """
+    n = spec.n
+    if n <= JAM_PATTERN_LIMIT:
+        codes = np.arange(1, 2 ** n)  # skip the all-empty pattern
+        patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
+    else:
+        patterns = (_philox(seed ^ 0x9E3779B9).random((4096, n)) < 0.5)
+    X_pat = patterns * spec.a[None, :]
+    V_opts = np.stack([np.zeros(n), v_box])
+    D_crn = d_corners(ds)
+    reps = len(V_opts) * len(D_crn)
+    struct = (np.repeat(X_pat, reps, axis=0),
+              np.tile(np.repeat(V_opts, len(D_crn), axis=0), (len(X_pat), 1)),
+              np.tile(D_crn, (len(X_pat) * len(V_opts), 1)))
+
+    m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
+    sob = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
+    u = sob.random_base2(int(math.log2(m)))
+    cloud = (u[:, :n] * spec.a[None, :],
+             u[:, n:2 * n] * v_box[None, :],
+             ds.d_lo + u[:, 2 * n:] * (ds.d_hi - ds.d_lo))
+    del u
+    return tuple(np.vstack(pair) for pair in zip(struct, cloud))
+
+
 def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
                     n_samples: int = 100_000, seed: int = 0,
                     refine_top: int = 8, refine_sweeps: int = 3,
@@ -239,6 +317,15 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
     plus a joint low-discrepancy cloud, followed by coordinate-descent
     refinement of the best seeds with a zooming grid per coordinate.  A
     nonpositive gamma raises ThrottleBoundViolation with the witness sample.
+
+    The throttle bound runs in blocks of ROW_BLOCK rows, which caps the
+    memory of its temporaries; the weighted sums (S * X) @ r are then taken
+    over the whole batch, because BLAS row results can change with the batch
+    shape.  The finite best seeds are refined in lockstep: every zoom level
+    of a coordinate scan evaluates the bound once for all seeds' grids,
+    while each seed keeps its own zoom window, strict-improvement acceptance
+    and weighted sums.  The result is that of refining the seeds one after
+    another, bit for bit.
     """
     _check_match(spec, ds)
     r = np.asarray(r, dtype=float)
@@ -267,92 +354,67 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
 
     sbound = stilde if stilde is not None else stilde_bound(spec, ds)
 
-    def ratios(X, V, D):
-        S = sbound(X, V, D)
+    def throttles(X, V, D):
+        S = np.empty(X.shape)
+        for lo in range(0, len(X), ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            S[rows] = sbound(X[rows], V[rows], D[rows])
+        return S
+
+    def ratios(S, X):
         den = X @ r
-        out = np.full(len(X), np.inf)
         ok = (X.sum(axis=1) >= mass_floor) & (den > 0)
-        out[ok] = ((S[ok] * X[ok]) @ r) / den[ok]
+        SX = S * X
+        if not ok.all():
+            SX = SX[ok]
+        out = np.full(len(X), np.inf)
+        out[ok] = (SX @ r) / den[ok]
         return out
 
-    # structured seeds: binary jam patterns x inflow box ends x d corners
-    if n <= JAM_PATTERN_LIMIT:
-        codes = np.arange(1, 2 ** n)  # skip the all-empty pattern
-        patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
-    else:
-        patterns = (_philox(seed ^ 0x9E3779B9).random((4096, n)) < 0.5)
-    X_pat = patterns * spec.a[None, :]
-    V_opts = np.stack([np.zeros(n), v_box])
-    D_crn = d_corners(ds)
-    reps = len(V_opts) * len(D_crn)
-    X_struct = np.repeat(X_pat, reps, axis=0)
-    V_struct = np.tile(np.repeat(V_opts, len(D_crn), axis=0), (len(X_pat), 1))
-    D_struct = np.tile(D_crn, (len(X_pat) * len(V_opts), 1))
-
-    # joint low-discrepancy cloud over (x, v, d)
-    m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
-    sob = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
-    u = sob.random_base2(int(math.log2(m)))
-    X_sob = u[:, :n] * spec.a[None, :]
-    V_sob = u[:, n:2 * n] * v_box[None, :]
-    D_sob = ds.d_lo + u[:, 2 * n:] * (ds.d_hi - ds.d_lo)
-
-    X_all = np.vstack([X_struct, X_sob])
-    V_all = np.vstack([V_struct, V_sob])
-    D_all = np.vstack([D_struct, D_sob])
-    vals = ratios(X_all, V_all, D_all)
+    X_all, V_all, D_all = _seed_cloud(spec, ds, v_box, n_samples, seed)
+    vals = ratios(throttles(X_all, V_all, D_all), X_all)
     n_evaluated = int(np.isfinite(vals).sum())
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")
 
-    # coordinate-descent refinement of the best seeds
-    d_lo, d_hi = ds.d_lo, ds.d_hi
+    # coordinate-descent refinement of the finite best seeds, in lockstep
     best_idx = np.argsort(vals)[:refine_top]
     incumbent = (float(vals[best_idx[0]]), X_all[best_idx[0]].copy(),
                  V_all[best_idx[0]].copy(), D_all[best_idx[0]].copy())
+    seeds = [int(i) for i in best_idx if np.isfinite(vals[i])]
+    K, w = len(seeds), scan_width
+    pts = {"x": X_all[seeds], "v": V_all[seeds], "d": D_all[seeds]}
+    best = [float(vals[i]) for i in seeds]
 
-    def refine(x0, v0, d0, val0):
-        x, v, d, val = x0.copy(), v0.copy(), d0.copy(), val0
-
-        def scan(kind, idx, lo_full, hi_full):
-            nonlocal x, v, d, val
-            lo, hi = lo_full, hi_full
-            for _ in range(3):  # zoom levels
-                ts = np.linspace(lo, hi, scan_width)
-                Xb = np.tile(x, (scan_width, 1))
-                Vb = np.tile(v, (scan_width, 1))
-                Db = np.tile(d, (scan_width, 1))
-                (Xb if kind == "x" else Vb if kind == "v" else Db)[:, idx] = ts
-                cand = ratios(Xb, Vb, Db)
+    def scan(kind, idx, lo_full, hi_full):
+        lo, hi = [lo_full] * K, [hi_full] * K
+        for _ in range(3):  # zoom levels
+            ts = np.stack([np.linspace(lo[b], hi[b], w) for b in range(K)])
+            grid = {key: np.repeat(p[:, None, :], w, axis=1)
+                    for key, p in pts.items()}
+            grid[kind][:, :, idx] = ts
+            S = throttles(*(grid[key].reshape(K * w, -1) for key in "xvd"))
+            for b in range(K):
+                cand = ratios(S[b * w:(b + 1) * w], grid["x"][b])
                 k = int(np.argmin(cand))
-                if cand[k] < val:
-                    val = float(cand[k])
-                    if kind == "x":
-                        x[idx] = ts[k]
-                    elif kind == "v":
-                        v[idx] = ts[k]
-                    else:
-                        d[idx] = ts[k]
-                span = (hi - lo) / (scan_width - 1)
-                lo = max(lo_full, ts[k] - span)
-                hi = min(hi_full, ts[k] + span)
+                if cand[k] < best[b]:
+                    best[b] = float(cand[k])
+                    pts[kind][b, idx] = ts[b, k]
+                span = (hi[b] - lo[b]) / (w - 1)
+                lo[b] = max(lo_full, ts[b, k] - span)
+                hi[b] = min(hi_full, ts[b, k] + span)
 
-        for _ in range(refine_sweeps):
-            for i in range(n):
-                scan("x", i, 0.0, float(spec.a[i]))
-            for i in range(n):
-                scan("v", i, 0.0, float(v_box[i]))
-            for k in range(4):
-                scan("d", k, float(d_lo[k]), float(d_hi[k]))
-        return val, x, v, d
+    for _ in range(refine_sweeps):
+        for i in range(n):
+            scan("x", i, 0.0, float(spec.a[i]))
+        for i in range(n):
+            scan("v", i, 0.0, float(v_box[i]))
+        for k in range(4):
+            scan("d", k, float(ds.d_lo[k]), float(ds.d_hi[k]))
 
-    for idx in best_idx:
-        if not np.isfinite(vals[idx]):
-            continue
-        val, x, v, d = refine(X_all[idx], V_all[idx], D_all[idx],
-                              float(vals[idx]))
-        if val < incumbent[0]:
-            incumbent = (val, x, v, d)
+    for b in range(K):
+        if best[b] < incumbent[0]:
+            incumbent = (best[b], pts["x"][b], pts["v"][b], pts["d"][b])
 
     gamma, x_min, v_min, d_min = incumbent
     if not math.isfinite(gamma) or gamma <= 0:

@@ -137,3 +137,139 @@ def flows_reference(spec, ds, x, v, d):
     outflow = s * f
     inflow = accepted + outflow @ spec.P
     return outflow, inflow, w
+
+
+# gamma-search references -------------------------------------------------------
+# The drain-constant search as plain loops: the throttle bound junction by
+# junction and claimant by claimant, supplies cell by cell, the seed cloud in
+# one piece and the best seeds refined one after another.  The package batches
+# all of these and must reproduce them bit for bit.
+
+def supply_loop(ds, D, X):
+    """Supplies cell by cell: (N, 4), (N, n) -> (N, n)."""
+    out = np.empty(X.shape)
+    for k, sf in enumerate(ds.supplies):
+        scale = D[:, 3] if sf.wave is None else sf.wave
+        out[:, k] = scale * np.minimum(sf.qcap, sf.a - X[:, k])
+    return out
+
+
+def stilde_bound_loop(spec, ds):
+    """The throttle lower bound, one junction and one claimant at a time."""
+    from netstab.diagrams import demand_batch
+
+    P, a = spec.P, spec.a
+    junctions = [(j, spec.predecessors[j]) for j in range(spec.n)
+                 if spec.predecessors[j]]
+
+    def bound(X, V, D):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        V = np.atleast_2d(np.asarray(V, dtype=float))
+        D = np.atleast_2d(np.asarray(D, dtype=float))
+        F = demand_batch(ds, D, X)
+        Gm = supply_loop(ds, D, X)
+        S = np.ones_like(F)
+        for j, preds in junctions:
+            rem = Gm[:, j] - V[:, j]
+            for i in preds:
+                frac = np.clip(rem / (P[i, j] * a[i]), 0.0, 1.0)
+                np.minimum(S[:, i], frac, out=S[:, i])
+                rem = rem - P[i, j] * F[:, i]
+        return S
+
+    return bound
+
+
+def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
+                           refine_top=8, refine_sweeps=3, scan_width=33):
+    """(gamma, argmin, n_evaluated) of the sampled drain-constant search.
+
+    Same seeds, weights and refinement rule as `drain_constants`, with the
+    bound evaluated on the whole seed cloud at once and each seed refined
+    by its own coordinate scans.
+    """
+    import math
+
+    from scipy.stats import qmc
+
+    from netstab.diagrams import d_corners
+
+    n = spec.n
+    caps = np.minimum(spec.vmax, [
+        (ds.d_lo[3] if sf.wave is None else sf.wave) * min(sf.qcap, sf.a)
+        for sf in ds.supplies])
+    eps_tilde = 0.5 * float(caps.min())
+    v_box = caps - eps_tilde
+    mass_floor = min(min(fd.delta for fd in ds.demands), eps_tilde / (2.0 * n))
+    sbound = stilde if stilde is not None else stilde_bound_loop(spec, ds)
+
+    def ratios(X, V, D):
+        S = sbound(X, V, D)
+        den = X @ r
+        out = np.full(len(X), np.inf)
+        ok = (X.sum(axis=1) >= mass_floor) & (den > 0)
+        out[ok] = ((S[ok] * X[ok]) @ r) / den[ok]
+        return out
+
+    if n <= 12:
+        codes = np.arange(1, 2 ** n)
+        patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
+    else:
+        rng = np.random.Generator(np.random.Philox(seed ^ 0x9E3779B9))
+        patterns = rng.random((4096, n)) < 0.5
+    X_pat = patterns * spec.a[None, :]
+    V_opts = np.stack([np.zeros(n), v_box])
+    D_crn = d_corners(ds)
+    reps = len(V_opts) * len(D_crn)
+    X_struct = np.repeat(X_pat, reps, axis=0)
+    V_struct = np.tile(np.repeat(V_opts, len(D_crn), axis=0), (len(X_pat), 1))
+    D_struct = np.tile(D_crn, (len(X_pat) * len(V_opts), 1))
+    m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
+    u = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed).random_base2(int(math.log2(m)))
+    X_all = np.vstack([X_struct, u[:, :n] * spec.a[None, :]])
+    V_all = np.vstack([V_struct, u[:, n:2 * n] * v_box[None, :]])
+    D_all = np.vstack([D_struct, ds.d_lo + u[:, 2 * n:] * (ds.d_hi - ds.d_lo)])
+    vals = ratios(X_all, V_all, D_all)
+    n_evaluated = int(np.isfinite(vals).sum())
+
+    best_idx = np.argsort(vals)[:refine_top]
+    incumbent = (float(vals[best_idx[0]]), X_all[best_idx[0]].copy(),
+                 V_all[best_idx[0]].copy(), D_all[best_idx[0]].copy())
+
+    def refine(x0, v0, d0, val0):
+        pt = {"x": x0.copy(), "v": v0.copy(), "d": d0.copy()}
+        val = val0
+
+        def scan(kind, idx, lo_full, hi_full):
+            nonlocal val
+            lo, hi = lo_full, hi_full
+            for _ in range(3):
+                ts = np.linspace(lo, hi, scan_width)
+                grid = {key: np.tile(p, (scan_width, 1)) for key, p in pt.items()}
+                grid[kind][:, idx] = ts
+                cand = ratios(grid["x"], grid["v"], grid["d"])
+                k = int(np.argmin(cand))
+                if cand[k] < val:
+                    val = float(cand[k])
+                    pt[kind][idx] = ts[k]
+                span = (hi - lo) / (scan_width - 1)
+                lo = max(lo_full, ts[k] - span)
+                hi = min(hi_full, ts[k] + span)
+
+        for _ in range(refine_sweeps):
+            for i in range(n):
+                scan("x", i, 0.0, float(spec.a[i]))
+            for i in range(n):
+                scan("v", i, 0.0, float(v_box[i]))
+            for k in range(4):
+                scan("d", k, float(ds.d_lo[k]), float(ds.d_hi[k]))
+        return val, pt["x"], pt["v"], pt["d"]
+
+    for idx in best_idx:
+        if not np.isfinite(vals[idx]):
+            continue
+        val, x, v, d = refine(X_all[idx], V_all[idx], D_all[idx], float(vals[idx]))
+        if val < incumbent[0]:
+            incumbent = (val, x, v, d)
+    gamma, x, v, d = incumbent
+    return gamma, {"x": x, "v": v, "d": d, "ratio": gamma}, n_evaluated

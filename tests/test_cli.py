@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,39 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert code == 1
     assert not doc["acyclic"]
     assert doc["cycle"]  # 1-based cycle listing
+
+
+def _validate_edited(capsys, tmp_path, i, j, rate):
+    """`netstab validate` on the benchmark with P[i, j] = rate (0-based)."""
+    spec = presets.reference_network()
+    P = np.array(spec.P)
+    P[i, j] = rate
+    path = tmp_path / "edited.json"
+    save_network(replace(spec, P=P), path)
+    code = main(["validate", "--network", str(path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, json.loads(captured.out)
+
+
+def test_validate_reports_a_self_loop_by_edge(capsys, tmp_path):
+    code, doc = _validate_edited(capsys, tmp_path, 2, 2, 0.5)
+    assert code == 1 and not doc["ok"]
+    loop = [v for v in doc["violations"] if v["constraint"] == "zero_diagonal"]
+    assert loop == [{"constraint": "zero_diagonal", "edge": [3, 3],
+                     "residual": 0.5, "message": loop[0]["message"]}]
+    assert doc["cycle"] == [3]
+
+
+def test_validate_reports_an_out_of_range_rate_by_edge(capsys, tmp_path):
+    code, doc = _validate_edited(capsys, tmp_path, 0, 1, 1.5)
+    assert code == 1 and not doc["ok"]
+    by_kind = {v["constraint"]: v for v in doc["violations"]}
+    assert by_kind["rate_range"]["edge"] == [1, 2]
+    assert by_kind["rate_range"]["residual"] == pytest.approx(0.5)
+    assert "cell" not in by_kind["rate_range"]
+    assert by_kind["row_sum"]["cell"] == 1
+    assert doc["acyclic"]
 
 
 def test_missing_file_is_an_input_error(capsys):

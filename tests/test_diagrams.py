@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netstab import presets
@@ -74,6 +74,7 @@ def test_branch_monotonicity(d):
 
 @settings(max_examples=30, deadline=None)
 @given(d=D_BOX, z=st.floats(0, 170))
+@example(d=(0.0, 1.0, 0.0, 0.22), z=5e-324)  # 0.7 * z rounds back to z here
 def test_demand_bounds(d, z):
     ds = presets.reference_diagrams()
     d = np.array(d)
@@ -82,6 +83,17 @@ def test_demand_bounds(d, z):
         assert 0.0 <= val
         if z > 0:
             assert val < z  # strictly fewer vehicles leave than are present
+
+
+def test_densities_below_the_floor_are_empty(ref_ds):
+    """Both demand evaluators give 0 below DEMAND_FLOOR, subnormals included."""
+    X = np.array([[0.0, 5e-324, 1e-300, 0.999e-12, 1e-12, 1e-9, 55.0, 170.0]])
+    D = np.array([[0.0, 1.0, 0.0, 0.22]])
+    F = demand_batch(ref_ds, D, X)
+    want = [eval_demand(fd, D[0], x) for fd, x in zip(ref_ds.demands, X[0])]
+    np.testing.assert_array_equal(F[0], want)
+    np.testing.assert_array_equal(F[0, :4], np.zeros(4))
+    assert np.all(F[0, 4:] > 0) and np.all(F[0, 4:] < X[0, 4:])
 
 
 def test_eval_demand_domain_checks(ref_ds):

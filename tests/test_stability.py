@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from netstab import presets
+from netstab.diagrams import DiagramSet
+from netstab.equilibrium import solve_uep
 from netstab.errors import (DimensionError, NumericalError, StructuralError,
                             TrappingInfeasible)
+from netstab.network import NetworkSpec
 from netstab.stability import (build_gamma, certify, contraction_check,
                                drain_constants, invariant_region,
                                lyapunov_eval, spectral_radius, trapping_bound,
@@ -100,6 +104,45 @@ def test_gamma_radius_below_one_for_random_instances():
         Gamma, rho = build_gamma(P, L, G, vstar, b, K, tau)
         assert rho < 1
         assert oracles.spectral_radius_eig(Gamma) == pytest.approx(rho, abs=1e-9)
+
+
+def test_gamma_must_be_triangular_in_topological_order():
+    """A coupling below the edge tolerance escapes the ordering but not the
+    exact triangularity check, which names both cells."""
+    P = np.zeros((3, 3))
+    P[0, 1] = P[1, 2] = 1.0
+    P[2, 0] = 1e-16
+    args = (np.full(3, 0.2), np.full(3, 0.5), np.ones(3), np.zeros(3),
+            np.zeros((3, 3)), 0.5)
+    with pytest.raises(StructuralError, match="cell 1: .* cell 3"):
+        build_gamma(P, *args)
+    P[2, 0] = 0.0
+    _, rho = build_gamma(P, *args)
+    assert rho == 0.8
+    with pytest.raises(NumericalError, match="cell 2"):
+        build_gamma(P, *args[:4], np.diag([0.0, np.inf, 0.0]), 0.5)
+
+
+def test_badly_scaled_chain_certifies():
+    """On an 8-cell mainline xi grows like 7.1^k and the synthesized gain is
+    about 1e11; rho still comes out as max(1 - L_i)."""
+    n = 8
+    P = np.diag(np.ones(n - 1), k=1)
+    Qexit = np.zeros(n)
+    Qexit[-1] = 1.0
+    vmax = np.full(n, 0.3)
+    vmax[0] = 25.0
+    spec = NetworkSpec(n=n, a=np.full(n, presets.JAM), P=P, Qexit=Qexit,
+                       mu=np.full(n, presets.MU_MAIN), vmax=vmax)
+    ref = presets.reference_diagrams()
+    ds = DiagramSet((ref.demands[0],) * n, (ref.supplies[0],) * n,
+                    ref.d_lo, ref.d_hi)
+    v = np.zeros(n)
+    v[0] = 25.0
+    cert = certify(spec, ds, solve_uep(spec, ds, v))
+    assert cert.rho == pytest.approx(0.8, abs=1e-12)
+    assert cert.floor_budget_ok and cert.m is not None
+    assert np.max(np.abs(cert.controller.K)) > 1e10
 
 
 def test_invariant_region_hand_computation(ref_eq, ref_cert, ref_spec):
