@@ -30,43 +30,88 @@ FAMILIES = ("freeway-main", "freeway-onramp", "piecewise")
 _D_DIM = 4
 
 DEMAND_FLOOR = 1e-12   # a density (or demand) below this is an empty cell
+D_TOL = 1e-12          # admission tolerance for d against the uncertainty box
 
 
-# --- base curves -----------------------------------------------------------
-# Quadratic/affine segments shared by the built-in families.  Knees at 27.5
-# (on-ramp branch change) are part of the curve shapes themselves; the
+# --- curve coefficients ------------------------------------------------------
+# Every built-in curve piece is the quadratic q(z) = c2*z*z + c1*z + c0, stored
+# as (c2, c1, c0) with None for a term its formula lacks.  The d1 branch and
+# the two congested branches are shared by both families; each family adds its
+# own A (weight d2 (1 - d1)) and B (weight (1 - d2)(1 - d1)) subcritical
+# branches.  A branch is
+# (knee, piece up to the knee, piece above it); a single-piece branch has no
+# knee.  The on-ramp knee at 27.5 belongs to the curve shapes themselves; the
 # subcritical/overcritical switch at `delta` belongs to the DemandFunction.
 
-def _phi1(z):
-    return (5.0 / 11.0) * z
+_PHI1 = (None, 5.0 / 11.0, None)
+_PHI6 = (None, -(3.0 / 23.0), 740.0 / 23.0)
+_PHI7 = (83.0 / 52900.0, -(4471.0 / 10580.0), 46019.0 / 1058.0)
+
+_FAMILY_BRANCHES = {
+    "freeway-main": (
+        (None, (-(13.5 / 3025.0), 0.7, None), None),
+        (None, (14.0 / 3025.0, 0.2, None), None),
+    ),
+    "freeway-onramp": (
+        (27.5, (-(49.0 / 3025.0), 0.9, None), (-(38.0 / 3025.0), 82.0 / 55.0, -19.0)),
+        (27.5, (7.0 / 756.25, 0.2, None), (21.0 / 6050.0, 71.5 / 1210.0, 8.25)),
+    ),
+}
 
 
-def _phi2(z):
-    return -(13.5 / 3025.0) * z * z + 0.7 * z
+def _quad(c, z):
+    """c2*z*z + c1*z + c0, term by term in the order the formulas are written.
+
+    Scalar None terms are skipped, so a linear or constant-free piece costs no
+    extra array pass; per-cell coefficient arrays carry zeros instead (adding
+    0.0 leaves every nonzero value unchanged).
+    """
+    c2, c1, c0 = c
+    q = c1 * z if c2 is None else c2 * z * z + c1 * z
+    return q if c0 is None else q + c0
 
 
-def _phi3(z):
-    return (14.0 / 3025.0) * z * z + 0.2 * z
+def _branch(b, z):
+    knee, lo, hi = b
+    if knee is None:
+        return _quad(lo, z)
+    return np.where(z <= knee, _quad(lo, z), _quad(hi, z))
 
 
-def _phi4(z):
-    lo = -(49.0 / 3025.0) * z * z + 0.9 * z
-    hi = -(38.0 / 3025.0) * z * z + (82.0 / 55.0) * z - 19.0
-    return np.where(z <= 27.5, lo, hi)
+def _blend(d1, d2, d3, z, delta, A, B):
+    """Demand of the built-in families: branches blended by d1..d3.
+
+    Takes scalar coefficients (one family over a batch of densities) or
+    per-cell coefficient arrays (every cell of one state).  Each branch is
+    evaluated inside the blend expression, so no branch value outlives its
+    product with its weight.
+    """
+    w2 = d2 * (1.0 - d1)
+    w3 = (1.0 - d2) * (1.0 - d1)
+    sub = d1 * _quad(_PHI1, z) + w2 * _branch(A, z) + w3 * _branch(B, z)
+    over = d3 * _quad(_PHI6, z) + (1.0 - d3) * _quad(_PHI7, z)
+    return np.where(z <= delta, sub, over)
 
 
-def _phi5(z):
-    lo = (7.0 / 756.25) * z * z + 0.2 * z
-    hi = (21.0 / 6050.0) * z * z + (71.5 / 1210.0) * z + 8.25
-    return np.where(z <= 27.5, lo, hi)
+def _cell_branches(families) -> tuple:
+    """The A and B branches of every cell as per-cell coefficient arrays.
 
+    A branch without a knee gets an infinite one and repeats its piece above
+    it; cells outside the built-in families get the main family's values,
+    which their callers overwrite.
+    """
+    def column(values):
+        return np.array([0.0 if v is None else v for v in values])
 
-def _phi6(z):
-    return -(3.0 / 23.0) * z + 740.0 / 23.0
-
-
-def _phi7(z):
-    return (83.0 / 52900.0) * z * z - (4471.0 / 10580.0) * z + 46019.0 / 1058.0
+    out = []
+    for b in (0, 1):
+        rows = [_FAMILY_BRANCHES.get(fam, _FAMILY_BRANCHES["freeway-main"])[b]
+                for fam in families]
+        knee = column(math.inf if k is None else k for k, _, _ in rows)
+        lo = tuple(column(r[1][t] for r in rows) for t in range(3))
+        hi = tuple(column((r[2] or r[1])[t] for r in rows) for t in range(3))
+        out.append((knee, lo, hi))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -152,20 +197,14 @@ def _demand_values(fd: DemandFunction, d1, d2, d3, z):
     Densities below DEMAND_FLOOR are empty cells and emit nothing; that also
     keeps f < z at subnormal densities, where 0.7 * z rounds back to z.
     """
-    z = np.asarray(z, dtype=float)
     if fd.family == "piecewise":
+        z = np.asarray(z, dtype=float)
         sub = _eval_pieces(fd.subcritical, np.minimum(z, fd.delta))
         over = _eval_pieces(fd.overcritical, np.maximum(z, fd.delta))
+        f = np.where(z <= fd.delta, sub, over)
     else:
-        w1 = d1
-        w2 = d2 * (1.0 - d1)
-        w3 = (1.0 - d2) * (1.0 - d1)
-        if fd.family == "freeway-main":
-            sub = w1 * _phi1(z) + w2 * _phi2(z) + w3 * _phi3(z)
-        else:
-            sub = w1 * _phi1(z) + w2 * _phi4(z) + w3 * _phi5(z)
-        over = d3 * _phi6(z) + (1.0 - d3) * _phi7(z)
-    return np.where(z < DEMAND_FLOOR, 0.0, np.where(z <= fd.delta, sub, over))
+        f = _blend(d1, d2, d3, z, fd.delta, *_FAMILY_BRANCHES[fd.family])
+    return np.where(z < DEMAND_FLOOR, 0.0, f)
 
 
 def _supply_values(sf: SupplyFunction, d4, x):
@@ -186,12 +225,17 @@ class DiagramSet:
     d_lo: np.ndarray
     d_hi: np.ndarray
     # cached per-cell arrays and family index groups; _wave is None unless
-    # some supply pins its scale (NaN marks the cells scaled by d4)
+    # some supply pins its scale (NaN marks the cells scaled by d4);
+    # _branches holds every cell's A and B branch coefficients for `demand_all`
+    # and _d_lo_tol/_d_hi_tol the box that `step` admits d from
     _a: np.ndarray = field(init=False, repr=False, compare=False)
     _delta: np.ndarray = field(init=False, repr=False, compare=False)
     _qcap: np.ndarray = field(init=False, repr=False, compare=False)
     _wave: np.ndarray | None = field(init=False, repr=False, compare=False)
     _groups: dict = field(init=False, repr=False, compare=False)
+    _branches: tuple = field(init=False, repr=False, compare=False)
+    _d_lo_tol: np.ndarray = field(init=False, repr=False, compare=False)
+    _d_hi_tol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "demands", tuple(self.demands))
@@ -222,12 +266,16 @@ class DiagramSet:
             for fam in FAMILIES
         }
         object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_branches",
+                           _cell_branches([fd.family for fd in self.demands]))
+        object.__setattr__(self, "_d_lo_tol", self.d_lo - D_TOL)
+        object.__setattr__(self, "_d_hi_tol", self.d_hi + D_TOL)
 
     @property
     def n(self) -> int:
         return len(self.demands)
 
-    def contains_d(self, d, tol: float = 1e-12) -> bool:
+    def contains_d(self, d, tol: float = D_TOL) -> bool:
         d = np.asarray(d, dtype=float)
         return d.shape == (_D_DIM,) and bool(
             np.all(d >= self.d_lo - tol) and np.all(d <= self.d_hi + tol)
@@ -265,12 +313,22 @@ def eval_supply(sf: SupplyFunction, d, x) -> float:
 
 
 def demand_all(ds: DiagramSet, d, x) -> np.ndarray:
-    """All cells' demand at state x (one uncertainty sample)."""
-    return demand_batch(ds, np.asarray(d, float)[None, :], np.asarray(x, float)[None, :])[0]
+    """All cells' demand at state x (one uncertainty sample); same values as
+    the matching row of `demand_batch`."""
+    x = np.asarray(x, dtype=float)
+    d1, d2, d3 = np.asarray(d, dtype=float)[:3].tolist()
+    out = _blend(d1, d2, d3, x, ds._delta, *ds._branches)
+    for k in ds._groups["piecewise"]:
+        out[k] = _demand_values(ds.demands[k], d1, d2, d3, x[k])
+    out[x < DEMAND_FLOOR] = 0.0
+    return out
 
 
 def supply_all(ds: DiagramSet, d, x) -> np.ndarray:
-    return supply_batch(ds, np.asarray(d, float)[None, :], np.asarray(x, float)[None, :])[0]
+    """All cells' supply at state x; same values as a row of `supply_batch`."""
+    d4 = float(np.asarray(d, dtype=float)[3])
+    scale = d4 if ds._wave is None else np.where(np.isnan(ds._wave), d4, ds._wave)
+    return scale * np.minimum(ds._qcap, ds._a - np.asarray(x, dtype=float))
 
 
 def demand_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -284,19 +342,10 @@ def demand_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
     d1 = D[:, 0:1]
     d2 = D[:, 1:2]
     d3 = D[:, 2:3]
-    for fam in ("freeway-main", "freeway-onramp"):
+    for fam, branches in _FAMILY_BRANCHES.items():
         idx = ds._groups[fam]
-        if idx.size == 0:
-            continue
-        z = X[:, idx]
-        w2 = d2 * (1.0 - d1)
-        w3 = (1.0 - d2) * (1.0 - d1)
-        if fam == "freeway-main":
-            sub = d1 * _phi1(z) + w2 * _phi2(z) + w3 * _phi3(z)
-        else:
-            sub = d1 * _phi1(z) + w2 * _phi4(z) + w3 * _phi5(z)
-        over = d3 * _phi6(z) + (1.0 - d3) * _phi7(z)
-        out[:, idx] = np.where(z <= ds._delta[idx], sub, over)
+        if idx.size:
+            out[:, idx] = _blend(d1, d2, d3, X[:, idx], ds._delta[idx], *branches)
     for k in ds._groups["piecewise"]:
         out[:, k] = _demand_values(ds.demands[k], d1[:, 0], d2[:, 0], d3[:, 0], X[:, k])
     out[X < DEMAND_FLOOR] = 0.0

@@ -67,13 +67,11 @@ def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
     f = demand_all(ds, d, x)
     g = supply_all(ds, d, x)
     if not np.isfinite(f).all():
-        raise NumericalError(
-            f"non-finite demand at cell {int(np.argmax(~np.isfinite(f))) + 1}",
-            cell=int(np.argmax(~np.isfinite(f))))
+        i = int(np.argmax(~np.isfinite(f)))
+        raise NumericalError(f"non-finite demand at cell {i + 1}", cell=i)
     if not np.isfinite(g).all():
-        raise NumericalError(
-            f"non-finite supply at cell {int(np.argmax(~np.isfinite(g))) + 1}",
-            cell=int(np.argmax(~np.isfinite(g))))
+        i = int(np.argmax(~np.isfinite(g)))
+        raise NumericalError(f"non-finite supply at cell {i + 1}", cell=i)
     s = _allocate(spec, f, g, v, x)
     outflow = s * f
     accepted = np.minimum(v, g)
@@ -87,34 +85,45 @@ def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
 def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBreakdown]:
     """Advance the state one step; returns (x_next, FlowBreakdown).
 
-    Raises DomainError when x leaves the state box, v is negative, or d falls
+    Raises DimensionError when x, v or d has the wrong shape; DomainError
+    naming the cell (or the coordinate of d) when x is non-finite or leaves
+    the state box, v is non-finite or negative, or d is non-finite or falls
     outside the uncertainty box; NumericalError when any flow is non-finite.
+    Each admission test is written so that NaN fails it.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     d = np.asarray(d, dtype=float)
     if x.shape != (spec.n,) or v.shape != (spec.n,):
         raise DimensionError(f"x and v must have shape ({spec.n},)")
-    if np.any(x < -STATE_TOL) or np.any(x > spec.a + STATE_TOL):
-        i = int(np.argmax(np.maximum(-x, x - spec.a)))
+    if d.shape != ds.d_lo.shape:
+        raise DimensionError(f"d must have shape {ds.d_lo.shape}, got {d.shape}")
+    if not ((x >= -STATE_TOL).all() and (x <= spec.a + STATE_TOL).all()):
+        i = int(np.argmax(np.maximum(-x, x - spec.a)))  # NaN and inf rank first
+        if not np.isfinite(x[i]):
+            raise DomainError(f"cell {i + 1}: non-finite density {x[i]}")
         raise DomainError(f"cell {i + 1}: density {x[i]:.6g} outside [0, {spec.a[i]:.6g}]")
-    if np.any(v < 0):
-        i = int(np.argmax(v < 0))
-        raise DomainError(f"cell {i + 1}: negative external inflow {v[i]:.6g}")
-    if not ds.contains_d(d):
-        raise DomainError(f"disturbance {d} outside the uncertainty box")
-    x = np.clip(x, 0.0, spec.a)
+    if not ((v >= 0.0).all() and (v < np.inf).all()):
+        i = int(np.argmax(~((v >= 0.0) & (v < np.inf))))
+        what = "negative" if np.isfinite(v[i]) else "non-finite"
+        raise DomainError(f"cell {i + 1}: {what} external inflow {v[i]:.6g}")
+    if not ((d >= ds._d_lo_tol).all() and (d <= ds._d_hi_tol).all()):
+        k = int(np.argmax(~((d >= ds._d_lo_tol) & (d <= ds._d_hi_tol))))
+        raise DomainError(
+            f"disturbance coordinate d{k + 1} = {d[k]:.6g} outside the uncertainty "
+            f"box [{ds.d_lo[k]:.6g}, {ds.d_hi[k]:.6g}]")
+    x = x.clip(0.0, spec.a)
     fb = compute_flows(spec, ds, x, v, d)
     x_next = x - fb.outflow + fb.inflow
-    if not np.isfinite(x_next).all():
-        i = int(np.argmax(~np.isfinite(x_next)))
-        raise NumericalError(f"non-finite state at cell {i + 1}", cell=i)
-    drift = float(np.max(np.maximum(-x_next, x_next - spec.a), initial=0.0))
-    if drift > STATE_TOL:
-        i = int(np.argmax(np.maximum(-x_next, x_next - spec.a)))
+    if not (x_next.min() >= -STATE_TOL and (x_next - spec.a).max() <= STATE_TOL):
+        if not np.isfinite(x_next).all():
+            i = int(np.argmax(~np.isfinite(x_next)))
+            raise NumericalError(f"non-finite state at cell {i + 1}", cell=i)
+        drift = np.maximum(-x_next, x_next - spec.a)
+        i = int(np.argmax(drift))
         raise NumericalError(
-            f"state left its box at cell {i + 1} by {drift:.3g}", cell=i)
-    return np.clip(x_next, 0.0, spec.a), fb
+            f"state left its box at cell {i + 1} by {drift[i]:.3g}", cell=i)
+    return x_next.clip(0.0, spec.a), fb
 
 
 def compute_s(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> np.ndarray:

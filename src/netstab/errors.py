@@ -43,7 +43,9 @@ class NonUniformEquilibrium(ValueError):
 
 
 class StructuralError(RuntimeError):
-    """An internal consistency assertion failed (e.g. two spectral-radius routes disagree)."""
+    """The routing structure defeats a certificate construction: weights that
+    no routing loss can strictly dominate, or a Gamma that is not triangular in
+    topological order."""
 
 
 class ThrottleBoundViolation(ValueError):

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .control import ControllerConfig, control_law
+from .control import ControllerConfig, control_law, h_map
 from .diagrams import DiagramSet, _philox, uniform_uncertainty
 from .errors import MisuseError
 from .network import NetworkSpec, find_cycle
 from .presets import (benchmark_initial_states, congested_candidate,
                       experiment_controller, reference_diagrams,
                       reference_network, reference_vstar)
-from .stability import lyapunov_eval
 
 DEVIATION_FLOOR = 1e-12  # below this the trajectory counts as converged
 
@@ -146,7 +145,7 @@ def run_scenario(spec: NetworkSpec, ds: DiagramSet,
         inflows[T] = cfg.control.v
 
     deviation = np.linalg.norm(states - xref[None, :], axis=1)
-    lyap = np.stack([lyapunov_eval(row, xref) for row in states])
+    lyap = np.hstack([h_map(states - xref), h_map(xref - states)])
     return TrajectoryRecord(states=states, inflows=inflows, flows=tuple(flows),
                             disturbances=D, deviation=deviation, lyapunov=lyap,
                             xref=xref, step_seconds=cfg.step_seconds)

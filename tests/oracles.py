@@ -273,3 +273,125 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
             incumbent = (val, x, v, d)
     gamma, x, v, d = incumbent
     return gamma, {"x": x, "v": v, "d": d, "ratio": gamma}, n_evaluated
+
+
+# pre-table row references ------------------------------------------------------
+# The demand families as they were written before the coefficient table (one
+# float function per base curve, the blend spelled out per family, one batch
+# column group per family) and the one-step update built on them.  The table,
+# its blend and the single-row step must reproduce these bit for bit.
+
+def _phi1_f(z):
+    return (5.0 / 11.0) * z
+
+
+def _phi2_f(z):
+    return -(13.5 / 3025.0) * z * z + 0.7 * z
+
+
+def _phi3_f(z):
+    return (14.0 / 3025.0) * z * z + 0.2 * z
+
+
+def _phi4_f(z):
+    lo = -(49.0 / 3025.0) * z * z + 0.9 * z
+    hi = -(38.0 / 3025.0) * z * z + (82.0 / 55.0) * z - 19.0
+    return np.where(z <= 27.5, lo, hi)
+
+
+def _phi5_f(z):
+    lo = (7.0 / 756.25) * z * z + 0.2 * z
+    hi = (21.0 / 6050.0) * z * z + (71.5 / 1210.0) * z + 8.25
+    return np.where(z <= 27.5, lo, hi)
+
+
+def _phi6_f(z):
+    return -(3.0 / 23.0) * z + 740.0 / 23.0
+
+
+def _phi7_f(z):
+    return (83.0 / 52900.0) * z * z - (4471.0 / 10580.0) * z + 46019.0 / 1058.0
+
+
+FLOOR = 1e-12  # densities below this are empty cells
+
+
+def demand_values_reference(fd, d1, d2, d3, z):
+    """One curve's demand, branch by branch, broadcasting d-weights over z."""
+    from netstab.diagrams import _eval_pieces
+
+    z = np.asarray(z, dtype=float)
+    if fd.family == "piecewise":
+        sub = _eval_pieces(fd.subcritical, np.minimum(z, fd.delta))
+        over = _eval_pieces(fd.overcritical, np.maximum(z, fd.delta))
+    else:
+        w2 = d2 * (1.0 - d1)
+        w3 = (1.0 - d2) * (1.0 - d1)
+        if fd.family == "freeway-main":
+            sub = d1 * _phi1_f(z) + w2 * _phi2_f(z) + w3 * _phi3_f(z)
+        else:
+            sub = d1 * _phi1_f(z) + w2 * _phi4_f(z) + w3 * _phi5_f(z)
+        over = d3 * _phi6_f(z) + (1.0 - d3) * _phi7_f(z)
+    return np.where(z < FLOOR, 0.0, np.where(z <= fd.delta, sub, over))
+
+
+def demand_batch_reference(ds, D, X):
+    """Demand of a batch, one column group per built-in family: (N, 4), (N, n)."""
+    out = np.empty(X.shape)
+    d1, d2, d3 = D[:, 0:1], D[:, 1:2], D[:, 2:3]
+    for fam, lo, hi in (("freeway-main", _phi2_f, _phi3_f),
+                        ("freeway-onramp", _phi4_f, _phi5_f)):
+        idx = np.array([k for k, fd in enumerate(ds.demands) if fd.family == fam],
+                       dtype=int)
+        if idx.size == 0:
+            continue
+        z = X[:, idx]
+        w2 = d2 * (1.0 - d1)
+        w3 = (1.0 - d2) * (1.0 - d1)
+        sub = d1 * _phi1_f(z) + w2 * lo(z) + w3 * hi(z)
+        over = d3 * _phi6_f(z) + (1.0 - d3) * _phi7_f(z)
+        delta = np.array([ds.demands[k].delta for k in idx])
+        out[:, idx] = np.where(z <= delta, sub, over)
+    for k, fd in enumerate(ds.demands):
+        if fd.family == "piecewise":
+            out[:, k] = demand_values_reference(fd, d1[:, 0], d2[:, 0], d3[:, 0], X[:, k])
+    out[X < FLOOR] = 0.0
+    return out
+
+
+def step_reference(spec, ds, x, v, d):
+    """(x_next, flow fields) of one step as one batch row, claimant by claimant.
+
+    The fields are those of the package's FlowBreakdown, keyed by name.
+    """
+    n = spec.n
+    x = np.clip(np.asarray(x, dtype=float), 0.0, spec.a)
+    v = np.asarray(v, dtype=float)
+    D = np.asarray(d, dtype=float)[None, :]
+    f = demand_batch_reference(ds, D, x[None, :])[0]
+    g = supply_loop(ds, D, x[None, :])[0]
+    s = np.ones(n)
+    for j, preds in enumerate(spec.predecessors):
+        if not preds:
+            continue
+        rem = g[j] - v[j]
+        for i in preds:
+            cap = spec.P[i, j] * f[i]
+            if cap > FLOOR:
+                ratio = rem / cap
+                if ratio < s[i]:
+                    s[i] = max(0.0, ratio)
+            rem -= cap
+    s[(x <= 0.0) | (f < FLOOR)] = 1.0
+    outflow = s * f
+    accepted = np.minimum(v, g)
+    fields = {
+        "outflow": outflow,
+        "inflow": accepted + outflow @ spec.P,
+        "exit": spec.Qexit * outflow,
+        "s": s,
+        "w": np.divide(accepted, v, out=np.ones(n), where=v > 0),
+        "attempted_demand": f,
+    }
+    x_next = x - outflow + fields["inflow"]
+    return np.clip(x_next, 0.0, spec.a), fields

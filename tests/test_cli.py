@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from netstab import presets
 from netstab.cli import main
 from netstab.control import load_controller
 from netstab.network import save_network
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
 def run_cli(capsys, *argv):
@@ -160,3 +164,10 @@ def test_reproduce_writes_suite(capsys, tmp_path):
     closed = doc["scenarios"]["closed_loop_jam"]
     assert closed["terminal_deviation"] < 1.0
     assert closed["sigma_hat"] > 0
+    # every byte of the default-seed CSVs, against the benchmark's digests
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    assert doc["seed"] == expected["reproduce_seed"]
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in expected["reproduce_csv_sha256"]}
+    assert digests == expected["reproduce_csv_sha256"]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(digests)

@@ -139,3 +139,28 @@ def test_step_rejects_bad_inputs(ref_spec, ref_ds, ref_eq):
              np.array([0.5, 0.5, 0.5, 0.1]))
     with pytest.raises(DimensionError):
         step(ref_spec, ref_ds, np.zeros(5), ref_eq.vstar, d)
+
+
+@pytest.mark.parametrize("x_bad, v_bad, d_bad, error, message", [
+    ((2, np.nan), None, None, DomainError, "cell 3: non-finite density"),
+    ((0, np.inf), None, None, DomainError, "cell 1: non-finite density"),
+    ((7, -np.inf), None, None, DomainError, "cell 8: non-finite density"),
+    (None, (1, np.nan), None, DomainError, "cell 2: non-finite external inflow"),
+    (None, (4, np.inf), None, DomainError, "cell 5: non-finite external inflow"),
+    (None, None, np.array([0.5, 0.5, 0.5]), DimensionError, r"shape \(4,\)"),
+    (None, None, np.array([0.5, np.nan, 0.5, 0.25]), DomainError, "d2 = nan"),
+    (None, None, np.array([0.5, 0.5, 0.5, 0.31]), DomainError,
+     r"d4 = 0.31 outside the uncertainty box \[0.22, 0.3\]"),
+])
+def test_step_names_the_cell_of_bad_input(ref_spec, ref_ds, ref_eq,
+                                          x_bad, v_bad, d_bad, error, message):
+    """Non-finite or misshapen input is refused up front, naming its cell or
+    its coordinate of d, before any flow is computed."""
+    x, v = ref_eq.xstar.copy(), ref_eq.vstar.copy()
+    d = np.array([0.5, 0.5, 0.5, 0.25]) if d_bad is None else d_bad
+    if x_bad is not None:
+        x[x_bad[0]] = x_bad[1]
+    if v_bad is not None:
+        v[v_bad[0]] = v_bad[1]
+    with pytest.raises(error, match=message):
+        step(ref_spec, ref_ds, x, v, d)

@@ -218,6 +218,35 @@ def test_contraction_check_passes_on_certified_box(ref_spec, ref_ds, ref_cert):
     assert report.n_samples == 1500
 
 
+def test_contraction_check_matches_per_sample_loop(ref_spec, ref_ds, ref_cert):
+    """The stacked Lyapunov maps give the per-sample loop's worst gap, bit for
+    bit, where that gap is positive and sensitive to every rounding."""
+    from types import SimpleNamespace
+
+    from netstab.control import control_law
+    from netstab.diagrams import _philox, uniform_uncertainty
+    from netstab.dynamics import step
+
+    rng = np.random.default_rng(41)
+    for trial in range(3):
+        cert = SimpleNamespace(beta=np.array(ref_spec.a),
+                               Gamma=rng.uniform(0.0, 0.3, (16, 16)))
+        report = contraction_check(ref_spec, ref_ds, ref_cert.controller, cert,
+                                   n_samples=300, seed=trial)
+        src = _philox(trial)
+        X = src.uniform(0.0, cert.beta, size=(300, 8))
+        D = uniform_uncertainty(ref_ds, 300, src)
+        xstar = ref_cert.controller.xstar
+        worst = -math.inf
+        for x, d in zip(X, D):
+            x_next, _ = step(ref_spec, ref_ds, x,
+                             control_law(ref_cert.controller, x), d)
+            gap = lyapunov_eval(x_next, xstar) - cert.Gamma @ lyapunov_eval(x, xstar)
+            worst = max(worst, float(gap.max()))
+        assert worst > 0.0
+        assert report.max_violation == worst
+
+
 def test_certificate_consistency(ref_spec, ref_eq, ref_cert):
     cert = ref_cert
     assert cert.rho == pytest.approx(0.991, abs=1e-9)
