@@ -140,7 +140,10 @@ def cmd_analyze(args) -> int:
     controller = _load_ctrl(args)
     cert = certify(spec, ds, eq, controller=controller, seed=args.seed)
 
-    demand_audits = [audit_demand_curve(fd, seed=args.seed) for fd in ds.demands]
+    # cells sharing a curve share its audit (DemandFunction is frozen, hence hashable)
+    audit_of = {fd: audit_demand_curve(fd, seed=args.seed)
+                for fd in dict.fromkeys(ds.demands)}
+    demand_audits = [audit_of[fd] for fd in ds.demands]
     supply_audit = audit_supply_margin(spec, ds, seed=args.seed)
     contraction = contraction_check(spec, ds, cert.controller, cert,
                                     n_samples=2000, seed=args.seed)
@@ -289,6 +292,19 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 1
 
 
+def _int_at_least(least: int, what: str):
+    """An argparse type: an integer >= `least`; anything else exits 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netstab",
@@ -302,10 +318,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--controller", help="controller JSON")
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario JSON")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"),
+                       default=0)
         p.add_argument("--out", help="output directory")
         if horizon is not None:
-            p.add_argument("--horizon", type=int, default=horizon)
+            p.add_argument("--horizon", type=_int_at_least(1, "a positive integer"),
+                           default=horizon)
 
     p = sub.add_parser("validate", help="structural checks on a network")
     common(p)

@@ -19,8 +19,9 @@ from scipy.stats import qmc
 
 from . import control
 from .control import ControllerConfig, h_map
-from .diagrams import (DiagramSet, _philox, d_corners, demand_batch,
-                       supply_batch, uniform_uncertainty)
+from .diagrams import (DiagramSet, _demand_values, _philox, _supply_values,
+                       d_corners, demand_batch, supply_batch,
+                       uniform_uncertainty)
 from .dynamics import step
 from .errors import (DimensionError, NumericalError, StructuralError,
                      ThrottleBoundViolation, TrappingInfeasible)
@@ -38,14 +39,25 @@ def weights_r(P: np.ndarray) -> np.ndarray:
     row sums of P are at most one, so the weighted routing loses at least half
     the weight per hop: sum_j P[i, j] r_j < r_i strictly.  That margin is what
     the drain constants build on; its failure is reported as structural.
+    The weights overflow float64 beyond n = 1024 cells, which raises
+    NumericalError naming the first cell whose weight is infinite.
     """
     P = np.asarray(P, dtype=float)
     rank = topological_sort(P).rank()
     n = P.shape[0]
-    r = np.power(2.0, n - 1 - rank)
+    with np.errstate(over="ignore"):
+        r = np.power(2.0, n - 1 - rank)
+    huge = ~np.isfinite(r)
+    if huge.any():
+        i = int(np.argmax(huge))
+        raise NumericalError(
+            f"cell {i + 1}: weight 2^{n - 1 - rank[i]} overflows float64 "
+            f"(halving weights allow at most 1024 cells, the network has {n})",
+            cell=i)
     slack = r - P @ r
-    if np.any(slack <= 0):
-        i = int(np.argmin(slack))
+    bad = ~(slack > 0)  # NaN fails too
+    if bad.any():
+        i = int(np.argmin(np.where(bad, slack, np.inf)))
         raise StructuralError(
             f"cell {i + 1}: routed weight is not strictly dominated "
             f"(slack {slack[i]:.3g})")
@@ -211,44 +223,59 @@ def _claim_levels(spec: NetworkSpec):
     return np.array(cols, dtype=int), levels
 
 
-def stilde_bound(spec: NetworkSpec, ds: DiagramSet):
+class ThrottleBound:
     """Allocation-free lower bound on the outflow throttles, batched.
 
-    The returned callable maps (X, V, D) of shapes (N, n), (N, n), (N, 4) to
-    an (N, n) array S with S <= s pointwise: each junction's remaining supply
-    after external inflow and after all higher-priority attempted demands is
+    Calling it maps (X, V, D) of shapes (N, n), (N, n), (N, 4) to an (N, n)
+    array S with S <= s pointwise: each junction's remaining supply after
+    external inflow and after all higher-priority attempted demands is
     divided by the claimant's worst-case demand P[i, j] * a_i instead of the
     realized one.  Demands never reach the jam capacity, so the realized
     throttle can only be larger.
 
-    The claims are grouped once by priority level (see `_claim_levels`), so a
-    call costs a few array operations per level, not per junction edge; a
-    sender claiming at two junctions of one level takes the smaller bound
-    through ``np.minimum.at``.  Every value is computed with the same
+    The call is `allocate(demand_batch(ds, D, X), supply_batch(ds, D, X), V)`:
+    curve evaluation and junction allocation are separate, so a caller that
+    already holds demands F and supplies G (or most of them) can allocate
+    without evaluating the curves again.
+
+    The claims are grouped once by priority level (see `_claim_levels`), so
+    an allocation costs a few array operations per level, not per junction
+    edge; a sender claiming at two junctions of one level takes the smaller
+    bound through ``np.minimum.at``.  Every value is computed with the same
     floating-point operations as a per-junction loop, and rows do not
     interact, so S is bit-identical to the loop's at any batch size.
     """
-    _check_match(spec, ds)
-    cols, levels = _claim_levels(spec)
 
-    def bound(X: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        D = np.atleast_2d(np.asarray(D, dtype=float))
-        F = demand_batch(ds, D, X)
-        rem = supply_batch(ds, D, X)[:, cols] - V[:, cols]
+    def __init__(self, spec: NetworkSpec, ds: DiagramSet):
+        _check_match(spec, ds)
+        self.ds = ds
+        self.cols, self.levels = _claim_levels(spec)
+
+    def allocate(self, F: np.ndarray, G: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Throttle bounds from demands F, supplies G and inflows V, all (N, n)."""
+        rem = G[:, self.cols] - V[:, self.cols]
         S = np.ones_like(F)
-        for k, (pos, snd, cap, p, repeats) in enumerate(levels):
+        for k, (pos, snd, cap, p, repeats) in enumerate(self.levels):
             frac = np.clip(rem[:, pos] / cap, 0.0, 1.0)
             if repeats:
                 np.minimum.at(S.T, snd, frac.T)
             else:
                 S[:, snd] = np.minimum(S[:, snd], frac)
-            if k + 1 < len(levels):
+            if k + 1 < len(self.levels):
                 rem[:, pos] -= p * F[:, snd]
         return S
 
-    return bound
+    def __call__(self, X: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        V = np.atleast_2d(np.asarray(V, dtype=float))
+        D = np.atleast_2d(np.asarray(D, dtype=float))
+        return self.allocate(demand_batch(self.ds, D, X),
+                             supply_batch(self.ds, D, X), V)
+
+
+def stilde_bound(spec: NetworkSpec, ds: DiagramSet) -> ThrottleBound:
+    """The batched throttle lower bound of a network (see `ThrottleBound`)."""
+    return ThrottleBound(spec, ds)
 
 
 @dataclass(frozen=True)
@@ -275,12 +302,12 @@ class DrainConstants:
 
 def _seed_cloud(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
                 n_samples: int, seed: int):
-    """Seeds of the gamma search, stacked as (X, V, D).
+    """Seeds of the gamma search as (X, V, D, n_struct).
 
-    Structured seeds come first: binary jam patterns (every one for small
-    networks, 4096 random ones otherwise) x inflows at both box ends x all
-    uncertainty corners.  A joint scrambled-Sobol cloud over (x, v, d)
-    follows.
+    The first n_struct rows are structured seeds: binary jam patterns (every
+    one for small networks, 4096 random ones otherwise) x inflows at both box
+    ends x all uncertainty corners, in that nesting order, so row k holds
+    corner k % 16.  A joint scrambled-Sobol cloud over (x, v, d) follows.
     """
     n = spec.n
     if n <= JAM_PATTERN_LIMIT:
@@ -288,22 +315,64 @@ def _seed_cloud(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
         patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
     else:
         patterns = (_philox(seed ^ 0x9E3779B9).random((4096, n)) < 0.5)
-    X_pat = patterns * spec.a[None, :]
-    V_opts = np.stack([np.zeros(n), v_box])
-    D_crn = d_corners(ds)
-    reps = len(V_opts) * len(D_crn)
-    struct = (np.repeat(X_pat, reps, axis=0),
-              np.tile(np.repeat(V_opts, len(D_crn), axis=0), (len(X_pat), 1)),
-              np.tile(D_crn, (len(X_pat) * len(V_opts), 1)))
-
     m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
+    # drawn before the seed arrays exist, so Sobol's own temporaries never
+    # coexist with them
     sob = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
     u = sob.random_base2(int(math.log2(m)))
-    cloud = (u[:, :n] * spec.a[None, :],
-             u[:, n:2 * n] * v_box[None, :],
-             ds.d_lo + u[:, 2 * n:] * (ds.d_hi - ds.d_lo))
-    del u
-    return tuple(np.vstack(pair) for pair in zip(struct, cloud))
+
+    D_crn = d_corners(ds)
+    n_struct = len(patterns) * 2 * len(D_crn)
+    X = np.empty((n_struct + m, n))
+    V = np.empty((n_struct + m, n))
+    D = np.empty((n_struct + m, len(ds.d_lo)))
+    X[:n_struct].reshape(len(patterns), -1, n)[:] = (patterns * spec.a[None, :])[:, None]
+    V[:n_struct].reshape(len(patterns), 2, -1, n)[:] = (
+        np.stack([np.zeros(n), v_box])[None, :, None])
+    D[:n_struct].reshape(-1, *D_crn.shape)[:] = D_crn
+    np.multiply(u[:, :n], spec.a, out=X[n_struct:])
+    np.multiply(u[:, n:2 * n], v_box, out=V[n_struct:])
+    np.multiply(u[:, 2 * n:], ds.d_hi - ds.d_lo, out=D[n_struct:])
+    D[n_struct:] += ds.d_lo
+    return X, V, D, n_struct
+
+
+def _struct_throttles(bound: ThrottleBound, X: np.ndarray, V: np.ndarray,
+                      out: np.ndarray) -> None:
+    """Throttle bounds of the structured seed rows, without curve evaluation.
+
+    Every density of a jam-pattern row is 0 or a and its d is the corner
+    row % 16, so its demands and supplies are entries of 16-corner x {0, a}
+    tables made by `demand_batch`/`supply_batch`.  Those evaluate each entry
+    on its own, so the gathered rows equal an evaluation of the rows
+    themselves bit for bit.  Rows are gathered ROW_BLOCK at a time.
+    """
+    ds = bound.ds
+    D_crn = d_corners(ds)
+    empty, jam = np.zeros((len(D_crn), ds.n)), np.tile(ds._a, (len(D_crn), 1))
+    F0, F1 = demand_batch(ds, D_crn, empty), demand_batch(ds, D_crn, jam)
+    G0, G1 = supply_batch(ds, D_crn, empty), supply_batch(ds, D_crn, jam)
+    for lo in range(0, len(out), ROW_BLOCK):
+        rows = slice(lo, min(lo + ROW_BLOCK, len(out)))
+        corner = np.arange(rows.start, rows.stop) % len(D_crn)
+        full = X[rows] > 0
+        out[rows] = bound.allocate(np.where(full, F1[corner], F0[corner]),
+                                   np.where(full, G1[corner], G0[corner]), V[rows])
+
+
+def _zoom_grid(lo: np.ndarray, hi: np.ndarray, w: int):
+    """Row b is np.linspace(lo[b], hi[b], w) bit for bit; returns rows and steps.
+
+    That holds for a zero-width window too; only a window narrower than
+    w - 1 subnormal units, whose step underflows to zero, would differ.
+    np.linspace itself cannot take the arrays: once one window has zero
+    width it computes every row as (k / (w - 1)) * width, which rounds
+    differently from k * step.
+    """
+    span = (hi - lo) / (w - 1)
+    ts = np.arange(w) * span[:, None] + lo[:, None]
+    ts[:, -1] = hi
+    return ts, span
 
 
 def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
@@ -326,6 +395,13 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
     while each seed keeps its own zoom window, strict-improvement acceptance
     and weighted sums.  The result is that of refining the seeds one after
     another, bit for bit.
+
+    With the built-in bound (a `ThrottleBound`), the curves are evaluated
+    only where samples differ: the structured seeds gather their demands
+    and supplies from corner tables, and a scan evaluates them once on the
+    seeds' base points.  An x scan then re-evaluates only the scanned cell,
+    a v scan no curve at all, and a d scan every cell.  Any other `stilde`
+    callable is evaluated on whole rows.
     """
     _check_match(spec, ds)
     r = np.asarray(r, dtype=float)
@@ -353,26 +429,36 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
     sbound = stilde if stilde is not None else stilde_bound(spec, ds)
+    split = isinstance(sbound, ThrottleBound)
 
-    def throttles(X, V, D):
-        S = np.empty(X.shape)
+    def throttles(X, V, D, out=None):
+        S = np.empty(X.shape) if out is None else out
         for lo in range(0, len(X), ROW_BLOCK):
             rows = slice(lo, lo + ROW_BLOCK)
             S[rows] = sbound(X[rows], V[rows], D[rows])
         return S
 
     def ratios(S, X):
+        """Throttled weighted-mass ratios; overwrites S with S * X."""
         den = X @ r
         ok = (X.sum(axis=1) >= mass_floor) & (den > 0)
-        SX = S * X
+        SX = np.multiply(S, X, out=S)
         if not ok.all():
             SX = SX[ok]
         out = np.full(len(X), np.inf)
         out[ok] = (SX @ r) / den[ok]
         return out
 
-    X_all, V_all, D_all = _seed_cloud(spec, ds, v_box, n_samples, seed)
-    vals = ratios(throttles(X_all, V_all, D_all), X_all)
+    X_all, V_all, D_all, n_struct = _seed_cloud(spec, ds, v_box, n_samples, seed)
+    S = np.empty(X_all.shape)
+    if split:
+        _struct_throttles(sbound, X_all[:n_struct], V_all[:n_struct], S[:n_struct])
+        throttles(X_all[n_struct:], V_all[n_struct:], D_all[n_struct:],
+                  out=S[n_struct:])
+    else:
+        throttles(X_all, V_all, D_all, out=S)
+    vals = ratios(S, X_all)
+    del S
     n_evaluated = int(np.isfinite(vals).sum())
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")
@@ -385,24 +471,38 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
     K, w = len(seeds), scan_width
     pts = {"x": X_all[seeds], "v": V_all[seeds], "d": D_all[seeds]}
     best = [float(vals[i]) for i in seeds]
+    del X_all, V_all, D_all
 
     def scan(kind, idx, lo_full, hi_full):
-        lo, hi = [lo_full] * K, [hi_full] * K
+        lo, hi = np.full(K, lo_full), np.full(K, hi_full)
+        reuse = split and kind != "d"
+        if reuse:  # the base points' curves, repeated over each seed's grid
+            F = np.repeat(demand_batch(ds, pts["d"], pts["x"]), w, axis=0)
+            G = np.repeat(supply_batch(ds, pts["d"], pts["x"]), w, axis=0)
+            fd, sf = ds.demands[idx], ds.supplies[idx]
+            dk = pts["d"][:, :, None]
         for _ in range(3):  # zoom levels
-            ts = np.stack([np.linspace(lo[b], hi[b], w) for b in range(K)])
+            ts, span = _zoom_grid(lo, hi, w)
             grid = {key: np.repeat(p[:, None, :], w, axis=1)
                     for key, p in pts.items()}
             grid[kind][:, :, idx] = ts
-            S = throttles(*(grid[key].reshape(K * w, -1) for key in "xvd"))
+            rows = {key: grid[key].reshape(K * w, -1) for key in "xvd"}
+            if not reuse:
+                S = throttles(rows["x"], rows["v"], rows["d"])
+            else:
+                if kind == "x":
+                    F[:, idx] = _demand_values(fd, dk[:, 0], dk[:, 1], dk[:, 2],
+                                               ts).ravel()
+                    G[:, idx] = _supply_values(sf, dk[:, 3], ts).ravel()
+                S = sbound.allocate(F, G, rows["v"])
             for b in range(K):
                 cand = ratios(S[b * w:(b + 1) * w], grid["x"][b])
                 k = int(np.argmin(cand))
                 if cand[k] < best[b]:
                     best[b] = float(cand[k])
                     pts[kind][b, idx] = ts[b, k]
-                span = (hi[b] - lo[b]) / (w - 1)
-                lo[b] = max(lo_full, ts[b, k] - span)
-                hi[b] = min(hi_full, ts[b, k] + span)
+                lo[b] = max(lo_full, ts[b, k] - span[b])
+                hi[b] = min(hi_full, ts[b, k] + span[b])
 
     for _ in range(refine_sweeps):
         for i in range(n):

@@ -180,14 +180,10 @@ def stilde_bound_loop(spec, ds):
     return bound
 
 
-def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
-                           refine_top=8, refine_sweeps=3, scan_width=33):
-    """(gamma, argmin, n_evaluated) of the sampled drain-constant search.
-
-    Same seeds, weights and refinement rule as `drain_constants`, with the
-    bound evaluated on the whole seed cloud at once and each seed refined
-    by its own coordinate scans.
-    """
+def seed_cloud_reference(spec, ds, v_box, n_samples, seed):
+    """(X, V, D) of the gamma search's seeds, stacked in one piece: every jam
+    pattern (or 4096 random ones above 12 cells) x both inflow ends x all
+    uncertainty corners, then a scrambled-Sobol cloud."""
     import math
 
     from scipy.stats import qmc
@@ -195,22 +191,6 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
     from netstab.diagrams import d_corners
 
     n = spec.n
-    caps = np.minimum(spec.vmax, [
-        (ds.d_lo[3] if sf.wave is None else sf.wave) * min(sf.qcap, sf.a)
-        for sf in ds.supplies])
-    eps_tilde = 0.5 * float(caps.min())
-    v_box = caps - eps_tilde
-    mass_floor = min(min(fd.delta for fd in ds.demands), eps_tilde / (2.0 * n))
-    sbound = stilde if stilde is not None else stilde_bound_loop(spec, ds)
-
-    def ratios(X, V, D):
-        S = sbound(X, V, D)
-        den = X @ r
-        out = np.full(len(X), np.inf)
-        ok = (X.sum(axis=1) >= mass_floor) & (den > 0)
-        out[ok] = ((S[ok] * X[ok]) @ r) / den[ok]
-        return out
-
     if n <= 12:
         codes = np.arange(1, 2 ** n)
         patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
@@ -229,6 +209,35 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
     X_all = np.vstack([X_struct, u[:, :n] * spec.a[None, :]])
     V_all = np.vstack([V_struct, u[:, n:2 * n] * v_box[None, :]])
     D_all = np.vstack([D_struct, ds.d_lo + u[:, 2 * n:] * (ds.d_hi - ds.d_lo)])
+    return X_all, V_all, D_all
+
+
+def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
+                           refine_top=8, refine_sweeps=3, scan_width=33):
+    """(gamma, argmin, n_evaluated) of the sampled drain-constant search.
+
+    Same seeds, weights and refinement rule as `drain_constants`, with the
+    bound evaluated on the whole seed cloud at once and each seed refined
+    by its own coordinate scans.
+    """
+    n = spec.n
+    caps = np.minimum(spec.vmax, [
+        (ds.d_lo[3] if sf.wave is None else sf.wave) * min(sf.qcap, sf.a)
+        for sf in ds.supplies])
+    eps_tilde = 0.5 * float(caps.min())
+    v_box = caps - eps_tilde
+    mass_floor = min(min(fd.delta for fd in ds.demands), eps_tilde / (2.0 * n))
+    sbound = stilde if stilde is not None else stilde_bound_loop(spec, ds)
+
+    def ratios(X, V, D):
+        S = sbound(X, V, D)
+        den = X @ r
+        out = np.full(len(X), np.inf)
+        ok = (X.sum(axis=1) >= mass_floor) & (den > 0)
+        out[ok] = ((S[ok] * X[ok]) @ r) / den[ok]
+        return out
+
+    X_all, V_all, D_all = seed_cloud_reference(spec, ds, v_box, n_samples, seed)
     vals = ratios(X_all, V_all, D_all)
     n_evaluated = int(np.isfinite(vals).sum())
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netstab import presets
+from netstab import cli, presets
 from netstab.cli import main
 from netstab.control import load_controller
 from netstab.network import save_network
@@ -154,6 +154,41 @@ def test_gridlock_demo_cli(capsys):
     assert code == 0
     assert doc["locked"] and doc["max_drift"] == 0.0
     assert doc["cycle"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--seed", "-1"], "--seed: expected a non-negative integer, got '-1'"),
+    (["synthesize", "--seed", "2.5"], "--seed: expected a non-negative integer"),
+    (["gridlock-demo", "--horizon", "-5"], "--horizon: expected a positive integer"),
+    (["gridlock-demo", "--horizon", "0"], "--horizon: expected a positive integer, got '0'"),
+])
+def test_bad_integer_options_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_analyze_audits_each_distinct_curve_once(capsys, monkeypatch):
+    audited = []
+    real = cli.audit_demand_curve
+
+    def counting(fd, **kw):
+        audited.append(fd)
+        return real(fd, **kw)
+
+    monkeypatch.setattr(cli, "audit_demand_curve", counting)
+    code, doc = run_cli(capsys, "analyze")
+    demands = presets.reference_diagrams().demands
+    assert code == 0
+    assert len(audited) == len(set(demands)) < len(demands)
+    by_curve = {fd: real(fd, seed=0) for fd in set(demands)}
+    assert doc["audits"]["demand"] == [
+        {"cell": i + 1, "passed": by_curve[fd].passed, "L_hat": by_curve[fd].L_hat,
+         "G_hat": by_curve[fd].G_hat, "fmin_hat": by_curve[fd].fmin_hat}
+        for i, fd in enumerate(demands)]
 
 
 def test_reproduce_writes_suite(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,32 @@ def test_weight_rules_hold_strictly_on_random_networks():
         assert np.all(P @ r < r)
         xi = weights_xi(P, L, G)
         assert np.all(L * xi > P.T @ (G * xi))
+
+
+def _chain(order):
+    """A single mainline through the cells in `order`."""
+    n = len(order)
+    P = np.zeros((n, n))
+    P[order[:-1], order[1:]] = 1.0
+    return P
+
+
+@pytest.mark.parametrize("order, cell, power", [("forward", 1, 1099),
+                                                ("reversed", 1025, 1024)])
+def test_weight_overflow_is_a_typed_error_naming_the_cell(order, cell, power):
+    """Halving weights 2^(n-1-rank) overflow float64 on an 1,100-cell chain.
+    No RuntimeWarning and no inf weights: NumericalError names the first
+    (lowest-numbered) cell whose weight overflows."""
+    n = 1100
+    P = _chain(np.arange(n) if order == "forward" else np.arange(n)[::-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = rf"^cell {cell}: weight 2\^{power} overflows"
+        with pytest.raises(NumericalError, match=message) as exc:
+            weights_r(P)
+    assert exc.value.cell == cell - 1
+    r = weights_r(_chain(np.arange(1024)))  # the longest chain that fits
+    assert np.isfinite(r).all() and r[0] == 2.0 ** 1023
 
 
 def test_spectral_radius_matches_eigensolver():
