@@ -79,6 +79,9 @@ def _parse_vstar(args, spec):
             raise _InputError(f"--vstar must be comma-separated floats: {exc}")
         if v.shape != (spec.n,):
             raise _InputError(f"--vstar needs {spec.n} entries, got {len(v)}")
+        if not np.isfinite(v).all():
+            i = int(np.argmax(~np.isfinite(v)))
+            raise _InputError(f"--vstar entry {i + 1} is {v[i]}, not a finite number")
         return v
     if args.network:
         raise _InputError("a custom network needs --vstar (equilibrium inflows)")

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import DimensionError, DomainError
-from .network import NetworkSpec
+from .network import NetworkSpec, _check_fields
 
 FAMILIES = ("freeway-main", "freeway-onramp", "piecewise")
 
@@ -505,30 +505,27 @@ def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet, n_x: int = 4096,
 
 # --- JSON I/O ----------------------------------------------------------------
 
-_CELL_FIELDS = {"family", "a", "delta", "delta_tilde", "L", "G", "fmin",
-                "subcritical", "overcritical", "supply"}
+_CELL_REQUIRED = {"family", "a", "delta", "delta_tilde", "L", "G", "fmin", "supply"}
+_CELL_FIELDS = _CELL_REQUIRED | {"subcritical", "overcritical"}
 _SUPPLY_FIELDS = {"qcap", "wave"}
 
 
 def load_diagrams(path) -> DiagramSet:
-    """Read a DiagramSet from JSON; unknown fields are rejected."""
+    """Read a DiagramSet from JSON; unknown or missing fields are rejected."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    unknown = set(doc) - {"d_box", "cells"}
-    if unknown:
-        raise ValueError(f"{path}: unknown field(s) {sorted(unknown)}")
+    _check_fields(doc, {"d_box", "cells"}, {"d_box", "cells"}, path)
     box = np.asarray(doc["d_box"], dtype=float)
     if box.shape != (_D_DIM, 2):
         raise ValueError(f"{path}: d_box must be {_D_DIM} [lo, hi] pairs")
+    if not isinstance(doc["cells"], list):
+        raise ValueError(f"{path}: cells must be a JSON list")
     demands, supplies = [], []
     for k, cell in enumerate(doc["cells"]):
-        unknown = set(cell) - _CELL_FIELDS
-        if unknown:
-            raise ValueError(f"{path}: cell {k + 1}: unknown field(s) {sorted(unknown)}")
+        _check_fields(cell, _CELL_REQUIRED, _CELL_FIELDS, f"{path}: cell {k + 1}")
         sup = cell["supply"]
-        unknown = set(sup) - _SUPPLY_FIELDS
-        if unknown:
-            raise ValueError(f"{path}: cell {k + 1}: unknown supply field(s) {sorted(unknown)}")
+        _check_fields(sup, {"qcap"}, _SUPPLY_FIELDS, f"{path}: cell {k + 1}",
+                      "supply field")
         demands.append(DemandFunction(
             family=cell["family"], a=cell["a"], delta=cell["delta"],
             delta_tilde=cell["delta_tilde"], L=cell["L"], G=cell["G"],

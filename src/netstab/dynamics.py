@@ -43,18 +43,18 @@ class FlowBreakdown:
 def _allocate(spec: NetworkSpec, f: np.ndarray, g: np.ndarray, v: np.ndarray,
               x: np.ndarray) -> np.ndarray:
     """Per-cell throttles honoring external-first, descending-index priority."""
-    s = np.ones(spec.n)
-    for j, preds in enumerate(spec.predecessors):
-        if not preds:
-            continue
-        rem = g[j] - v[j]
-        for i in preds:
-            cap = spec.P[i, j] * f[i]
+    fl, gl, vl = f.tolist(), g.tolist(), v.tolist()
+    s = [1.0] * spec.n
+    for j, claim in spec.claims:
+        rem = gl[j] - vl[j]
+        for i, p in claim:
+            cap = p * fl[i]
             if cap > DEMAND_FLOOR:
                 ratio = rem / cap
                 if ratio < s[i]:
                     s[i] = max(0.0, ratio)
             rem -= cap
+    s = np.array(s)
     # empty or demandless cells emit nothing and are never considered throttled
     s[(x <= 0.0) | (f < DEMAND_FLOOR)] = 1.0
     return s

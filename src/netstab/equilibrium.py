@@ -16,7 +16,7 @@ import numpy as np
 from . import dynamics
 from .diagrams import DiagramSet, _demand_values, demand_batch, supply_batch, sample_uncertainty
 from .errors import InfeasibleInflow, NonUniformEquilibrium
-from .network import NetworkSpec, TopologicalOrder, topological_sort
+from .network import NetworkSpec
 
 BISECTION_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
@@ -32,13 +32,10 @@ class EquilibriumPair:
     flows: np.ndarray
 
 
-def equilibrium_flows(spec: NetworkSpec, vstar: np.ndarray,
-                      order: TopologicalOrder | None = None) -> np.ndarray:
+def equilibrium_flows(spec: NetworkSpec, vstar: np.ndarray) -> np.ndarray:
     """Throughput of every cell by forward substitution along a topological order."""
-    if order is None:
-        order = topological_sort(spec.P)
     F = np.array(vstar, dtype=float)
-    for i in order.order:
+    for i in spec.order.order:
         for j in spec.predecessors[i]:
             F[i] += spec.P[j, i] * F[j]
     return F
@@ -64,21 +61,26 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar,
 
     Raises InfeasibleInflow when some cell's required throughput exceeds its
     peak subcritical demand, NonUniformEquilibrium when the solved densities
-    fail to carry the same flow under every sampled disturbance, and
-    ValueError when the inflow bound or the strict supply slack fails.
+    fail to carry the same flow under every sampled disturbance,
+    ValueError naming the cell when an inflow is non-finite, negative or
+    above its bound or when the strict supply slack fails, and
+    AcyclicityError when the network has a cycle.
     """
     vstar = np.asarray(vstar, dtype=float)
-    order = topological_sort(spec.P)
     v_cap = np.minimum(spec.vmax, ds.min_supply_at_zero())
+    if not np.isfinite(vstar).all():
+        i = int(np.argmax(~np.isfinite(vstar)))
+        raise ValueError(f"cell {i + 1}: equilibrium inflow {vstar[i]} is not finite")
     if np.any(vstar > v_cap + 1e-12):
         i = int(np.argmax(vstar - v_cap))
         raise ValueError(
             f"cell {i + 1}: equilibrium inflow {vstar[i]:.6g} exceeds the admissible "
             f"bound {v_cap[i]:.6g}")
     if np.any(vstar < 0):
-        raise ValueError("equilibrium inflows must be nonnegative")
+        i = int(np.argmin(vstar))
+        raise ValueError(f"cell {i + 1}: equilibrium inflow {vstar[i]:.6g} is negative")
 
-    F = equilibrium_flows(spec, vstar, order)
+    F = equilibrium_flows(spec, vstar)
     dref = 0.5 * (ds.d_lo + ds.d_hi)
     xstar = np.empty(spec.n)
     for i, fd in enumerate(ds.demands):

@@ -203,8 +203,11 @@ def gridlock_demo(spec: NetworkSpec, ds: DiagramSet, horizon: int = 1000,
     disturbances are drawn at random each step.  Because each cycle cell's
     supply is exactly zero, its predecessors are throttled to zero and the
     jam is a fixed point of the whole loop: the reported drift is exactly 0.
-    Raises MisuseError on acyclic networks, which cannot gridlock this way.
+    Raises MisuseError on acyclic networks, which cannot gridlock this way,
+    and ValueError when ``horizon`` is below 1, which would test no step.
     """
+    if not horizon >= 1:
+        raise ValueError(f"horizon must be at least 1 step, got {horizon}")
     cycle = find_cycle(spec.P)
     if not cycle:
         raise MisuseError("network is acyclic: no cycle can lock")

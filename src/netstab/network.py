@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +78,11 @@ class NetworkSpec:
     mu: np.ndarray
     vmax: np.ndarray
     # Adjacency caches; predecessors are stored highest-index-first, which is
-    # the junction priority order used by the dynamics.
+    # the junction priority order used by the dynamics.  claims holds each
+    # junction j, ascending, as (j, ((i, P[i, j]), ...)) in that order.
     successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     predecessors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    claims: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.n)
@@ -102,10 +105,34 @@ class NetworkSpec:
             succs.append(row)
             for j in row:
                 preds[j].append(i)
+        preds = tuple(tuple(reversed(p)) for p in preds)
         object.__setattr__(self, "successors", tuple(succs))
-        object.__setattr__(
-            self, "predecessors", tuple(tuple(sorted(p, reverse=True)) for p in preds)
-        )
+        object.__setattr__(self, "predecessors", preds)
+        object.__setattr__(self, "claims", tuple(
+            (j, tuple((i, float(P[i, j])) for i in p)) for j, p in enumerate(preds) if p))
+
+    @cached_property
+    def order(self) -> TopologicalOrder:
+        """The topological order, sorted on first use; AcyclicityError if cyclic."""
+        return topological_sort(self.P)
+
+    @cached_property
+    def claim_levels(self):
+        """The claims grouped by priority level, as (junction cells, levels).
+
+        Level k holds the k-th claimant of every junction that has one, so
+        within a level each junction appears once and the levels run in
+        priority order.  Each level is (junction positions, senders,
+        P[i, j] * a_i, P[i, j], whether a sender repeats); positions index
+        the junction cells.
+        """
+        claims, levels = [c for _, c in self.claims], []
+        for k in range(max(map(len, claims), default=0)):
+            pos = [c for c, claim in enumerate(claims) if len(claim) > k]
+            snd, p = (np.array(col) for col in zip(*(claims[c][k] for c in pos)))
+            levels.append((slice(None) if len(pos) == len(claims) else np.array(pos),
+                           snd, p * self.a[snd], p, len(np.unique(snd)) < len(snd)))
+        return np.array([j for j, _ in self.claims], dtype=int), levels
 
 
 def validate_spec(spec: NetworkSpec) -> list[Violation]:
@@ -271,18 +298,24 @@ def find_cycle(P: np.ndarray) -> tuple[int, ...]:
     return ()
 
 
+def _check_fields(doc, required, allowed, where, what: str = "field") -> None:
+    """ValueError unless `doc` is a JSON object holding every required field
+    and no field outside `allowed`; `where` prefixes the message."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object of {what}s")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ValueError(f"{where}: unknown {what}(s) {sorted(unknown)}")
+    missing = required - set(doc)
+    if missing:
+        raise ValueError(f"{where}: missing {what}(s) {sorted(missing)}")
+
+
 def load_network(path) -> NetworkSpec:
-    """Read a NetworkSpec from a JSON file; unknown fields are rejected."""
+    """Read a NetworkSpec from a JSON file; unknown or missing fields are rejected."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: network file must hold a JSON object")
-    unknown = set(doc) - set(_NETWORK_FIELDS)
-    if unknown:
-        raise ValueError(f"{path}: unknown field(s) {sorted(unknown)}")
-    missing = set(_NETWORK_FIELDS) - set(doc)
-    if missing:
-        raise ValueError(f"{path}: missing field(s) {sorted(missing)}")
+    _check_fields(doc, set(_NETWORK_FIELDS), set(_NETWORK_FIELDS), path)
     return NetworkSpec(
         n=doc["n"], a=doc["a"], P=doc["P"], Qexit=doc["Qexit"],
         mu=doc["mu"], vmax=doc["vmax"],

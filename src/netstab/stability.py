@@ -25,14 +25,14 @@ from .diagrams import (DiagramSet, _demand_values, _philox, _supply_values,
 from .dynamics import step
 from .errors import (DimensionError, NumericalError, StructuralError,
                      ThrottleBoundViolation, TrappingInfeasible)
-from .network import NetworkSpec, topological_sort
+from .network import NetworkSpec
 
 SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
 JAM_PATTERN_LIMIT = 12  # enumerate binary jam patterns up to this cell count
 ROW_BLOCK = 1024        # rows per throttle-bound call in the gamma search
 
 
-def weights_r(P: np.ndarray) -> np.ndarray:
+def weights_r(spec: NetworkSpec) -> np.ndarray:
     """Cell weights halving along the flow direction: r_i = 2^(n-1-rank_i).
 
     All successors of a cell sit at least one topological rank downstream and
@@ -42,9 +42,8 @@ def weights_r(P: np.ndarray) -> np.ndarray:
     The weights overflow float64 beyond n = 1024 cells, which raises
     NumericalError naming the first cell whose weight is infinite.
     """
-    P = np.asarray(P, dtype=float)
-    rank = topological_sort(P).rank()
-    n = P.shape[0]
+    rank = spec.order.rank()
+    n = spec.n
     with np.errstate(over="ignore"):
         r = np.power(2.0, n - 1 - rank)
     huge = ~np.isfinite(r)
@@ -54,7 +53,7 @@ def weights_r(P: np.ndarray) -> np.ndarray:
             f"cell {i + 1}: weight 2^{n - 1 - rank[i]} overflows float64 "
             f"(halving weights allow at most 1024 cells, the network has {n})",
             cell=i)
-    slack = r - P @ r
+    slack = r - spec.P @ r
     bad = ~(slack > 0)  # NaN fails too
     if bad.any():
         i = int(np.argmin(np.where(bad, slack, np.inf)))
@@ -64,7 +63,7 @@ def weights_r(P: np.ndarray) -> np.ndarray:
     return r
 
 
-def weights_xi(P: np.ndarray, L: np.ndarray, G: np.ndarray) -> np.ndarray:
+def weights_xi(spec: NetworkSpec, L: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Excess-propagation weights: source cells get 1, others amplify inflow.
 
     Along a topological order, xi_i = (2 / L_i) * sum of G_j xi_j over the
@@ -72,23 +71,21 @@ def weights_xi(P: np.ndarray, L: np.ndarray, G: np.ndarray) -> np.ndarray:
     L_i xi_i > sum_j P[j, i] G_j xi_j, which makes every box
     [0, x* + eps * xi] forward invariant for small eps.
     """
-    P = np.asarray(P, dtype=float)
     L = np.asarray(L, dtype=float)
     G = np.asarray(G, dtype=float)
-    n = P.shape[0]
+    n = spec.n
     if L.shape != (n,) or G.shape != (n,):
         raise DimensionError(f"L and G must have shape ({n},)")
     if np.any(L <= 0) or np.any(G <= 0):
         raise ValueError("sector slopes must be positive")
-    order = topological_sort(P)
     xi = np.zeros(n)
-    for i in order.order:
-        preds = np.nonzero(P[:, i] > 0)[0]
-        if preds.size == 0:
+    for i in spec.order.order:
+        preds = list(reversed(spec.predecessors[i]))  # summed in ascending order
+        if not preds:
             xi[i] = 1.0
         else:
             xi[i] = (2.0 / L[i]) * float(np.sum(G[preds] * xi[preds]))
-    margin = L * xi - P.T @ (G * xi)
+    margin = L * xi - spec.P.T @ (G * xi)
     if np.any(margin <= 0):
         i = int(np.argmin(margin))
         raise StructuralError(
@@ -131,7 +128,7 @@ def spectral_radius(M: np.ndarray, squarings: int = SQUARINGS) -> float:
     return math.exp(log_acc / 2.0 ** squarings)
 
 
-def build_gamma(P, L, G, vstar, b, K, tau) -> tuple[np.ndarray, float]:
+def build_gamma(spec: NetworkSpec, L, G, vstar, b, K, tau) -> tuple[np.ndarray, float]:
     """Comparison matrix for the stacked deviation vector (excess, deficit).
 
     Gamma = [[A, 0], [diag(v* - b) K / tau, A]] with
@@ -145,14 +142,13 @@ def build_gamma(P, L, G, vstar, b, K, tau) -> tuple[np.ndarray, float]:
     checked entry by entry: a nonzero coupling to a cell placed later in the
     order raises StructuralError naming both cells.
     """
-    P = np.asarray(P, dtype=float)
     L = np.asarray(L, dtype=float)
     G = np.asarray(G, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
     b = np.asarray(b, dtype=float)
     K = np.asarray(K, dtype=float)
-    n = P.shape[0]
-    A = np.eye(n) + P.T * G - np.diag(L)
+    n = spec.n
+    A = np.eye(n) + spec.P.T * G - np.diag(L)
     B = (vstar - b)[:, None] * K / tau
     Gamma = np.block([[A, np.zeros((n, n))], [B, A]])
     bad = ~np.isfinite(Gamma).all(axis=1)
@@ -160,7 +156,7 @@ def build_gamma(P, L, G, vstar, b, K, tau) -> tuple[np.ndarray, float]:
         i = int(np.argmax(bad)) % n
         raise NumericalError(f"cell {i + 1}: comparison matrix has non-finite "
                              f"entries", cell=i)
-    order = list(topological_sort(P).order)
+    order = list(spec.order.order)
     upper = np.triu(A[np.ix_(order, order)], k=1)
     if np.any(upper != 0):
         row, col = (int(k) for k in np.argwhere(upper != 0)[0])
@@ -201,28 +197,6 @@ def _check_match(spec: NetworkSpec, ds: DiagramSet) -> None:
         raise ValueError("diagram jam capacities disagree with the network spec")
 
 
-def _claim_levels(spec: NetworkSpec):
-    """Junction claims grouped by priority level, once per network.
-
-    Level k holds the k-th claimant of every junction that has one, so within
-    a level each junction appears once and the levels run in priority order.
-    Each level is (junction positions, senders, P[i, j] * a_i, P[i, j],
-    whether a sender repeats); positions index the junction columns `cols`.
-    """
-    cols = [j for j in range(spec.n) if spec.predecessors[j]]
-    depth = max((len(spec.predecessors[j]) for j in cols), default=0)
-    levels = []
-    for k in range(depth):
-        pos = [c for c, j in enumerate(cols) if len(spec.predecessors[j]) > k]
-        snd = np.array([spec.predecessors[cols[c]][k] for c in pos], dtype=int)
-        rcv = np.array([cols[c] for c in pos], dtype=int)
-        p = spec.P[snd, rcv]
-        levels.append((slice(None) if len(pos) == len(cols) else np.array(pos),
-                       snd, p * spec.a[snd], p,
-                       len(np.unique(snd)) < len(snd)))
-    return np.array(cols, dtype=int), levels
-
-
 class ThrottleBound:
     """Allocation-free lower bound on the outflow throttles, batched.
 
@@ -238,7 +212,7 @@ class ThrottleBound:
     already holds demands F and supplies G (or most of them) can allocate
     without evaluating the curves again.
 
-    The claims are grouped once by priority level (see `_claim_levels`), so
+    The claims are grouped once by priority level (`spec.claim_levels`), so
     an allocation costs a few array operations per level, not per junction
     edge; a sender claiming at two junctions of one level takes the smaller
     bound through ``np.minimum.at``.  Every value is computed with the same
@@ -249,7 +223,7 @@ class ThrottleBound:
     def __init__(self, spec: NetworkSpec, ds: DiagramSet):
         _check_match(spec, ds)
         self.ds = ds
-        self.cols, self.levels = _claim_levels(spec)
+        self.cols, self.levels = spec.claim_levels
 
     def allocate(self, F: np.ndarray, G: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Throttle bounds from demands F, supplies G and inflows V, all (N, n)."""
@@ -677,17 +651,17 @@ def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
     given (its floor then respects the drain budget by construction), builds
     the comparison matrix, and attempts the trapping bound.
     """
-    r = weights_r(spec.P)
+    r = weights_r(spec)
     L = np.array([fd.L for fd in ds.demands])
     G = np.array([fd.G for fd in ds.demands])
-    xi = weights_xi(spec.P, L, G)
+    xi = weights_xi(spec, L, G)
     epsstar, beta = invariant_region(eq.xstar, xi, spec.mu)
     drain = drain_constants(spec, ds, r, n_samples=n_gamma_samples, seed=seed)
     core = CertificateCore(r=r, xi=xi, epsstar=epsstar, beta=beta, drain=drain)
 
     if controller is None:
         controller = control.synthesize(spec, eq, core, tau=tau)
-    Gamma, rho = build_gamma(spec.P, L, G, controller.vstar, controller.b,
+    Gamma, rho = build_gamma(spec, L, G, controller.vstar, controller.b,
                              controller.K, controller.tau)
     with np.errstate(invalid="ignore"):
         ratio = np.divide(controller.b, controller.vstar,

@@ -105,6 +105,18 @@ def random_acyclic_instance(rng, n_max=12):
     return P, L, G
 
 
+def spec_of(P):
+    """A NetworkSpec around the routing matrix P.  The weights and Gamma read
+    only its routing, so the other fields are placeholders: unit capacities
+    and inflow bounds, threshold 0.5, exits closing each row."""
+    from netstab.network import NetworkSpec
+
+    P = np.asarray(P, dtype=float)
+    n = len(P)
+    return NetworkSpec(n=n, a=np.ones(n), P=P, Qexit=1.0 - P.sum(axis=1),
+                       mu=np.full(n, 0.5), vmax=np.ones(n))
+
+
 def flows_reference(spec, ds, x, v, d):
     """Plain-loop junction allocation, mirroring the documented discipline.
 

@@ -66,7 +66,8 @@ def test_c03_spectral_radius(ref_ds, ref_cert):
         vstar = rng.uniform(0, 30, n)
         b = rng.uniform(0, 1, n) * vstar
         K = rng.uniform(0, 2.0 / n, (n, n))
-        _, rho = build_gamma(P, Lr, Gr, vstar, b, K, float(rng.uniform(0.1, 0.9)))
+        _, rho = build_gamma(oracles.spec_of(P), Lr, Gr, vstar, b, K,
+                             float(rng.uniform(0.1, 0.9)))
         rho_max = max(rho_max, rho)
 
     ok = e_s <= 1e-9 and e_i <= 1e-9 and rho_max < 1.0
@@ -251,18 +252,19 @@ def test_c10_conservation(ref_spec, ref_ds, ref_eq, congestion_d, mass_audit):
 
 
 def test_c11_weight_rules(ref_spec, ref_ds):
-    r = weights_r(ref_spec.P)
+    r = weights_r(ref_spec)
     L = np.array([fd.L for fd in ref_ds.demands])
     G = np.array([fd.G for fd in ref_ds.demands])
-    xi = weights_xi(ref_spec.P, L, G)
+    xi = weights_xi(ref_spec, L, G)
     margin_r = float((r - ref_spec.P @ r).min())
     margin_xi = float((L * xi - ref_spec.P.T @ (G * xi)).min())
 
     rng = np.random.default_rng(1111)
     for _ in range(100):
         P, Lr, Gr = oracles.random_acyclic_instance(rng)
-        rr = weights_r(P)
-        xr = weights_xi(P, Lr, Gr)
+        spec = oracles.spec_of(P)
+        rr = weights_r(spec)
+        xr = weights_xi(spec, Lr, Gr)
         margin_r = min(margin_r, float((rr - P @ rr).min()))
         margin_xi = min(margin_xi, float((Lr * xr - P.T @ (Gr * xr)).min()))
 

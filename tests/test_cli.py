@@ -9,6 +9,7 @@ import pytest
 from netstab import cli, presets
 from netstab.cli import main
 from netstab.control import load_controller
+from netstab.diagrams import save_diagrams
 from netstab.network import save_network
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -169,6 +170,52 @@ def test_bad_integer_options_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+def _input_error(capsys, *argv):
+    """Run the CLI on bad input: exit 2, nothing on stdout, no traceback."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("command", ["solve-uep", "analyze"])
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_non_finite_vstar_exits_2(capsys, command, entry):
+    err = _input_error(capsys, command, "--vstar", f"25,0,0,0,{entry},0,0,0")
+    assert f"--vstar entry 5 is {entry}, not a finite number" in err
+
+
+def _drop(*keys):
+    def edit(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("d_box"), "missing field(s) ['d_box']"),
+    (lambda doc: {"cells": []}, "missing field(s) ['d_box']"),
+    (lambda doc: [1, 2], "expected a JSON object of fields"),
+    (lambda doc: {**doc, "cells": 3}, "cells must be a JSON list"),
+    (lambda doc: {**doc, "cells": [5]}, "cell 1: expected a JSON object of fields"),
+    (_drop("cells", 2, "a"), "cell 3: missing field(s) ['a']"),
+    (_drop("cells", 7, "supply"), "cell 8: missing field(s) ['supply']"),
+    (_drop("cells", 0, "supply", "qcap"), "cell 1: missing supply field(s) ['qcap']"),
+    (lambda doc: {**doc, "cells": [{**doc["cells"][0], "supply": 1}]},
+     "cell 1: expected a JSON object of supply fields"),
+])
+def test_bad_diagram_files_exit_2(capsys, tmp_path, edit, message):
+    path = tmp_path / "dia.json"
+    save_diagrams(presets.reference_diagrams(), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    err = _input_error(capsys, "analyze", "--diagrams", str(path))
+    assert f"{path}: {message}" in err
 
 
 def test_analyze_audits_each_distinct_curve_once(capsys, monkeypatch):

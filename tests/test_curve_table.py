@@ -99,7 +99,8 @@ def _nets():
     nets = {"benchmark": _benchmark(),
             "benchmark, pinned waves": _benchmark(pinned=(0, 4, 7)),
             "benchmark, piecewise cell": _benchmark(pinned=(2,), piecewise=(2, 5)),
-            "corridor of 3 copies": _corridor(3, 7)}
+            "corridor of 3 copies": _corridor(3, 7),
+            "corridor of 8 copies": _corridor(8, 11)}
     for k in range(6):
         nets[f"random {k}"] = _random_net(rng)
     return nets

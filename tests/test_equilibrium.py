@@ -71,6 +71,14 @@ def test_solver_rejects_negative_inflow(ref_spec, ref_ds):
         solve_uep(ref_spec, ref_ds, v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solver_rejects_non_finite_inflow(ref_spec, ref_ds, bad):
+    v = presets.reference_vstar()
+    v[4] = bad
+    with pytest.raises(ValueError, match=r"^cell 5: equilibrium inflow .* is not finite"):
+        solve_uep(ref_spec, ref_ds, v)
+
+
 def test_supply_scale_fit(ref_spec, ref_ds):
     d4, residual = fit_supply_scale(ref_spec, ref_ds,
                                     presets.congested_candidate(),

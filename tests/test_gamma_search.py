@@ -187,7 +187,7 @@ def _degenerate_box():
 
 
 def _assert_same_search(spec, ds, **kw):
-    r = weights_r(spec.P)
+    r = weights_r(spec)
     got = drain_constants(spec, ds, r, **kw)
     gamma, argmin, n_evaluated = oracles.gamma_search_reference(spec, ds, r, **kw)
     assert got.gamma == gamma
@@ -311,7 +311,7 @@ def test_scans_reuse_curves_like_a_full_evaluation(net):
     kw = {"stilde": _CurveSensitiveBound(spec, ds), "n_samples": 1024, "seed": 6,
           "refine_sweeps": 1 if spec.n > 12 else 2}
     got = _assert_same_search(spec, ds, **kw)
-    r = weights_r(spec.P)
+    r = weights_r(spec)
     seeds = drain_constants(spec, ds, r, **{**kw, "refine_sweeps": 0})
     assert got.gamma < seeds.gamma  # the scans moved the points
 

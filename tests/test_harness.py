@@ -136,6 +136,12 @@ def test_gridlock_demo_rejects_acyclic_networks(ref_spec, ref_ds):
         gridlock_demo(ref_spec, ref_ds, horizon=10)
 
 
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_gridlock_demo_refuses_a_horizon_below_one(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        gridlock_demo(*presets.three_cell_cycle(), horizon=horizon)
+
+
 def test_reproduce_suite_writes_artifacts(tmp_path):
     summary = reproduce_suite(tmp_path, seed=1, horizon=40)
     names = {"open_loop_congestion", "closed_loop_jam", "closed_loop_heavy",

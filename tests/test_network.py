@@ -36,6 +36,24 @@ def test_predecessors_sorted_descending(ref_spec):
     assert ref_spec.predecessors[0] == ()
 
 
+def test_spec_owns_order_and_claims(ref_spec):
+    """The order is sorted on first use and then kept; the claim table lists
+    each junction's claimants in priority order with their turning rates."""
+    assert ref_spec.order is ref_spec.order
+    assert ref_spec.order == topological_sort(ref_spec.P)
+    assert ref_spec.claims == tuple(
+        (j, tuple((i, float(ref_spec.P[i, j])) for i in preds))
+        for j, preds in enumerate(ref_spec.predecessors) if preds)
+    assert (6, ((5, ref_spec.P[5, 6]), (3, ref_spec.P[3, 6]))) in ref_spec.claims
+
+
+def test_cyclic_spec_constructs_but_has_no_order():
+    spec3, _ = presets.three_cell_cycle()
+    assert [j for j, _ in spec3.claims] == [0, 1, 2]
+    with pytest.raises(AcyclicityError):
+        spec3.order
+
+
 def test_arrays_are_frozen(ref_spec):
     with pytest.raises(ValueError):
         ref_spec.P[0, 1] = 0.5
@@ -131,4 +149,8 @@ def test_network_load_rejects_bad_documents(tmp_path, ref_spec):
     del doc["speed_limit"], doc["mu"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="missing field"):
+        load_network(path)
+
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="expected a JSON object of fields"):
         load_network(path)

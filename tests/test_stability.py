@@ -1,15 +1,16 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from netstab import presets
+from netstab import network, presets
 from netstab.diagrams import DiagramSet
 from netstab.equilibrium import solve_uep
 from netstab.errors import (DimensionError, NumericalError, StructuralError,
                             TrappingInfeasible)
-from netstab.network import NetworkSpec
+from netstab.network import NetworkSpec, find_cycle
 from netstab.stability import (build_gamma, certify, contraction_check,
                                drain_constants, invariant_region,
                                lyapunov_eval, spectral_radius, trapping_bound,
@@ -25,10 +26,10 @@ def _ref_slopes(ref_ds):
 
 
 def test_weights_match_hand_values(ref_spec, ref_ds):
-    r = weights_r(ref_spec.P)
+    r = weights_r(ref_spec)
     np.testing.assert_array_equal(r, oracles.R_WEIGHTS)
     L, G = _ref_slopes(ref_ds)
-    xi = weights_xi(ref_spec.P, L, G)
+    xi = weights_xi(ref_spec, L, G)
     np.testing.assert_allclose(xi, oracles.XI_WEIGHTS, rtol=1e-9)
 
 
@@ -36,9 +37,10 @@ def test_weight_rules_hold_strictly_on_random_networks():
     rng = np.random.default_rng(2024)
     for _ in range(100):
         P, L, G = oracles.random_acyclic_instance(rng)
-        r = weights_r(P)
+        spec = oracles.spec_of(P)
+        r = weights_r(spec)
         assert np.all(P @ r < r)
-        xi = weights_xi(P, L, G)
+        xi = weights_xi(spec, L, G)
         assert np.all(L * xi > P.T @ (G * xi))
 
 
@@ -62,10 +64,46 @@ def test_weight_overflow_is_a_typed_error_naming_the_cell(order, cell, power):
         warnings.simplefilter("error")
         message = rf"^cell {cell}: weight 2\^{power} overflows"
         with pytest.raises(NumericalError, match=message) as exc:
-            weights_r(P)
+            weights_r(oracles.spec_of(P))
     assert exc.value.cell == cell - 1
-    r = weights_r(_chain(np.arange(1024)))  # the longest chain that fits
+    r = weights_r(oracles.spec_of(_chain(np.arange(1024))))  # the longest chain that fits
     assert np.isfinite(r).all() and r[0] == 2.0 ** 1023
+
+
+def test_weights_xi_ignores_edges_below_the_edge_tolerance():
+    """P[3, 1] = 1e-16 is at most EDGE_TOL: the ordering, the cycle search and
+    the predecessor lists treat it as absent, and so do the weights, which
+    are those of the clean chain 1 -> 2 -> 3."""
+    P = np.zeros((3, 3))
+    P[0, 1] = P[1, 2] = 1.0
+    L, G = np.full(3, 0.2), np.full(3, 0.7)
+    clean = weights_xi(oracles.spec_of(P), L, G)
+    P[2, 0] = 1e-16
+    spec = oracles.spec_of(P)
+    assert find_cycle(P) == () and spec.predecessors[0] == ()
+    xi = weights_xi(spec, L, G)
+    assert np.array_equal(xi, clean)
+    np.testing.assert_allclose(xi, [1.0, 7.0, 49.0], rtol=1e-15)
+
+
+def test_analysis_sorts_the_network_once(monkeypatch):
+    """solve_uep plus certify on one spec sort it once, counted at every
+    module binding of topological_sort."""
+    original, calls = network.topological_sort, []
+
+    def counting(P):
+        calls.append(P)
+        return original(P)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "netstab" or name.startswith("netstab."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    spec, ds = presets.reference_network(), presets.reference_diagrams()
+    eq = solve_uep(spec, ds, presets.reference_vstar())
+    certify(spec, ds, eq, n_gamma_samples=1024)
+    assert len(calls) == 1
 
 
 def test_spectral_radius_matches_eigensolver():
@@ -108,7 +146,7 @@ def test_gamma_block_structure(ref_spec, ref_ds, ref_cert):
     n = ref_spec.n
     L, G = _ref_slopes(ref_ds)
     ctl = ref_cert.controller
-    Gamma, rho = build_gamma(ref_spec.P, L, G, ctl.vstar, ctl.b, ctl.K, ctl.tau)
+    Gamma, rho = build_gamma(ref_spec, L, G, ctl.vstar, ctl.b, ctl.K, ctl.tau)
     A = np.eye(n) + ref_spec.P.T * G - np.diag(L)
     B = (ctl.vstar - ctl.b)[:, None] * ctl.K / ctl.tau
     np.testing.assert_allclose(Gamma[:n, :n], A, rtol=0, atol=0)
@@ -128,7 +166,7 @@ def test_gamma_radius_below_one_for_random_instances():
         b = rng.uniform(0, 1, n) * vstar
         K = rng.uniform(0, 2.0 / n, (n, n))
         tau = float(rng.uniform(0.1, 0.9))
-        Gamma, rho = build_gamma(P, L, G, vstar, b, K, tau)
+        Gamma, rho = build_gamma(oracles.spec_of(P), L, G, vstar, b, K, tau)
         assert rho < 1
         assert oracles.spectral_radius_eig(Gamma) == pytest.approx(rho, abs=1e-9)
 
@@ -142,12 +180,12 @@ def test_gamma_must_be_triangular_in_topological_order():
     args = (np.full(3, 0.2), np.full(3, 0.5), np.ones(3), np.zeros(3),
             np.zeros((3, 3)), 0.5)
     with pytest.raises(StructuralError, match="cell 1: .* cell 3"):
-        build_gamma(P, *args)
+        build_gamma(oracles.spec_of(P), *args)
     P[2, 0] = 0.0
-    _, rho = build_gamma(P, *args)
+    _, rho = build_gamma(oracles.spec_of(P), *args)
     assert rho == 0.8
     with pytest.raises(NumericalError, match="cell 2"):
-        build_gamma(P, *args[:4], np.diag([0.0, np.inf, 0.0]), 0.5)
+        build_gamma(oracles.spec_of(P), *args[:4], np.diag([0.0, np.inf, 0.0]), 0.5)
 
 
 def test_badly_scaled_chain_certifies():
