@@ -162,9 +162,9 @@ def cmd_analyze(args) -> int:
         "weights": {"r": cert.r, "xi": cert.xi},
         "invariant_box": {"epsstar": cert.epsstar, "beta": cert.beta},
         "drain": {
-            "Qconst": cert.core.Qconst, "theta": cert.core.theta,
-            "Theta": cert.core.Theta, "gamma": cert.core.gamma,
-            "C": cert.C, "samples": cert.core.drain.n_evaluated,
+            "Qconst": cert.drain.Qconst, "theta": cert.drain.theta,
+            "Theta": cert.drain.Theta, "gamma": cert.drain.gamma,
+            "C": cert.drain.C, "samples": cert.drain.n_evaluated,
         },
         "comparison": {"rho": cert.rho},
         "controller": {

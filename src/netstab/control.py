@@ -92,15 +92,15 @@ def geometric_gain(n: int, sigma: float) -> np.ndarray:
     return np.tile(sigma ** np.arange(1, n + 1), (n, 1))
 
 
-def synthesize(spec, eq, cert, tau: float = 0.5) -> ControllerConfig:
-    """Derive (b, K) from a certificate so the inflow-floor condition holds.
+def synthesize(spec, eq, r, C: float, beta, tau: float = 0.5) -> ControllerConfig:
+    """Derive (b, K) from the weights r, drain constant C and box ceiling beta.
 
-    b = lambda * v* with lambda = min(1/2, C min_i(r_i x_i*) / (r'v*)); the
-    gain is the smallest uniform one that saturates outside the certified
-    invariant box.  With r'v* = 0 the network has no metered inflows and the
-    trivially stable configuration b = v* = 0, K = 0 is returned.
+    b = lambda * v* with lambda = min(1/2, C min_i(r_i x_i*) / (r'v*)), so
+    the inflow-floor condition holds; the gain is the smallest uniform one
+    that saturates outside the certified invariant box [0, beta].  With
+    r'v* = 0 the network has no metered inflows and the trivially stable
+    configuration b = v* = 0, K = 0 is returned.
     """
-    r, C, beta = cert.r, cert.C, cert.beta
     xstar, vstar = np.asarray(eq.xstar, float), np.asarray(eq.vstar, float)
     rv = float(r @ vstar)
     if rv == 0.0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -505,27 +506,46 @@ def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet, n_x: int = 4096,
 
 # --- JSON I/O ----------------------------------------------------------------
 
-_CELL_REQUIRED = {"family", "a", "delta", "delta_tilde", "L", "G", "fmin", "supply"}
+_CELL_NUMBERS = ("a", "delta", "delta_tilde", "L", "G", "fmin")
+_CELL_REQUIRED = {"family", "supply", *_CELL_NUMBERS}
 _CELL_FIELDS = _CELL_REQUIRED | {"subcritical", "overcritical"}
 _SUPPLY_FIELDS = {"qcap", "wave"}
 
 
+def _check_number(value, where: str, what: str) -> None:
+    """ValueError unless `value` is a finite JSON number (a bool is not one)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):  # NaN compares False
+        raise ValueError(f"{where}: {what} must be a finite number, got {value!r}")
+
+
 def load_diagrams(path) -> DiagramSet:
-    """Read a DiagramSet from JSON; unknown or missing fields are rejected."""
+    """Read a DiagramSet from JSON; unknown or missing fields are rejected,
+    and every numeric field must hold a finite number."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     _check_fields(doc, {"d_box", "cells"}, {"d_box", "cells"}, path)
-    box = np.asarray(doc["d_box"], dtype=float)
-    if box.shape != (_D_DIM, 2):
+    box = doc["d_box"]
+    if not (isinstance(box, list) and len(box) == _D_DIM
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in box)):
         raise ValueError(f"{path}: d_box must be {_D_DIM} [lo, hi] pairs")
+    for k, pair in enumerate(box):
+        for end, value in zip(("lo", "hi"), pair):
+            _check_number(value, f"{path}: d_box", f"d{k + 1} {end}")
+    box = np.array(box, dtype=float)
     if not isinstance(doc["cells"], list):
         raise ValueError(f"{path}: cells must be a JSON list")
     demands, supplies = [], []
     for k, cell in enumerate(doc["cells"]):
-        _check_fields(cell, _CELL_REQUIRED, _CELL_FIELDS, f"{path}: cell {k + 1}")
+        where = f"{path}: cell {k + 1}"
+        _check_fields(cell, _CELL_REQUIRED, _CELL_FIELDS, where)
         sup = cell["supply"]
-        _check_fields(sup, {"qcap"}, _SUPPLY_FIELDS, f"{path}: cell {k + 1}",
-                      "supply field")
+        _check_fields(sup, {"qcap"}, _SUPPLY_FIELDS, where, "supply field")
+        for name in _CELL_NUMBERS:
+            _check_number(cell[name], where, f"field '{name}'")
+        _check_number(sup["qcap"], where, "supply field 'qcap'")
+        if sup.get("wave") is not None:
+            _check_number(sup["wave"], where, "supply field 'wave'")
         demands.append(DemandFunction(
             family=cell["family"], a=cell["a"], delta=cell["delta"],
             delta_tilde=cell["delta_tilde"], L=cell["L"], G=cell["G"],

@@ -126,11 +126,6 @@ def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBr
     return x_next.clip(0.0, spec.a), fb
 
 
-def compute_s(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> np.ndarray:
-    """Per-cell outflow throttles in [0, 1] (1 at empty or demandless cells)."""
-    return compute_flows(spec, ds, x, v, d).s
-
-
 def is_uncongested(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> bool:
     """True iff every cell's supply covers its attempted inflow at (x, v, d)."""
     x = np.asarray(x, dtype=float)

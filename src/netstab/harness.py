@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .control import ControllerConfig, control_law, h_map
+from .control import ControllerConfig, control_law
 from .diagrams import DiagramSet, _philox, uniform_uncertainty
 from .errors import MisuseError
 from .network import NetworkSpec, find_cycle
 from .presets import (benchmark_initial_states, congested_candidate,
                       experiment_controller, reference_diagrams,
                       reference_network, reference_vstar)
+from .stability import lyapunov_eval
 
 DEVIATION_FLOOR = 1e-12  # below this the trajectory counts as converged
 
@@ -145,7 +146,7 @@ def run_scenario(spec: NetworkSpec, ds: DiagramSet,
         inflows[T] = cfg.control.v
 
     deviation = np.linalg.norm(states - xref[None, :], axis=1)
-    lyap = np.hstack([h_map(states - xref), h_map(xref - states)])
+    lyap = lyapunov_eval(states, xref)
     return TrajectoryRecord(states=states, inflows=inflows, flows=tuple(flows),
                             disturbances=D, deviation=deviation, lyapunov=lyap,
                             xref=xref, step_seconds=cfg.step_seconds)

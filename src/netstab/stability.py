@@ -174,7 +174,10 @@ def invariant_region(xstar, xi, mu) -> tuple[float, np.ndarray]:
 
     eps* = min_i (mu_i - x*_i) / xi_i; the returned beta is clipped to mu so
     rounding at the binding cell cannot push it above the threshold.  Raises
-    ValueError when some equilibrium density already reaches mu.
+    ValueError when some equilibrium density already reaches mu, and
+    NumericalError naming the first cell whose width eps* xi_i is lost to
+    rounding (beta_i == x*_i), as on long chains where xi spans many orders
+    of magnitude.
     """
     xstar = np.asarray(xstar, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -189,6 +192,14 @@ def invariant_region(xstar, xi, mu) -> tuple[float, np.ndarray]:
             f"uncongested threshold {mu[i]:.6g}")
     epsstar = float(np.min(room / xi))
     beta = np.minimum(xstar + epsstar * xi, mu)
+    flat = ~(beta > xstar)
+    if flat.any():
+        i = int(np.argmax(flat))
+        raise NumericalError(
+            f"cell {i + 1}: box width eps* xi_{i + 1} = {epsstar * xi[i]:.3g} "
+            f"is lost to rounding at x*_{i + 1} = {xstar[i]:.6g} "
+            f"(eps* = {epsstar:.3g}), so beta_{i + 1} does not exceed x*_{i + 1}",
+            cell=i)
     return epsstar, beta
 
 
@@ -245,11 +256,6 @@ class ThrottleBound:
         D = np.atleast_2d(np.asarray(D, dtype=float))
         return self.allocate(demand_batch(self.ds, D, X),
                              supply_batch(self.ds, D, X), V)
-
-
-def stilde_bound(spec: NetworkSpec, ds: DiagramSet) -> ThrottleBound:
-    """The batched throttle lower bound of a network (see `ThrottleBound`)."""
-    return ThrottleBound(spec, ds)
 
 
 @dataclass(frozen=True)
@@ -402,7 +408,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
     v_box = caps - eps_tilde
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
-    sbound = stilde if stilde is not None else stilde_bound(spec, ds)
+    sbound = stilde if stilde is not None else ThrottleBound(spec, ds)
     split = isinstance(sbound, ThrottleBound)
 
     def throttles(X, V, D, out=None):
@@ -528,10 +534,13 @@ def trapping_bound(C: float, r, beta, b, a) -> int:
 
 
 def lyapunov_eval(x, xstar) -> np.ndarray:
-    """Stacked deviation vector (excess above x*, deficit below x*)."""
+    """Stacked deviation vector (excess above x*, deficit below x*).
+
+    Stacks along the last axis, so states of shape (N, n) give (N, 2n).
+    """
     x = np.asarray(x, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
-    return np.concatenate([h_map(x - xstar), h_map(xstar - x)])
+    return np.concatenate([h_map(x - xstar), h_map(xstar - x)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -563,9 +572,8 @@ def contraction_check(spec: NetworkSpec, ds: DiagramSet,
     X_next = np.empty_like(X)
     for k, (x, d) in enumerate(zip(X, D)):
         X_next[k], _ = step(spec, ds, x, control.control_law(controller, x), d)
-    xstar = np.asarray(controller.xstar, dtype=float)
-    V = np.hstack([h_map(X - xstar), h_map(xstar - X)])
-    V_next = np.hstack([h_map(X_next - xstar), h_map(xstar - X_next)])
+    V = lyapunov_eval(X, controller.xstar)
+    V_next = lyapunov_eval(X_next, controller.xstar)
     # one matrix-vector product per sample: a batched product may round differently
     gap = V_next - np.array([Gamma @ vk for vk in V]).reshape(V.shape)
     worst = float(gap.max(initial=-math.inf))
@@ -573,72 +581,29 @@ def contraction_check(spec: NetworkSpec, ds: DiagramSet,
 
 
 @dataclass(frozen=True)
-class CertificateCore:
-    """Controller-independent certificate data (stage one of the pipeline)."""
+class StabilityCertificate:
+    """The certificate's constants and the controller they certify.
+
+    Stage one of `certify` gives the weights ``r`` and ``xi``, the invariant
+    box (``epsstar``, ``beta``) and the drain constants ``drain``; stage two
+    the controller, its inflow-floor fraction, the comparison matrix Gamma
+    with its spectral radius ``rho``, and the trapping bound ``m``.  ``m`` is
+    None (with ``floor_budget_ok`` False) when the controller's inflow floor
+    is too large for a finite trapping bound — the law still runs, but only
+    the box invariance part of the certificate stands.
+    """
 
     r: np.ndarray
     xi: np.ndarray
     epsstar: float
     beta: np.ndarray
     drain: DrainConstants
-
-    @property
-    def Qconst(self) -> float:
-        return self.drain.Qconst
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.drain.theta
-
-    @property
-    def Theta(self) -> float:
-        return self.drain.Theta
-
-    @property
-    def gamma(self) -> float:
-        return self.drain.gamma
-
-    @property
-    def C(self) -> float:
-        return self.drain.C
-
-
-@dataclass(frozen=True)
-class StabilityCertificate:
-    """Full certificate: core constants plus controller-dependent results.
-
-    ``m`` is None (with ``floor_budget_ok`` False) when the controller's
-    inflow floor is too large for a finite trapping bound — the law still
-    runs, but only the box invariance part of the certificate stands.
-    """
-
-    core: CertificateCore
     controller: ControllerConfig
     floor_fraction: float
     Gamma: np.ndarray
     rho: float
     m: int | None
     floor_budget_ok: bool
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.core.r
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.core.xi
-
-    @property
-    def epsstar(self) -> float:
-        return self.core.epsstar
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.core.beta
-
-    @property
-    def C(self) -> float:
-        return self.core.C
 
 
 def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
@@ -657,10 +622,9 @@ def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
     xi = weights_xi(spec, L, G)
     epsstar, beta = invariant_region(eq.xstar, xi, spec.mu)
     drain = drain_constants(spec, ds, r, n_samples=n_gamma_samples, seed=seed)
-    core = CertificateCore(r=r, xi=xi, epsstar=epsstar, beta=beta, drain=drain)
 
     if controller is None:
-        controller = control.synthesize(spec, eq, core, tau=tau)
+        controller = control.synthesize(spec, eq, r, drain.C, beta, tau=tau)
     Gamma, rho = build_gamma(spec, L, G, controller.vstar, controller.b,
                              controller.K, controller.tau)
     with np.errstate(invalid="ignore"):
@@ -672,6 +636,7 @@ def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
         floor_budget_ok = True
     except TrappingInfeasible:
         m, floor_budget_ok = None, False
-    return StabilityCertificate(core=core, controller=controller,
+    return StabilityCertificate(r=r, xi=xi, epsstar=epsstar, beta=beta,
+                                drain=drain, controller=controller,
                                 floor_fraction=floor_fraction, Gamma=Gamma,
                                 rho=rho, m=m, floor_budget_ok=floor_budget_ok)

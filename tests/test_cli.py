@@ -12,6 +12,8 @@ from netstab.control import load_controller
 from netstab.diagrams import save_diagrams
 from netstab.network import save_network
 
+from test_stability import mainline
+
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
@@ -198,6 +200,16 @@ def _drop(*keys):
     return edit
 
 
+def _set(*keys, value):
+    def edit(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop("d_box"), "missing field(s) ['d_box']"),
     (lambda doc: {"cells": []}, "missing field(s) ['d_box']"),
@@ -209,6 +221,15 @@ def _drop(*keys):
     (_drop("cells", 0, "supply", "qcap"), "cell 1: missing supply field(s) ['qcap']"),
     (lambda doc: {**doc, "cells": [{**doc["cells"][0], "supply": 1}]},
      "cell 1: expected a JSON object of supply fields"),
+    (_set("cells", 0, "a", value="abc"), "cell 1: field 'a' must be a finite number, got 'abc'"),
+    (_set("cells", 2, "L", value=None), "cell 3: field 'L' must be a finite number, got None"),
+    (_set("cells", 4, "G", value=True), "cell 5: field 'G' must be a finite number, got True"),
+    (_set("cells", 1, "supply", "qcap", value="x"),
+     "cell 2: supply field 'qcap' must be a finite number, got 'x'"),
+    (_set("cells", 7, "supply", "wave", value=float("inf")),
+     "cell 8: supply field 'wave' must be a finite number, got inf"),
+    (_set("d_box", 3, 0, value=float("nan")), "d_box: d4 lo must be a finite number, got nan"),
+    (_set("d_box", 3, value=[0.1]), "d_box must be 4 [lo, hi] pairs"),
 ])
 def test_bad_diagram_files_exit_2(capsys, tmp_path, edit, message):
     path = tmp_path / "dia.json"
@@ -216,6 +237,28 @@ def test_bad_diagram_files_exit_2(capsys, tmp_path, edit, message):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     err = _input_error(capsys, "analyze", "--diagrams", str(path))
     assert f"{path}: {message}" in err
+
+
+def test_null_wave_is_accepted(capsys, tmp_path):
+    path = tmp_path / "dia.json"
+    save_diagrams(presets.reference_diagrams(), path)
+    path.write_text(json.dumps(_set("cells", 0, "supply", "wave", value=None)(
+        json.loads(path.read_text()))))
+    code, doc = run_cli(capsys, "validate", "--diagrams", str(path))
+    assert code == 0 and doc["ok"]
+
+
+def test_analyze_names_the_cell_whose_box_collapses(capsys, tmp_path):
+    spec, ds, v = mainline(16)
+    net, dia = tmp_path / "net.json", tmp_path / "dia.json"
+    save_network(spec, net)
+    save_diagrams(ds, dia)
+    code = main(["analyze", "--network", str(net), "--diagrams", str(dia),
+                 "--vstar", ",".join(str(x) for x in v)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "cell 1: box width" in captured.err and "lost to rounding" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_analyze_audits_each_distinct_curve_once(capsys, monkeypatch):

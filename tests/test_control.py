@@ -102,9 +102,9 @@ def test_geometric_gain():
 
 
 def test_synthesized_floor_respects_the_drain_budget(ref_spec, ref_eq, ref_cert):
-    cfg = synthesize(ref_spec, ref_eq, ref_cert.core)
+    cfg = synthesize(ref_spec, ref_eq, ref_cert.r, ref_cert.drain.C, ref_cert.beta)
     r = ref_cert.r
-    assert float(r @ cfg.b) <= ref_cert.C * float((r * ref_eq.xstar).min()) * (1 + 1e-12)
+    assert float(r @ cfg.b) <= ref_cert.drain.C * float((r * ref_eq.xstar).min()) * (1 + 1e-12)
     assert np.all(cfg.b >= 0) and np.all(cfg.b <= cfg.vstar)
     assert np.all(cfg.K == cfg.K[0, 0])
     # outside the certified box the law must be pinned at the floor

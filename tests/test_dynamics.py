@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from netstab import presets
 from netstab.diagrams import d_corners, demand_all, supply_all, uniform_uncertainty
-from netstab.dynamics import (compute_flows, compute_s, is_uncongested, step)
+from netstab.dynamics import compute_flows, is_uncongested, step
 from netstab.errors import DimensionError, DomainError
-from netstab.stability import stilde_bound
+from netstab.stability import ThrottleBound
 
 import oracles
 
@@ -101,14 +101,14 @@ def test_external_inflow_has_priority(ref_spec, ref_ds):
 
 
 def test_throttle_bound_is_conservative(ref_spec, ref_ds):
-    bound = stilde_bound(ref_spec, ref_ds)
+    bound = ThrottleBound(ref_spec, ref_ds)
     rng = np.random.default_rng(17)
     X = rng.uniform(0, 170, size=(200, 8))
     V = rng.uniform(0, 25, size=(200, 8))
     D = uniform_uncertainty(ref_ds, 200, rng)
     S_lo = bound(X, V, D)
     for k in range(200):
-        s = compute_s(ref_spec, ref_ds, X[k], V[k], D[k])
+        s = compute_flows(ref_spec, ref_ds, X[k], V[k], D[k]).s
         assert np.all(S_lo[k] <= s + 1e-12)
 
 

@@ -1,6 +1,6 @@
 """The batched drain-constant search against its loop references, bit for bit.
 
-`stilde_bound` evaluates the junction claims by priority level, `supply_batch`
+`ThrottleBound` evaluates the junction claims by priority level, `supply_batch`
 evaluates all cells at once, and `drain_constants` runs the bound in row
 blocks and refines its best seeds in lockstep.  It also evaluates the curves
 only where its samples differ: the jam-pattern seeds gather theirs from
@@ -20,7 +20,7 @@ from netstab.diagrams import (DiagramSet, SupplyFunction, d_corners,
 from netstab.network import NetworkSpec
 from netstab.stability import (ROW_BLOCK, ThrottleBound, _seed_cloud,
                                _struct_throttles, _zoom_grid, drain_constants,
-                               stilde_bound, weights_r)
+                               weights_r)
 
 import oracles
 from test_curve_table import PIECEWISE
@@ -100,10 +100,10 @@ def test_stilde_levels_match_junction_loop_on_random_nets():
         pinned = tuple(np.nonzero(rng.random(n) < 0.3)[0]) if trial % 2 else ()
         ds = _diagrams_for(n, rng, pinned)
         X, V, D = _states(spec, ds, rng, 200)
-        S = stilde_bound(spec, ds)(X, V, D)
+        S = ThrottleBound(spec, ds)(X, V, D)
         assert np.array_equal(S, oracles.stilde_bound_loop(spec, ds)(X, V, D))
         # rows do not interact: any batch shape gives the same bits
-        assert np.array_equal(S[37:38], stilde_bound(spec, ds)(X[37], V[37], D[37]))
+        assert np.array_equal(S[37:38], ThrottleBound(spec, ds)(X[37], V[37], D[37]))
         shapes.append(_claim_shape(spec))
     assert max(depth for depth, _ in shapes) >= 3
     assert sum(repeats for _, repeats in shapes) >= 5
@@ -118,7 +118,7 @@ def test_allocate_on_batch_curves_matches_junction_loop():
         pinned = tuple(np.nonzero(rng.random(n) < 0.3)[0])
         ds = _diagrams_for(n, rng, pinned, piecewise=0.3)
         X, V, D = _states(spec, ds, rng, 200)
-        S = stilde_bound(spec, ds).allocate(demand_batch(ds, D, X),
+        S = ThrottleBound(spec, ds).allocate(demand_batch(ds, D, X),
                                             supply_batch(ds, D, X), V)
         assert np.array_equal(S, oracles.stilde_bound_loop(spec, ds)(X, V, D))
 
@@ -138,7 +138,7 @@ def test_stilde_levels_match_junction_loop_on_hand_net():
     assert spec.predecessors[8] == (7, 5, 4, 3, 2)
     ds = _diagrams_for(n, rng, pinned=(1, 9))
     X, V, D = _states(spec, ds, rng, 400)
-    assert np.array_equal(stilde_bound(spec, ds)(X, V, D),
+    assert np.array_equal(ThrottleBound(spec, ds)(X, V, D),
                           oracles.stilde_bound_loop(spec, ds)(X, V, D))
 
 
@@ -224,7 +224,7 @@ def test_drain_constants_skip_infinite_seeds_like_the_reference(net):
     among the best ones; both searches must skip the same ones."""
     spec, ds = ((presets.reference_network(), presets.reference_diagrams())
                 if net == "benchmark" else _twenty_cells())
-    base = stilde_bound(spec, ds)
+    base = ThrottleBound(spec, ds)
     cap = presets.JAM * (1.5 if spec.n <= 12 else 3.5)
 
     def overflowing(X, V, D):
@@ -281,7 +281,7 @@ def test_jam_pattern_seeds_come_from_corner_tables(net):
     if net == "benchmark":
         assert n_struct % ROW_BLOCK != 0
     S = np.empty((n_struct, spec.n))
-    bound = stilde_bound(spec, ds)
+    bound = ThrottleBound(spec, ds)
     _struct_throttles(bound, X[:n_struct], V[:n_struct], S)
     rows = (X[:n_struct], V[:n_struct], D[:n_struct])
     assert np.array_equal(S, bound(*rows))

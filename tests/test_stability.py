@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from netstab import network, presets
+from netstab import network, presets, stability
 from netstab.diagrams import DiagramSet
 from netstab.equilibrium import solve_uep
 from netstab.errors import (DimensionError, NumericalError, StructuralError,
@@ -188,10 +188,8 @@ def test_gamma_must_be_triangular_in_topological_order():
         build_gamma(oracles.spec_of(P), *args[:4], np.diag([0.0, np.inf, 0.0]), 0.5)
 
 
-def test_badly_scaled_chain_certifies():
-    """On an 8-cell mainline xi grows like 7.1^k and the synthesized gain is
-    about 1e11; rho still comes out as max(1 - L_i)."""
-    n = 8
+def mainline(n):
+    """An n-cell mainline of benchmark cells fed at cell 1: (spec, ds, v*)."""
     P = np.diag(np.ones(n - 1), k=1)
     Qexit = np.zeros(n)
     Qexit[-1] = 1.0
@@ -204,7 +202,27 @@ def test_badly_scaled_chain_certifies():
                     ref.d_lo, ref.d_hi)
     v = np.zeros(n)
     v[0] = 25.0
-    cert = certify(spec, ds, solve_uep(spec, ds, v))
+    return spec, ds, v
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_badly_scaled_chain_certifies(n, monkeypatch):
+    """On an n-cell mainline xi grows like 7.1^k and the synthesized gain is
+    above 1e10; rho still comes out as max(1 - L_i).  At n = 16 eps* is
+    1.7e-18, too small to lift beta above x* at the upstream cells, and the
+    box check names cell 1 before the drain constants are sampled."""
+    spec, ds, v = mainline(n)
+    eq = solve_uep(spec, ds, v)
+    if n == 16:
+        def unreachable(*args, **kwargs):
+            raise AssertionError("drain_constants ran on a collapsed box")
+
+        monkeypatch.setattr(stability, "drain_constants", unreachable)
+        with pytest.raises(NumericalError, match="cell 1: .* lost to rounding") as exc:
+            certify(spec, ds, eq)
+        assert exc.value.cell == 0
+        return
+    cert = certify(spec, ds, eq)
     assert cert.rho == pytest.approx(0.8, abs=1e-12)
     assert cert.floor_budget_ok and cert.m is not None
     assert np.max(np.abs(cert.controller.K)) > 1e10
@@ -225,7 +243,7 @@ def test_invariant_region_hand_computation(ref_eq, ref_cert, ref_spec):
 
 
 def test_drain_constants_reference_values(ref_spec, ref_ds, ref_cert):
-    drain = ref_cert.core.drain
+    drain = ref_cert.drain
     assert drain.Qconst == pytest.approx(0.5, abs=1e-12)
     L = np.array([fd.L for fd in ref_ds.demands])
     fmin = np.array([fd.fmin for fd in ref_ds.demands])
@@ -317,7 +335,7 @@ def test_certificate_consistency(ref_spec, ref_eq, ref_cert):
     assert cert.rho == pytest.approx(0.991, abs=1e-9)
     assert cert.floor_budget_ok
     assert cert.m is not None and cert.m > 0
-    assert cert.m == trapping_bound(cert.C, cert.r, cert.beta,
+    assert cert.m == trapping_bound(cert.drain.C, cert.r, cert.beta,
                                     cert.controller.b, ref_spec.a)
     assert cert.Gamma.shape == (16, 16)
     assert 0 < cert.floor_fraction < 1e-6
