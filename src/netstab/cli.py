@@ -23,7 +23,8 @@ from .errors import DimensionError, DomainError, MisuseError
 from .harness import (ControlSpec, DisturbanceSpec, ScenarioConfig,
                       estimate_decay, export_csv, gridlock_demo,
                       mass_balance_residuals, reproduce_suite, run_scenario)
-from .network import find_cycle, load_network, validate_spec
+from .network import (_check_fields, _checked, _located, find_cycle,
+                      load_network, validate_spec)
 from .presets import (reference_diagrams, reference_network, reference_vstar,
                       three_cell_cycle)
 from .stability import certify, contraction_check
@@ -54,7 +55,7 @@ def _load_pair(args):
     try:
         spec = load_network(args.network) if args.network else reference_network()
         ds = load_diagrams(args.diagrams) if args.diagrams else reference_diagrams()
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
     if ds.n != spec.n:
         raise _InputError(
@@ -62,12 +63,12 @@ def _load_pair(args):
     return spec, ds
 
 
-def _load_ctrl(args):
+def _load_ctrl(args, n: int):
     if not getattr(args, "controller", None):
         return None
     try:
-        return load_controller(args.controller)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        return load_controller(args.controller, n)
+    except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
 
 
@@ -140,7 +141,7 @@ def cmd_analyze(args) -> int:
     spec, ds = _load_pair(args)
     vstar = _parse_vstar(args, spec)
     eq = solve_uep(spec, ds, vstar)
-    controller = _load_ctrl(args)
+    controller = _load_ctrl(args, spec.n)
     cert = certify(spec, ds, eq, controller=controller, seed=args.seed)
 
     # cells sharing a curve share its audit (DemandFunction is frozen, hence hashable)
@@ -196,61 +197,43 @@ def cmd_analyze(args) -> int:
     return 0 if doc["ok"] else 1
 
 
-def _scenario_from_file(args, spec) -> ScenarioConfig:
+def _scenario_from_file(args, ds) -> ScenarioConfig:
+    """The --scenario file, checked against the network before any step runs."""
     try:
-        with open(args.scenario, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(args.scenario, encoding="utf-8") as fh, _located(args.scenario):
+            return _scenario_from_doc(json.load(fh), args, ds)
+    except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
-    try:
-        return _scenario_from_doc(doc, args)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _InputError(f"{args.scenario}: {exc}") from exc
 
 
-def _scenario_from_doc(doc: dict, args) -> ScenarioConfig:
-    allowed = {"x0", "horizon", "disturbance", "control", "step_seconds",
-               "reference"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown scenario field(s) {sorted(unknown)}")
-    dist_doc = dict(doc["disturbance"])
-    kind = dist_doc.pop("kind")
-    if kind == "constant":
-        dist = DisturbanceSpec(kind="constant", d=dist_doc.pop("d"))
+def _scenario_from_doc(doc, args, ds) -> ScenarioConfig:
+    fields = {"x0", "horizon", "disturbance", "control"}
+    _check_fields(doc, fields, fields | {"reference"}, "scenario field")
+    dist, ctl = doc["disturbance"], doc["control"]
+    constant = isinstance(dist, dict) and dist.get("kind") == "constant"
+    _check_fields(dist, {"kind"}, {"kind", "d" if constant else "seed"}, "disturbance field")
+    open_loop = isinstance(ctl, dict) and ctl.get("kind") == "open-loop"
+    _check_fields(ctl, {"kind"}, {"kind", "v" if open_loop else "controller"}, "control field")
+    seed = _checked(dist.get("seed", args.seed), (), "disturbance field 'seed'", least=0)
+    d = _checked(dist.get("d"), ds.d_lo.shape, "disturbance field 'd'") if constant else None
+    dist = DisturbanceSpec(dist["kind"], d=d, seed=seed)
+    if open_loop:
+        ctl = ControlSpec("open-loop", v=_checked(ctl.get("v"), (ds.n,), "control field 'v'"))
     else:
-        dist = DisturbanceSpec(kind=kind,
-                               seed=int(dist_doc.pop("seed", args.seed)))
-    if dist_doc:
-        raise ValueError(f"unknown disturbance field(s) {sorted(dist_doc)}")
-
-    ctl_doc = dict(doc["control"])
-    kind = ctl_doc.pop("kind")
-    if kind == "open-loop":
-        ctl = ControlSpec(kind="open-loop", v=ctl_doc.pop("v"))
-    elif kind == "closed-loop":
-        inline = ctl_doc.pop("controller", None)
-        controller = (controller_from_dict(inline) if inline is not None
-                      else _load_ctrl(args))
-        if controller is None:
-            raise ValueError(
-                "closed-loop scenario needs an inline controller or --controller")
-        ctl = ControlSpec(kind="closed-loop", controller=controller)
-    else:
-        ctl = ControlSpec(kind=kind)  # raises with the standard message
-    if ctl_doc:
-        raise ValueError(f"unknown control field(s) {sorted(ctl_doc)}")
-
+        inline = ctl.get("controller")
+        with _located("control field 'controller'"):
+            controller = None if inline is None else controller_from_dict(inline, ds.n)
+        ctl = ControlSpec(ctl["kind"], controller=controller or _load_ctrl(args, ds.n))
+    ref = doc.get("reference")
     return ScenarioConfig(
-        x0=doc["x0"], horizon=int(doc["horizon"]), disturbance=dist,
-        control=ctl, step_seconds=float(doc.get("step_seconds", 15.0)),
-        reference=doc.get("reference"),
-    )
+        x0=_checked(doc["x0"], (ds.n,), "field 'x0'"), disturbance=dist, control=ctl,
+        horizon=_checked(doc["horizon"], (), "field 'horizon'", least=1),
+        reference=None if ref is None else _checked(ref, (ds.n,), "field 'reference'"))
 
 
 def cmd_simulate(args) -> int:
     spec, ds = _load_pair(args)
-    cfg = _scenario_from_file(args, spec)
+    cfg = _scenario_from_file(args, ds)
     record = run_scenario(spec, ds, cfg)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)

@@ -10,12 +10,13 @@ are uncontrolled and always receive v_i*.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionError
+from .network import _check_fields, _checked, _located
 
 _CONTROLLER_FIELDS = ("xstar", "vstar", "b", "K", "tau")
 
@@ -27,30 +28,23 @@ class ControllerConfig:
     b: np.ndarray
     K: np.ndarray
     tau: float
-    R: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(np.atleast_1d(self.xstar))
-        for name in ("xstar", "vstar", "b"):
+        for name, shape in (("xstar", (n,)), ("vstar", (n,)), ("b", (n,)), ("K", (n, n))):
             arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise DimensionError(f"{name} must have shape ({n},)")
+            if arr.shape != shape:
+                raise DimensionError(f"{name} must have shape {shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        K = np.array(self.K, dtype=float)
-        if K.shape != (n, n):
-            raise DimensionError(f"K must have shape ({n}, {n})")
-        if np.any(K < 0):
+        if not (self.K >= 0).all():
             raise ValueError("gain matrix must be nonnegative")
-        K.setflags(write=False)
-        object.__setattr__(self, "K", K)
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if np.any(self.b < 0) or np.any(self.b > self.vstar):
+        if not ((self.b >= 0) & (self.b <= self.vstar)).all():
             raise ValueError("inflow floor must satisfy 0 <= b <= vstar")
-        object.__setattr__(
-            self, "R", tuple(int(i) for i in np.nonzero(self.b < self.vstar)[0])
-        )
 
     @property
     def n(self) -> int:
@@ -85,13 +79,6 @@ def uniform_gain(beta: np.ndarray, xstar: np.ndarray) -> float:
     return float(1.0 / gap.min())
 
 
-def geometric_gain(n: int, sigma: float) -> np.ndarray:
-    """Alternative gain profile K[i, j] = sigma**(j+1), constant down columns."""
-    if not 0.0 < sigma <= 1.0:
-        raise ValueError("sigma must lie in (0, 1]")
-    return np.tile(sigma ** np.arange(1, n + 1), (n, 1))
-
-
 def synthesize(spec, eq, r, C: float, beta, tau: float = 0.5) -> ControllerConfig:
     """Derive (b, K) from the weights r, drain constant C and box ceiling beta.
 
@@ -117,34 +104,22 @@ def synthesize(spec, eq, r, C: float, beta, tau: float = 0.5) -> ControllerConfi
     return cfg
 
 
-def controller_from_dict(doc: dict) -> ControllerConfig:
-    """Build a ControllerConfig from a JSON-shaped dict; rejects unknown keys.
-
-    ``K`` may be nested rows or a flat row-major list of length n*n.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("controller document must be a JSON object")
-    unknown = set(doc) - set(_CONTROLLER_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown controller field(s) {sorted(unknown)}")
-    missing = set(_CONTROLLER_FIELDS) - set(doc)
-    if missing:
-        raise ValueError(f"missing controller field(s) {sorted(missing)}")
-    xstar = np.asarray(doc["xstar"], dtype=float)
-    K = np.asarray(doc["K"], dtype=float)
-    if K.ndim == 1:
-        K = K.reshape(len(xstar), -1)
-    return ControllerConfig(xstar=xstar, vstar=doc["vstar"], b=doc["b"],
-                            K=K, tau=float(doc["tau"]))
+def controller_from_dict(doc, n=None) -> ControllerConfig:
+    """A ControllerConfig of `n` cells (any number when None) from a parsed
+    JSON object, every field checked; ``K`` may be rows or a flat n*n list."""
+    _check_fields(doc, set(_CONTROLLER_FIELDS), set(_CONTROLLER_FIELDS))
+    xstar = _checked(doc["xstar"], (n,), "field 'xstar'")
+    n, K = len(xstar), doc["K"]
+    rows = isinstance(K, list) and any(isinstance(row, list) for row in K)
+    vstar, b = (_checked(doc[name], (n,), f"field '{name}'") for name in ("vstar", "b"))
+    K = _checked(K, (n, n) if rows else (n * n,), "field 'K'").reshape(n, n)
+    return ControllerConfig(xstar, vstar, b, K, float(_checked(doc["tau"], (), "field 'tau'")))
 
 
-def load_controller(path) -> ControllerConfig:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return controller_from_dict(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+def load_controller(path, n=None) -> ControllerConfig:
+    """Read a controller of `n` cells (any number when None) from a JSON file."""
+    with open(path, encoding="utf-8") as fh, _located(path):
+        return controller_from_dict(json.load(fh), n)
 
 
 def save_controller(cfg: ControllerConfig, path) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import DimensionError, DomainError
-from .network import NetworkSpec, _check_fields
+from .network import NetworkSpec, _check_fields, _checked, _located
 
 FAMILIES = ("freeway-main", "freeway-onramp", "piecewise")
 
@@ -125,6 +124,8 @@ class Piece:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not self.coeffs:
+            raise ValueError("piece needs at least one coefficient")
         if not self.lo <= self.hi:
             raise ValueError(f"piece interval [{self.lo}, {self.hi}] is empty")
 
@@ -275,12 +276,6 @@ class DiagramSet:
     @property
     def n(self) -> int:
         return len(self.demands)
-
-    def contains_d(self, d, tol: float = D_TOL) -> bool:
-        d = np.asarray(d, dtype=float)
-        return d.shape == (_D_DIM,) and bool(
-            np.all(d >= self.d_lo - tol) and np.all(d <= self.d_hi + tol)
-        )
 
     def min_supply_at_zero(self) -> np.ndarray:
         """Per-cell inf over d of g(d, 0) — the guaranteed empty-cell supply."""
@@ -509,52 +504,50 @@ def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet, n_x: int = 4096,
 _CELL_NUMBERS = ("a", "delta", "delta_tilde", "L", "G", "fmin")
 _CELL_REQUIRED = {"family", "supply", *_CELL_NUMBERS}
 _CELL_FIELDS = _CELL_REQUIRED | {"subcritical", "overcritical"}
-_SUPPLY_FIELDS = {"qcap", "wave"}
 
 
-def _check_number(value, where: str, what: str) -> None:
-    """ValueError unless `value` is a finite JSON number (a bool is not one)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and abs(value) <= sys.float_info.max):  # NaN compares False
-        raise ValueError(f"{where}: {what} must be a finite number, got {value!r}")
+def _pieces(table, what: str) -> tuple[Piece, ...]:
+    """A piecewise branch table: a list of [lo, hi, [c0, c1, ...]] segments."""
+    if not (isinstance(table, list)
+            and all(isinstance(seg, list) and len(seg) == 3 for seg in table)):
+        raise ValueError(f"{what} must be a list of [lo, hi, [c0, c1, ...]] segments")
+    pieces = []
+    for k, (lo, hi, coeffs) in enumerate(table):
+        with _located(f"{what} segment {k + 1}"):
+            pieces.append(Piece(_checked(lo, (), "lo"), _checked(hi, (), "hi"),
+                                tuple(_checked(coeffs, (None,), "coefficients"))))
+    return tuple(pieces)
 
 
 def load_diagrams(path) -> DiagramSet:
-    """Read a DiagramSet from JSON; unknown or missing fields are rejected,
-    and every numeric field must hold a finite number."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a DiagramSet from a JSON file, every field checked."""
+    with open(path, encoding="utf-8") as fh, _located(path):
         doc = json.load(fh)
-    _check_fields(doc, {"d_box", "cells"}, {"d_box", "cells"}, path)
-    box = doc["d_box"]
-    if not (isinstance(box, list) and len(box) == _D_DIM
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in box)):
-        raise ValueError(f"{path}: d_box must be {_D_DIM} [lo, hi] pairs")
-    for k, pair in enumerate(box):
-        for end, value in zip(("lo", "hi"), pair):
-            _check_number(value, f"{path}: d_box", f"d{k + 1} {end}")
-    box = np.array(box, dtype=float)
-    if not isinstance(doc["cells"], list):
-        raise ValueError(f"{path}: cells must be a JSON list")
-    demands, supplies = [], []
-    for k, cell in enumerate(doc["cells"]):
-        where = f"{path}: cell {k + 1}"
-        _check_fields(cell, _CELL_REQUIRED, _CELL_FIELDS, where)
-        sup = cell["supply"]
-        _check_fields(sup, {"qcap"}, _SUPPLY_FIELDS, where, "supply field")
-        for name in _CELL_NUMBERS:
-            _check_number(cell[name], where, f"field '{name}'")
-        _check_number(sup["qcap"], where, "supply field 'qcap'")
-        if sup.get("wave") is not None:
-            _check_number(sup["wave"], where, "supply field 'wave'")
-        demands.append(DemandFunction(
-            family=cell["family"], a=cell["a"], delta=cell["delta"],
-            delta_tilde=cell["delta_tilde"], L=cell["L"], G=cell["G"],
-            fmin=cell["fmin"],
-            subcritical=tuple(Piece(lo, hi, tuple(c)) for lo, hi, c in cell.get("subcritical", ())),
-            overcritical=tuple(Piece(lo, hi, tuple(c)) for lo, hi, c in cell.get("overcritical", ())),
-        ))
-        supplies.append(SupplyFunction(qcap=sup["qcap"], a=cell["a"], wave=sup.get("wave")))
-    return DiagramSet(tuple(demands), tuple(supplies), box[:, 0], box[:, 1])
+        _check_fields(doc, {"d_box", "cells"}, {"d_box", "cells"})
+        box = doc["d_box"]
+        if np.array(box, dtype=object).shape != (_D_DIM, 2):
+            raise ValueError(f"d_box must be {_D_DIM} [lo, hi] pairs")
+        box = np.array([[_checked(value, (), f"d_box: d{k + 1} {end}")
+                         for end, value in zip(("lo", "hi"), pair)]
+                        for k, pair in enumerate(box)])
+        if not isinstance(doc["cells"], list):
+            raise ValueError("cells must be a JSON list")
+        demands, supplies = [], []
+        for k, cell in enumerate(doc["cells"]):
+            with _located(f"cell {k + 1}"):
+                _check_fields(cell, _CELL_REQUIRED, _CELL_FIELDS)
+                sup = cell["supply"]
+                _check_fields(sup, {"qcap"}, {"qcap", "wave"}, "supply field")
+                values = {name: _checked(cell[name], (), f"field '{name}'")
+                          for name in _CELL_NUMBERS}
+                demands.append(DemandFunction(family=cell["family"], **values, **{
+                    name: _pieces(cell[name], f"field '{name}'")
+                    for name in ("subcritical", "overcritical") if name in cell}))
+                wave = sup.get("wave")
+                supplies.append(SupplyFunction(
+                    _checked(sup["qcap"], (), "supply field 'qcap'"), values["a"],
+                    None if wave is None else _checked(wave, (), "supply field 'wave'")))
+        return DiagramSet(tuple(demands), tuple(supplies), box[:, 0], box[:, 1])
 
 
 def save_diagrams(ds: DiagramSet, path) -> None:

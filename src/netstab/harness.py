@@ -70,7 +70,6 @@ class ScenarioConfig:
     horizon: int
     disturbance: DisturbanceSpec
     control: ControlSpec
-    step_seconds: float = 15.0
     reference: np.ndarray | None = None  # deviation baseline; defaults below
 
     def __post_init__(self):
@@ -99,7 +98,6 @@ class TrajectoryRecord:
     deviation: np.ndarray
     lyapunov: np.ndarray
     xref: np.ndarray
-    step_seconds: float = 15.0
 
     @property
     def horizon(self) -> int:
@@ -149,7 +147,7 @@ def run_scenario(spec: NetworkSpec, ds: DiagramSet,
     lyap = lyapunov_eval(states, xref)
     return TrajectoryRecord(states=states, inflows=inflows, flows=tuple(flows),
                             disturbances=D, deviation=deviation, lyapunov=lyap,
-                            xref=xref, step_seconds=cfg.step_seconds)
+                            xref=xref)
 
 
 @dataclass(frozen=True)
@@ -242,8 +240,9 @@ def mass_balance_residuals(record: TrajectoryRecord) -> np.ndarray:
 def export_csv(record: TrajectoryRecord, path) -> None:
     """Write the trajectory as deterministic CSV (15 significant digits).
 
-    Columns: t, x_1..x_n, v_1..v_n, deviation, V_1..V_2n.  The byte content
-    depends only on the record (fixed formatting, "\\n" line ends).
+    Columns: t (the step index), x_1..x_n, v_1..v_n, deviation, V_1..V_2n.
+    The byte content depends only on the record (fixed formatting, "\\n"
+    line ends).
     """
     n = record.states.shape[1]
     header = (["t"] + [f"x_{i + 1}" for i in range(n)]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -80,7 +82,6 @@ class NetworkSpec:
     # Adjacency caches; predecessors are stored highest-index-first, which is
     # the junction priority order used by the dynamics.  claims holds each
     # junction j, ascending, as (j, ((i, P[i, j]), ...)) in that order.
-    successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     predecessors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     claims: tuple = field(init=False, repr=False, compare=False)
 
@@ -98,15 +99,11 @@ class NetworkSpec:
         if P.shape != (n, n):
             raise DimensionError(f"P must have shape ({n}, {n}), got {P.shape}")
         object.__setattr__(self, "P", P)
-        succs = []
         preds = [[] for _ in range(n)]
         for i in range(n):
-            row = tuple(int(j) for j in np.nonzero(P[i] > EDGE_TOL)[0])
-            succs.append(row)
-            for j in row:
+            for j in np.nonzero(P[i] > EDGE_TOL)[0]:
                 preds[j].append(i)
         preds = tuple(tuple(reversed(p)) for p in preds)
-        object.__setattr__(self, "successors", tuple(succs))
         object.__setattr__(self, "predecessors", preds)
         object.__setattr__(self, "claims", tuple(
             (j, tuple((i, float(P[i, j])) for i in p)) for j, p in enumerate(preds) if p))
@@ -152,7 +149,7 @@ def validate_spec(spec: NetworkSpec) -> list[Violation]:
                     f"cell {i + 1}: self-loop turning rate {spec.P[i, i]:.6g} must be 0",
                 )
             )
-    bad = np.argwhere((spec.P < -CHECK_TOL) | (spec.P > 1 + CHECK_TOL))
+    bad = np.argwhere(~((spec.P >= -CHECK_TOL) & (spec.P <= 1 + CHECK_TOL)))
     for i, j in bad:
         p = float(spec.P[i, j])
         out.append(
@@ -162,7 +159,7 @@ def validate_spec(spec: NetworkSpec) -> list[Violation]:
             )
         )
     row = spec.P.sum(axis=1) + spec.Qexit
-    for i in np.nonzero(np.abs(row - 1.0) > CHECK_TOL)[0]:
+    for i in np.nonzero(~(np.abs(row - 1.0) <= CHECK_TOL))[0]:
         out.append(
             Violation(
                 "row_sum", int(i), float(abs(row[i] - 1.0)),
@@ -170,7 +167,7 @@ def validate_spec(spec: NetworkSpec) -> list[Violation]:
                 f"{row[i]:.12g}, expected 1",
             )
         )
-    for i in np.nonzero((spec.Qexit < -CHECK_TOL) | (spec.Qexit > 1 + CHECK_TOL))[0]:
+    for i in np.nonzero(~((spec.Qexit >= -CHECK_TOL) & (spec.Qexit <= 1 + CHECK_TOL)))[0]:
         q = float(spec.Qexit[i])
         out.append(
             Violation(
@@ -298,28 +295,69 @@ def find_cycle(P: np.ndarray) -> tuple[int, ...]:
     return ()
 
 
-def _check_fields(doc, required, allowed, where, what: str = "field") -> None:
+# Every input file reader checks its fields with `_check_fields` and its values
+# with `_checked`, in `_located` blocks that prefix errors with file and cell.
+
+_NUMBER_TYPES = {int, float, np.float64}  # np.float64: lists made from arrays
+_INTEGERS = {0: "a non-negative integer", 1: "a positive integer"}
+
+
+@contextmanager
+def _located(where):
+    """Prefix `where` to any ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _check_fields(doc, required, allowed, what: str = "field") -> None:
     """ValueError unless `doc` is a JSON object holding every required field
-    and no field outside `allowed`; `where` prefixes the message."""
+    and no field outside `allowed`."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a JSON object of {what}s")
+        raise ValueError(f"expected a JSON object of {what}s")
     unknown = set(doc) - allowed
     if unknown:
-        raise ValueError(f"{where}: unknown {what}(s) {sorted(unknown)}")
+        raise ValueError(f"unknown {what}(s) {sorted(unknown)}")
     missing = required - set(doc)
     if missing:
-        raise ValueError(f"{where}: missing {what}(s) {sorted(missing)}")
+        raise ValueError(f"missing {what}(s) {sorted(missing)}")
+
+
+def _checked(value, shape, what: str, least=None):
+    """`value`, parsed from JSON, checked to hold finite numbers (not bools) of
+    `shape`, where None is any length: a scalar comes back as it is, or as an
+    int of at least `least` (0 or 1) when given; a list as a float array.
+    Anything else raises a ValueError naming `what` and any 1-based entry."""
+    if not shape:  # NaN fails the abs() test
+        number = type(value) in _NUMBER_TYPES and abs(value) <= sys.float_info.max
+        if number and (least is None or (value == int(value) and value >= least)):
+            return value if least is None else int(value)
+        raise ValueError(f"{what} must be {_INTEGERS.get(least, 'a finite number')}, "
+                         f"got {value!r}")
+    arr = np.array(value, dtype=object)
+    if arr.ndim != len(shape) or any(k not in (None, s) for k, s in zip(shape, arr.shape)):
+        sizes = ("" if k is None else f"{k} " for k in shape)
+        raise ValueError(f"{what} must be a list of {'lists of '.join(sizes)}numbers")
+    flat, out = arr.ravel(), None
+    with suppress(OverflowError):  # an int beyond the float range is named below
+        if set(map(type, flat)) <= _NUMBER_TYPES:
+            out = flat.astype(float)
+    if out is None or not np.isfinite(out).all():  # find the first bad entry
+        for k, leaf in enumerate(flat):
+            index = ", ".join(str(i + 1) for i in np.unravel_index(k, arr.shape))
+            _checked(leaf, (), f"{what} entry {index}")
+    return out.reshape(arr.shape)
 
 
 def load_network(path) -> NetworkSpec:
-    """Read a NetworkSpec from a JSON file; unknown or missing fields are rejected."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a NetworkSpec from a JSON file, every field checked."""
+    with open(path, encoding="utf-8") as fh, _located(path):
         doc = json.load(fh)
-    _check_fields(doc, set(_NETWORK_FIELDS), set(_NETWORK_FIELDS), path)
-    return NetworkSpec(
-        n=doc["n"], a=doc["a"], P=doc["P"], Qexit=doc["Qexit"],
-        mu=doc["mu"], vmax=doc["vmax"],
-    )
+        _check_fields(doc, set(_NETWORK_FIELDS), set(_NETWORK_FIELDS))
+        n = _checked(doc["n"], (), "field 'n'", least=1)
+        return NetworkSpec(n, *(_checked(doc[name], (n, n) if name == "P" else (n,),
+                                         f"field '{name}'") for name in _NETWORK_FIELDS[1:]))
 
 
 def save_network(spec: NetworkSpec, path) -> None:

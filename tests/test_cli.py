@@ -1,10 +1,15 @@
+import copy
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netstab import cli, presets
 from netstab.cli import main
@@ -210,6 +215,19 @@ def _set(*keys, value):
     return edit
 
 
+# a valid piecewise curve for cell 1 of the benchmark (a = 170, delta = 55.00002)
+_PIECEWISE = {"family": "piecewise", "subcritical": [[0, 55.00002, [0, 0.5]]],
+              "overcritical": [[55.00002, 170, [40, -0.1]]]}
+
+
+def _piecewise(**tables):
+    """Make cell 1 piecewise, with `tables` in place of its valid tables."""
+    def edit(doc):
+        doc["cells"][0].update(_PIECEWISE, **tables)
+        return doc
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop("d_box"), "missing field(s) ['d_box']"),
     (lambda doc: {"cells": []}, "missing field(s) ['d_box']"),
@@ -230,6 +248,23 @@ def _set(*keys, value):
      "cell 8: supply field 'wave' must be a finite number, got inf"),
     (_set("d_box", 3, 0, value=float("nan")), "d_box: d4 lo must be a finite number, got nan"),
     (_set("d_box", 3, value=[0.1]), "d_box must be 4 [lo, hi] pairs"),
+    (_set("cells", 0, "family", value=5), "cell 1: unknown demand family 5"),
+    (_set("cells", 2, "family", value=None), "cell 3: unknown demand family None"),
+    (_piecewise(subcritical=[[1, 2]]),
+     "cell 1: field 'subcritical' must be a list of [lo, hi, [c0, c1, ...]] segments"),
+    (_piecewise(overcritical={"lo": 0}),
+     "cell 1: field 'overcritical' must be a list of [lo, hi, [c0, c1, ...]] segments"),
+    (_piecewise(subcritical=[[0, "a", [1, 2, 3]]]),
+     "cell 1: field 'subcritical' segment 1: hi must be a finite number, got 'a'"),
+    (_piecewise(overcritical=[[55.00002, 170, [40, None]]]),
+     "cell 1: field 'overcritical' segment 1: coefficients entry 2 must be a finite "
+     "number, got None"),
+    (_piecewise(subcritical=[[0, 55.00002, 0.5]]),
+     "cell 1: field 'subcritical' segment 1: coefficients must be a list of numbers"),
+    (_piecewise(subcritical=[[55, 0, [1]]]),
+     "cell 1: field 'subcritical' segment 1: piece interval [55, 0] is empty"),
+    (_piecewise(subcritical=[[0, 55.00002, []]]),
+     "cell 1: field 'subcritical' segment 1: piece needs at least one coefficient"),
 ])
 def test_bad_diagram_files_exit_2(capsys, tmp_path, edit, message):
     path = tmp_path / "dia.json"
@@ -237,6 +272,158 @@ def test_bad_diagram_files_exit_2(capsys, tmp_path, edit, message):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     err = _input_error(capsys, "analyze", "--diagrams", str(path))
     assert f"{path}: {message}" in err
+
+
+def _bad_file(capsys, path, doc, *argv):
+    """Write `doc` to `path` and run `netstab <argv> path`: exit 2, one line."""
+    path.write_text(json.dumps(doc))
+    return _input_error(capsys, *argv, str(path))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("n", value=8.5), "field 'n' must be a positive integer, got 8.5"),
+    (_set("n", value=0), "field 'n' must be a positive integer, got 0"),
+    (_set("n", value="8"), "field 'n' must be a positive integer, got '8'"),
+    (_set("a", 0, value="abc"), "field 'a' entry 1 must be a finite number, got 'abc'"),
+    (_set("P", 1, 2, value=float("nan")),
+     "field 'P' entry 2, 3 must be a finite number, got nan"),
+    (_set("P", 3, value=[0.0] * 7), "field 'P' must be a list of 8 lists of 8 numbers"),
+    (_set("Qexit", 7, value=None), "field 'Qexit' entry 8 must be a finite number, got None"),
+    (_set("mu", value=[50.0] * 7), "field 'mu' must be a list of 8 numbers"),
+    (_set("vmax", value={}), "field 'vmax' must be a list of 8 numbers"),
+    (_set("vmax", 2, value=True), "field 'vmax' entry 3 must be a finite number, got True"),
+])
+def test_bad_network_files_exit_2(capsys, tmp_path, edit, message):
+    path = tmp_path / "net.json"
+    save_network(presets.reference_network(), path)
+    err = _bad_file(capsys, path, edit(json.loads(path.read_text())),
+                    "validate", "--network")
+    assert err == f"error: {path}: {message}\n"
+
+
+_XREF = [55.0, 55.0, 55.0, 55.0, 27.5, 27.5, 55.0, 55.0]
+
+
+def _controller_doc() -> dict:
+    """The benchmark's hand-tuned controller as a JSON document."""
+    cfg = presets.experiment_controller(np.array(_XREF))
+    return {"xstar": cfg.xstar.tolist(), "vstar": cfg.vstar.tolist(),
+            "b": cfg.b.tolist(), "K": cfg.K.tolist(), "tau": cfg.tau}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("b", 1, value=float("nan")), "field 'b' entry 2 must be a finite number, got nan"),
+    (_set("vstar", 0, value=float("inf")),
+     "field 'vstar' entry 1 must be a finite number, got inf"),
+    (_set("xstar", value=[55.0] * 7), "field 'xstar' must be a list of 8 numbers"),
+    (_set("K", value=[0.016] * 63), "field 'K' must be a list of 64 numbers"),
+    (_set("K", 2, 3, value=[1]), "field 'K' entry 3, 4 must be a finite number, got [1]"),
+    (_set("tau", value="0.5"), "field 'tau' must be a finite number, got '0.5'"),
+    (_drop("tau"), "missing field(s) ['tau']"),
+    (_set("gain", value=1), "unknown field(s) ['gain']"),
+])
+def test_bad_controller_files_exit_2(capsys, tmp_path, edit, message):
+    err = _bad_file(capsys, tmp_path / "ctrl.json", edit(_controller_doc()),
+                    "analyze", "--controller")
+    assert err == f"error: {tmp_path / 'ctrl.json'}: {message}\n"
+
+
+def _scenario_doc() -> dict:
+    return {"x0": [170.0] * 8, "horizon": 30,
+            "disturbance": {"kind": "uniform", "seed": 3},
+            "control": {"kind": "open-loop", "v": [25, 0, 0, 0, 12.5, 0, 0, 0]},
+            "reference": list(_XREF)}
+
+
+def _inline(edit):
+    """A closed-loop scenario whose inline controller is `edit`ed."""
+    def make(doc):
+        doc["control"] = {"kind": "closed-loop", "controller": edit(_controller_doc())}
+        return doc
+    return make
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("horizon", value=2.5), "field 'horizon' must be a positive integer, got 2.5"),
+    (_set("horizon", value=0), "field 'horizon' must be a positive integer, got 0"),
+    (_set("disturbance", "seed", value=1.5),
+     "disturbance field 'seed' must be a non-negative integer, got 1.5"),
+    (_set("disturbance", "seed", value=-1),
+     "disturbance field 'seed' must be a non-negative integer, got -1"),
+    (_drop("disturbance", "kind"), "missing disturbance field(s) ['kind']"),
+    (_set("disturbance", value={"kind": "constant", "d": [1, 0, 1]}),
+     "disturbance field 'd' must be a list of 4 numbers"),
+    (_set("x0", value=[170.0] * 7), "field 'x0' must be a list of 8 numbers"),
+    (_set("reference", value=[55.0] * 9), "field 'reference' must be a list of 8 numbers"),
+    (_set("control", "v", 4, value="12.5"),
+     "control field 'v' entry 5 must be a finite number, got '12.5'"),
+    (_drop("control"), "missing scenario field(s) ['control']"),
+    (_set("step_seconds", value=15.0), "unknown scenario field(s) ['step_seconds']"),
+    (_inline(_set("b", 0, value=float("nan"))),
+     "control field 'controller': field 'b' entry 1 must be a finite number, got nan"),
+    (_inline(_set("xstar", value=[55.0] * 7)),
+     "control field 'controller': field 'xstar' must be a list of 8 numbers"),
+])
+def test_bad_scenario_files_exit_2(capsys, tmp_path, edit, message):
+    path = tmp_path / "scenario.json"
+    err = _bad_file(capsys, path, edit(_scenario_doc()),
+                    "simulate", "--out", str(tmp_path), "--scenario")
+    assert err == f"error: {path}: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _leaves(doc, at=()):
+    """The key paths of every scalar in a parsed JSON document."""
+    if not isinstance(doc, (dict, list)):
+        return [at]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return [leaf for key, value in items for leaf in _leaves(value, at + (key,))]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """Each kind of input file as a valid document, with the argv that reads it."""
+    tmp = tmp_path_factory.mktemp("valid")
+    save_network(presets.reference_network(), tmp / "net.json")
+    save_diagrams(presets.reference_diagrams(), tmp / "dia.json")
+    diagrams = json.loads((tmp / "dia.json").read_text())
+    diagrams["cells"][0].update(_PIECEWISE)
+    diagrams["cells"][1]["supply"]["wave"] = 0.25
+    scenario = _inline(lambda doc: doc)(_scenario_doc())
+    return {
+        "network": (json.loads((tmp / "net.json").read_text()), ["validate", "--network"]),
+        "diagrams": (diagrams, ["validate", "--diagrams"]),
+        "controller": (_controller_doc(), ["analyze", "--controller"]),
+        "scenario": (scenario, ["simulate", "--out", str(tmp), "--scenario"]),
+    }
+
+
+_WRONG = ["abc", True, False, None, float("nan"), float("inf"), -float("inf"),
+          [1.0], {"x": 1.0}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_wrongly_typed_value_exits_2_naming_the_file(valid_inputs, tmp_path_factory, data):
+    """Any one scalar of a valid input file replaced by a wrongly typed JSON
+    value (or by a fraction, in an integer field) exits 2 with one message
+    that starts with the file's path."""
+    kind = data.draw(st.sampled_from(sorted(valid_inputs)))
+    doc, argv = valid_inputs[kind]
+    at = data.draw(st.sampled_from(_leaves(doc)))
+    wrong = _WRONG + [2.5] if at[-1] in ("n", "horizon", "seed") else _WRONG
+    value = data.draw(st.sampled_from([v for v in wrong
+                                       if not (at[-1] == "wave" and v is None)]))
+    doc = copy.deepcopy(doc)
+    _set(*at, value=value)(doc)
+    path = tmp_path_factory.getbasetemp() / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, str(path)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith(f"error: {path}: ")
+    assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
 
 
 def test_null_wave_is_accepted(capsys, tmp_path):

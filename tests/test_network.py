@@ -32,7 +32,6 @@ def test_reference_order_and_ranks(ref_spec):
 
 def test_predecessors_sorted_descending(ref_spec):
     assert ref_spec.predecessors[6] == (5, 3)
-    assert ref_spec.successors[3] == (6,)
     assert ref_spec.predecessors[0] == ()
 
 
@@ -95,6 +94,14 @@ def test_validate_flags_each_constraint(ref_spec):
     vmax[1] = 0.0
     report = validate_spec(_mutate(ref_spec, vmax=vmax))
     assert any(v.constraint == "vmax_positive" and v.index == 1 for v in report)
+
+    # NaN fails every test it reaches, as it does the positivity tests
+    P, Qexit = np.array(ref_spec.P), np.array(ref_spec.Qexit)
+    P[0, 1], Qexit[7] = np.nan, np.nan
+    report = validate_spec(_mutate(ref_spec, P=P, Qexit=Qexit))
+    found = {(v.constraint, v.index) for v in report}
+    assert {("rate_range", (0, 1)), ("row_sum", 0), ("row_sum", 7),
+            ("exit_range", 7)} <= found
 
 
 def test_cycle_detection_on_cyclic_inputs():
