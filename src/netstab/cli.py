@@ -18,6 +18,7 @@ import numpy as np
 
 from .control import controller_from_dict, load_controller, save_controller
 from .diagrams import audit_demand_curve, audit_supply_margin, load_diagrams
+from .dynamics import _check_domain
 from .equilibrium import solve_uep
 from .errors import DimensionError, DomainError, MisuseError
 from .harness import (ControlSpec, DisturbanceSpec, ScenarioConfig,
@@ -28,6 +29,8 @@ from .network import (_check_fields, _checked, _located, find_cycle,
 from .presets import (reference_diagrams, reference_network, reference_vstar,
                       three_cell_cycle)
 from .stability import certify, contraction_check
+
+EQUILIBRIUM_TOL = 1e-6  # a controller's x*, v* against the solved equilibrium
 
 
 class _InputError(Exception):
@@ -70,6 +73,18 @@ def _load_ctrl(args, n: int):
         return load_controller(args.controller, n)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
+
+
+def _check_equilibrium(path, ctrl, eq) -> None:
+    """_InputError naming the worst cell unless the controller read from `path`
+    has the solved equilibrium's xstar and vstar, to within EQUILIBRIUM_TOL."""
+    for name in ("xstar", "vstar"):
+        got, want = getattr(ctrl, name), getattr(eq, name)
+        i = int(np.argmax(np.abs(got - want)))
+        if not abs(got[i] - want[i]) <= EQUILIBRIUM_TOL:
+            raise _InputError(
+                f"{path}: cell {i + 1}: field '{name}' is {got[i]:.10g} but the solved "
+                f"equilibrium has {want[i]:.10g}: built for another equilibrium")
 
 
 def _parse_vstar(args, spec):
@@ -142,6 +157,8 @@ def cmd_analyze(args) -> int:
     vstar = _parse_vstar(args, spec)
     eq = solve_uep(spec, ds, vstar)
     controller = _load_ctrl(args, spec.n)
+    if controller is not None:
+        _check_equilibrium(args.controller, controller, eq)
     cert = certify(spec, ds, eq, controller=controller, seed=args.seed)
 
     # cells sharing a curve share its audit (DemandFunction is frozen, hence hashable)
@@ -197,11 +214,13 @@ def cmd_analyze(args) -> int:
     return 0 if doc["ok"] else 1
 
 
-def _scenario_from_file(args, ds) -> ScenarioConfig:
+def _scenario_from_file(args, spec, ds) -> ScenarioConfig:
     """The --scenario file, checked against the network before any step runs."""
     try:
         with open(args.scenario, encoding="utf-8") as fh, _located(args.scenario):
-            return _scenario_from_doc(json.load(fh), args, ds)
+            cfg = _scenario_from_doc(json.load(fh), args, ds)
+            _check_domain(spec, ds, cfg.x0, cfg.control.v, cfg.disturbance.d)
+            return cfg
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
 
@@ -233,7 +252,7 @@ def _scenario_from_doc(doc, args, ds) -> ScenarioConfig:
 
 def cmd_simulate(args) -> int:
     spec, ds = _load_pair(args)
-    cfg = _scenario_from_file(args, ds)
+    cfg = _scenario_from_file(args, spec, ds)
     record = run_scenario(spec, ds, cfg)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -352,10 +371,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, DimensionError, MisuseError) as exc:
+    except (_InputError, DomainError, DimensionError, MisuseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:

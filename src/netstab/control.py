@@ -19,6 +19,7 @@ from .errors import DimensionError
 from .network import _check_fields, _checked, _located
 
 _CONTROLLER_FIELDS = ("xstar", "vstar", "b", "K", "tau")
+TAU = 0.5  # saturation level tau of synthesized controllers
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def uniform_gain(beta: np.ndarray, xstar: np.ndarray) -> float:
     return float(1.0 / gap.min())
 
 
-def synthesize(spec, eq, r, C: float, beta, tau: float = 0.5) -> ControllerConfig:
+def synthesize(spec, eq, r, C: float, beta) -> ControllerConfig:
     """Derive (b, K) from the weights r, drain constant C and box ceiling beta.
 
     b = lambda * v* with lambda = min(1/2, C min_i(r_i x_i*) / (r'v*)), so
@@ -92,11 +93,11 @@ def synthesize(spec, eq, r, C: float, beta, tau: float = 0.5) -> ControllerConfi
     rv = float(r @ vstar)
     if rv == 0.0:
         K = np.zeros((spec.n, spec.n))
-        return ControllerConfig(xstar, vstar, np.zeros(spec.n), K, tau)
+        return ControllerConfig(xstar, vstar, np.zeros(spec.n), K, TAU)
     lam = min(0.5, C * float((r * xstar).min()) / rv)
     b = lam * vstar
     K = np.full((spec.n, spec.n), uniform_gain(beta, xstar))
-    cfg = ControllerConfig(xstar, vstar, b, K, tau)
+    cfg = ControllerConfig(xstar, vstar, b, K, TAU)
     # the floor condition holds by construction; fail loudly if rounding broke it
     bound = C * float((r * xstar).min())
     if float(r @ b) > bound * (1 + 1e-12):

@@ -31,6 +31,10 @@ _D_DIM = 4
 
 DEMAND_FLOOR = 1e-12   # a density (or demand) below this is an empty cell
 D_TOL = 1e-12          # admission tolerance for d against the uncertainty box
+AUDIT_GRID = 512       # densities per branch in a demand audit
+AUDIT_D_SAMPLES = 64   # low-discrepancy d samples per audit (a power of two)
+AUDIT_X_SAMPLES = 4096  # random (x, d) states in the supply-margin audit
+SUPPLY_TOL = 1e-4      # supply-margin slack below zero that still passes
 
 
 # --- curve coefficients ------------------------------------------------------
@@ -300,11 +304,13 @@ def eval_demand(fd: DemandFunction, d, x) -> float:
 def eval_supply(sf: SupplyFunction, d, x) -> float:
     """Supply (acceptable inflow) of one cell at density x."""
     d = np.asarray(d, dtype=float)
+    if d.shape != (_D_DIM,):
+        raise DimensionError(f"d must be a {_D_DIM}-vector")
     x = float(x)
     if not 0.0 <= x <= sf.a:
         raise DomainError(f"density {x:.6g} outside [0, {sf.a:.6g}]")
-    if sf.wave is None and d[3] <= 0:
-        raise DomainError("supply scale d4 must be positive")
+    if sf.wave is None and not 0.0 < d[3] < math.inf:
+        raise DomainError(f"supply scale d4 = {d[3]:.6g} must be positive and finite")
     return float(_supply_values(sf, d[3], x))
 
 
@@ -409,26 +415,22 @@ class DemandAudit:
         return self.monotone_ok and self.sector_ok and self.fmin_ok and self.strict_bound_ok
 
 
-def audit_demand_curve(fd: DemandFunction, n_grid: int = 512, n_d: int = 64,
-                       seed: int = 0) -> DemandAudit:
+def audit_demand_curve(fd: DemandFunction, seed: int = 0) -> DemandAudit:
     """Audit increase/sector/floor/strict-bound behavior of a demand curve.
 
-    Sampling-based: ``n_grid`` densities per branch crossed with ``n_d``
-    blend-weight samples (low-discrepancy over [0,1]^3, corners included).
+    Sampling-based: AUDIT_GRID densities per branch crossed with the corners
+    and AUDIT_D_SAMPLES low-discrepancy blend weights of [0,1]^3.
     Reports the tightest empirical constants next to the declared ones.
     """
-    if n_grid < 100:
-        raise ValueError("need at least 100 grid points per axis")
     if fd.family == "piecewise":
         dmat = np.zeros((1, 3))
     else:
         corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
         sob = qmc.Sobol(d=3, scramble=True, seed=seed)
-        extra = sob.random_base2(max(1, math.ceil(math.log2(max(n_d, 2)))))[:n_d]
-        dmat = np.vstack([corners, extra])
+        dmat = np.vstack([corners, sob.random(AUDIT_D_SAMPLES)])
     d1, d2, d3 = (dmat[:, k:k + 1] for k in range(3))
 
-    zs = np.linspace(0.0, fd.delta, n_grid)
+    zs = np.linspace(0.0, fd.delta, AUDIT_GRID)
     f_sub = _demand_values(fd, d1, d2, d3, zs[None, :])
     df = np.diff(f_sub, axis=1)
     slopes = df / np.diff(zs)
@@ -439,7 +441,7 @@ def audit_demand_curve(fd: DemandFunction, n_grid: int = 512, n_d: int = 64,
     G_hat = float(slopes.max())
     sector_ok = bool(L_hat >= fd.L - 1e-9 and G_hat <= fd.G + 1e-9)
 
-    zo = np.linspace(fd.delta, fd.a, n_grid)
+    zo = np.linspace(fd.delta, fd.a, AUDIT_GRID)
     f_over = _demand_values(fd, d1, d2, d3, zo[None, :])
     fmin_hat = float(f_over.min())
     fmin_ok = bool(fmin_hat >= fd.fmin - 1e-9)
@@ -463,25 +465,24 @@ class SupplyMarginAudit:
     passed: bool
 
 
-def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet, n_x: int = 4096,
-                        n_d: int = 64, seed: int = 0,
-                        tol: float = 1e-4) -> SupplyMarginAudit:
+def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet,
+                        seed: int = 0) -> SupplyMarginAudit:
     """Check v_max + routed demand <= supply for all sampled x <= mu, d in D.
 
     Both demand and supply are monotone in x, so the honest worst case sits
     at x = mu exactly; that slice is swept against all box corners and a
     low-discrepancy d-sample, then a random (x, d) cloud fills in the rest.
-    Slack slightly below zero (within ``tol``) still passes: instances built
+    Slack slightly below zero (within SUPPLY_TOL) still passes: instances built
     with deliberate epsilon padding of mu sit a hair past exact equality.
     """
     n = spec.n
     corners = d_corners(ds)
-    dmat = np.vstack([corners, sample_uncertainty(ds, n_d, seed=seed)])
+    dmat = np.vstack([corners, sample_uncertainty(ds, AUDIT_D_SAMPLES, seed=seed)])
     X_mu = np.tile(spec.mu, (len(dmat), 1))
 
     rng = _philox(seed)
-    D_rand = uniform_uncertainty(ds, n_x, rng)
-    X_rand = rng.uniform(size=(n_x, n)) * spec.mu
+    D_rand = uniform_uncertainty(ds, AUDIT_X_SAMPLES, rng)
+    X_rand = rng.uniform(size=(AUDIT_X_SAMPLES, n)) * spec.mu
 
     D_all = np.vstack([dmat, D_rand])
     X_all = np.vstack([X_mu, X_rand])
@@ -495,7 +496,7 @@ def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet, n_x: int = 4096,
         worst_cell=cell,
         worst_d=D_all[row].copy(),
         worst_x=X_all[row].copy(),
-        passed=bool(slack.flat[flat] >= -tol),
+        passed=bool(slack.flat[flat] >= -SUPPLY_TOL),
     )
 
 

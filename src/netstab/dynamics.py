@@ -82,6 +82,25 @@ def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
                          s=s, w=w, attempted_demand=f)
 
 
+def _check_domain(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> None:
+    """The domain checks of `step` on float arrays of the right shapes; None
+    skips one.  Each admission test is written so that NaN fails it."""
+    if x is not None and not ((x >= -STATE_TOL).all() and (x <= spec.a + STATE_TOL).all()):
+        i = int(np.argmax(np.maximum(-x, x - spec.a)))  # NaN and inf rank first
+        if not np.isfinite(x[i]):
+            raise DomainError(f"cell {i + 1}: non-finite density {x[i]}")
+        raise DomainError(f"cell {i + 1}: density {x[i]:.6g} outside [0, {spec.a[i]:.6g}]")
+    if v is not None and not ((v >= 0.0).all() and (v < np.inf).all()):
+        i = int(np.argmax(~((v >= 0.0) & (v < np.inf))))
+        what = "negative" if np.isfinite(v[i]) else "non-finite"
+        raise DomainError(f"cell {i + 1}: {what} external inflow {v[i]:.6g}")
+    if d is not None and not ((d >= ds._d_lo_tol).all() and (d <= ds._d_hi_tol).all()):
+        k = int(np.argmax(~((d >= ds._d_lo_tol) & (d <= ds._d_hi_tol))))
+        raise DomainError(
+            f"disturbance coordinate d{k + 1} = {d[k]:.6g} outside the uncertainty "
+            f"box [{ds.d_lo[k]:.6g}, {ds.d_hi[k]:.6g}]")
+
+
 def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBreakdown]:
     """Advance the state one step; returns (x_next, FlowBreakdown).
 
@@ -89,7 +108,6 @@ def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBr
     naming the cell (or the coordinate of d) when x is non-finite or leaves
     the state box, v is non-finite or negative, or d is non-finite or falls
     outside the uncertainty box; NumericalError when any flow is non-finite.
-    Each admission test is written so that NaN fails it.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -98,20 +116,7 @@ def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBr
         raise DimensionError(f"x and v must have shape ({spec.n},)")
     if d.shape != ds.d_lo.shape:
         raise DimensionError(f"d must have shape {ds.d_lo.shape}, got {d.shape}")
-    if not ((x >= -STATE_TOL).all() and (x <= spec.a + STATE_TOL).all()):
-        i = int(np.argmax(np.maximum(-x, x - spec.a)))  # NaN and inf rank first
-        if not np.isfinite(x[i]):
-            raise DomainError(f"cell {i + 1}: non-finite density {x[i]}")
-        raise DomainError(f"cell {i + 1}: density {x[i]:.6g} outside [0, {spec.a[i]:.6g}]")
-    if not ((v >= 0.0).all() and (v < np.inf).all()):
-        i = int(np.argmax(~((v >= 0.0) & (v < np.inf))))
-        what = "negative" if np.isfinite(v[i]) else "non-finite"
-        raise DomainError(f"cell {i + 1}: {what} external inflow {v[i]:.6g}")
-    if not ((d >= ds._d_lo_tol).all() and (d <= ds._d_hi_tol).all()):
-        k = int(np.argmax(~((d >= ds._d_lo_tol) & (d <= ds._d_hi_tol))))
-        raise DomainError(
-            f"disturbance coordinate d{k + 1} = {d[k]:.6g} outside the uncertainty "
-            f"box [{ds.d_lo[k]:.6g}, {ds.d_hi[k]:.6g}]")
+    _check_domain(spec, ds, x, v, d)
     x = x.clip(0.0, spec.a)
     fb = compute_flows(spec, ds, x, v, d)
     x_next = x - fb.outflow + fb.inflow

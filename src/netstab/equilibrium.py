@@ -21,6 +21,8 @@ from .network import NetworkSpec
 BISECTION_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
 D_SAMPLES = 64
+FIT_STAGES = 3         # zoom levels of the supply-scale fit
+FIT_WIDTH = 801        # grid points per zoom level of the supply-scale fit
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,7 @@ def _invert_subcritical(fd, dref: np.ndarray, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar,
-              n_d: int = D_SAMPLES, seed: int = 0) -> EquilibriumPair:
+def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
     """Solve for the uncongested equilibrium supporting the inflow vector v*.
 
     Raises InfeasibleInflow when some cell's required throughput exceeds its
@@ -90,7 +91,7 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar,
         xstar[i] = _invert_subcritical(fd, dref, float(F[i]))
 
     # the equilibrium must carry the same flows for every admissible d
-    dmat = sample_uncertainty(ds, n_d, seed=seed, include_corners=True)
+    dmat = sample_uncertainty(ds, D_SAMPLES, include_corners=True)
     Fmat = demand_batch(ds, dmat, np.tile(xstar, (len(dmat), 1)))
     dev = np.abs(Fmat - F[None, :]).max(axis=0)
     if np.any(dev > INVARIANCE_TOL):
@@ -121,26 +122,26 @@ def equilibrium_residual(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> np.ndarr
     return np.abs(x_next - x)
 
 
-def fit_supply_scale(spec: NetworkSpec, ds: DiagramSet, x, v, d_blend,
-                     stages: int = 3, width: int = 801) -> tuple[float, float]:
+def fit_supply_scale(spec: NetworkSpec, ds: DiagramSet, x, v,
+                     d_blend) -> tuple[float, float]:
     """Find the supply scale d4 making (x, v) closest to a fixed point.
 
     ``d_blend`` fixes (d1, d2, d3); d4 sweeps its box interval on a refining
-    grid (``stages`` zoom levels of ``width`` points).  Returns the best d4
+    grid (FIT_STAGES zoom levels of FIT_WIDTH points).  Returns the best d4
     and its max-residual — useful for locating congested operating points
     that are only quoted to plotting precision.
     """
     lo, hi = float(ds.d_lo[3]), float(ds.d_hi[3])
     d = np.array([d_blend[0], d_blend[1], d_blend[2], lo], dtype=float)
     best_d4, best_res = lo, np.inf
-    for _ in range(stages):
-        grid = np.linspace(lo, hi, width)
+    for _ in range(FIT_STAGES):
+        grid = np.linspace(lo, hi, FIT_WIDTH)
         for d4 in grid:
             d[3] = d4
             res = float(equilibrium_residual(spec, ds, x, v, d).max())
             if res < best_res:
                 best_res, best_d4 = res, float(d4)
-        span = (hi - lo) / (width - 1)
+        span = (hi - lo) / (FIT_WIDTH - 1)
         lo = max(float(ds.d_lo[3]), best_d4 - 2 * span)
         hi = min(float(ds.d_hi[3]), best_d4 + 2 * span)
     return best_d4, best_res

@@ -28,8 +28,10 @@ from .errors import (DimensionError, NumericalError, StructuralError,
 from .network import NetworkSpec
 
 SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
+CONTRACTION_TOL = 1e-9  # largest violation the contraction check lets pass
 JAM_PATTERN_LIMIT = 12  # enumerate binary jam patterns up to this cell count
 ROW_BLOCK = 1024        # rows per throttle-bound call in the gamma search
+SCAN_WIDTH = 33         # grid points per zoom level of a gamma-search scan
 
 
 def weights_r(spec: NetworkSpec) -> np.ndarray:
@@ -94,7 +96,7 @@ def weights_xi(spec: NetworkSpec, L: np.ndarray, G: np.ndarray) -> np.ndarray:
     return xi
 
 
-def spectral_radius(M: np.ndarray, squarings: int = SQUARINGS) -> float:
+def spectral_radius(M: np.ndarray) -> float:
     """Spectral radius via norm-normalized repeated squaring.
 
     Single-vector power iteration degrades to O(1/k) convergence on repeated
@@ -118,14 +120,14 @@ def spectral_radius(M: np.ndarray, squarings: int = SQUARINGS) -> float:
         return 0.0
     B /= scale
     log_acc = math.log(scale)
-    for _ in range(squarings):
+    for _ in range(SQUARINGS):
         B = B @ B
         s = float(np.linalg.norm(B))
         if s == 0.0:
             return 0.0  # nilpotent
         B /= s
         log_acc = 2.0 * log_acc + math.log(s)
-    return math.exp(log_acc / 2.0 ** squarings)
+    return math.exp(log_acc / 2.0 ** SQUARINGS)
 
 
 def build_gamma(spec: NetworkSpec, L, G, vstar, b, K, tau) -> tuple[np.ndarray, float]:
@@ -203,11 +205,6 @@ def invariant_region(xstar, xi, mu) -> tuple[float, np.ndarray]:
     return epsstar, beta
 
 
-def _check_match(spec: NetworkSpec, ds: DiagramSet) -> None:
-    if ds.n != spec.n or not np.array_equal(ds._a, spec.a):
-        raise ValueError("diagram jam capacities disagree with the network spec")
-
-
 class ThrottleBound:
     """Allocation-free lower bound on the outflow throttles, batched.
 
@@ -232,7 +229,8 @@ class ThrottleBound:
     """
 
     def __init__(self, spec: NetworkSpec, ds: DiagramSet):
-        _check_match(spec, ds)
+        if ds.n != spec.n or not np.array_equal(ds._a, spec.a):
+            raise ValueError("diagram jam capacities disagree with the network spec")
         self.ds = ds
         self.cols, self.levels = spec.claim_levels
 
@@ -355,10 +353,9 @@ def _zoom_grid(lo: np.ndarray, hi: np.ndarray, w: int):
     return ts, span
 
 
-def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
+def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
                     n_samples: int = 100_000, seed: int = 0,
-                    refine_top: int = 8, refine_sweeps: int = 3,
-                    scan_width: int = 33) -> DrainConstants:
+                    refine_top: int = 8, refine_sweeps: int = 3) -> DrainConstants:
     """Estimate the per-step drain constants (Qconst, theta, gamma, C).
 
     gamma is a sampled infimum: structured seeds (every binary jam pattern
@@ -371,19 +368,18 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
     memory of its temporaries; the weighted sums (S * X) @ r are then taken
     over the whole batch, because BLAS row results can change with the batch
     shape.  The finite best seeds are refined in lockstep: every zoom level
-    of a coordinate scan evaluates the bound once for all seeds' grids,
-    while each seed keeps its own zoom window, strict-improvement acceptance
-    and weighted sums.  The result is that of refining the seeds one after
+    of a coordinate scan allocates once for all seeds' grids, while each
+    seed keeps its own zoom window, strict-improvement acceptance and
+    weighted sums.  The result is that of refining the seeds one after
     another, bit for bit.
 
-    With the built-in bound (a `ThrottleBound`), the curves are evaluated
-    only where samples differ: the structured seeds gather their demands
-    and supplies from corner tables, and a scan evaluates them once on the
-    seeds' base points.  An x scan then re-evaluates only the scanned cell,
-    a v scan no curve at all, and a d scan every cell.  Any other `stilde`
-    callable is evaluated on whole rows.
+    The curves are evaluated only where samples differ: the structured seeds
+    gather their demands and supplies from corner tables, and a scan holds
+    the demands F and supplies G of its grid rows.  An x scan overwrites the
+    scanned cell's column, a d scan evaluates whole rows, and a v scan
+    evaluates no curve.
     """
-    _check_match(spec, ds)
+    bound = ThrottleBound(spec, ds)
     r = np.asarray(r, dtype=float)
     if r.shape != (spec.n,):
         raise DimensionError(f"r must have shape ({spec.n},)")
@@ -408,16 +404,6 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
     v_box = caps - eps_tilde
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
-    sbound = stilde if stilde is not None else ThrottleBound(spec, ds)
-    split = isinstance(sbound, ThrottleBound)
-
-    def throttles(X, V, D, out=None):
-        S = np.empty(X.shape) if out is None else out
-        for lo in range(0, len(X), ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            S[rows] = sbound(X[rows], V[rows], D[rows])
-        return S
-
     def ratios(S, X):
         """Throttled weighted-mass ratios; overwrites S with S * X."""
         den = X @ r
@@ -431,12 +417,10 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
 
     X_all, V_all, D_all, n_struct = _seed_cloud(spec, ds, v_box, n_samples, seed)
     S = np.empty(X_all.shape)
-    if split:
-        _struct_throttles(sbound, X_all[:n_struct], V_all[:n_struct], S[:n_struct])
-        throttles(X_all[n_struct:], V_all[n_struct:], D_all[n_struct:],
-                  out=S[n_struct:])
-    else:
-        throttles(X_all, V_all, D_all, out=S)
+    _struct_throttles(bound, X_all[:n_struct], V_all[:n_struct], S[:n_struct])
+    for lo in range(n_struct, len(X_all), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        S[rows] = bound(X_all[rows], V_all[rows], D_all[rows])
     vals = ratios(S, X_all)
     del S
     n_evaluated = int(np.isfinite(vals).sum())
@@ -445,36 +429,31 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
 
     # coordinate-descent refinement of the finite best seeds, in lockstep
     best_idx = np.argsort(vals)[:refine_top]
-    incumbent = (float(vals[best_idx[0]]), X_all[best_idx[0]].copy(),
-                 V_all[best_idx[0]].copy(), D_all[best_idx[0]].copy())
     seeds = [int(i) for i in best_idx if np.isfinite(vals[i])]
-    K, w = len(seeds), scan_width
+    K, w = len(seeds), SCAN_WIDTH
     pts = {"x": X_all[seeds], "v": V_all[seeds], "d": D_all[seeds]}
     best = [float(vals[i]) for i in seeds]
     del X_all, V_all, D_all
 
     def scan(kind, idx, lo_full, hi_full):
         lo, hi = np.full(K, lo_full), np.full(K, hi_full)
-        reuse = split and kind != "d"
-        if reuse:  # the base points' curves, repeated over each seed's grid
+        if kind != "d":  # the base points' curves, repeated over each seed's grid
             F = np.repeat(demand_batch(ds, pts["d"], pts["x"]), w, axis=0)
             G = np.repeat(supply_batch(ds, pts["d"], pts["x"]), w, axis=0)
-            fd, sf = ds.demands[idx], ds.supplies[idx]
-            dk = pts["d"][:, :, None]
         for _ in range(3):  # zoom levels
             ts, span = _zoom_grid(lo, hi, w)
             grid = {key: np.repeat(p[:, None, :], w, axis=1)
                     for key, p in pts.items()}
             grid[kind][:, :, idx] = ts
             rows = {key: grid[key].reshape(K * w, -1) for key in "xvd"}
-            if not reuse:
-                S = throttles(rows["x"], rows["v"], rows["d"])
-            else:
-                if kind == "x":
-                    F[:, idx] = _demand_values(fd, dk[:, 0], dk[:, 1], dk[:, 2],
-                                               ts).ravel()
-                    G[:, idx] = _supply_values(sf, dk[:, 3], ts).ravel()
-                S = sbound.allocate(F, G, rows["v"])
+            if kind == "x":
+                d1, d2, d3, d4 = pts["d"].T[:, :, None]
+                F[:, idx] = _demand_values(ds.demands[idx], d1, d2, d3, ts).ravel()
+                G[:, idx] = _supply_values(ds.supplies[idx], d4, ts).ravel()
+            elif kind == "d":
+                F = demand_batch(ds, rows["d"], rows["x"])
+                G = supply_batch(ds, rows["d"], rows["x"])
+            S = bound.allocate(F, G, rows["v"])
             for b in range(K):
                 cand = ratios(S[b * w:(b + 1) * w], grid["x"][b])
                 k = int(np.argmin(cand))
@@ -492,11 +471,8 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, stilde=None,
         for k in range(4):
             scan("d", k, float(ds.d_lo[k]), float(ds.d_hi[k]))
 
-    for b in range(K):
-        if best[b] < incumbent[0]:
-            incumbent = (best[b], pts["x"][b], pts["v"][b], pts["d"][b])
-
-    gamma, x_min, v_min, d_min = incumbent
+    b = int(np.argmin(best))  # the first seed that reached the smallest ratio
+    gamma, x_min, v_min, d_min = best[b], pts["x"][b], pts["v"][b], pts["d"][b]
     if not math.isfinite(gamma) or gamma <= 0:
         raise ThrottleBoundViolation(
             f"sampled throttle ratio hit {gamma:.3g}",
@@ -556,8 +532,7 @@ class ContractionReport:
 
 def contraction_check(spec: NetworkSpec, ds: DiagramSet,
                       controller: ControllerConfig, cert,
-                      n_samples: int = 10_000, seed: int = 0,
-                      tol: float = 1e-9) -> ContractionReport:
+                      n_samples: int = 10_000, seed: int = 0) -> ContractionReport:
     """Sample closed-loop steps inside [0, beta] against the comparison bound.
 
     Draws states uniformly from the certified box and disturbances from the
@@ -577,7 +552,7 @@ def contraction_check(spec: NetworkSpec, ds: DiagramSet,
     # one matrix-vector product per sample: a batched product may round differently
     gap = V_next - np.array([Gamma @ vk for vk in V]).reshape(V.shape)
     worst = float(gap.max(initial=-math.inf))
-    return ContractionReport(max_violation=worst, n_samples=n_samples, tol=tol)
+    return ContractionReport(max_violation=worst, n_samples=n_samples, tol=CONTRACTION_TOL)
 
 
 @dataclass(frozen=True)
@@ -607,8 +582,7 @@ class StabilityCertificate:
 
 
 def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
-            tau: float = 0.5, n_gamma_samples: int = 100_000,
-            seed: int = 0) -> StabilityCertificate:
+            n_gamma_samples: int = 100_000, seed: int = 0) -> StabilityCertificate:
     """Run the full pipeline around an equilibrium, synthesizing if needed.
 
     Stage one computes weights, the invariant box, and the drain constants
@@ -624,7 +598,7 @@ def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
     drain = drain_constants(spec, ds, r, n_samples=n_gamma_samples, seed=seed)
 
     if controller is None:
-        controller = control.synthesize(spec, eq, r, drain.C, beta, tau=tau)
+        controller = control.synthesize(spec, eq, r, drain.C, beta)
     Gamma, rho = build_gamma(spec, L, G, controller.vstar, controller.b,
                              controller.K, controller.tau)
     with np.errstate(invalid="ignore"):

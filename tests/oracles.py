@@ -225,12 +225,12 @@ def seed_cloud_reference(spec, ds, v_box, n_samples, seed):
 
 
 def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
-                           refine_top=8, refine_sweeps=3, scan_width=33):
+                           refine_top=8, refine_sweeps=3):
     """(gamma, argmin, n_evaluated) of the sampled drain-constant search.
 
     Same seeds, weights and refinement rule as `drain_constants`, with the
     bound evaluated on the whole seed cloud at once and each seed refined
-    by its own coordinate scans.
+    by its own coordinate scans of 33 grid points per zoom level.
     """
     n = spec.n
     caps = np.minimum(spec.vmax, [
@@ -265,15 +265,15 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
             nonlocal val
             lo, hi = lo_full, hi_full
             for _ in range(3):
-                ts = np.linspace(lo, hi, scan_width)
-                grid = {key: np.tile(p, (scan_width, 1)) for key, p in pt.items()}
+                ts = np.linspace(lo, hi, 33)
+                grid = {key: np.tile(p, (33, 1)) for key, p in pt.items()}
                 grid[kind][:, idx] = ts
                 cand = ratios(grid["x"], grid["v"], grid["d"])
                 k = int(np.argmin(cand))
                 if cand[k] < val:
                     val = float(cand[k])
                     pt[kind][idx] = ts[k]
-                span = (hi - lo) / (scan_width - 1)
+                span = (hi - lo) / 32
                 lo = max(lo_full, ts[k] - span)
                 hi = min(hi_full, ts[k] + span)
 

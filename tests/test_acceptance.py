@@ -171,7 +171,8 @@ def test_c06_trapping_bound(ref_spec, ref_ds, ref_cert, mass_audit):
 
 def test_c07_contraction(ref_spec, ref_ds, ref_cert):
     report = contraction_check(ref_spec, ref_ds, ref_cert.controller, ref_cert,
-                               n_samples=10_000, seed=7, tol=1e-9)
+                               n_samples=10_000, seed=7)
+    assert report.tol == 1e-9
     ok = report.passed
     line = _line(ok, f"c07 contraction: max componentwise violation "
                      f"{report.max_violation:.2e} over 10^4 samples (tol 1e-9)")

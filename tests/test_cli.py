@@ -321,11 +321,27 @@ def _controller_doc() -> dict:
     (_set("tau", value="0.5"), "field 'tau' must be a finite number, got '0.5'"),
     (_drop("tau"), "missing field(s) ['tau']"),
     (_set("gain", value=1), "unknown field(s) ['gain']"),
+    (_set("xstar", value=[10.0] * 8), "cell 1: field 'xstar' is 10 but the solved "
+     "equilibrium has 55: built for another equilibrium"),
+    (_set("vstar", 4, value=12.5 + 2e-6), "cell 5: field 'vstar' is 12.500002 but the "
+     "solved equilibrium has 12.5: built for another equilibrium"),
 ])
 def test_bad_controller_files_exit_2(capsys, tmp_path, edit, message):
     err = _bad_file(capsys, tmp_path / "ctrl.json", edit(_controller_doc()),
                     "analyze", "--controller")
     assert err == f"error: {tmp_path / 'ctrl.json'}: {message}\n"
+
+
+def test_analyze_takes_the_benchmark_controller(capsys, tmp_path):
+    """Its x* (55 and 27.5) is the solved one to within 1e-6, not exactly."""
+    path = tmp_path / "ctrl.json"
+    path.write_text(json.dumps(_controller_doc()))
+    code = main(["analyze", "--controller", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert 0 < np.abs(np.array(_XREF) - doc["equilibrium"]["xstar"]).max() < 1e-6
+    assert not doc["controller"]["synthesized"]
+    assert code == 1
+    assert [name for name, ok in doc["checks"].items() if not ok] == ["floor_budget_ok"]
 
 
 def _scenario_doc() -> dict:
@@ -363,6 +379,11 @@ def _inline(edit):
      "control field 'controller': field 'b' entry 1 must be a finite number, got nan"),
     (_inline(_set("xstar", value=[55.0] * 7)),
      "control field 'controller': field 'xstar' must be a list of 8 numbers"),
+    (_set("x0", 0, value=-1), "cell 1: density -1 outside [0, 170]"),
+    (_set("x0", 7, value=170.5), "cell 8: density 170.5 outside [0, 170]"),
+    (_set("control", "v", 1, value=-0.5), "cell 2: negative external inflow -0.5"),
+    (_set("disturbance", value={"kind": "constant", "d": [1, 0, 1, 0.5]}),
+     "disturbance coordinate d4 = 0.5 outside the uncertainty box [0.22, 0.3]"),
 ])
 def test_bad_scenario_files_exit_2(capsys, tmp_path, edit, message):
     path = tmp_path / "scenario.json"

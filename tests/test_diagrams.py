@@ -102,8 +102,14 @@ def test_eval_demand_domain_checks(ref_ds):
         eval_demand(main, np.array([0.5, 0.5, 0.5, 0.25]), 171.0)
     with pytest.raises(DimensionError):
         eval_demand(main, np.array([0.5, 0.5]), 10.0)
+    sf = ref_ds.supplies[0]
     with pytest.raises(DomainError):
-        eval_supply(ref_ds.supplies[0], np.array([0.5, 0.5, 0.5, 0.25]), -1.0)
+        eval_supply(sf, np.array([0.5, 0.5, 0.5, 0.25]), -1.0)
+    with pytest.raises(DimensionError):
+        eval_supply(sf, np.array([0.5]), 10.0)
+    for d4 in (np.nan, np.inf, 0.0, -0.25):
+        with pytest.raises(DomainError, match="d4"):
+            eval_supply(sf, np.array([0.5, 0.5, 0.5, d4]), 10.0)
 
 
 def test_batch_evaluators_match_scalar_loop(ref_spec, ref_ds):

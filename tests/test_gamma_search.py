@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netstab import presets
+from netstab import presets, stability
 from netstab.diagrams import (DiagramSet, SupplyFunction, d_corners,
                               demand_batch, supply_batch, uniform_uncertainty)
 from netstab.network import NetworkSpec
@@ -186,10 +186,17 @@ def _degenerate_box():
     return presets.reference_network(), DiagramSet(ds.demands, ds.supplies, lo, hi)
 
 
-def _assert_same_search(spec, ds, **kw):
+def _assert_same_search(spec, ds, bound=None, **kw):
+    """`drain_constants` against the reference; `bound`, a ThrottleBound
+    subclass, stands in for the built-in bound in both."""
     r = weights_r(spec)
-    got = drain_constants(spec, ds, r, **kw)
-    gamma, argmin, n_evaluated = oracles.gamma_search_reference(spec, ds, r, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        if bound is not None:
+            mp.setattr(stability, "ThrottleBound", bound)
+        got = drain_constants(spec, ds, r, **kw)
+    stilde = None if bound is None else bound(spec, ds)
+    gamma, argmin, n_evaluated = oracles.gamma_search_reference(spec, ds, r, stilde,
+                                                                **kw)
     assert got.gamma == gamma
     assert got.argmin["ratio"] == argmin["ratio"]
     for key in "xvd":
@@ -218,51 +225,79 @@ def test_drain_constants_match_per_seed_refinement(net):
     assert () in spec.predecessors
 
 
+class _LowCornerBound(ThrottleBound):
+    """A stand-in bound that knows two curve values at the low corner d_lo:
+    each cell's supply when empty and its demand when jammed."""
+
+    def __init__(self, spec, ds):
+        super().__init__(spec, ds)
+        self.g_low = ds.min_supply_at_zero()
+        self.f_jam = demand_batch(ds, ds.d_lo[None, :], spec.a[None, :])[0]
+
+
+class _Overflowing(_LowCornerBound):
+    """The built-in bound, finite on two kinds of rows only.  One kind has no
+    inflow, supplies at most those of the low d4 corner and at most one
+    jammed cell (zero supply; three on 20 cells), whose demand is that of
+    the low d3 corner: a few jam-pattern seeds.  The other has exactly one
+    jammed cell and no empty one (zero demand): no seed, but an x scan that
+    jams a cell of a Sobol seed gets there, and on 20 cells it then undercuts
+    the finite seeds.  Elsewhere S = 1e308, so S * X overflows to an
+    infinite ratio."""
+
+    def allocate(self, F, G, V):
+        S = super().allocate(F, G, V)
+        jam, count = G == 0, (G == 0).sum(axis=1)
+        seeds = ((V == 0).all(axis=1) & (G <= self.g_low).all(axis=1)
+                 & (count <= (1 if F.shape[1] <= 12 else 3))
+                 & ((F == self.f_jam) | ~jam).all(axis=1))
+        S[~(seeds | ((count == 1) & (F > 0).all(axis=1)))] = 1e308
+        return S
+
+
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
 def test_drain_constants_skip_infinite_seeds_like_the_reference(net):
     """A bound that overflows off a handful of seeds leaves inf-ratio seeds
-    among the best ones; both searches must skip the same ones."""
+    among the best ones; both searches must skip the same ones (refining
+    them would lower gamma on 20 cells)."""
     spec, ds = ((presets.reference_network(), presets.reference_diagrams())
                 if net == "benchmark" else _twenty_cells())
-    base = ThrottleBound(spec, ds)
-    cap = presets.JAM * (1.5 if spec.n <= 12 else 3.5)
-
-    def overflowing(X, V, D):
-        S = base(X, V, D)
-        finite = ((X.sum(axis=1) <= cap) & (V == 0).all(axis=1)
-                  & (D == ds.d_lo).all(axis=1))
-        S[~finite] = 1e308  # S * X overflows to inf wherever x >= 2
-        return S
-
-    kw = {"stilde": overflowing, "n_samples": 1024, "seed": 2,
-          "refine_top": 12, "refine_sweeps": 1}
+    kw = {"n_samples": 1024, "seed": 2, "refine_top": 40, "refine_sweeps": 1}
     with np.errstate(over="ignore"):
-        got = _assert_same_search(spec, ds, **kw)
+        got = _assert_same_search(spec, ds, _Overflowing, **kw)
     assert 0 < got.n_evaluated < kw["refine_top"]
+
+
+class _Landscape(_LowCornerBound):
+    """A uniform throttle c(F, G, V), so every ratio equals c.  A cell's fill
+    y = 1 - G / g(d_lo, 0) is 0 up to a - qcap and rises to 1 at jam.  Well
+    A is cell 1 jammed and all else empty, well B cell 2 jammed; beside B
+    lies a deeper well at y_1 = 0.272, off the scan grid.  Inflow, a supply
+    above the low d4 corner or a jam demand off the low d3 corner adds 1."""
+
+    def allocate(self, F, G, V):
+        y = 1.0 - G / self.g_low
+        n = y.shape[1]
+        well = np.eye(n)
+        away = ((V.sum(axis=1) > 0) | (y < 0).any(axis=1)
+                | ((F != self.f_jam) & (G == 0)).any(axis=1))
+        c_a = 0.5 + np.abs(y - well[0]).sum(axis=1) / n
+        c_b = (0.6 + 10.0 * np.abs(y[:, 1:] - well[1, 1:]).sum(axis=1) / n
+               - 0.5 * np.maximum(0.0, 1.0 - np.abs(y[:, 0] - 0.272) / 0.12))
+        c = np.minimum(c_a, c_b) + away
+        return np.repeat(c[:, None], n, axis=1)
 
 
 def test_a_later_seed_can_win_with_its_own_zoom_windows():
     """The best seed sits in a shallow well, the next ones beside a deeper
     well off the scan grid.  The winner then comes from a later seed and the
     zoom windows that seed chose, not from the first seed's."""
-    spec, ds = presets.reference_network(), presets.reference_diagrams()
-    a = spec.a
-    well_a = a * (np.arange(8) == 0)
-    well_b = a * (np.arange(8) == 1)
-
-    def landscape(X, V, D):
-        """A uniform throttle c(x, v, d), so every ratio equals c."""
-        away = (V.sum(axis=1) > 0) | (D != ds.d_lo).any(axis=1)
-        c_a = 0.5 + np.abs(X - well_a).sum(axis=1) / a.sum()
-        c_b = (0.6 + 10.0 * np.abs(X[:, 1:] - well_b[1:]).sum(axis=1) / a.sum()
-               - 0.5 * np.maximum(0.0, 1.0 - np.abs(X[:, 0] - 86.3) / 20.0))
-        c = np.minimum(c_a, c_b) + away
-        return np.repeat(c[:, None], X.shape[1], axis=1)
-
-    got = _assert_same_search(spec, ds, stilde=landscape, n_samples=1024,
-                              refine_sweeps=1)
-    assert got.gamma < 0.2 and got.argmin["x"][1] == a[1]
-    assert abs(got.argmin["x"][0] - 86.3) < 0.1
+    spec = presets.reference_network()
+    got = _assert_same_search(spec, presets.reference_diagrams(), _Landscape,
+                              n_samples=1024, refine_sweeps=1)
+    assert got.gamma < 0.2 and got.argmin["x"][1] == spec.a[1]
+    fill = (got.argmin["x"][0] - (spec.a[0] - presets.QCAP)) / presets.QCAP
+    assert abs(fill - 0.272) < 5e-4
 
 
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
@@ -300,19 +335,18 @@ class _CurveSensitiveBound(ThrottleBound):
 
 @pytest.mark.parametrize("net", ["benchmark", "piecewise and pinned cells",
                                  "degenerate box", "20 cells"])
-def test_scans_reuse_curves_like_a_full_evaluation(net):
-    """The split search (tables, base-point curves, one re-evaluated column)
+def test_scans_reuse_curves_like_a_full_evaluation(net, monkeypatch):
+    """The search (tables, base-point curves, one re-evaluated column)
     against the reference, which evaluates this bound on whole rows."""
     spec, ds = {"benchmark": lambda: (presets.reference_network(),
                                       presets.reference_diagrams()),
                 "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
                 "degenerate box": _degenerate_box,
                 "20 cells": _twenty_cells}[net]()
-    kw = {"stilde": _CurveSensitiveBound(spec, ds), "n_samples": 1024, "seed": 6,
-          "refine_sweeps": 1 if spec.n > 12 else 2}
-    got = _assert_same_search(spec, ds, **kw)
-    r = weights_r(spec)
-    seeds = drain_constants(spec, ds, r, **{**kw, "refine_sweeps": 0})
+    kw = {"n_samples": 1024, "seed": 6, "refine_sweeps": 1 if spec.n > 12 else 2}
+    got = _assert_same_search(spec, ds, _CurveSensitiveBound, **kw)
+    monkeypatch.setattr(stability, "ThrottleBound", _CurveSensitiveBound)
+    seeds = drain_constants(spec, ds, weights_r(spec), **{**kw, "refine_sweeps": 0})
     assert got.gamma < seeds.gamma  # the scans moved the points
 
 
