@@ -30,7 +30,7 @@ from .network import NetworkSpec
 SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
 CONTRACTION_TOL = 1e-9  # largest violation the contraction check lets pass
 JAM_PATTERN_LIMIT = 12  # enumerate binary jam patterns up to this cell count
-ROW_BLOCK = 1024        # rows per throttle-bound call in the gamma search
+ROW_BLOCK = 1024        # rows per block of the gamma search's seed stream
 SCAN_WIDTH = 33         # grid points per zoom level of a gamma-search scan
 
 
@@ -278,64 +278,118 @@ class DrainConstants:
     n_evaluated: int
 
 
-def _seed_cloud(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
-                n_samples: int, seed: int):
-    """Seeds of the gamma search as (X, V, D, n_struct).
+class _SeedCloud:
+    """Seeds of the gamma search, streamed in blocks and rebuilt by index.
 
-    The first n_struct rows are structured seeds: binary jam patterns (every
+    Rows 0 .. n_struct - 1 are structured seeds: binary jam patterns (every
     one for small networks, 4096 random ones otherwise) x inflows at both box
     ends x all uncertainty corners, in that nesting order, so row k holds
-    corner k % 16.  A joint scrambled-Sobol cloud over (x, v, d) follows.
+    pattern k // 32, box end (k // 16) % 2 and corner k % 16.  A joint
+    scrambled-Sobol cloud of m rows over (x, v, d) follows, m being
+    n_samples rounded up to a power of two.
+
+    `blocks` yields (start, X, V, D) for at most ROW_BLOCK rows at a time; no
+    block mixes the two kinds of rows.  The Sobol rows come from
+    `Sobol.random` in power-of-two chunks, which equal one whole draw bit for
+    bit.  `rows(idx)` rebuilds chosen rows from their indices alone: a
+    structured row from the index, a Sobol row from a reset engine fast
+    forwarded to it.  Either way a row equals its streamed copy bit for bit.
+    Both share one engine, so `rows` must not run inside a pass of `blocks`.
     """
-    n = spec.n
-    if n <= JAM_PATTERN_LIMIT:
-        codes = np.arange(1, 2 ** n)  # skip the all-empty pattern
-        patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
-    else:
-        patterns = (_philox(seed ^ 0x9E3779B9).random((4096, n)) < 0.5)
-    m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
-    # drawn before the seed arrays exist, so Sobol's own temporaries never
-    # coexist with them
-    sob = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
-    u = sob.random_base2(int(math.log2(m)))
 
-    D_crn = d_corners(ds)
-    n_struct = len(patterns) * 2 * len(D_crn)
-    X = np.empty((n_struct + m, n))
-    V = np.empty((n_struct + m, n))
-    D = np.empty((n_struct + m, len(ds.d_lo)))
-    X[:n_struct].reshape(len(patterns), -1, n)[:] = (patterns * spec.a[None, :])[:, None]
-    V[:n_struct].reshape(len(patterns), 2, -1, n)[:] = (
-        np.stack([np.zeros(n), v_box])[None, :, None])
-    D[:n_struct].reshape(-1, *D_crn.shape)[:] = D_crn
-    np.multiply(u[:, :n], spec.a, out=X[n_struct:])
-    np.multiply(u[:, n:2 * n], v_box, out=V[n_struct:])
-    np.multiply(u[:, 2 * n:], ds.d_hi - ds.d_lo, out=D[n_struct:])
-    D[n_struct:] += ds.d_lo
-    return X, V, D, n_struct
+    def __init__(self, spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
+                 n_samples: int, seed: int):
+        n = spec.n
+        if n <= JAM_PATTERN_LIMIT:
+            codes = np.arange(1, 2 ** n)  # skip the all-empty pattern
+            self.patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
+        else:
+            self.patterns = (_philox(seed ^ 0x9E3779B9).random((4096, n)) < 0.5)
+        self.a, self.d_lo, self.d_hi = spec.a, ds.d_lo, ds.d_hi
+        self.ends = np.stack([np.zeros(n), v_box])
+        self.corners = d_corners(ds)
+        self.n_struct = len(self.patterns) * len(self.ends) * len(self.corners)
+        self.m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
+        self.size = self.n_struct + self.m
+        self.sobol = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
+
+    def _structured(self, k: np.ndarray):
+        per_pattern = len(self.ends) * len(self.corners)
+        return (self.patterns[k // per_pattern] * self.a,
+                self.ends[k // len(self.corners) % len(self.ends)],
+                self.corners[k % len(self.corners)])
+
+    def _scaled(self, u: np.ndarray):
+        n = len(self.a)
+        D = u[:, 2 * n:] * (self.d_hi - self.d_lo)
+        D += self.d_lo
+        return u[:, :n] * self.a, u[:, n:2 * n] * self.ends[1], D
+
+    def blocks(self):
+        for lo in range(0, self.n_struct, ROW_BLOCK):
+            yield (lo, *self._structured(np.arange(lo, min(lo + ROW_BLOCK, self.n_struct))))
+        self.sobol.reset()
+        chunk = min(ROW_BLOCK, self.m)
+        for lo in range(self.n_struct, self.size, chunk):
+            yield (lo, *self._scaled(self.sobol.random(chunk)))
+
+    def rows(self, idx):
+        idx = np.asarray(idx, dtype=int)
+        n = len(self.a)
+        X, V, D = (np.empty((len(idx), w)) for w in (n, n, len(self.d_lo)))
+        struct = idx < self.n_struct
+        X[struct], V[struct], D[struct] = self._structured(idx[struct])
+        for j in np.flatnonzero(~struct):
+            self.sobol.reset()
+            if idx[j] > self.n_struct:  # fast_forward(0) on a fresh engine fails
+                self.sobol.fast_forward(int(idx[j]) - self.n_struct)
+            X[j], V[j], D[j] = (row[0] for row in self._scaled(self.sobol.random(1)))
+        return X, V, D
 
 
-def _struct_throttles(bound: ThrottleBound, X: np.ndarray, V: np.ndarray,
-                      out: np.ndarray) -> None:
-    """Throttle bounds of the structured seed rows, without curve evaluation.
+def _struct_throttles(bound: ThrottleBound):
+    """Throttle bounds of structured seed rows, without curve evaluation.
 
     Every density of a jam-pattern row is 0 or a and its d is the corner
     row % 16, so its demands and supplies are entries of 16-corner x {0, a}
-    tables made by `demand_batch`/`supply_batch`.  Those evaluate each entry
-    on its own, so the gathered rows equal an evaluation of the rows
-    themselves bit for bit.  Rows are gathered ROW_BLOCK at a time.
+    tables made here by `demand_batch`/`supply_batch`, once.  Those evaluate
+    each entry on its own, so the gathered rows equal an evaluation of the
+    rows themselves bit for bit.  Returns `throttles(start, X, V)` for the
+    block of structured rows that begins at row `start`.
     """
     ds = bound.ds
     D_crn = d_corners(ds)
     empty, jam = np.zeros((len(D_crn), ds.n)), np.tile(ds._a, (len(D_crn), 1))
     F0, F1 = demand_batch(ds, D_crn, empty), demand_batch(ds, D_crn, jam)
     G0, G1 = supply_batch(ds, D_crn, empty), supply_batch(ds, D_crn, jam)
-    for lo in range(0, len(out), ROW_BLOCK):
-        rows = slice(lo, min(lo + ROW_BLOCK, len(out)))
-        corner = np.arange(rows.start, rows.stop) % len(D_crn)
-        full = X[rows] > 0
-        out[rows] = bound.allocate(np.where(full, F1[corner], F0[corner]),
-                                   np.where(full, G1[corner], G0[corner]), V[rows])
+
+    def throttles(start: int, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        corner = np.arange(start, start + len(X)) % len(D_crn)
+        full = X > 0
+        return bound.allocate(np.where(full, F1[corner], F0[corner]),
+                              np.where(full, G1[corner], G0[corner]), V)
+    return throttles
+
+
+def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
+            mass_floor: float) -> np.ndarray:
+    """Throttled weighted-mass ratios (S * X) @ r / X @ r over the last axis.
+
+    States below `mass_floor` total mass (or of zero weighted mass) read
+    inf.  X may stack blocks, (K, w, n): each block then takes its own
+    (w, n) @ r product.  Every row is weighed and the mask applied after:
+    OpenBLAS rounds the last rows of a batch that leaves 2 or 3 rows over a
+    multiple of four differently, and dropping masked rows first would move
+    rows into that remainder.  So a row's ratio is the same in a ROW_BLOCK
+    block, a grid of SCAN_WIDTH rows or one call on the whole cloud (see the
+    tests).  Overwrites S with S * X.
+    """
+    den = X @ r
+    ok = (X.sum(axis=-1) >= mass_floor) & (den > 0)
+    num = np.multiply(S, X, out=S) @ r
+    out = np.full(den.shape, np.inf)
+    out[ok] = num[ok] / den[ok]
+    return out
 
 
 def _zoom_grid(lo: np.ndarray, hi: np.ndarray, w: int):
@@ -364,14 +418,17 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     refinement of the best seeds with a zooming grid per coordinate.  A
     nonpositive gamma raises ThrottleBoundViolation with the witness sample.
 
-    The throttle bound runs in blocks of ROW_BLOCK rows, which caps the
-    memory of its temporaries; the weighted sums (S * X) @ r are then taken
-    over the whole batch, because BLAS row results can change with the batch
-    shape.  The finite best seeds are refined in lockstep: every zoom level
-    of a coordinate scan allocates once for all seeds' grids, while each
-    seed keeps its own zoom window, strict-improvement acceptance and
-    weighted sums.  The result is that of refining the seeds one after
-    another, bit for bit.
+    The seed cloud is a stream of ROW_BLOCK-row blocks (`_SeedCloud`): each
+    block is drawn, bounded and reduced to its ratios before the next one
+    exists.  The search keeps only those ratios, 8 bytes per seed, where the
+    seeds' rows and throttle bounds would take about 32 n bytes each.  The
+    best seeds are then rebuilt from their indices.  They are refined in
+    lockstep: every zoom level of a coordinate scan allocates and weighs all
+    seeds' grids at once, while each seed keeps its own zoom window,
+    strict-improvement acceptance and (SCAN_WIDTH, n) @ r product.  As the
+    ratios of a row do not depend on its batch (`_ratios`), the result is
+    that of evaluating the whole cloud at once and refining the seeds one
+    after another, bit for bit.
 
     The curves are evaluated only where samples differ: the structured seeds
     gather their demands and supplies from corner tables, and a scan holds
@@ -379,6 +436,9 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     scanned cell's column, a d scan evaluates whole rows, and a v scan
     evaluates no curve.
     """
+    if not 1 <= n_samples <= 2 ** 30:
+        raise ValueError(f"n_samples = {n_samples} is outside [1, 2**30]; the "
+                         f"Sobol cloud holds at most 2**30 points")
     bound = ThrottleBound(spec, ds)
     r = np.asarray(r, dtype=float)
     if r.shape != (spec.n,):
@@ -404,38 +464,27 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     v_box = caps - eps_tilde
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
-    def ratios(S, X):
-        """Throttled weighted-mass ratios; overwrites S with S * X."""
-        den = X @ r
-        ok = (X.sum(axis=1) >= mass_floor) & (den > 0)
-        SX = np.multiply(S, X, out=S)
-        if not ok.all():
-            SX = SX[ok]
-        out = np.full(len(X), np.inf)
-        out[ok] = (SX @ r) / den[ok]
-        return out
-
-    X_all, V_all, D_all, n_struct = _seed_cloud(spec, ds, v_box, n_samples, seed)
-    S = np.empty(X_all.shape)
-    _struct_throttles(bound, X_all[:n_struct], V_all[:n_struct], S[:n_struct])
-    for lo in range(n_struct, len(X_all), ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        S[rows] = bound(X_all[rows], V_all[rows], D_all[rows])
-    vals = ratios(S, X_all)
-    del S
+    cloud = _SeedCloud(spec, ds, v_box, n_samples, seed)
+    struct_throttles = _struct_throttles(bound)
+    vals = np.empty(cloud.size)
+    for lo, X, V, D in cloud.blocks():
+        S = struct_throttles(lo, X, V) if lo < cloud.n_struct else bound(X, V, D)
+        vals[lo:lo + len(X)] = _ratios(S, X, r, mass_floor)
     n_evaluated = int(np.isfinite(vals).sum())
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")
 
     # coordinate-descent refinement of the finite best seeds, in lockstep
     best_idx = np.argsort(vals)[:refine_top]
-    seeds = [int(i) for i in best_idx if np.isfinite(vals[i])]
+    seeds = best_idx[np.isfinite(vals[best_idx])]
     K, w = len(seeds), SCAN_WIDTH
-    pts = {"x": X_all[seeds], "v": V_all[seeds], "d": D_all[seeds]}
-    best = [float(vals[i]) for i in seeds]
-    del X_all, V_all, D_all
+    pts = dict(zip("xvd", cloud.rows(seeds)))
+    best = vals[seeds]
+    del vals, best_idx
+    seed_of = np.arange(K)
 
     def scan(kind, idx, lo_full, hi_full):
+        nonlocal best
         lo, hi = np.full(K, lo_full), np.full(K, hi_full)
         if kind != "d":  # the base points' curves, repeated over each seed's grid
             F = np.repeat(demand_batch(ds, pts["d"], pts["x"]), w, axis=0)
@@ -453,15 +502,15 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
             elif kind == "d":
                 F = demand_batch(ds, rows["d"], rows["x"])
                 G = supply_batch(ds, rows["d"], rows["x"])
-            S = bound.allocate(F, G, rows["v"])
-            for b in range(K):
-                cand = ratios(S[b * w:(b + 1) * w], grid["x"][b])
-                k = int(np.argmin(cand))
-                if cand[k] < best[b]:
-                    best[b] = float(cand[k])
-                    pts[kind][b, idx] = ts[b, k]
-                lo[b] = max(lo_full, ts[b, k] - span[b])
-                hi[b] = min(hi_full, ts[b, k] + span[b])
+            S = bound.allocate(F, G, rows["v"]).reshape(K, w, -1)
+            cand = _ratios(S, grid["x"], r, mass_floor)
+            k = np.argmin(cand, axis=1)
+            t_k = ts[seed_of, k]
+            better = cand[seed_of, k] < best
+            best = np.where(better, cand[seed_of, k], best)
+            pts[kind][better, idx] = t_k[better]
+            lo = np.maximum(lo_full, t_k - span)
+            hi = np.minimum(hi_full, t_k + span)
 
     for _ in range(refine_sweeps):
         for i in range(n):
@@ -472,7 +521,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
             scan("d", k, float(ds.d_lo[k]), float(ds.d_hi[k]))
 
     b = int(np.argmin(best))  # the first seed that reached the smallest ratio
-    gamma, x_min, v_min, d_min = best[b], pts["x"][b], pts["v"][b], pts["d"][b]
+    gamma, x_min, v_min, d_min = float(best[b]), pts["x"][b], pts["v"][b], pts["d"][b]
     if not math.isfinite(gamma) or gamma <= 0:
         raise ThrottleBoundViolation(
             f"sampled throttle ratio hit {gamma:.3g}",

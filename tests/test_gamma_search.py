@@ -1,14 +1,16 @@
 """The batched drain-constant search against its loop references, bit for bit.
 
 `ThrottleBound` evaluates the junction claims by priority level, `supply_batch`
-evaluates all cells at once, and `drain_constants` runs the bound in row
-blocks and refines its best seeds in lockstep.  It also evaluates the curves
-only where its samples differ: the jam-pattern seeds gather theirs from
-corner tables, and a coordinate scan re-evaluates only the scanned cell (x),
-no curve (v) or every cell (d).  None of that may change a single bit of the
-throttle bounds, gamma, its argmin or the sample count.
+evaluates all cells at once, and `drain_constants` streams its seed cloud in
+row blocks, rebuilds its best seeds from their indices and refines them in
+lockstep.  It also evaluates the curves only where its samples differ: the
+jam-pattern seeds gather theirs from corner tables, and a coordinate scan
+re-evaluates only the scanned cell (x), no curve (v) or every cell (d).
+None of that may change a single bit of the throttle bounds, gamma, its
+argmin or the sample count.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +20,7 @@ from netstab import presets, stability
 from netstab.diagrams import (DiagramSet, SupplyFunction, d_corners,
                               demand_batch, supply_batch, uniform_uncertainty)
 from netstab.network import NetworkSpec
-from netstab.stability import (ROW_BLOCK, ThrottleBound, _seed_cloud,
+from netstab.stability import (ROW_BLOCK, ThrottleBound, _ratios, _SeedCloud,
                                _struct_throttles, _zoom_grid, drain_constants,
                                weights_r)
 
@@ -300,27 +302,116 @@ def test_a_later_seed_can_win_with_its_own_zoom_windows():
     assert abs(fill - 0.272) < 5e-4
 
 
+def _net(name):
+    return ((presets.reference_network(), presets.reference_diagrams())
+            if name == "benchmark" else _twenty_cells())
+
+
+def _v_box(spec, ds):
+    return np.minimum(spec.vmax, ds.min_supply_at_zero()) * 0.5
+
+
+def _stream(cloud, structured=None):
+    """The cloud's blocks stacked into (X, V, D), checking that they tile it;
+    `structured` keeps only the jam-pattern (True) or Sobol (False) blocks."""
+    blocks, end = [], 0
+    for lo, *rows in cloud.blocks():
+        assert lo == end and 0 < len(rows[0]) <= ROW_BLOCK
+        end = lo + len(rows[0])
+        assert (lo < cloud.n_struct) == (end <= cloud.n_struct)  # one kind per block
+        if structured is None or structured == (lo < cloud.n_struct):
+            blocks.append(rows)
+    assert end == cloud.size
+    return tuple(np.vstack(part) for part in zip(*blocks))
+
+
+@pytest.mark.parametrize("n_samples", [300, 1000])
+@pytest.mark.parametrize("net", ["benchmark", "20 cells"])
+def test_seed_stream_equals_the_whole_cloud(net, n_samples):
+    """The blocks stack to the reference cloud bit for bit, with a Sobol part
+    of 512 rows (under one ROW_BLOCK) or 1,024 (one ROW_BLOCK); the
+    benchmark's 8,160 jam-pattern rows end inside a block.  Seeds rebuilt
+    from their indices equal the reference rows at both ends of both
+    parts."""
+    spec, ds = _net(net)
+    v_box = _v_box(spec, ds)
+    cloud = _SeedCloud(spec, ds, v_box, n_samples, 3)
+    want = oracles.seed_cloud_reference(spec, ds, v_box, n_samples, 3)
+    assert cloud.m == (512 if n_samples == 300 else 1024)
+    for got, ref in zip(_stream(cloud), want):
+        assert np.array_equal(got, ref)
+    ns = cloud.n_struct
+    idx = [cloud.size - 1, 0, ns, ns - 1, ns + 1, 0]  # any order, repeats allowed
+    for got, ref in zip(cloud.rows(idx), want):
+        assert np.array_equal(got, ref[idx])
+
+
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
 def test_jam_pattern_seeds_come_from_corner_tables(net):
     """The structured seeds' throttles gathered from 16-corner x {0, a}
     tables equal the bound on the rows themselves.  On the benchmark the
     8,160 rows end inside a ROW_BLOCK; above 12 cells they are 131,072."""
-    spec, ds = ((presets.reference_network(), presets.reference_diagrams())
-                if net == "benchmark" else _twenty_cells())
-    v_box = np.minimum(spec.vmax, ds.min_supply_at_zero()) * 0.5
-    X, V, D, n_struct = _seed_cloud(spec, ds, v_box, 1024, 3)
+    spec, ds = _net(net)
+    v_box = _v_box(spec, ds)
+    cloud = _SeedCloud(spec, ds, v_box, 1024, 3)
     want = oracles.seed_cloud_reference(spec, ds, v_box, 1024, 3)
-    for got, ref in zip((X, V, D), want):
+    for got, ref in zip(_stream(cloud), want):
         assert np.array_equal(got, ref)
+    n_struct = cloud.n_struct
     assert n_struct == (8160 if net == "benchmark" else 4096 * 32)
     if net == "benchmark":
         assert n_struct % ROW_BLOCK != 0
-    S = np.empty((n_struct, spec.n))
     bound = ThrottleBound(spec, ds)
-    _struct_throttles(bound, X[:n_struct], V[:n_struct], S)
-    rows = (X[:n_struct], V[:n_struct], D[:n_struct])
+    throttles = _struct_throttles(bound)
+    S = np.vstack([throttles(lo, X, V) for lo, X, V, _ in cloud.blocks()
+                   if lo < n_struct])
+    rows = _stream(cloud, structured=True)
     assert np.array_equal(S, bound(*rows))
     assert np.array_equal(S, oracles.stilde_bound_loop(spec, ds)(*rows))
+
+
+@pytest.mark.parametrize("n", [8, 64, 128])
+def test_ratios_in_blocks_equal_the_whole_batch(n):
+    """The search weighs the seed cloud ROW_BLOCK rows at a time and every
+    scan's seeds as one (K, 33, n) stack.  Both must give each row the bits
+    of one whole-batch call, rows below the mass floor included (they read
+    inf).  BLAS may round a row differently in another batch shape: OpenBLAS
+    gives the last two rows of a batch that leaves 2 or 3 rows over a
+    multiple of four to another kernel, which is why `_ratios` weighs every
+    row and masks afterwards instead of weighing only the rows above the
+    floor, and why ROW_BLOCK is a multiple of four."""
+    rng = np.random.default_rng(n)
+    N, floor = 33 * 100, 0.5
+    r = 2.0 ** rng.permutation(n)
+    X = rng.uniform(0.0, presets.JAM, (N, n)) * (rng.random((N, n)) < 0.6)
+    X[rng.random(N) < 0.2] *= 1e-4  # rows below the floor
+    X[rng.random(N) < 0.05] = 0.0
+    S = rng.uniform(0.0, 1.0, (N, n))
+    want = _ratios(S.copy(), X, r, floor)
+    assert np.array_equal(np.isinf(want), X.sum(axis=1) < floor)
+    assert 0 < np.isinf(want).sum() < N // 2
+    blocks = [_ratios(S[lo:lo + ROW_BLOCK].copy(), X[lo:lo + ROW_BLOCK], r, floor)
+              for lo in range(0, N, ROW_BLOCK)]
+    assert N % ROW_BLOCK and np.array_equal(np.concatenate(blocks), want)
+    stacked = _ratios(S.reshape(-1, 33, n).copy(), X.reshape(-1, 33, n), r, floor)
+    assert np.array_equal(stacked.ravel(), want)
+    ok = ~np.isinf(want)
+    np.testing.assert_allclose(want[ok], ((S * X)[ok] @ r) / (X[ok] @ r), rtol=1e-15)
+
+
+def test_gamma_search_runs_in_fixed_memory():
+    """262,144 seeds on 20 cells: holding the whole cloud's X, V, D and S
+    peaked at 138 MiB; the stream keeps its ratios, 2 MiB, and one block."""
+    spec, ds = _twenty_cells()
+    r = weights_r(spec)
+    tracemalloc.start()
+    try:
+        got = drain_constants(spec, ds, r, n_samples=2 ** 17, refine_sweeps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.n_evaluated > 2 ** 17
+    assert peak < 16 * 2 ** 20
 
 
 class _CurveSensitiveBound(ThrottleBound):

@@ -269,6 +269,19 @@ def test_drain_constants_input_checks(ref_spec, ref_ds):
         drain_constants(ref_spec, ref_ds, np.ones(3), n_samples=64)
 
 
+@pytest.mark.parametrize("n_samples", [0, -5, 2 ** 30 + 1])
+def test_drain_constants_refuse_sample_counts_sobol_cannot_draw(
+        n_samples, ref_spec, ref_ds, monkeypatch):
+    """0 or a negative count used to run 2 Sobol rows; above 2**30 points
+    the search failed inside scipy after the structured seeds."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a seed was drawn")
+
+    monkeypatch.setattr(stability, "_SeedCloud", unreachable)
+    with pytest.raises(ValueError, match=rf"n_samples = {n_samples} .*2\*\*30"):
+        drain_constants(ref_spec, ref_ds, weights_r(ref_spec), n_samples=n_samples)
+
+
 def test_trapping_bound_is_minimal():
     C, r = 0.01, np.array([1.0, 1.0])
     beta = np.array([10.0, 10.0])
