@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .control import controller_from_dict, load_controller, save_controller
-from .diagrams import audit_demand_curve, audit_supply_margin, load_diagrams
+from .diagrams import (audit_demand_curve, audit_supply_margin, check_pair,
+                       load_diagrams)
 from .dynamics import _check_domain
 from .equilibrium import solve_uep
 from .errors import DimensionError, DomainError, MisuseError
@@ -58,11 +59,9 @@ def _load_pair(args):
     try:
         spec = load_network(args.network) if args.network else reference_network()
         ds = load_diagrams(args.diagrams) if args.diagrams else reference_diagrams()
+        check_pair(spec, ds)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
-    if ds.n != spec.n:
-        raise _InputError(
-            f"network has {spec.n} cells but diagrams describe {ds.n}")
     return spec, ds
 
 
@@ -367,9 +366,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path) -> None:
+    """_InputError unless --out `path` is a directory or can be made one: the
+    nearest existing path among it and its parents must be a directory."""
+    full = Path(path).absolute()
+    found = next(p for p in (full, *full.parents) if p.exists())
+    if not found.is_dir():
+        raise _InputError(f"--out {path}: {found} is a file, not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (_InputError, DomainError, DimensionError, MisuseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

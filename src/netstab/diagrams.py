@@ -286,6 +286,23 @@ class DiagramSet:
         return supply_batch(self, self.d_lo[None, :], np.zeros((1, self.n)))[0]
 
 
+def check_pair(spec: NetworkSpec, ds: DiagramSet) -> None:
+    """Raise ValueError unless the diagrams describe the network's cells.
+
+    The cell counts must agree (a DimensionError names both), and so must
+    every cell's jam capacity: the network's a_i bounds the densities that `step`
+    admits, while the curves' a_i sets where supply reaches zero.  The error
+    names the first disagreeing cell and both values.
+    """
+    if ds.n != spec.n:
+        raise DimensionError(f"network has {spec.n} cells but diagrams describe {ds.n}")
+    bad = np.flatnonzero(ds._a != spec.a)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"cell {i + 1}: diagrams give jam capacity a = {ds._a[i]:.10g} "
+                         f"but the network has a = {spec.a[i]:.10g}")
+
+
 def eval_demand(fd: DemandFunction, d, x) -> float:
     """Demand flow of one cell at density x under uncertainty sample d."""
     d = np.asarray(d, dtype=float)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dynamics
 from .diagrams import DiagramSet, _demand_values, demand_batch, supply_batch, sample_uncertainty
-from .errors import InfeasibleInflow, NonUniformEquilibrium
+from .errors import DomainError, InfeasibleInflow, NonUniformEquilibrium
 from .network import NetworkSpec
 
 BISECTION_TOL = 1e-10
@@ -60,26 +60,27 @@ def _invert_subcritical(fd, dref: np.ndarray, target: float) -> float:
 def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
     """Solve for the uncongested equilibrium supporting the inflow vector v*.
 
-    Raises InfeasibleInflow when some cell's required throughput exceeds its
-    peak subcritical demand, NonUniformEquilibrium when the solved densities
-    fail to carry the same flow under every sampled disturbance,
-    ValueError naming the cell when an inflow is non-finite, negative or
-    above its bound or when the strict supply slack fails, and
-    AcyclicityError when the network has a cycle.
+    Raises DomainError naming the cell when an inflow is non-finite, negative
+    or above its bound (an input error), InfeasibleInflow when some cell's
+    required throughput exceeds its peak subcritical demand,
+    NonUniformEquilibrium when the solved densities fail to carry the same
+    flow under every sampled disturbance, ValueError naming the cell when the
+    strict supply slack fails, and AcyclicityError when the network has a
+    cycle.
     """
     vstar = np.asarray(vstar, dtype=float)
     v_cap = np.minimum(spec.vmax, ds.min_supply_at_zero())
     if not np.isfinite(vstar).all():
         i = int(np.argmax(~np.isfinite(vstar)))
-        raise ValueError(f"cell {i + 1}: equilibrium inflow {vstar[i]} is not finite")
+        raise DomainError(f"cell {i + 1}: equilibrium inflow {vstar[i]} is not finite")
     if np.any(vstar > v_cap + 1e-12):
         i = int(np.argmax(vstar - v_cap))
-        raise ValueError(
+        raise DomainError(
             f"cell {i + 1}: equilibrium inflow {vstar[i]:.6g} exceeds the admissible "
             f"bound {v_cap[i]:.6g}")
     if np.any(vstar < 0):
         i = int(np.argmin(vstar))
-        raise ValueError(f"cell {i + 1}: equilibrium inflow {vstar[i]:.6g} is negative")
+        raise DomainError(f"cell {i + 1}: equilibrium inflow {vstar[i]:.6g} is negative")
 
     F = equilibrium_flows(spec, vstar)
     dref = 0.5 * (ds.d_lo + ds.d_hi)

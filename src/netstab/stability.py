@@ -20,7 +20,7 @@ from scipy.stats import qmc
 from . import control
 from .control import ControllerConfig, h_map
 from .diagrams import (DiagramSet, _demand_values, _philox, _supply_values,
-                       d_corners, demand_batch, supply_batch,
+                       check_pair, d_corners, demand_batch, supply_batch,
                        uniform_uncertainty)
 from .dynamics import step
 from .errors import (DimensionError, NumericalError, StructuralError,
@@ -208,17 +208,16 @@ def invariant_region(xstar, xi, mu) -> tuple[float, np.ndarray]:
 class ThrottleBound:
     """Allocation-free lower bound on the outflow throttles, batched.
 
-    Calling it maps (X, V, D) of shapes (N, n), (N, n), (N, 4) to an (N, n)
-    array S with S <= s pointwise: each junction's remaining supply after
-    external inflow and after all higher-priority attempted demands is
-    divided by the claimant's worst-case demand P[i, j] * a_i instead of the
-    realized one.  Demands never reach the jam capacity, so the realized
-    throttle can only be larger.
-
-    The call is `allocate(demand_batch(ds, D, X), supply_batch(ds, D, X), V)`:
-    curve evaluation and junction allocation are separate, so a caller that
-    already holds demands F and supplies G (or most of them) can allocate
-    without evaluating the curves again.
+    `allocate(F, G, V)` maps demands F, supplies G and inflows V, all (N, n),
+    to an (N, n) array S with S <= s pointwise: each junction's remaining
+    supply after external inflow and after all higher-priority attempted
+    demands is divided by the claimant's worst-case demand P[i, j] * a_i
+    instead of the realized one.  Demands never reach the jam capacity, so
+    the realized throttle can only be larger.  The caller evaluates the
+    curves, so it can reuse what it already holds: the seed cloud gathers
+    its jam-pattern rows' F and G from corner tables, and a scan keeps the
+    curves of the cells it does not move.  `ThrottleBound(spec, ds)` checks
+    that the diagrams describe the network's cells (`check_pair`).
 
     The claims are grouped once by priority level (`spec.claim_levels`), so
     an allocation costs a few array operations per level, not per junction
@@ -229,9 +228,7 @@ class ThrottleBound:
     """
 
     def __init__(self, spec: NetworkSpec, ds: DiagramSet):
-        if ds.n != spec.n or not np.array_equal(ds._a, spec.a):
-            raise ValueError("diagram jam capacities disagree with the network spec")
-        self.ds = ds
+        check_pair(spec, ds)
         self.cols, self.levels = spec.claim_levels
 
     def allocate(self, F: np.ndarray, G: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -247,13 +244,6 @@ class ThrottleBound:
             if k + 1 < len(self.levels):
                 rem[:, pos] -= p * F[:, snd]
         return S
-
-    def __call__(self, X: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        D = np.atleast_2d(np.asarray(D, dtype=float))
-        return self.allocate(demand_batch(self.ds, D, X),
-                             supply_batch(self.ds, D, X), V)
 
 
 @dataclass(frozen=True)
@@ -288,13 +278,19 @@ class _SeedCloud:
     scrambled-Sobol cloud of m rows over (x, v, d) follows, m being
     n_samples rounded up to a power of two.
 
-    `blocks` yields (start, X, V, D) for at most ROW_BLOCK rows at a time; no
-    block mixes the two kinds of rows.  The Sobol rows come from
-    `Sobol.random` in power-of-two chunks, which equal one whole draw bit for
-    bit.  `rows(idx)` rebuilds chosen rows from their indices alone: a
-    structured row from the index, a Sobol row from a reset engine fast
-    forwarded to it.  Either way a row equals its streamed copy bit for bit.
-    Both share one engine, so `rows` must not run inside a pass of `blocks`.
+    `blocks` yields (start, X, V, F, G) for at most ROW_BLOCK rows at a time,
+    F and G being the rows' demands and supplies; no block mixes the two
+    kinds of rows.  Every density of a structured row is 0 or a, so its F
+    and G are gathered from 16-corner x {0, a} tables made once here by
+    `demand_batch`/`supply_batch`.  Those evaluate each entry on its own, so
+    the gathered rows equal an evaluation of the rows themselves bit for
+    bit.  The Sobol rows come from `Sobol.random` in power-of-two chunks,
+    which equal one whole draw bit for bit, and are evaluated in full.
+    `rows(idx)` rebuilds the (X, V, D) of chosen rows from their indices
+    alone: a structured row from the index, a Sobol row from a reset engine
+    fast forwarded to it.  Either way a row equals its streamed copy bit for
+    bit.  Both share one engine, so `rows` must not run inside a pass of
+    `blocks`.
     """
 
     def __init__(self, spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
@@ -305,70 +301,56 @@ class _SeedCloud:
             self.patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
         else:
             self.patterns = (_philox(seed ^ 0x9E3779B9).random((4096, n)) < 0.5)
-        self.a, self.d_lo, self.d_hi = spec.a, ds.d_lo, ds.d_hi
+        self.ds, self.a = ds, spec.a
         self.ends = np.stack([np.zeros(n), v_box])
         self.corners = d_corners(ds)
+        # each corner's demands and supplies of empty ([0]) and of jammed ([1]) cells
+        empty, jam = np.zeros((len(self.corners), n)), np.tile(self.a, (len(self.corners), 1))
+        self.F = demand_batch(ds, self.corners, empty), demand_batch(ds, self.corners, jam)
+        self.G = supply_batch(ds, self.corners, empty), supply_batch(ds, self.corners, jam)
         self.n_struct = len(self.patterns) * len(self.ends) * len(self.corners)
         self.m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
         self.size = self.n_struct + self.m
         self.sobol = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
 
     def _structured(self, k: np.ndarray):
+        """X, V and corner index of structured rows k."""
         per_pattern = len(self.ends) * len(self.corners)
         return (self.patterns[k // per_pattern] * self.a,
                 self.ends[k // len(self.corners) % len(self.ends)],
-                self.corners[k % len(self.corners)])
+                k % len(self.corners))
 
     def _scaled(self, u: np.ndarray):
         n = len(self.a)
-        D = u[:, 2 * n:] * (self.d_hi - self.d_lo)
-        D += self.d_lo
+        D = u[:, 2 * n:] * (self.ds.d_hi - self.ds.d_lo)
+        D += self.ds.d_lo
         return u[:, :n] * self.a, u[:, n:2 * n] * self.ends[1], D
 
     def blocks(self):
         for lo in range(0, self.n_struct, ROW_BLOCK):
-            yield (lo, *self._structured(np.arange(lo, min(lo + ROW_BLOCK, self.n_struct))))
+            X, V, c = self._structured(np.arange(lo, min(lo + ROW_BLOCK, self.n_struct)))
+            full = X > 0
+            yield (lo, X, V, np.where(full, self.F[1][c], self.F[0][c]),
+                   np.where(full, self.G[1][c], self.G[0][c]))
         self.sobol.reset()
         chunk = min(ROW_BLOCK, self.m)
         for lo in range(self.n_struct, self.size, chunk):
-            yield (lo, *self._scaled(self.sobol.random(chunk)))
+            X, V, D = self._scaled(self.sobol.random(chunk))
+            yield lo, X, V, demand_batch(self.ds, D, X), supply_batch(self.ds, D, X)
 
     def rows(self, idx):
         idx = np.asarray(idx, dtype=int)
         n = len(self.a)
-        X, V, D = (np.empty((len(idx), w)) for w in (n, n, len(self.d_lo)))
+        X, V, D = (np.empty((len(idx), w)) for w in (n, n, self.corners.shape[1]))
         struct = idx < self.n_struct
-        X[struct], V[struct], D[struct] = self._structured(idx[struct])
+        X[struct], V[struct], c = self._structured(idx[struct])
+        D[struct] = self.corners[c]
         for j in np.flatnonzero(~struct):
             self.sobol.reset()
             if idx[j] > self.n_struct:  # fast_forward(0) on a fresh engine fails
                 self.sobol.fast_forward(int(idx[j]) - self.n_struct)
             X[j], V[j], D[j] = (row[0] for row in self._scaled(self.sobol.random(1)))
         return X, V, D
-
-
-def _struct_throttles(bound: ThrottleBound):
-    """Throttle bounds of structured seed rows, without curve evaluation.
-
-    Every density of a jam-pattern row is 0 or a and its d is the corner
-    row % 16, so its demands and supplies are entries of 16-corner x {0, a}
-    tables made here by `demand_batch`/`supply_batch`, once.  Those evaluate
-    each entry on its own, so the gathered rows equal an evaluation of the
-    rows themselves bit for bit.  Returns `throttles(start, X, V)` for the
-    block of structured rows that begins at row `start`.
-    """
-    ds = bound.ds
-    D_crn = d_corners(ds)
-    empty, jam = np.zeros((len(D_crn), ds.n)), np.tile(ds._a, (len(D_crn), 1))
-    F0, F1 = demand_batch(ds, D_crn, empty), demand_batch(ds, D_crn, jam)
-    G0, G1 = supply_batch(ds, D_crn, empty), supply_batch(ds, D_crn, jam)
-
-    def throttles(start: int, X: np.ndarray, V: np.ndarray) -> np.ndarray:
-        corner = np.arange(start, start + len(X)) % len(D_crn)
-        full = X > 0
-        return bound.allocate(np.where(full, F1[corner], F0[corner]),
-                              np.where(full, G1[corner], G0[corner]), V)
-    return throttles
 
 
 def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
@@ -430,11 +412,12 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     that of evaluating the whole cloud at once and refining the seeds one
     after another, bit for bit.
 
-    The curves are evaluated only where samples differ: the structured seeds
-    gather their demands and supplies from corner tables, and a scan holds
-    the demands F and supplies G of its grid rows.  An x scan overwrites the
-    scanned cell's column, a d scan evaluates whole rows, and a v scan
-    evaluates no curve.
+    The curves are evaluated only where samples differ: the seed cloud
+    yields every block's demands F and supplies G, the jam-pattern blocks'
+    gathered from corner tables, and a scan holds the F and G of its grid
+    rows; both pass them to `allocate`.  An x scan overwrites the scanned
+    cell's column, a d scan evaluates whole rows, and a v scan evaluates no
+    curve.
     """
     if not 1 <= n_samples <= 2 ** 30:
         raise ValueError(f"n_samples = {n_samples} is outside [1, 2**30]; the "
@@ -465,11 +448,9 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
     cloud = _SeedCloud(spec, ds, v_box, n_samples, seed)
-    struct_throttles = _struct_throttles(bound)
     vals = np.empty(cloud.size)
-    for lo, X, V, D in cloud.blocks():
-        S = struct_throttles(lo, X, V) if lo < cloud.n_struct else bound(X, V, D)
-        vals[lo:lo + len(X)] = _ratios(S, X, r, mass_floor)
+    for lo, X, V, F, G in cloud.blocks():
+        vals[lo:lo + len(X)] = _ratios(bound.allocate(F, G, V), X, r, mass_floor)
     n_evaluated = int(np.isfinite(vals).sum())
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")

@@ -230,8 +230,14 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
 
     Same seeds, weights and refinement rule as `drain_constants`, with the
     bound evaluated on the whole seed cloud at once and each seed refined
-    by its own coordinate scans of 33 grid points per zoom level.
+    by its own coordinate scans of 33 grid points per zoom level.  A
+    stand-in bound `stilde` is driven like the search drives the built-in
+    one, through `allocate` on the curves of whole rows; without one, the
+    junction loop `stilde_bound_loop` bounds the rows.  Every row is weighed
+    and the mass floor applied after, as in `stability._ratios`.
     """
+    from netstab.diagrams import demand_batch, supply_batch
+
     n = spec.n
     caps = np.minimum(spec.vmax, [
         (ds.d_lo[3] if sf.wave is None else sf.wave) * min(sf.qcap, sf.a)
@@ -239,14 +245,19 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
     eps_tilde = 0.5 * float(caps.min())
     v_box = caps - eps_tilde
     mass_floor = min(min(fd.delta for fd in ds.demands), eps_tilde / (2.0 * n))
-    sbound = stilde if stilde is not None else stilde_bound_loop(spec, ds)
+    if stilde is None:
+        sbound = stilde_bound_loop(spec, ds)
+    else:
+        def sbound(X, V, D):
+            return stilde.allocate(demand_batch(ds, D, X), supply_batch(ds, D, X), V)
 
     def ratios(X, V, D):
         S = sbound(X, V, D)
         den = X @ r
+        num = (S * X) @ r
         out = np.full(len(X), np.inf)
         ok = (X.sum(axis=1) >= mass_floor) & (den > 0)
-        out[ok] = ((S[ok] * X[ok]) @ r) / den[ok]
+        out[ok] = num[ok] / den[ok]
         return out
 
     X_all, V_all, D_all = seed_cloud_reference(spec, ds, v_box, n_samples, seed)

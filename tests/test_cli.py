@@ -195,6 +195,45 @@ def test_non_finite_vstar_exits_2(capsys, command, entry):
     assert f"--vstar entry 5 is {entry}, not a finite number" in err
 
 
+@pytest.mark.parametrize("vstar, message", [
+    ("-1,0,0,0,12.5,0,0,0", "cell 1: equilibrium inflow -1 is negative"),
+    ("25,0,0,0,12.5,0,0,-0.5", "cell 8: equilibrium inflow -0.5 is negative"),
+    ("26,0,0,0,12.5,0,0,0", "cell 1: equilibrium inflow 26 exceeds the admissible bound"),
+    ("25,0,0,0,12.5,0,0,0.4", "cell 8: equilibrium inflow 0.4 exceeds the admissible bound"),
+])
+def test_vstar_outside_its_box_exits_2(capsys, vstar, message):
+    err = _input_error(capsys, "solve-uep", f"--vstar={vstar}")
+    assert err.startswith(f"error: {message}")
+
+
+def test_infeasible_vstar_is_a_failed_check(capsys):
+    """Inflows inside their box whose flows no subcritical demand carries."""
+    code = main(["solve-uep", "--vstar=25,0,0,0,12.5,0,0,0.2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("check failed: cell 8: equilibrium flow 25.2 exceeds")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["solve-uep"], ["synthesize"], ["analyze"], ["gridlock-demo"],
+    ["reproduce-paper"], ["simulate", "--scenario", "unread.json"]],
+    ids=lambda argv: argv[0])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_naming_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch,
+                                                   command, below):
+    """--out naming a file, or a path below one, used to fail with a traceback
+    after the whole run; no command may start its work."""
+    for name in ("load_network", "reference_network", "reproduce_suite",
+                 "three_cell_cycle"):  # every command's work starts with one
+        monkeypatch.setattr(cli, name, None)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "sub" if below else taken
+    err = _input_error(capsys, *command, "--out", str(out))
+    assert err == f"error: --out {out}: {taken} is a file, not a directory\n"
+    assert taken.read_text() == "keep\n"
+
+
 def _drop(*keys):
     def edit(doc):
         target = doc
@@ -272,6 +311,29 @@ def test_bad_diagram_files_exit_2(capsys, tmp_path, edit, message):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     err = _input_error(capsys, "analyze", "--diagrams", str(path))
     assert f"{path}: {message}" in err
+
+
+def _other_cells(doc):
+    doc["cells"].pop()
+    return doc
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve-uep"],
+                                     ["simulate", "--scenario", "unread.json"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("edit, message", [
+    (_set("cells", 2, "a", value=120.0),
+     "cell 3: diagrams give jam capacity a = 120 but the network has a = 170"),
+    (_other_cells, "network has 8 cells but diagrams describe 7"),
+])
+def test_diagrams_of_other_cells_exit_2(capsys, tmp_path, command, edit, message):
+    """The diagrams must describe the network's cells: curves that jam at 120
+    on a cell the network fills to 170 ran and broke mass balance."""
+    path = tmp_path / "dia.json"
+    save_diagrams(presets.reference_diagrams(), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    err = _input_error(capsys, *command, "--diagrams", str(path))
+    assert err == f"error: {message}\n"
 
 
 def _bad_file(capsys, path, doc, *argv):

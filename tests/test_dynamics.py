@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstab import presets
-from netstab.diagrams import d_corners, demand_all, supply_all, uniform_uncertainty
+from netstab.diagrams import (d_corners, demand_all, demand_batch, supply_all,
+                              supply_batch, uniform_uncertainty)
 from netstab.dynamics import compute_flows, is_uncongested, step
 from netstab.errors import DimensionError, DomainError
 from netstab.stability import ThrottleBound
@@ -106,7 +107,7 @@ def test_throttle_bound_is_conservative(ref_spec, ref_ds):
     X = rng.uniform(0, 170, size=(200, 8))
     V = rng.uniform(0, 25, size=(200, 8))
     D = uniform_uncertainty(ref_ds, 200, rng)
-    S_lo = bound(X, V, D)
+    S_lo = bound.allocate(demand_batch(ref_ds, D, X), supply_batch(ref_ds, D, X), V)
     for k in range(200):
         s = compute_flows(ref_spec, ref_ds, X[k], V[k], D[k]).s
         assert np.all(S_lo[k] <= s + 1e-12)

@@ -5,7 +5,7 @@ from netstab import presets
 from netstab.diagrams import d_corners
 from netstab.equilibrium import (equilibrium_flows, equilibrium_residual,
                                  fit_supply_scale, solve_uep)
-from netstab.errors import InfeasibleInflow, NonUniformEquilibrium
+from netstab.errors import DomainError, InfeasibleInflow, NonUniformEquilibrium
 
 import oracles
 
@@ -60,14 +60,14 @@ def test_solver_rejects_infeasible_inflow(ref_spec, ref_ds):
 def test_solver_rejects_inflow_beyond_cap(ref_spec, ref_ds):
     v = presets.reference_vstar()
     v[0] = 26.0  # above both vmax and the guaranteed empty-cell supply
-    with pytest.raises(ValueError, match="admissible"):
+    with pytest.raises(DomainError, match=r"^cell 1: equilibrium inflow 26 exceeds the admissible"):
         solve_uep(ref_spec, ref_ds, v)
 
 
 def test_solver_rejects_negative_inflow(ref_spec, ref_ds):
     v = presets.reference_vstar()
     v[3] = -1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^cell 4: equilibrium inflow -1 is negative$"):
         solve_uep(ref_spec, ref_ds, v)
 
 
@@ -75,7 +75,7 @@ def test_solver_rejects_negative_inflow(ref_spec, ref_ds):
 def test_solver_rejects_non_finite_inflow(ref_spec, ref_ds, bad):
     v = presets.reference_vstar()
     v[4] = bad
-    with pytest.raises(ValueError, match=r"^cell 5: equilibrium inflow .* is not finite"):
+    with pytest.raises(DomainError, match=r"^cell 5: equilibrium inflow .* is not finite"):
         solve_uep(ref_spec, ref_ds, v)
 
 

@@ -1,11 +1,12 @@
 """The batched drain-constant search against its loop references, bit for bit.
 
-`ThrottleBound` evaluates the junction claims by priority level, `supply_batch`
-evaluates all cells at once, and `drain_constants` streams its seed cloud in
-row blocks, rebuilds its best seeds from their indices and refines them in
-lockstep.  It also evaluates the curves only where its samples differ: the
-jam-pattern seeds gather theirs from corner tables, and a coordinate scan
-re-evaluates only the scanned cell (x), no curve (v) or every cell (d).
+`ThrottleBound.allocate` evaluates the junction claims by priority level,
+`supply_batch` evaluates all cells at once, and `drain_constants` streams its
+seed cloud in row blocks, rebuilds its best seeds from their indices and
+refines them in lockstep.  It also evaluates the curves only where its
+samples differ: the cloud gathers the jam-pattern seeds' curves from corner
+tables, and a coordinate scan re-evaluates only the scanned cell (x), no
+curve (v) or every cell (d).
 None of that may change a single bit of the throttle bounds, gamma, its
 argmin or the sample count.
 """
@@ -21,8 +22,7 @@ from netstab.diagrams import (DiagramSet, SupplyFunction, d_corners,
                               demand_batch, supply_batch, uniform_uncertainty)
 from netstab.network import NetworkSpec
 from netstab.stability import (ROW_BLOCK, ThrottleBound, _ratios, _SeedCloud,
-                               _struct_throttles, _zoom_grid, drain_constants,
-                               weights_r)
+                               _zoom_grid, drain_constants, weights_r)
 
 import oracles
 from test_curve_table import PIECEWISE
@@ -93,36 +93,31 @@ def test_supply_batch_matches_cell_loop_with_pinned_waves():
     assert np.array_equal(ds.min_supply_at_zero(), want[0])
 
 
-def test_stilde_levels_match_junction_loop_on_random_nets():
-    rng = np.random.default_rng(11)
+def _curves(ds, X, D):
+    return demand_batch(ds, D, X), supply_batch(ds, D, X)
+
+
+@pytest.mark.parametrize("seed, piecewise", [(11, 0.0), (17, 0.3)],
+                         ids=["freeway", "piecewise"])
+def test_stilde_levels_match_junction_loop_on_random_nets(seed, piecewise):
+    """`allocate` on batch curves against the junction loop; a `piecewise`
+    share of cells take a user polynomial curve."""
+    rng = np.random.default_rng(seed)
     shapes = []
     for trial in range(30):
         n = int(rng.integers(3, 16))
         spec = _spec_for(_dense_net(rng, n), rng)
         pinned = tuple(np.nonzero(rng.random(n) < 0.3)[0]) if trial % 2 else ()
-        ds = _diagrams_for(n, rng, pinned)
+        ds = _diagrams_for(n, rng, pinned, piecewise)
         X, V, D = _states(spec, ds, rng, 200)
-        S = ThrottleBound(spec, ds)(X, V, D)
+        bound, (F, G) = ThrottleBound(spec, ds), _curves(ds, X, D)
+        S = bound.allocate(F, G, V)
         assert np.array_equal(S, oracles.stilde_bound_loop(spec, ds)(X, V, D))
         # rows do not interact: any batch shape gives the same bits
-        assert np.array_equal(S[37:38], ThrottleBound(spec, ds)(X[37], V[37], D[37]))
+        assert np.array_equal(S[37:38], bound.allocate(F[37:38], G[37:38], V[37:38]))
         shapes.append(_claim_shape(spec))
     assert max(depth for depth, _ in shapes) >= 3
     assert sum(repeats for _, repeats in shapes) >= 5
-
-
-def test_allocate_on_batch_curves_matches_junction_loop():
-    """The bound split into curve evaluation and junction allocation."""
-    rng = np.random.default_rng(17)
-    for trial in range(12):
-        n = int(rng.integers(3, 16))
-        spec = _spec_for(_dense_net(rng, n), rng)
-        pinned = tuple(np.nonzero(rng.random(n) < 0.3)[0])
-        ds = _diagrams_for(n, rng, pinned, piecewise=0.3)
-        X, V, D = _states(spec, ds, rng, 200)
-        S = ThrottleBound(spec, ds).allocate(demand_batch(ds, D, X),
-                                            supply_batch(ds, D, X), V)
-        assert np.array_equal(S, oracles.stilde_bound_loop(spec, ds)(X, V, D))
 
 
 def test_stilde_levels_match_junction_loop_on_hand_net():
@@ -140,7 +135,7 @@ def test_stilde_levels_match_junction_loop_on_hand_net():
     assert spec.predecessors[8] == (7, 5, 4, 3, 2)
     ds = _diagrams_for(n, rng, pinned=(1, 9))
     X, V, D = _states(spec, ds, rng, 400)
-    assert np.array_equal(ThrottleBound(spec, ds)(X, V, D),
+    assert np.array_equal(ThrottleBound(spec, ds).allocate(*_curves(ds, X, D), V),
                           oracles.stilde_bound_loop(spec, ds)(X, V, D))
 
 
@@ -311,16 +306,14 @@ def _v_box(spec, ds):
     return np.minimum(spec.vmax, ds.min_supply_at_zero()) * 0.5
 
 
-def _stream(cloud, structured=None):
-    """The cloud's blocks stacked into (X, V, D), checking that they tile it;
-    `structured` keeps only the jam-pattern (True) or Sobol (False) blocks."""
+def _stream(cloud):
+    """The cloud's blocks stacked into (X, V, F, G), checking that they tile it."""
     blocks, end = [], 0
     for lo, *rows in cloud.blocks():
         assert lo == end and 0 < len(rows[0]) <= ROW_BLOCK
         end = lo + len(rows[0])
         assert (lo < cloud.n_struct) == (end <= cloud.n_struct)  # one kind per block
-        if structured is None or structured == (lo < cloud.n_struct):
-            blocks.append(rows)
+        blocks.append(rows)
     assert end == cloud.size
     return tuple(np.vstack(part) for part in zip(*blocks))
 
@@ -328,46 +321,49 @@ def _stream(cloud, structured=None):
 @pytest.mark.parametrize("n_samples", [300, 1000])
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
 def test_seed_stream_equals_the_whole_cloud(net, n_samples):
-    """The blocks stack to the reference cloud bit for bit, with a Sobol part
-    of 512 rows (under one ROW_BLOCK) or 1,024 (one ROW_BLOCK); the
-    benchmark's 8,160 jam-pattern rows end inside a block.  Seeds rebuilt
-    from their indices equal the reference rows at both ends of both
-    parts."""
+    """The blocks' X and V stack to the reference cloud bit for bit, with a
+    Sobol part of 512 rows (under one ROW_BLOCK) or 1,024 (one ROW_BLOCK);
+    the benchmark's 8,160 jam-pattern rows end inside a block.  Seeds
+    rebuilt from their indices equal the reference rows, D included: every
+    jam-pattern row, and the Sobol rows at both ends and beside the seam."""
     spec, ds = _net(net)
     v_box = _v_box(spec, ds)
     cloud = _SeedCloud(spec, ds, v_box, n_samples, 3)
     want = oracles.seed_cloud_reference(spec, ds, v_box, n_samples, 3)
     assert cloud.m == (512 if n_samples == 300 else 1024)
-    for got, ref in zip(_stream(cloud), want):
+    for got, ref in zip(_stream(cloud)[:2], want):
         assert np.array_equal(got, ref)
     ns = cloud.n_struct
     idx = [cloud.size - 1, 0, ns, ns - 1, ns + 1, 0]  # any order, repeats allowed
     for got, ref in zip(cloud.rows(idx), want):
         assert np.array_equal(got, ref[idx])
+    for got, ref in zip(cloud.rows(np.arange(ns)), want):
+        assert np.array_equal(got, ref[:ns])
 
 
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
 def test_jam_pattern_seeds_come_from_corner_tables(net):
-    """The structured seeds' throttles gathered from 16-corner x {0, a}
-    tables equal the bound on the rows themselves.  On the benchmark the
-    8,160 rows end inside a ROW_BLOCK; above 12 cells they are 131,072."""
+    """Every block yields the demands and supplies of its own rows: the
+    jam-pattern blocks gather them from 16-corner x {0, a} tables, the Sobol
+    blocks evaluate them.  Both equal `demand_batch`/`supply_batch` of the
+    reference rows, and the jam-pattern rows' throttles equal the junction
+    loop's.  On the benchmark the 8,160 jam-pattern rows end inside a
+    ROW_BLOCK; above 12 cells they are 131,072."""
     spec, ds = _net(net)
     v_box = _v_box(spec, ds)
     cloud = _SeedCloud(spec, ds, v_box, 1024, 3)
-    want = oracles.seed_cloud_reference(spec, ds, v_box, 1024, 3)
-    for got, ref in zip(_stream(cloud), want):
-        assert np.array_equal(got, ref)
+    X, V, D = oracles.seed_cloud_reference(spec, ds, v_box, 1024, 3)
     n_struct = cloud.n_struct
     assert n_struct == (8160 if net == "benchmark" else 4096 * 32)
     if net == "benchmark":
         assert n_struct % ROW_BLOCK != 0
-    bound = ThrottleBound(spec, ds)
-    throttles = _struct_throttles(bound)
-    S = np.vstack([throttles(lo, X, V) for lo, X, V, _ in cloud.blocks()
-                   if lo < n_struct])
-    rows = _stream(cloud, structured=True)
-    assert np.array_equal(S, bound(*rows))
-    assert np.array_equal(S, oracles.stilde_bound_loop(spec, ds)(*rows))
+    got = _stream(cloud)
+    for part, ref in zip(got, (X, V, *_curves(ds, X, D))):
+        assert np.array_equal(part, ref)
+    F, G = (part[:n_struct] for part in got[2:])
+    S = ThrottleBound(spec, ds).allocate(F, G, V[:n_struct])
+    assert np.array_equal(S, oracles.stilde_bound_loop(spec, ds)(
+        X[:n_struct], V[:n_struct], D[:n_struct]))
 
 
 @pytest.mark.parametrize("n", [8, 64, 128])

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,6 +268,22 @@ def test_drain_constants_input_checks(ref_spec, ref_ds):
         drain_constants(ref_spec, ref_ds, np.zeros(8), n_samples=64)
     with pytest.raises(DimensionError):
         drain_constants(ref_spec, ref_ds, np.ones(3), n_samples=64)
+
+
+def _jam_capacity(ds, cell, a):
+    """`ds` with cell `cell` (0-based) jamming at density `a`."""
+    dem, sup = list(ds.demands), list(ds.supplies)
+    dem[cell], sup[cell] = replace(dem[cell], a=a), replace(sup[cell], a=a)
+    return DiagramSet(tuple(dem), tuple(sup), ds.d_lo, ds.d_hi)
+
+
+def test_drain_constants_refuse_diagrams_of_another_jam_capacity(ref_spec, ref_ds):
+    """Curves jamming at 120 on a cell that the network fills to 170 would
+    bound throttles of densities those curves never admit."""
+    with pytest.raises(ValueError, match=r"^cell 3: diagrams give jam capacity "
+                                         r"a = 120 but the network has a = 170$"):
+        drain_constants(ref_spec, _jam_capacity(ref_ds, 2, 120.0),
+                        weights_r(ref_spec), n_samples=64)
 
 
 @pytest.mark.parametrize("n_samples", [0, -5, 2 ** 30 + 1])
