@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DimensionError, DomainError
 from .network import NetworkSpec, _check_fields, _checked, _located
@@ -397,6 +396,8 @@ def sample_uncertainty(ds: DiagramSet, m: int, seed: int = 0,
     k = m - len(corners)
     if k < 0:
         raise ValueError(f"need m >= {len(corners)} to include all corners")
+    from scipy.stats import qmc  # imported here: scipy.stats takes about 1 s to import
+
     sob = qmc.Sobol(d=_D_DIM, scramble=True, seed=seed)
     u = sob.random_base2(max(1, math.ceil(math.log2(max(k, 2)))))[:k]
     pts = ds.d_lo + u * (ds.d_hi - ds.d_lo)
@@ -442,6 +443,8 @@ def audit_demand_curve(fd: DemandFunction, seed: int = 0) -> DemandAudit:
     if fd.family == "piecewise":
         dmat = np.zeros((1, 3))
     else:
+        from scipy.stats import qmc  # imported here: scipy.stats takes about 1 s to import
+
         corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
         sob = qmc.Sobol(d=3, scramble=True, seed=seed)
         dmat = np.vstack([corners, sob.random(AUDIT_D_SAMPLES)])

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .diagrams import DiagramSet, _demand_values, demand_batch, supply_batch, sample_uncertainty
+from .diagrams import (DiagramSet, _demand_values, check_pair, demand_batch,
+                       sample_uncertainty, supply_batch)
 from .errors import DomainError, InfeasibleInflow, NonUniformEquilibrium
 from .network import NetworkSpec
 
@@ -65,9 +66,10 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
     required throughput exceeds its peak subcritical demand,
     NonUniformEquilibrium when the solved densities fail to carry the same
     flow under every sampled disturbance, ValueError naming the cell when the
-    strict supply slack fails, and AcyclicityError when the network has a
-    cycle.
+    strict supply slack fails or the diagrams do not describe the network's
+    cells (`check_pair`), and AcyclicityError when the network has a cycle.
     """
+    check_pair(spec, ds)
     vstar = np.asarray(vstar, dtype=float)
     v_cap = np.minimum(spec.vmax, ds.min_supply_at_zero())
     if not np.isfinite(vstar).all():

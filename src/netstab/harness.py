@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dynamics
 from .control import ControllerConfig, control_law
-from .diagrams import DiagramSet, _philox, uniform_uncertainty
+from .diagrams import DiagramSet, _philox, check_pair, uniform_uncertainty
 from .errors import MisuseError
 from .network import NetworkSpec, find_cycle
 from .presets import (benchmark_initial_states, congested_candidate,
@@ -114,7 +114,12 @@ def _resolve_reference(cfg: ScenarioConfig, n: int) -> np.ndarray:
 
 def run_scenario(spec: NetworkSpec, ds: DiagramSet,
                  cfg: ScenarioConfig) -> TrajectoryRecord:
-    """Roll the network forward for cfg.horizon steps and record everything."""
+    """Roll the network forward for cfg.horizon steps and record everything.
+
+    Raises ValueError naming the cell when the diagrams do not describe the
+    network's cells (`check_pair`).
+    """
+    check_pair(spec, ds)
     n = spec.n
     T = int(cfg.horizon)
     xref = _resolve_reference(cfg, n)

@@ -123,13 +123,24 @@ class NetworkSpec:
         P[i, j] * a_i, P[i, j], whether a sender repeats); positions index
         the junction cells.
         """
-        claims, levels = [c for _, c in self.claims], []
-        for k in range(max(map(len, claims), default=0)):
-            pos = [c for c, claim in enumerate(claims) if len(claim) > k]
-            snd, p = (np.array(col) for col in zip(*(claims[c][k] for c in pos)))
-            levels.append((slice(None) if len(pos) == len(claims) else np.array(pos),
-                           snd, p * self.a[snd], p, len(np.unique(snd)) < len(snd)))
-        return np.array([j for j, _ in self.claims], dtype=int), levels
+        return group_claims(self.claims, self.a)
+
+
+def group_claims(claims, a: np.ndarray):
+    """Junction claims grouped by priority level, as (junction cells, levels).
+
+    `claims` holds entries of `NetworkSpec.claims`, (j, ((i, P[i, j]), ...)),
+    and `a` the storage capacities; see `NetworkSpec.claim_levels`, which
+    groups every claim, while `ThrottleBound` also groups the few junctions
+    that one cell's change can reach.
+    """
+    senders, levels = [c for _, c in claims], []
+    for k in range(max(map(len, senders), default=0)):
+        pos = [c for c, claim in enumerate(senders) if len(claim) > k]
+        snd, p = (np.array(col) for col in zip(*(senders[c][k] for c in pos)))
+        levels.append((slice(None) if len(pos) == len(senders) else np.array(pos),
+                       snd, p * a[snd], p, len(np.unique(snd)) < len(snd)))
+    return np.array([j for j, _ in claims], dtype=int), levels
 
 
 def validate_spec(spec: NetworkSpec) -> list[Violation]:

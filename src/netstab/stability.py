@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import control
 from .control import ControllerConfig, h_map
@@ -25,7 +24,7 @@ from .diagrams import (DiagramSet, _demand_values, _philox, _supply_values,
 from .dynamics import step
 from .errors import (DimensionError, NumericalError, StructuralError,
                      ThrottleBoundViolation, TrappingInfeasible)
-from .network import NetworkSpec
+from .network import NetworkSpec, group_claims
 
 SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
 CONTRACTION_TOL = 1e-9  # largest violation the contraction check lets pass
@@ -225,23 +224,61 @@ class ThrottleBound:
     bound through ``np.minimum.at``.  Every value is computed with the same
     floating-point operations as a per-junction loop, and rows do not
     interact, so S is bit-identical to the loop's at any batch size.
+
+    `allocate(F, G, V, cell=i, S=S)` is the local form, for rows that differ
+    from rows whose bounds S already holds in cell i's demand, supply or
+    inflow only.  Such a change can move only the columns of the claimants
+    at junction i and of the co-claimants at the junctions where i claims.
+    The local form resets those columns of S, in place, and replays every
+    junction at which they claim, grouped by level like the full form
+    (`group_claims`, planned once per cell on first use).  The other columns
+    keep their values, and a replayed junction cannot lower them:
+    ``np.minimum`` is exact, so the result equals a full `allocate` bit for
+    bit.  A bound that ignores `cell` and `S` and allocates in full is
+    equally correct, only slower.
     """
 
     def __init__(self, spec: NetworkSpec, ds: DiagramSet):
         check_pair(spec, ds)
         self.cols, self.levels = spec.claim_levels
+        self.a, self.claims = spec.a, dict(spec.claims)  # junction cell -> its claims
+        self.sites = [[] for _ in range(spec.n)]  # per sender, the junctions it claims at
+        for j, claim in spec.claims:
+            for i, _ in claim:
+                self.sites[i].append(j)
+        self.plans = {}
 
-    def allocate(self, F: np.ndarray, G: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Throttle bounds from demands F, supplies G and inflows V, all (N, n)."""
-        rem = G[:, self.cols] - V[:, self.cols]
-        S = np.ones_like(F)
-        for k, (pos, snd, cap, p, repeats) in enumerate(self.levels):
+    def _plan(self, cell: int):
+        """(columns a change to `cell` can move, junction cells, levels)."""
+        if cell not in self.plans:
+            moved = sorted({i for j in (cell, *self.sites[cell])
+                            for i, _ in self.claims.get(j, ())})
+            replay = sorted({j for i in moved for j in self.sites[i]})
+            self.plans[cell] = (np.array(moved, dtype=int),
+                                *group_claims([(j, self.claims[j]) for j in replay], self.a))
+        return self.plans[cell]
+
+    def allocate(self, F: np.ndarray, G: np.ndarray, V: np.ndarray,
+                 cell: int | None = None, S: np.ndarray | None = None) -> np.ndarray:
+        """Throttle bounds from demands F, supplies G and inflows V, all (N, n).
+
+        With `cell`, S holds the bounds of the rows before `cell` moved; only
+        the columns that can move are recomputed, in S itself.
+        """
+        if cell is None:
+            cols, levels = self.cols, self.levels
+            S = np.ones_like(F)
+        else:
+            moved, cols, levels = self._plan(cell)
+            S[:, moved] = 1.0
+        rem = G[:, cols] - V[:, cols]
+        for k, (pos, snd, cap, p, repeats) in enumerate(levels):
             frac = np.clip(rem[:, pos] / cap, 0.0, 1.0)
             if repeats:
                 np.minimum.at(S.T, snd, frac.T)
             else:
                 S[:, snd] = np.minimum(S[:, snd], frac)
-            if k + 1 < len(self.levels):
+            if k + 1 < len(levels):
                 rem[:, pos] -= p * F[:, snd]
         return S
 
@@ -311,6 +348,8 @@ class _SeedCloud:
         self.n_struct = len(self.patterns) * len(self.ends) * len(self.corners)
         self.m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
         self.size = self.n_struct + self.m
+        from scipy.stats import qmc  # imported here: scipy.stats takes about 1 s to import
+
         self.sobol = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
 
     def _structured(self, k: np.ndarray):
@@ -414,10 +453,16 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
 
     The curves are evaluated only where samples differ: the seed cloud
     yields every block's demands F and supplies G, the jam-pattern blocks'
-    gathered from corner tables, and a scan holds the F and G of its grid
-    rows; both pass them to `allocate`.  An x scan overwrites the scanned
-    cell's column, a d scan evaluates whole rows, and a v scan evaluates no
-    curve.
+    gathered from corner tables.  The refined points carry their own curves,
+    Fb and Gb, into which each zoom level copies the winning grid rows'.  A
+    scan repeats them over its grid; an x scan then overwrites the scanned
+    cell's column, a v scan evaluates no curve, and a d scan evaluates whole
+    rows.  The throttle bounds are recomputed only where they can move.  An
+    x or v scan of cell i bounds the base points once, and each zoom level
+    then recomputes only the columns that cell i can move (`allocate` with
+    ``cell=i``), a few per cell, so its allocation costs O(degree(i)) per
+    grid row instead of O(n).  A d scan moves every cell and allocates
+    whole rows.
     """
     if not 1 <= n_samples <= 2 ** 30:
         raise ValueError(f"n_samples = {n_samples} is outside [1, 2**30]; the "
@@ -460,6 +505,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     seeds = best_idx[np.isfinite(vals[best_idx])]
     K, w = len(seeds), SCAN_WIDTH
     pts = dict(zip("xvd", cloud.rows(seeds)))
+    Fb, Gb = demand_batch(ds, pts["d"], pts["x"]), supply_batch(ds, pts["d"], pts["x"])
     best = vals[seeds]
     del vals, best_idx
     seed_of = np.arange(K)
@@ -468,8 +514,8 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
         nonlocal best
         lo, hi = np.full(K, lo_full), np.full(K, hi_full)
         if kind != "d":  # the base points' curves, repeated over each seed's grid
-            F = np.repeat(demand_batch(ds, pts["d"], pts["x"]), w, axis=0)
-            G = np.repeat(supply_batch(ds, pts["d"], pts["x"]), w, axis=0)
+            F, G = np.repeat(Fb, w, axis=0), np.repeat(Gb, w, axis=0)
+            Sb = bound.allocate(Fb, Gb, pts["v"])
         for _ in range(3):  # zoom levels
             ts, span = _zoom_grid(lo, hi, w)
             grid = {key: np.repeat(p[:, None, :], w, axis=1)
@@ -480,16 +526,20 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
                 d1, d2, d3, d4 = pts["d"].T[:, :, None]
                 F[:, idx] = _demand_values(ds.demands[idx], d1, d2, d3, ts).ravel()
                 G[:, idx] = _supply_values(ds.supplies[idx], d4, ts).ravel()
-            elif kind == "d":
+            if kind == "d":
                 F = demand_batch(ds, rows["d"], rows["x"])
                 G = supply_batch(ds, rows["d"], rows["x"])
-            S = bound.allocate(F, G, rows["v"]).reshape(K, w, -1)
-            cand = _ratios(S, grid["x"], r, mass_floor)
+                S = bound.allocate(F, G, rows["v"])
+            else:
+                S = bound.allocate(F, G, rows["v"], cell=idx, S=np.repeat(Sb, w, axis=0))
+            cand = _ratios(S.reshape(K, w, -1), grid["x"], r, mass_floor)
             k = np.argmin(cand, axis=1)
             t_k = ts[seed_of, k]
             better = cand[seed_of, k] < best
             best = np.where(better, cand[seed_of, k], best)
             pts[kind][better, idx] = t_k[better]
+            won = (seed_of * w + k)[better]  # the winning grid rows become the base
+            Fb[better], Gb[better] = F[won], G[won]
             lo = np.maximum(lo_full, t_k - span)
             hi = np.minimum(hi_full, t_k + span)
 

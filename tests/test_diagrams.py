@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +229,14 @@ def test_diagram_set_validation():
                        L=0.7, G=0.2, fmin=10)  # L > G
     with pytest.raises(ValueError):
         SupplyFunction(qcap=-5.0, a=100.0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """`import netstab` does not load scipy.stats (about 1 s of import time):
+    only the Sobol draws import it, when they run."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import netstab; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

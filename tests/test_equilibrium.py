@@ -8,6 +8,7 @@ from netstab.equilibrium import (equilibrium_flows, equilibrium_residual,
 from netstab.errors import DomainError, InfeasibleInflow, NonUniformEquilibrium
 
 import oracles
+from test_stability import _jam_capacity
 
 
 def test_reference_equilibrium_values(ref_eq):
@@ -77,6 +78,14 @@ def test_solver_rejects_non_finite_inflow(ref_spec, ref_ds, bad):
     v[4] = bad
     with pytest.raises(DomainError, match=r"^cell 5: equilibrium inflow .* is not finite"):
         solve_uep(ref_spec, ref_ds, v)
+
+
+def test_solver_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds):
+    """An equilibrium of curves that jam at 120 on a cell the network fills
+    to 170 would describe another network."""
+    with pytest.raises(ValueError, match=r"^cell 3: diagrams give jam capacity "
+                                         r"a = 120 but the network has a = 170$"):
+        solve_uep(ref_spec, _jam_capacity(ref_ds, 2, 120.0), presets.reference_vstar())
 
 
 def test_supply_scale_fit(ref_spec, ref_ds):

@@ -5,8 +5,9 @@
 seed cloud in row blocks, rebuilds its best seeds from their indices and
 refines them in lockstep.  It also evaluates the curves only where its
 samples differ: the cloud gathers the jam-pattern seeds' curves from corner
-tables, and a coordinate scan re-evaluates only the scanned cell (x), no
-curve (v) or every cell (d).
+tables, the refined points carry theirs, and a coordinate scan re-evaluates
+only the scanned cell (x), no curve (v) or every cell (d).  An x or v scan
+re-allocates only the throttle columns that its cell can move.
 None of that may change a single bit of the throttle bounds, gamma, its
 argmin or the sample count.
 """
@@ -164,6 +165,65 @@ def _twenty_cells():
     return _freeways_and_chain(2, 4)
 
 
+def _relabelled_copies(copies, seed):
+    """`copies` disjoint benchmark freeways, cells relabelled by a seeded
+    permutation (corridor64 at eight copies)."""
+    ref, rds = presets.reference_network(), presets.reference_diagrams()
+    n = 8 * copies
+    perm = np.random.default_rng(seed).permutation(n)
+    P, old = np.zeros((n, n)), np.empty(n, dtype=int)
+    for c in range(copies):
+        new = perm[8 * c:8 * c + 8]
+        P[np.ix_(new, new)] = ref.P
+        old[new] = np.arange(8)
+    spec = NetworkSpec(n=n, a=ref.a[old], P=P, Qexit=ref.Qexit[old], mu=ref.mu[old],
+                       vmax=ref.vmax[old])
+    return spec, DiagramSet(tuple(rds.demands[k] for k in old),
+                            tuple(rds.supplies[k] for k in old), rds.d_lo, rds.d_hi)
+
+
+def _assert_local_equals_full(spec, ds, rng, N=120):
+    """For every cell, rows that move only that cell's density or inflow off
+    some base rows: `allocate` from the base rows' bounds equals a full one."""
+    X, V, D = _states(spec, ds, rng, N)
+    bound, (F, G) = ThrottleBound(spec, ds), _curves(ds, X, D)
+    S = bound.allocate(F, G, V)
+    moved = 0
+    for i in range(spec.n):
+        Xi, Vi = X.copy(), V.copy()
+        Xi[:, i] = rng.permutation(X[:, i])
+        Vi[:, i] = rng.uniform(0.0, 30.0, N)
+        for X2, V2 in ((Xi, V), (X, Vi)):
+            F2, G2 = F.copy(), G.copy()  # only cell i's columns are evaluated again
+            F2[:, i], G2[:, i] = (part[:, i] for part in _curves(ds, X2, D))
+            full = bound.allocate(F2, G2, V2)
+            local = bound.allocate(F2, G2, V2, cell=i, S=S.copy())
+            assert np.array_equal(local, full), f"cell {i}"
+            moved += not np.array_equal(full, S)
+    assert moved > spec.n  # most moves change some bound
+
+
+def test_local_allocation_equals_a_full_one_on_random_nets():
+    """Dense random nets, among them nets where a sender claims at two
+    junctions of one level."""
+    rng = np.random.default_rng(23)
+    shapes = []
+    for _ in range(12):
+        n = int(rng.integers(3, 16))
+        spec = _spec_for(_dense_net(rng, n), rng)
+        pinned = tuple(np.nonzero(rng.random(n) < 0.3)[0])
+        _assert_local_equals_full(spec, _diagrams_for(n, rng, pinned, 0.2), rng)
+        shapes.append(_claim_shape(spec))
+    assert max(depth for depth, _ in shapes) >= 3
+    assert sum(repeats for _, repeats in shapes) >= 3
+
+
+@pytest.mark.parametrize("net", ["20 cells", "8 relabelled copies"])
+def test_local_allocation_equals_a_full_one(net):
+    spec, ds = _twenty_cells() if net == "20 cells" else _relabelled_copies(8, 11)
+    _assert_local_equals_full(spec, ds, np.random.default_rng(spec.n))
+
+
 def _pinned_benchmark(piecewise=()):
     """The benchmark with cells 3 and 7 pinned to a fixed supply scale and
     the `piecewise` cells (0-based) on a user polynomial curve."""
@@ -242,7 +302,7 @@ class _Overflowing(_LowCornerBound):
     the finite seeds.  Elsewhere S = 1e308, so S * X overflows to an
     infinite ratio."""
 
-    def allocate(self, F, G, V):
+    def allocate(self, F, G, V, cell=None, S=None):
         S = super().allocate(F, G, V)
         jam, count = G == 0, (G == 0).sum(axis=1)
         seeds = ((V == 0).all(axis=1) & (G <= self.g_low).all(axis=1)
@@ -272,7 +332,7 @@ class _Landscape(_LowCornerBound):
     lies a deeper well at y_1 = 0.272, off the scan grid.  Inflow, a supply
     above the low d4 corner or a jam demand off the low d3 corner adds 1."""
 
-    def allocate(self, F, G, V):
+    def allocate(self, F, G, V, cell=None, S=None):
         y = 1.0 - G / self.g_low
         n = y.shape[1]
         well = np.eye(n)
@@ -416,7 +476,7 @@ class _CurveSensitiveBound(ThrottleBound):
     A stale, misplaced or wrongly weighted curve value in any scan then
     changes the path of the search."""
 
-    def allocate(self, F, G, V):
+    def allocate(self, F, G, V, cell=None, S=None):
         return 0.5 + 0.4 * np.cos(0.37 * F + 0.11 * G + 0.05 * V)
 
 

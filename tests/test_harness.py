@@ -12,6 +12,8 @@ from netstab.harness import (ControlSpec, DisturbanceSpec, ScenarioConfig,
                              gridlock_demo, mass_balance_residuals,
                              reproduce_suite, run_scenario)
 
+from test_stability import _jam_capacity
+
 
 def _record_with_deviation(dev):
     dev = np.asarray(dev, dtype=float)
@@ -92,6 +94,18 @@ def test_estimate_decay_flags_non_decaying_runs():
     assert not fit.converged_immediately
     growing = _record_with_deviation(np.exp(0.1 * np.arange(60)))
     assert estimate_decay(growing).sigma_hat == pytest.approx(-0.1, rel=1e-9)
+
+
+def test_run_scenario_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds):
+    """Open loop from x0 = 170 with curves that jam cell 3 at 120: `step`
+    admits the network's densities, and this run's mass balance was off by
+    up to 11.4 vehicles per step before the pair was checked."""
+    cfg = ScenarioConfig(x0=np.full(8, 170.0), horizon=30,
+                         disturbance=DisturbanceSpec(kind="uniform", seed=0),
+                         control=ControlSpec(kind="open-loop", v=presets.reference_vstar()))
+    with pytest.raises(ValueError, match=r"^cell 3: diagrams give jam capacity "
+                                         r"a = 120 but the network has a = 170$"):
+        run_scenario(ref_spec, _jam_capacity(ref_ds, 2, 120.0), cfg)
 
 
 def test_mass_balance_residuals_are_tiny(ref_spec, ref_ds):

@@ -286,6 +286,13 @@ def test_drain_constants_refuse_diagrams_of_another_jam_capacity(ref_spec, ref_d
                         weights_r(ref_spec), n_samples=64)
 
 
+def test_certify_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds, ref_eq):
+    """The pair check in `ThrottleBound` stops `certify` too."""
+    with pytest.raises(ValueError, match=r"^cell 3: diagrams give jam capacity "
+                                         r"a = 120 but the network has a = 170$"):
+        certify(ref_spec, _jam_capacity(ref_ds, 2, 120.0), ref_eq, n_gamma_samples=64)
+
+
 @pytest.mark.parametrize("n_samples", [0, -5, 2 ** 30 + 1])
 def test_drain_constants_refuse_sample_counts_sobol_cannot_draw(
         n_samples, ref_spec, ref_ds, monkeypatch):
