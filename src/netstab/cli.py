@@ -3,7 +3,8 @@
 Subcommands: validate, analyze, solve-uep, synthesize, simulate,
 gridlock-demo, reproduce-paper.  All print JSON to stdout.  Exit codes:
 0 = all checks passed, 1 = a certificate or acceptance check failed,
-2 = input error (bad file, bad flags, out-of-domain data).
+2 = input error (bad file, bad flags, out-of-domain data), 141 = stdout was
+closed before the output was written (`netstab analyze | head -1`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .presets import (reference_diagrams, reference_network, reference_vstar,
 from .stability import certify, contraction_check
 
 EQUILIBRIUM_TOL = 1e-6  # a controller's x*, v* against the solved equilibrium
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe killed
 
 
 class _InputError(Exception):
@@ -380,7 +382,14 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_out(args.out)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the handlers below
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the interpreter's
+        # own flush at exit cannot raise again (Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except (_InputError, DomainError, DimensionError, MisuseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -305,91 +305,70 @@ class DrainConstants:
     n_evaluated: int
 
 
-class _SeedCloud:
-    """Seeds of the gamma search, streamed in blocks and rebuilt by index.
-
-    Rows 0 .. n_struct - 1 are structured seeds: binary jam patterns (every
-    one for small networks, 4096 random ones otherwise) x inflows at both box
-    ends x all uncertainty corners, in that nesting order, so row k holds
-    pattern k // 32, box end (k // 16) % 2 and corner k % 16.  A joint
-    scrambled-Sobol cloud of m rows over (x, v, d) follows, m being
-    n_samples rounded up to a power of two.
-
-    `blocks` yields (start, X, V, F, G) for at most ROW_BLOCK rows at a time,
-    F and G being the rows' demands and supplies; no block mixes the two
-    kinds of rows.  Every density of a structured row is 0 or a, so its F
-    and G are gathered from 16-corner x {0, a} tables made once here by
-    `demand_batch`/`supply_batch`.  Those evaluate each entry on its own, so
-    the gathered rows equal an evaluation of the rows themselves bit for
-    bit.  The Sobol rows come from `Sobol.random` in power-of-two chunks,
-    which equal one whole draw bit for bit, and are evaluated in full.
-    `rows(idx)` rebuilds the (X, V, D) of chosen rows from their indices
-    alone: a structured row from the index, a Sobol row from a reset engine
-    fast forwarded to it.  Either way a row equals its streamed copy bit for
-    bit.  Both share one engine, so `rows` must not run inside a pass of
-    `blocks`.
-    """
-
-    def __init__(self, spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
+def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
                  n_samples: int, seed: int):
-        n = spec.n
-        if n <= JAM_PATTERN_LIMIT:
-            codes = np.arange(1, 2 ** n)  # skip the all-empty pattern
-            self.patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
-        else:
-            self.patterns = (_philox(seed ^ 0x9E3779B9).random((4096, n)) < 0.5)
-        self.ds, self.a = ds, spec.a
-        self.ends = np.stack([np.zeros(n), v_box])
-        self.corners = d_corners(ds)
-        # each corner's demands and supplies of empty ([0]) and of jammed ([1]) cells
-        empty, jam = np.zeros((len(self.corners), n)), np.tile(self.a, (len(self.corners), 1))
-        self.F = demand_batch(ds, self.corners, empty), demand_batch(ds, self.corners, jam)
-        self.G = supply_batch(ds, self.corners, empty), supply_batch(ds, self.corners, jam)
-        self.n_struct = len(self.patterns) * len(self.ends) * len(self.corners)
-        self.m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
-        self.size = self.n_struct + self.m
-        from scipy.stats import qmc  # imported here: scipy.stats takes about 1 s to import
+    """The gamma search's seeds as (X, V, D, F, G) blocks of at most ROW_BLOCK rows.
 
-        self.sobol = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
+    Jam-pattern rows come first: binary jam patterns (every one for small
+    networks, 4096 random ones otherwise) x inflows at both box ends x all
+    uncertainty corners, in that nesting order.  A scrambled-Sobol cloud
+    over (x, v, d) of n_samples rows, rounded up to a power of two, follows;
+    it is drawn in power-of-two chunks, which equal one whole draw bit for
+    bit.  No block mixes the two kinds.  F and G are the rows' demands and
+    supplies.  A jam-pattern row's densities are 0 or a, so its F and G are
+    gathered from 16-corner x {0, a} tables; `demand_batch`/`supply_batch`
+    evaluate each entry on its own, so they equal the row's bit for bit.
+    """
+    n = spec.n
+    if n <= JAM_PATTERN_LIMIT:
+        codes = np.arange(1, 2 ** n)  # skip the all-empty pattern
+        patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
+    else:
+        patterns = _philox(seed ^ 0x9E3779B9).random((4096, n)) < 0.5
+    ends, corners = np.stack([np.zeros(n), v_box]), d_corners(ds)
+    # each corner's demands and supplies of empty ([0]) and of jammed ([1]) cells
+    empty, jam = np.zeros((len(corners), n)), np.tile(spec.a, (len(corners), 1))
+    F = demand_batch(ds, corners, empty), demand_batch(ds, corners, jam)
+    G = supply_batch(ds, corners, empty), supply_batch(ds, corners, jam)
+    per_pattern = len(ends) * len(corners)
+    n_struct = len(patterns) * per_pattern
+    for lo in range(0, n_struct, ROW_BLOCK):
+        k = np.arange(lo, min(lo + ROW_BLOCK, n_struct))
+        X, c = patterns[k // per_pattern] * spec.a, k % len(corners)
+        full = X > 0
+        yield (X, ends[k // len(corners) % len(ends)], corners[c],
+               np.where(full, F[1][c], F[0][c]), np.where(full, G[1][c], G[0][c]))
 
-    def _structured(self, k: np.ndarray):
-        """X, V and corner index of structured rows k."""
-        per_pattern = len(self.ends) * len(self.corners)
-        return (self.patterns[k // per_pattern] * self.a,
-                self.ends[k // len(self.corners) % len(self.ends)],
-                k % len(self.corners))
+    from scipy.stats import qmc  # imported here: scipy.stats takes about 1 s to import
 
-    def _scaled(self, u: np.ndarray):
-        n = len(self.a)
-        D = u[:, 2 * n:] * (self.ds.d_hi - self.ds.d_lo)
-        D += self.ds.d_lo
-        return u[:, :n] * self.a, u[:, n:2 * n] * self.ends[1], D
+    sobol = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
+    m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
+    chunk = min(ROW_BLOCK, m)
+    for _ in range(m // chunk):
+        u = sobol.random(chunk)
+        X, V = u[:, :n] * spec.a, u[:, n:2 * n] * v_box
+        D = u[:, 2 * n:] * (ds.d_hi - ds.d_lo) + ds.d_lo
+        del u  # 2n + 4 columns, not to be held while the consumer bounds the block
+        yield X, V, D, demand_batch(ds, D, X), supply_batch(ds, D, X)
 
-    def blocks(self):
-        for lo in range(0, self.n_struct, ROW_BLOCK):
-            X, V, c = self._structured(np.arange(lo, min(lo + ROW_BLOCK, self.n_struct)))
-            full = X > 0
-            yield (lo, X, V, np.where(full, self.F[1][c], self.F[0][c]),
-                   np.where(full, self.G[1][c], self.G[0][c]))
-        self.sobol.reset()
-        chunk = min(ROW_BLOCK, self.m)
-        for lo in range(self.n_struct, self.size, chunk):
-            X, V, D = self._scaled(self.sobol.random(chunk))
-            yield lo, X, V, demand_batch(self.ds, D, X), supply_batch(self.ds, D, X)
 
-    def rows(self, idx):
-        idx = np.asarray(idx, dtype=int)
-        n = len(self.a)
-        X, V, D = (np.empty((len(idx), w)) for w in (n, n, self.corners.shape[1]))
-        struct = idx < self.n_struct
-        X[struct], V[struct], c = self._structured(idx[struct])
-        D[struct] = self.corners[c]
-        for j in np.flatnonzero(~struct):
-            self.sobol.reset()
-            if idx[j] > self.n_struct:  # fast_forward(0) on a fresh engine fails
-                self.sobol.fast_forward(int(idx[j]) - self.n_struct)
-            X[j], V[j], D[j] = (row[0] for row in self._scaled(self.sobol.random(1)))
-        return X, V, D
+def _keep_best(blocks, k: int):
+    """The k rows of lowest ratio in a stream of (ratios, *arrays) blocks.
+
+    Returns them in (ratio, row) order, as a stable sort of the whole stream
+    orders them, with the count of finite ratios in the stream.
+    """
+    kept, n_finite = (), 0
+    for rows in blocks:
+        n_finite += int(np.isfinite(rows[0]).sum())
+        if kept and len(kept[0]) == k and rows[0].min() >= kept[0][-1]:
+            continue  # no row of the block sorts before the last kept one
+        if kept:  # the kept rows come first, so equal ratios stay in row order
+            top = np.argsort(rows[0], kind="stable")[:k]
+            rows = tuple(np.concatenate([a, b[top]]) for a, b in zip(kept, rows))
+        top = np.argsort(rows[0], kind="stable")[:k]
+        kept = tuple(part[top] for part in rows)
+    return kept, n_finite
 
 
 def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
@@ -439,34 +418,33 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     refinement of the best seeds with a zooming grid per coordinate.  A
     nonpositive gamma raises ThrottleBoundViolation with the witness sample.
 
-    The seed cloud is a stream of ROW_BLOCK-row blocks (`_SeedCloud`): each
-    block is drawn, bounded and reduced to its ratios before the next one
-    exists.  The search keeps only those ratios, 8 bytes per seed, where the
-    seeds' rows and throttle bounds would take about 32 n bytes each.  The
-    best seeds are then rebuilt from their indices.  They are refined in
-    lockstep: every zoom level of a coordinate scan allocates and weighs all
-    seeds' grids at once, while each seed keeps its own zoom window,
-    strict-improvement acceptance and (SCAN_WIDTH, n) @ r product.  As the
-    ratios of a row do not depend on its batch (`_ratios`), the result is
-    that of evaluating the whole cloud at once and refining the seeds one
-    after another, bit for bit.
+    The seed cloud is a stream of ROW_BLOCK-row blocks (`_seed_blocks`),
+    each bounded and reduced to its ratios before the next one exists.  The
+    search keeps only the best refine_top seeds, with their rows and curves
+    (`_keep_best`: seeds of equal ratio are taken in row order), and refines
+    them in lockstep: every zoom level of a coordinate scan allocates and
+    weighs all seeds' grids at once, while each seed keeps its own zoom
+    window, strict-improvement acceptance and (SCAN_WIDTH, n) @ r product.
+    As the ratios of a row do not depend on its batch (`_ratios`), the
+    result is that of evaluating the whole cloud at once and refining the
+    seeds one after another, bit for bit.
 
-    The curves are evaluated only where samples differ: the seed cloud
-    yields every block's demands F and supplies G, the jam-pattern blocks'
-    gathered from corner tables.  The refined points carry their own curves,
-    Fb and Gb, into which each zoom level copies the winning grid rows'.  A
-    scan repeats them over its grid; an x scan then overwrites the scanned
-    cell's column, a v scan evaluates no curve, and a d scan evaluates whole
-    rows.  The throttle bounds are recomputed only where they can move.  An
-    x or v scan of cell i bounds the base points once, and each zoom level
-    then recomputes only the columns that cell i can move (`allocate` with
-    ``cell=i``), a few per cell, so its allocation costs O(degree(i)) per
-    grid row instead of O(n).  A d scan moves every cell and allocates
-    whole rows.
+    Curves and bounds are evaluated only where samples differ.  A scan
+    builds its grid rows once, and each zoom level writes only the scanned
+    column.  The refined points carry their curves, Fb and Gb: an x scan
+    re-evaluates only the scanned cell, a v scan no curve, a d scan whole
+    rows.  An x or v scan of cell i bounds its base points once, and each
+    zoom level recomputes only the columns that cell i can move (`allocate`
+    with ``cell=i``), so its allocation costs O(degree(i)) per grid row
+    instead of O(n).  A d scan allocates whole rows.
     """
     if not 1 <= n_samples <= 2 ** 30:
         raise ValueError(f"n_samples = {n_samples} is outside [1, 2**30]; the "
                          f"Sobol cloud holds at most 2**30 points")
+    if refine_top < 1:
+        raise ValueError(f"refine_top = {refine_top} is below 1")
+    if refine_sweeps < 0:
+        raise ValueError(f"refine_sweeps = {refine_sweeps} is negative")
     bound = ThrottleBound(spec, ds)
     r = np.asarray(r, dtype=float)
     if r.shape != (spec.n,):
@@ -492,36 +470,30 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     v_box = caps - eps_tilde
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
-    cloud = _SeedCloud(spec, ds, v_box, n_samples, seed)
-    vals = np.empty(cloud.size)
-    for lo, X, V, F, G in cloud.blocks():
-        vals[lo:lo + len(X)] = _ratios(bound.allocate(F, G, V), X, r, mass_floor)
-    n_evaluated = int(np.isfinite(vals).sum())
+    kept, n_evaluated = _keep_best(
+        ((_ratios(bound.allocate(F, G, V), X, r, mass_floor), X, V, D, F, G)
+         for X, V, D, F, G in _seed_blocks(spec, ds, v_box, n_samples, seed)), refine_top)
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")
 
     # coordinate-descent refinement of the finite best seeds, in lockstep
-    best_idx = np.argsort(vals)[:refine_top]
-    seeds = best_idx[np.isfinite(vals[best_idx])]
-    K, w = len(seeds), SCAN_WIDTH
-    pts = dict(zip("xvd", cloud.rows(seeds)))
-    Fb, Gb = demand_batch(ds, pts["d"], pts["x"]), supply_batch(ds, pts["d"], pts["x"])
-    best = vals[seeds]
-    del vals, best_idx
+    finite = np.isfinite(kept[0])
+    best, x, v, d, Fb, Gb = (part[finite] for part in kept)
+    pts = {"x": x, "v": v, "d": d}
+    K, w = len(best), SCAN_WIDTH
     seed_of = np.arange(K)
 
     def scan(kind, idx, lo_full, hi_full):
         nonlocal best
         lo, hi = np.full(K, lo_full), np.full(K, hi_full)
-        if kind != "d":  # the base points' curves, repeated over each seed's grid
+        # w grid rows per seed; a zoom level moves only column idx of `kind`
+        rows = {key: np.repeat(p, w, axis=0) for key, p in pts.items()}
+        if kind != "d":  # the base points' curves and bounds, repeated over each grid
             F, G = np.repeat(Fb, w, axis=0), np.repeat(Gb, w, axis=0)
-            Sb = bound.allocate(Fb, Gb, pts["v"])
+            Sb = np.repeat(bound.allocate(Fb, Gb, pts["v"]), w, axis=0)
         for _ in range(3):  # zoom levels
             ts, span = _zoom_grid(lo, hi, w)
-            grid = {key: np.repeat(p[:, None, :], w, axis=1)
-                    for key, p in pts.items()}
-            grid[kind][:, :, idx] = ts
-            rows = {key: grid[key].reshape(K * w, -1) for key in "xvd"}
+            rows[kind][:, idx] = ts.ravel()
             if kind == "x":
                 d1, d2, d3, d4 = pts["d"].T[:, :, None]
                 F[:, idx] = _demand_values(ds.demands[idx], d1, d2, d3, ts).ravel()
@@ -530,9 +502,9 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
                 F = demand_batch(ds, rows["d"], rows["x"])
                 G = supply_batch(ds, rows["d"], rows["x"])
                 S = bound.allocate(F, G, rows["v"])
-            else:
-                S = bound.allocate(F, G, rows["v"], cell=idx, S=np.repeat(Sb, w, axis=0))
-            cand = _ratios(S.reshape(K, w, -1), grid["x"], r, mass_floor)
+            else:  # allocate and _ratios both write into S
+                S = bound.allocate(F, G, rows["v"], cell=idx, S=Sb.copy())
+            cand = _ratios(S.reshape(K, w, -1), rows["x"].reshape(K, w, -1), r, mass_floor)
             k = np.argmin(cand, axis=1)
             t_k = ts[seed_of, k]
             better = cand[seed_of, k] < best

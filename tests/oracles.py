@@ -264,7 +264,7 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
     vals = ratios(X_all, V_all, D_all)
     n_evaluated = int(np.isfinite(vals).sum())
 
-    best_idx = np.argsort(vals)[:refine_top]
+    best_idx = np.argsort(vals, kind="stable")[:refine_top]  # equal ratios in row order
     incumbent = (float(vals[best_idx[0]]), X_all[best_idx[0]].copy(),
                  V_all[best_idx[0]].copy(), D_all[best_idx[0]].copy())
 

@@ -2,6 +2,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -566,3 +569,21 @@ def test_reproduce_writes_suite(capsys, tmp_path):
                for name in expected["reproduce_csv_sha256"]}
     assert digests == expected["reproduce_csv_sha256"]
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(digests)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_without_traceback(buffered):
+    """`netstab analyze --seed 0 | head -1` with a reader gone before the
+    first write: exit 141, nothing on stderr.  Unbuffered, the print meets
+    the closed pipe; buffered, the output waits for the final flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "netstab.cli", "analyze", "--seed", "0"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_CLOSED_PIPE == 141
+    assert err == b""

@@ -2,8 +2,8 @@
 
 `ThrottleBound.allocate` evaluates the junction claims by priority level,
 `supply_batch` evaluates all cells at once, and `drain_constants` streams its
-seed cloud in row blocks, rebuilds its best seeds from their indices and
-refines them in lockstep.  It also evaluates the curves only where its
+seed cloud in row blocks, keeps its best seeds with their curves and refines
+them in lockstep.  It also evaluates the curves only where its
 samples differ: the cloud gathers the jam-pattern seeds' curves from corner
 tables, the refined points carry theirs, and a coordinate scan re-evaluates
 only the scanned cell (x), no curve (v) or every cell (d).  An x or v scan
@@ -22,8 +22,8 @@ from netstab import presets, stability
 from netstab.diagrams import (DiagramSet, SupplyFunction, d_corners,
                               demand_batch, supply_batch, uniform_uncertainty)
 from netstab.network import NetworkSpec
-from netstab.stability import (ROW_BLOCK, ThrottleBound, _ratios, _SeedCloud,
-                               _zoom_grid, drain_constants, weights_r)
+from netstab.stability import (ROW_BLOCK, ThrottleBound, _keep_best, _ratios,
+                               _seed_blocks, _zoom_grid, drain_constants, weights_r)
 
 import oracles
 from test_curve_table import PIECEWISE
@@ -366,39 +366,37 @@ def _v_box(spec, ds):
     return np.minimum(spec.vmax, ds.min_supply_at_zero()) * 0.5
 
 
-def _stream(cloud):
-    """The cloud's blocks stacked into (X, V, F, G), checking that they tile it."""
-    blocks, end = [], 0
-    for lo, *rows in cloud.blocks():
-        assert lo == end and 0 < len(rows[0]) <= ROW_BLOCK
-        end = lo + len(rows[0])
-        assert (lo < cloud.n_struct) == (end <= cloud.n_struct)  # one kind per block
-        blocks.append(rows)
-    assert end == cloud.size
+def _jam_pattern_rows(spec):
+    return 32 * (2 ** spec.n - 1 if spec.n <= 12 else 4096)
+
+
+def _stream(spec, ds, n_samples, seed):
+    """The seed blocks stacked into (X, V, D, F, G), checking that each block
+    holds at most ROW_BLOCK rows of one kind and that its X, V and D are the
+    reference cloud's rows."""
+    v_box = _v_box(spec, ds)
+    want = oracles.seed_cloud_reference(spec, ds, v_box, n_samples, seed)
+    n_struct, blocks, end = _jam_pattern_rows(spec), [], 0
+    for block in _seed_blocks(spec, ds, v_box, n_samples, seed):
+        lo, end = end, end + len(block[0])
+        assert 0 < end - lo <= ROW_BLOCK
+        assert (lo < n_struct) == (end <= n_struct)  # one kind per block
+        for got, ref in zip(block[:3], want):
+            assert np.array_equal(got, ref[lo:end])
+        blocks.append(block)
+    assert end == len(want[0])
     return tuple(np.vstack(part) for part in zip(*blocks))
 
 
 @pytest.mark.parametrize("n_samples", [300, 1000])
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
 def test_seed_stream_equals_the_whole_cloud(net, n_samples):
-    """The blocks' X and V stack to the reference cloud bit for bit, with a
-    Sobol part of 512 rows (under one ROW_BLOCK) or 1,024 (one ROW_BLOCK);
-    the benchmark's 8,160 jam-pattern rows end inside a block.  Seeds
-    rebuilt from their indices equal the reference rows, D included: every
-    jam-pattern row, and the Sobol rows at both ends and beside the seam."""
+    """The blocks' X, V and D are the reference cloud's rows bit for bit,
+    with a Sobol part of 512 rows (under one ROW_BLOCK) or 1,024 (one
+    ROW_BLOCK); the benchmark's 8,160 jam-pattern rows end inside a block."""
     spec, ds = _net(net)
-    v_box = _v_box(spec, ds)
-    cloud = _SeedCloud(spec, ds, v_box, n_samples, 3)
-    want = oracles.seed_cloud_reference(spec, ds, v_box, n_samples, 3)
-    assert cloud.m == (512 if n_samples == 300 else 1024)
-    for got, ref in zip(_stream(cloud)[:2], want):
-        assert np.array_equal(got, ref)
-    ns = cloud.n_struct
-    idx = [cloud.size - 1, 0, ns, ns - 1, ns + 1, 0]  # any order, repeats allowed
-    for got, ref in zip(cloud.rows(idx), want):
-        assert np.array_equal(got, ref[idx])
-    for got, ref in zip(cloud.rows(np.arange(ns)), want):
-        assert np.array_equal(got, ref[:ns])
+    X = _stream(spec, ds, n_samples, 3)[0]
+    assert len(X) - _jam_pattern_rows(spec) == (512 if n_samples == 300 else 1024)
 
 
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
@@ -410,20 +408,45 @@ def test_jam_pattern_seeds_come_from_corner_tables(net):
     loop's.  On the benchmark the 8,160 jam-pattern rows end inside a
     ROW_BLOCK; above 12 cells they are 131,072."""
     spec, ds = _net(net)
-    v_box = _v_box(spec, ds)
-    cloud = _SeedCloud(spec, ds, v_box, 1024, 3)
-    X, V, D = oracles.seed_cloud_reference(spec, ds, v_box, 1024, 3)
-    n_struct = cloud.n_struct
+    n_struct = _jam_pattern_rows(spec)
     assert n_struct == (8160 if net == "benchmark" else 4096 * 32)
     if net == "benchmark":
         assert n_struct % ROW_BLOCK != 0
-    got = _stream(cloud)
-    for part, ref in zip(got, (X, V, *_curves(ds, X, D))):
+    X, V, D, F, G = _stream(spec, ds, 1024, 3)
+    for part, ref in zip((F, G), _curves(ds, X, D)):
         assert np.array_equal(part, ref)
-    F, G = (part[:n_struct] for part in got[2:])
-    S = ThrottleBound(spec, ds).allocate(F, G, V[:n_struct])
+    S = ThrottleBound(spec, ds).allocate(F[:n_struct], G[:n_struct], V[:n_struct])
     assert np.array_equal(S, oracles.stilde_bound_loop(spec, ds)(
         X[:n_struct], V[:n_struct], D[:n_struct]))
+
+
+def test_kept_seeds_are_the_stable_order_of_the_whole_cloud():
+    """Equal ratios on both sides of the first ROW_BLOCK seam, on a
+    jam-pattern and a Sobol row, and on rows that sort later: the seeds kept
+    from the stream, rows and curves included, are the first k of a stable
+    sort of the whole cloud's ratios, so ties go in row order."""
+    spec, ds = _net("benchmark")
+    blocks = list(_seed_blocks(spec, ds, _v_box(spec, ds), 1024, 3))
+    whole = tuple(np.vstack(part) for part in zip(*blocks))
+    vals = np.round(whole[0].sum(axis=1) / presets.JAM) + 1.0  # ties among jam patterns
+    vals[::7] = np.inf
+    vals[[9000, ROW_BLOCK + 1, 5, ROW_BLOCK - 2, 8500, ROW_BLOCK, ROW_BLOCK - 1,
+          3000]] = 0.5
+    vals[8800] = 0.25
+    want = np.argsort(vals, kind="stable")[:6]
+    assert list(want) == [8800, 5, ROW_BLOCK - 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1]
+    ends = np.cumsum([0] + [len(b[0]) for b in blocks])
+    stream = ((vals[lo:hi], *block) for lo, hi, block in zip(ends, ends[1:], blocks))
+    kept, n_finite = _keep_best(stream, 6)
+    for got, ref in zip(kept, (vals, *whole)):
+        assert np.array_equal(got, ref[want])
+    assert n_finite == np.isfinite(vals).sum()
+    for ratios, k in ((vals, len(vals)), (np.arange(len(vals), dtype=float), 2000)):
+        # more seeds than finite ratios (the infinite ones follow in row order),
+        # and more seeds than the first block holds
+        kept, _ = _keep_best(((ratios[lo:hi], np.arange(lo, hi))
+                              for lo, hi in zip(ends, ends[1:])), k)
+        assert np.array_equal(kept[1], np.argsort(ratios, kind="stable")[:k])
 
 
 @pytest.mark.parametrize("n", [8, 64, 128])
@@ -457,7 +480,7 @@ def test_ratios_in_blocks_equal_the_whole_batch(n):
 
 def test_gamma_search_runs_in_fixed_memory():
     """262,144 seeds on 20 cells: holding the whole cloud's X, V, D and S
-    peaked at 138 MiB; the stream keeps its ratios, 2 MiB, and one block."""
+    peaked at 138 MiB; the stream keeps one block and its best seeds."""
     spec, ds = _twenty_cells()
     r = weights_r(spec)
     tracemalloc.start()

@@ -293,17 +293,31 @@ def test_certify_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds, ref_
         certify(ref_spec, _jam_capacity(ref_ds, 2, 120.0), ref_eq, n_gamma_samples=64)
 
 
+def _no_seed_drawn(*args, **kwargs):
+    raise AssertionError("a seed was drawn")
+
+
 @pytest.mark.parametrize("n_samples", [0, -5, 2 ** 30 + 1])
 def test_drain_constants_refuse_sample_counts_sobol_cannot_draw(
         n_samples, ref_spec, ref_ds, monkeypatch):
     """0 or a negative count used to run 2 Sobol rows; above 2**30 points
     the search failed inside scipy after the structured seeds."""
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a seed was drawn")
-
-    monkeypatch.setattr(stability, "_SeedCloud", unreachable)
+    monkeypatch.setattr(stability, "_seed_blocks", _no_seed_drawn)
     with pytest.raises(ValueError, match=rf"n_samples = {n_samples} .*2\*\*30"):
         drain_constants(ref_spec, ref_ds, weights_r(ref_spec), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("option, value", [("refine_top", 0), ("refine_top", -3),
+                                           ("refine_sweeps", -1)])
+def test_drain_constants_refuse_bad_refinement_options(
+        option, value, ref_spec, ref_ds, monkeypatch):
+    """refine_top = 0 failed in a numpy reshape after the whole seed stream,
+    a negative one refined all but the last few seeds, and a negative
+    refine_sweeps skipped the refinement.  Each is refused before a seed is
+    drawn."""
+    monkeypatch.setattr(stability, "_seed_blocks", _no_seed_drawn)
+    with pytest.raises(ValueError, match=rf"^{option} = {value} "):
+        drain_constants(ref_spec, ref_ds, weights_r(ref_spec), **{option: value})
 
 
 def test_trapping_bound_is_minimal():
