@@ -54,7 +54,7 @@ class ControllerConfig:
 
 def h_map(z) -> np.ndarray:
     """Entrywise positive part; positively homogeneous."""
-    return np.maximum(np.asarray(z, dtype=float), 0.0)
+    return np.maximum(z, 0.0)
 
 
 def control_law(cfg: ControllerConfig, x) -> np.ndarray:

@@ -65,9 +65,10 @@ _FAMILY_BRANCHES = {
 def _quad(c, z):
     """c2*z*z + c1*z + c0, term by term in the order the formulas are written.
 
-    Scalar None terms are skipped, so a linear or constant-free piece costs no
-    extra array pass; per-cell coefficient arrays carry zeros instead (adding
-    0.0 leaves every nonzero value unchanged).
+    None terms are skipped, so a linear or constant-free piece costs no extra
+    array pass.  `demand_all` passes coefficient arrays with zeros for the
+    missing terms instead; adding a zero term leaves every nonzero value
+    unchanged.
     """
     c2, c1, c0 = c
     q = c1 * z if c2 is None else c2 * z * z + c1 * z
@@ -82,12 +83,12 @@ def _branch(b, z):
 
 
 def _blend(d1, d2, d3, z, delta, A, B):
-    """Demand of the built-in families: branches blended by d1..d3.
+    """Demand of one built-in family: its branches blended by d1..d3.
 
-    Takes scalar coefficients (one family over a batch of densities) or
-    per-cell coefficient arrays (every cell of one state).  Each branch is
-    evaluated inside the blend expression, so no branch value outlives its
-    product with its weight.
+    The coefficients are the family's scalars; d1..d3 and z broadcast against
+    each other (one state's cells of the family, or a batch of them).  Each
+    branch is evaluated inside the blend expression, so no branch value
+    outlives its product with its weight.
     """
     w2 = d2 * (1.0 - d1)
     w3 = (1.0 - d2) * (1.0 - d1)
@@ -96,25 +97,25 @@ def _blend(d1, d2, d3, z, delta, A, B):
     return np.where(z <= delta, sub, over)
 
 
-def _cell_branches(families) -> tuple:
-    """The A and B branches of every cell as per-cell coefficient arrays.
+def _piece_table(families) -> tuple:
+    """Every cell's five demand pieces (phi1, A, B, phi6, phi7) as arrays.
 
-    A branch without a knee gets an infinite one and repeats its piece above
-    it; cells outside the built-in families get the main family's values,
-    which their callers overwrite.
+    Returns the knees, shape (5, n), and the (c2, c1, c0) coefficients up to
+    and above each knee, shape (3, 5, n), with zeros for missing terms.  A
+    piece without a knee gets an infinite one and repeats its coefficients
+    above it; cells outside the built-in families get the main family's
+    values, which `demand_all` overwrites.
     """
-    def column(values):
-        return np.array([0.0 if v is None else v for v in values])
-
-    out = []
-    for b in (0, 1):
-        rows = [_FAMILY_BRANCHES.get(fam, _FAMILY_BRANCHES["freeway-main"])[b]
-                for fam in families]
-        knee = column(math.inf if k is None else k for k, _, _ in rows)
-        lo = tuple(column(r[1][t] for r in rows) for t in range(3))
-        hi = tuple(column((r[2] or r[1])[t] for r in rows) for t in range(3))
-        out.append((knee, lo, hi))
-    return tuple(out)
+    cells = [((None, _PHI1, None),)
+             + _FAMILY_BRANCHES.get(fam, _FAMILY_BRANCHES["freeway-main"])
+             + ((None, _PHI6, None), (None, _PHI7, None)) for fam in families]
+    knee = np.array([[math.inf if b[0] is None else b[0] for b in cell]
+                     for cell in cells]).reshape(-1, 5)
+    lo, hi = (np.array([[[0.0 if c is None else c for c in (b[end] or b[1])] for b in cell]
+                        for cell in cells]).reshape(-1, 5, 3) for end in (1, 2))
+    # cell-major lists, piece-major arrays: a contiguous copy keeps the knee
+    # pick in `demand_all` off strided reads
+    return tuple(np.ascontiguousarray(t.T) for t in (knee, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -231,14 +232,14 @@ class DiagramSet:
     d_hi: np.ndarray
     # cached per-cell arrays and family index groups; _wave is None unless
     # some supply pins its scale (NaN marks the cells scaled by d4);
-    # _branches holds every cell's A and B branch coefficients for `demand_all`
+    # _pieces holds every cell's demand piece table for `demand_all`
     # and _d_lo_tol/_d_hi_tol the box that `step` admits d from
     _a: np.ndarray = field(init=False, repr=False, compare=False)
     _delta: np.ndarray = field(init=False, repr=False, compare=False)
     _qcap: np.ndarray = field(init=False, repr=False, compare=False)
     _wave: np.ndarray | None = field(init=False, repr=False, compare=False)
     _groups: dict = field(init=False, repr=False, compare=False)
-    _branches: tuple = field(init=False, repr=False, compare=False)
+    _pieces: tuple = field(init=False, repr=False, compare=False)
     _d_lo_tol: np.ndarray = field(init=False, repr=False, compare=False)
     _d_hi_tol: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -271,8 +272,8 @@ class DiagramSet:
             for fam in FAMILIES
         }
         object.__setattr__(self, "_groups", groups)
-        object.__setattr__(self, "_branches",
-                           _cell_branches([fd.family for fd in self.demands]))
+        object.__setattr__(self, "_pieces",
+                           _piece_table([fd.family for fd in self.demands]))
         object.__setattr__(self, "_d_lo_tol", self.d_lo - D_TOL)
         object.__setattr__(self, "_d_hi_tol", self.d_hi + D_TOL)
 
@@ -332,10 +333,18 @@ def eval_supply(sf: SupplyFunction, d, x) -> float:
 
 def demand_all(ds: DiagramSet, d, x) -> np.ndarray:
     """All cells' demand at state x (one uncertainty sample); same values as
-    the matching row of `demand_batch`."""
+    the matching row of `demand_batch`.
+
+    Each cell's knee picks the coefficients of its five pieces, so one
+    quadratic pass evaluates them all; the weighted pieces are then summed in
+    `_blend`'s order.
+    """
     x = np.asarray(x, dtype=float)
     d1, d2, d3 = np.asarray(d, dtype=float)[:3].tolist()
-    out = _blend(d1, d2, d3, x, ds._delta, *ds._branches)
+    knee, lo, hi = ds._pieces
+    w = np.array([d1, d2 * (1.0 - d1), (1.0 - d2) * (1.0 - d1), d3, 1.0 - d3])[:, None]
+    q = w * _quad(np.where(x <= knee, lo, hi), x)
+    out = np.where(x <= ds._delta, q[0] + q[1] + q[2], q[3] + q[4])
     for k in ds._groups["piecewise"]:
         out[k] = _demand_values(ds.demands[k], d1, d2, d3, x[k])
     out[x < DEMAND_FLOOR] = 0.0

@@ -66,12 +66,11 @@ def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
     v = np.asarray(v, dtype=float)
     f = demand_all(ds, d, x)
     g = supply_all(ds, d, x)
-    if not np.isfinite(f).all():
-        i = int(np.argmax(~np.isfinite(f)))
-        raise NumericalError(f"non-finite demand at cell {i + 1}", cell=i)
-    if not np.isfinite(g).all():
-        i = int(np.argmax(~np.isfinite(g)))
-        raise NumericalError(f"non-finite supply at cell {i + 1}", cell=i)
+    if not np.isfinite(np.concatenate((f, g))).all():
+        for what, y in (("demand", f), ("supply", g)):
+            if not np.isfinite(y).all():
+                i = int(np.argmax(~np.isfinite(y)))
+                raise NumericalError(f"non-finite {what} at cell {i + 1}", cell=i)
     s = _allocate(spec, f, g, v, x)
     outflow = s * f
     accepted = np.minimum(v, g)
@@ -84,7 +83,8 @@ def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
 
 def _check_domain(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> None:
     """The domain checks of `step` on float arrays of the right shapes; None
-    skips one.  Each admission test is written so that NaN fails it."""
+    skips one.  Each admission test is written so that NaN fails it.  `step`
+    screens with the same tests and calls this only to name what failed."""
     if x is not None and not ((x >= -STATE_TOL).all() and (x <= spec.a + STATE_TOL).all()):
         i = int(np.argmax(np.maximum(-x, x - spec.a)))  # NaN and inf rank first
         if not np.isfinite(x[i]):
@@ -116,8 +116,11 @@ def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBr
         raise DimensionError(f"x and v must have shape ({spec.n},)")
     if d.shape != ds.d_lo.shape:
         raise DimensionError(f"d must have shape {ds.d_lo.shape}, got {d.shape}")
-    _check_domain(spec, ds, x, v, d)
-    x = x.clip(0.0, spec.a)
+    # `_check_domain`'s tests under one reduction; it runs only to name a failure
+    if not np.concatenate((x >= -STATE_TOL, x <= spec.a + STATE_TOL, v >= 0.0, v < np.inf,
+                           d >= ds._d_lo_tol, d <= ds._d_hi_tol)).all():
+        _check_domain(spec, ds, x, v, d)
+    x = np.minimum(np.maximum(x, 0.0), spec.a)
     fb = compute_flows(spec, ds, x, v, d)
     x_next = x - fb.outflow + fb.inflow
     if not (x_next.min() >= -STATE_TOL and (x_next - spec.a).max() <= STATE_TOL):
@@ -128,7 +131,7 @@ def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBr
         i = int(np.argmax(drift))
         raise NumericalError(
             f"state left its box at cell {i + 1} by {drift[i]:.3g}", cell=i)
-    return x_next.clip(0.0, spec.a), fb
+    return np.minimum(np.maximum(x_next, 0.0), spec.a), fb
 
 
 def is_uncongested(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> bool:

@@ -253,13 +253,14 @@ def export_csv(record: TrajectoryRecord, path) -> None:
     header = (["t"] + [f"x_{i + 1}" for i in range(n)]
               + [f"v_{i + 1}" for i in range(n)] + ["deviation"]
               + [f"V_{i + 1}" for i in range(2 * n)])
+    table = np.column_stack([record.states, record.inflows, record.deviation,
+                             record.lyapunov])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for t in range(record.horizon + 1):
-            row = np.concatenate([record.states[t], record.inflows[t],
-                                  [record.deviation[t]], record.lyapunov[t]])
-            fh.write(str(t) + "," + ",".join(f"{val:.15g}" for val in row)
-                     + "\n")
+        for t, row in enumerate(table):
+            # Python floats format faster than numpy scalars, to the same text;
+            # converting one row at a time keeps a long record's copy small
+            fh.write(str(t) + "," + ",".join(f"{val:.15g}" for val in row.tolist()) + "\n")
 
 
 def _congestion_disturbance(spec: NetworkSpec, ds: DiagramSet) -> np.ndarray:

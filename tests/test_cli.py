@@ -424,6 +424,11 @@ def _inline(edit):
     return make
 
 
+def _closed_loop(edit):
+    """The benchmark controller's closed loop, then `edit`: no inflow to check."""
+    return lambda doc: edit(_inline(lambda ctrl: ctrl)(doc))
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set("horizon", value=2.5), "field 'horizon' must be a positive integer, got 2.5"),
     (_set("horizon", value=0), "field 'horizon' must be a positive integer, got 0"),
@@ -449,6 +454,17 @@ def _inline(edit):
     (_set("control", "v", 1, value=-0.5), "cell 2: negative external inflow -0.5"),
     (_set("disturbance", value={"kind": "constant", "d": [1, 0, 1, 0.5]}),
      "disturbance coordinate d4 = 0.5 outside the uncertainty box [0.22, 0.3]"),
+    # a closed loop fixes no inflow and a uniform disturbance no d: the rest is checked
+    pytest.param(_closed_loop(_set("x0", 0, value=-1)), "cell 1: density -1 outside [0, 170]",
+                 id="closed loop, x0 below 0"),
+    pytest.param(_closed_loop(_set("x0", 2, value=170 + 2e-9)),
+                 "cell 3: density 170 outside [0, 170]", id="closed loop, x0 past a"),
+    pytest.param(_closed_loop(_set("disturbance",
+                                   value={"kind": "constant", "d": [1, 0, 1, 0.5]})),
+                 "disturbance coordinate d4 = 0.5 outside the uncertainty box [0.22, 0.3]",
+                 id="closed loop, constant d out of its box"),
+    pytest.param(_set("x0", 7, value=-2e-9), "cell 8: density -2e-09 outside [0, 170]",
+                 id="uniform d, x0 below 0"),
 ])
 def test_bad_scenario_files_exit_2(capsys, tmp_path, edit, message):
     path = tmp_path / "scenario.json"
@@ -456,6 +472,20 @@ def test_bad_scenario_files_exit_2(capsys, tmp_path, edit, message):
                     "simulate", "--out", str(tmp_path), "--scenario")
     assert err == f"error: {path}: {message}\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_closed_loop(_set("x0", 0, value=-1e-9)), id="closed loop, x0 at -STATE_TOL"),
+    pytest.param(_closed_loop(_set("x0", 2, value=170 + 1e-9)),
+                 id="closed loop, x0 at a + STATE_TOL"),
+    pytest.param(_set("disturbance", value={"kind": "constant", "d": [1, 0, 1, 0.3 + 1e-12]}),
+                 id="open loop, d4 at its bound + D_TOL"),
+])
+def test_scenario_read_admits_the_edges_of_the_box(capsys, tmp_path, edit):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(edit(_scenario_doc())))
+    code, doc = run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path))
+    assert code == 0 and doc["horizon"] == 30
 
 
 def _leaves(doc, at=()):

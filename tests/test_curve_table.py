@@ -2,7 +2,7 @@
 loop references in `oracles`, bit for bit.
 
 `demand_batch` evaluates each built-in family with scalar coefficients,
-`demand_all` every cell of one state with per-cell coefficient arrays, and
+`demand_all` every cell of one state from a per-cell piece table, and
 `step` runs on that row path.  None of it may move a bit of a demand value,
 a flow field or a successor state.
 """
@@ -141,3 +141,22 @@ def test_step_matches_pre_table_reference(name):
         assert np.array_equal(x_next, want_x)
         for field in FIELDS:
             assert np.array_equal(getattr(fb, field), want[field]), field
+
+
+@pytest.mark.parametrize("name", NETS)
+def test_demand_all_at_the_seams(name):
+    """Every cell at 0, DEMAND_FLOOR, the on-ramp knee, its delta and its a,
+    and one float either side of each inside [0, a], under every box corner
+    and random d.  `demand_all` picks each cell's knee piece on the
+    coefficients, so these states are where the pick could slip."""
+    spec, ds = NETS[name]
+    a = np.array([fd.a for fd in ds.demands])
+    delta = np.array([fd.delta for fd in ds.demands])
+    seams = (np.zeros(ds.n), np.full(ds.n, DEMAND_FLOOR), np.full(ds.n, 27.5), delta, a)
+    X = np.clip([np.nextafter(z, toward) for z in seams for toward in (-np.inf, z, np.inf)],
+                0.0, a)
+    D = np.vstack([d_corners(ds), uniform_uncertainty(ds, 16, np.random.default_rng(5))])
+    XX, DD = np.repeat(X, len(D), axis=0), np.tile(D, (len(X), 1))
+    want = oracles.demand_batch_reference(ds, DD, XX)
+    for k in range(len(XX)):
+        assert np.array_equal(demand_all(ds, DD[k], XX[k]), want[k]), (XX[k], DD[k])

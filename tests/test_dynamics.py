@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstab import presets
-from netstab.diagrams import (d_corners, demand_all, demand_batch, supply_all,
+from netstab.diagrams import (D_TOL, d_corners, demand_all, demand_batch, supply_all,
                               supply_batch, uniform_uncertainty)
-from netstab.dynamics import compute_flows, is_uncongested, step
+from netstab.dynamics import STATE_TOL, compute_flows, is_uncongested, step
 from netstab.errors import DimensionError, DomainError
 from netstab.stability import ThrottleBound
 
@@ -140,6 +140,62 @@ def test_step_rejects_bad_inputs(ref_spec, ref_ds, ref_eq):
              np.array([0.5, 0.5, 0.5, 0.1]))
     with pytest.raises(DimensionError):
         step(ref_spec, ref_ds, np.zeros(5), ref_eq.vstar, d)
+
+
+def _past(z, toward):
+    return float(np.nextafter(z, toward))
+
+
+BOX = "outside the uncertainty box"
+# (input, index, value, DomainError message or None when admitted): x is
+# edited at cell 3 (a = 170), v at cell 5 and d at its second and fourth
+# coordinates (box [0, 1] and [0.22, 0.3])
+EDGES = [
+    ("x", 2, -STATE_TOL, None),
+    ("x", 2, presets.JAM + STATE_TOL, None),
+    ("x", 2, _past(-STATE_TOL, -np.inf), "cell 3: density -1e-09 outside [0, 170]"),
+    ("x", 2, _past(presets.JAM + STATE_TOL, np.inf), "cell 3: density 170 outside [0, 170]"),
+    ("x", 2, np.nan, "cell 3: non-finite density nan"),
+    ("x", 2, np.inf, "cell 3: non-finite density inf"),
+    ("x", 2, -np.inf, "cell 3: non-finite density -inf"),
+    ("v", 4, -0.0, None),
+    ("v", 4, float(np.finfo(float).max), None),
+    ("v", 4, _past(0.0, -np.inf), "cell 5: negative external inflow -4.94066e-324"),
+    ("v", 4, np.nan, "cell 5: non-finite external inflow nan"),
+    ("v", 4, np.inf, "cell 5: non-finite external inflow inf"),
+    ("v", 4, -np.inf, "cell 5: non-finite external inflow -inf"),
+    ("d", 1, 0.0 - D_TOL, None),
+    ("d", 1, 1.0 + D_TOL, None),
+    ("d", 3, 0.22 - D_TOL, None),
+    ("d", 3, 0.3 + D_TOL, None),
+    ("d", 1, _past(0.0 - D_TOL, -np.inf), f"disturbance coordinate d2 = -1e-12 {BOX} [0, 1]"),
+    ("d", 1, _past(1.0 + D_TOL, np.inf), f"disturbance coordinate d2 = 1 {BOX} [0, 1]"),
+    ("d", 3, _past(0.22 - D_TOL, -np.inf), f"disturbance coordinate d4 = 0.22 {BOX} [0.22, 0.3]"),
+    ("d", 3, _past(0.3 + D_TOL, np.inf), f"disturbance coordinate d4 = 0.3 {BOX} [0.22, 0.3]"),
+    ("d", 1, np.nan, f"disturbance coordinate d2 = nan {BOX} [0, 1]"),
+    ("d", 3, np.inf, f"disturbance coordinate d4 = inf {BOX} [0.22, 0.3]"),
+    ("d", 3, -np.inf, f"disturbance coordinate d4 = -inf {BOX} [0.22, 0.3]"),
+]
+
+
+@pytest.mark.parametrize("which, index, value, message", EDGES)
+def test_step_admits_exactly_its_box(ref_spec, ref_ds, ref_eq, which, index, value,
+                                     message):
+    """The admission edges of `step`: the state box widened by STATE_TOL, v in
+    [0, inf) and the uncertainty box widened by D_TOL, each edge admitted and
+    the next float past it refused with a message naming the cell or the
+    coordinate of d."""
+    args = {"x": ref_eq.xstar.copy(), "v": ref_eq.vstar.copy(),
+            "d": np.array([0.5, 0.5, 0.5, 0.25])}
+    args[which][index] = value
+    if message is None:
+        x_next, fb = step(ref_spec, ref_ds, args["x"], args["v"], args["d"])
+        assert np.all((x_next >= 0.0) & (x_next <= ref_spec.a))
+        assert np.isfinite(fb.inflow).all()
+    else:
+        with pytest.raises(DomainError) as exc:
+            step(ref_spec, ref_ds, args["x"], args["v"], args["d"])
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("x_bad, v_bad, d_bad, error, message", [
