@@ -10,7 +10,7 @@ are uncontrolled and always receive v_i*.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ class ControllerConfig:
     b: np.ndarray
     K: np.ndarray
     tau: float
+    span: np.ndarray = field(init=False, repr=False, compare=False)  # v* - b, read by control_law
 
     def __post_init__(self):
         n = len(np.atleast_1d(self.xstar))
@@ -46,6 +47,9 @@ class ControllerConfig:
             raise ValueError("tau must lie in (0, 1)")
         if not ((self.b >= 0) & (self.b <= self.vstar)).all():
             raise ValueError("inflow floor must satisfy 0 <= b <= vstar")
+        span = self.vstar - self.b
+        span.setflags(write=False)
+        object.__setattr__(self, "span", span)
 
     @property
     def n(self) -> int:
@@ -68,7 +72,7 @@ def control_law(cfg: ControllerConfig, x) -> np.ndarray:
         raise DimensionError(f"x must have shape ({cfg.n},)")
     excess = h_map(x - cfg.xstar)
     load = (cfg.K @ excess) / cfg.tau
-    ramp = cfg.vstar - (cfg.vstar - cfg.b) * load
+    ramp = cfg.vstar - cfg.span * load
     return np.where(load >= 1.0, cfg.b, np.where(load <= 0.0, cfg.vstar, ramp))
 
 

@@ -29,7 +29,7 @@ from .network import NetworkSpec, group_claims
 SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
 CONTRACTION_TOL = 1e-9  # largest violation the contraction check lets pass
 JAM_PATTERN_LIMIT = 12  # enumerate binary jam patterns up to this cell count
-ROW_BLOCK = 1024        # rows per block of the gamma search's seed stream
+BLOCK_ENTRIES = 65_536  # entries (rows x cells) per block of the gamma search's seed stream
 SCAN_WIDTH = 33         # grid points per zoom level of a gamma-search scan
 
 
@@ -305,70 +305,130 @@ class DrainConstants:
     n_evaluated: int
 
 
+def _block_rows(n: int) -> int:
+    """Stream rows per seed block on n cells: the largest power of two up to
+    BLOCK_ENTRIES / n, at least 64 and at most 1,024.
+
+    A block's (rows, n) arrays then hold at most max(BLOCK_ENTRIES, 64 n)
+    entries, and a block always holds whole jam patterns (32 rows each).
+    The cap keeps small networks at 1,024 rows: 8,192-row blocks at n = 8
+    raised the benchmark's peak RSS by 5.5 MB.
+    """
+    return max(64, min(1024, 1 << (max(1, BLOCK_ENTRIES // n).bit_length() - 1)))
+
+
+def _jam_patterns(n: int, seed: int, chunk: int):
+    """The gamma search's binary jam patterns, `chunk` patterns at a time.
+
+    Up to JAM_PATTERN_LIMIT cells these are every pattern but the all-empty
+    one; above, 4096 random ones, drawn chunk by chunk from one Philox
+    stream, which gives the bits of one (4096, n) draw.
+    """
+    if n <= JAM_PATTERN_LIMIT:
+        codes = np.arange(1, 2 ** n)
+        patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
+        yield from (patterns[lo:lo + chunk] for lo in range(0, len(patterns), chunk))
+    else:
+        rng = _philox(seed ^ 0x9E3779B9)
+        for lo in range(0, 4096, chunk):
+            yield rng.random((min(chunk, 4096 - lo), n)) < 0.5
+
+
 def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
                  n_samples: int, seed: int):
-    """The gamma search's seeds as (X, V, D, F, G) blocks of at most ROW_BLOCK rows.
+    """The gamma search's seeds as (X, V, F, G, rows, D) blocks.
 
-    Jam-pattern rows come first: binary jam patterns (every one for small
-    networks, 4096 random ones otherwise) x inflows at both box ends x all
-    uncertainty corners, in that nesting order.  A scrambled-Sobol cloud
-    over (x, v, d) of n_samples rows, rounded up to a power of two, follows;
-    it is drawn in power-of-two chunks, which equal one whole draw bit for
-    bit.  No block mixes the two kinds.  F and G are the rows' demands and
-    supplies.  A jam-pattern row's densities are 0 or a, so its F and G are
+    A block covers `_block_rows(n)` rows of the seed stream, or fewer at the
+    end of a kind.  X, V, F and G hold its distinct rows (densities,
+    inflows, demands and supplies), `rows` maps each stream row to its
+    distinct row, and D holds each stream row's own uncertainty point.
+
+    Jam-pattern rows come first: binary jam patterns (`_jam_patterns`) x
+    inflows at both box ends x all uncertainty corners, in that nesting
+    order.  A jam-pattern row's densities are 0 or a, so its F and G are
     gathered from 16-corner x {0, a} tables; `demand_batch`/`supply_batch`
     evaluate each entry on its own, so they equal the row's bit for bit.
+    Corners whose four table rows agree bit for bit form a class (on the
+    benchmark's curves d1 and d2 move no value at 0 or a: 4 classes), and
+    the rows of one pattern and inflow end whose corners share a class have
+    the same X, V, F and G.  So a jam block holds one distinct row per
+    (pattern, end, class), padded to a multiple of four rows by repeating
+    the last one (see `_ratios`).
+
+    A scrambled-Sobol cloud over (x, v, d) of n_samples rows, rounded up to
+    a power of two, follows; it is drawn in power-of-two chunks, which equal
+    one whole draw bit for bit, and its rows are all distinct.  No block
+    mixes the two kinds.
     """
-    n = spec.n
-    if n <= JAM_PATTERN_LIMIT:
-        codes = np.arange(1, 2 ** n)  # skip the all-empty pattern
-        patterns = (codes[:, None] >> np.arange(n)[None, :]) & 1
-    else:
-        patterns = _philox(seed ^ 0x9E3779B9).random((4096, n)) < 0.5
+    n, block = spec.n, _block_rows(spec.n)
     ends, corners = np.stack([np.zeros(n), v_box]), d_corners(ds)
     # each corner's demands and supplies of empty ([0]) and of jammed ([1]) cells
     empty, jam = np.zeros((len(corners), n)), np.tile(spec.a, (len(corners), 1))
     F = demand_batch(ds, corners, empty), demand_batch(ds, corners, jam)
     G = supply_batch(ds, corners, empty), supply_batch(ds, corners, jam)
-    per_pattern = len(ends) * len(corners)
-    n_struct = len(patterns) * per_pattern
-    for lo in range(0, n_struct, ROW_BLOCK):
-        k = np.arange(lo, min(lo + ROW_BLOCK, n_struct))
-        X, c = patterns[k // per_pattern] * spec.a, k % len(corners)
+    bits = np.hstack([*F, *G]).view(np.uint64)
+    first = (bits[:, None] == bits[None]).all(axis=2).argmax(axis=1)  # first equal corner
+    reps, cls = np.unique(first, return_inverse=True)  # class representatives, in corner order
+    per_end = len(corners)  # stream rows per (pattern, inflow end)
+    width = len(ends) * len(reps)  # distinct rows per pattern
+    k = np.arange(block)  # a block's stream rows; every block starts with a pattern
+    for patterns in _jam_patterns(n, seed, block // (len(ends) * per_end)):
+        k = k[:len(patterns) * len(ends) * per_end]
+        q = np.arange(len(patterns) * width)
+        q = np.r_[q, np.full(-len(q) % 4, q[-1])]
+        X, c = patterns[q // width] * spec.a, reps[q % len(reps)]
         full = X > 0
-        yield (X, ends[k // len(corners) % len(ends)], corners[c],
-               np.where(full, F[1][c], F[0][c]), np.where(full, G[1][c], G[0][c]))
+        yield (X, ends[q // len(reps) % len(ends)],
+               np.where(full, F[1][c], F[0][c]), np.where(full, G[1][c], G[0][c]),
+               k // per_end * len(reps) + cls[k % per_end], corners[k % per_end])
 
     from scipy.stats import qmc  # imported here: scipy.stats takes about 1 s to import
 
     sobol = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
     m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
-    chunk = min(ROW_BLOCK, m)
+    chunk = min(block, m)
     for _ in range(m // chunk):
         u = sobol.random(chunk)
         X, V = u[:, :n] * spec.a, u[:, n:2 * n] * v_box
         D = u[:, 2 * n:] * (ds.d_hi - ds.d_lo) + ds.d_lo
         del u  # 2n + 4 columns, not to be held while the consumer bounds the block
-        yield X, V, D, demand_batch(ds, D, X), supply_batch(ds, D, X)
+        yield X, V, demand_batch(ds, D, X), supply_batch(ds, D, X), np.arange(chunk), D
 
 
 def _keep_best(blocks, k: int):
-    """The k rows of lowest ratio in a stream of (ratios, *arrays) blocks.
+    """The k rows of lowest ratio in a stream of (ratios, take) blocks.
 
-    Returns them in (ratio, row) order, as a stable sort of the whole stream
-    orders them, with the count of finite ratios in the stream.
+    `take(t)` returns the arrays of the block's rows t.  It is called only
+    for rows that may be kept, and before the next block is drawn, so a
+    block need not hold arrays for all of its rows.  Returns
+    (ratios, *arrays) of the kept rows in (ratio, row) order, as a stable
+    sort of the whole stream orders them, with the count of finite ratios
+    in the stream.
     """
     kept, n_finite = (), 0
-    for rows in blocks:
-        n_finite += int(np.isfinite(rows[0]).sum())
-        if kept and len(kept[0]) == k and rows[0].min() >= kept[0][-1]:
+    for ratios, take in blocks:
+        n_finite += int(np.isfinite(ratios).sum())
+        if kept and len(kept[0]) == k and ratios.min() >= kept[0][-1]:
             continue  # no row of the block sorts before the last kept one
+        top = np.argsort(ratios, kind="stable")[:k]
+        rows = (ratios[top], *take(top))
         if kept:  # the kept rows come first, so equal ratios stay in row order
-            top = np.argsort(rows[0], kind="stable")[:k]
-            rows = tuple(np.concatenate([a, b[top]]) for a, b in zip(kept, rows))
+            rows = tuple(np.concatenate(pair) for pair in zip(kept, rows))
         top = np.argsort(rows[0], kind="stable")[:k]
         kept = tuple(part[top] for part in rows)
     return kept, n_finite
+
+
+def _seed_ratios(blocks, bound: ThrottleBound, r: np.ndarray, mass_floor: float):
+    """(ratios, take) of each `_seed_blocks` block, for `_keep_best`.
+
+    Only the distinct rows are bounded and weighed; their ratios are then
+    expanded to every stream row.  `take(t)` gives stream rows t as
+    (X, V, D, F, G): X, V, F and G from their distinct rows, D their own.
+    """
+    for X, V, F, G, rows, D in blocks:
+        ratios = _ratios(bound.allocate(F, G, V), X, r, mass_floor)
+        yield ratios[rows], lambda t: (X[rows[t]], V[rows[t]], D[t], F[rows[t]], G[rows[t]])
 
 
 def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
@@ -380,15 +440,22 @@ def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
     (w, n) @ r product.  Every row is weighed and the mask applied after:
     OpenBLAS rounds the last rows of a batch that leaves 2 or 3 rows over a
     multiple of four differently, and dropping masked rows first would move
-    rows into that remainder.  So a row's ratio is the same in a ROW_BLOCK
-    block, a grid of SCAN_WIDTH rows or one call on the whole cloud (see the
-    tests).  Overwrites S with S * X.
+    rows into that remainder; `_seed_blocks` pads its distinct jam-pattern
+    rows to a multiple of four for the same reason.  So a row's ratio is the
+    same in a seed block, a grid of SCAN_WIDTH rows or one call on the whole
+    cloud (see the tests).  Overwrites S with S * X.
     """
     den = X @ r
     ok = (X.sum(axis=-1) >= mass_floor) & (den > 0)
     num = np.multiply(S, X, out=S) @ r
     out = np.full(den.shape, np.inf)
     out[ok] = num[ok] / den[ok]
+    return out
+
+
+def _repeat_into(out: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """np.repeat(p, len(out) // len(p), axis=0), written into out."""
+    out.reshape(len(p), -1, p.shape[1])[:] = p[:, None]
     return out
 
 
@@ -418,9 +485,13 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     refinement of the best seeds with a zooming grid per coordinate.  A
     nonpositive gamma raises ThrottleBoundViolation with the witness sample.
 
-    The seed cloud is a stream of ROW_BLOCK-row blocks (`_seed_blocks`),
-    each bounded and reduced to its ratios before the next one exists.  The
-    search keeps only the best refine_top seeds, with their rows and curves
+    The seed cloud is a stream of blocks of at most 1,024 rows and about
+    BLOCK_ENTRIES entries (`_seed_blocks`), each bounded and reduced to its
+    ratios before the next one exists.  A jam-pattern block bounds and
+    weighs each of its distinct rows once, and its ratios are expanded to
+    every stream row (`_seed_ratios`), so the stream's ratios, their order
+    and the sample count are those of the whole cloud.  The search keeps
+    only the best refine_top seeds, gathering their rows and curves alone
     (`_keep_best`: seeds of equal ratio are taken in row order), and refines
     them in lockstep: every zoom level of a coordinate scan allocates and
     weighs all seeds' grids at once, while each seed keeps its own zoom
@@ -471,8 +542,8 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
     kept, n_evaluated = _keep_best(
-        ((_ratios(bound.allocate(F, G, V), X, r, mass_floor), X, V, D, F, G)
-         for X, V, D, F, G in _seed_blocks(spec, ds, v_box, n_samples, seed)), refine_top)
+        _seed_ratios(_seed_blocks(spec, ds, v_box, n_samples, seed), bound, r, mass_floor),
+        refine_top)
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")
 
@@ -482,15 +553,21 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     pts = {"x": x, "v": v, "d": d}
     K, w = len(best), SCAN_WIDTH
     seed_of = np.arange(K)
+    # The scans fill their (K * w, n) grid rows, curves and bounds in place.
+    # Fresh arrays of that size (1 MB at n = 512) lie above glibc's mmap
+    # threshold when the seed blocks were smaller, so each one would be
+    # mapped and faulted in anew: that tripled the scans' time at n = 512.
+    grid = {key: np.empty((K * w, p.shape[1])) for key, p in pts.items()}
+    Fw, Gw, Sb, Sw = (np.empty((K * w, n)) for _ in range(4))
 
     def scan(kind, idx, lo_full, hi_full):
         nonlocal best
         lo, hi = np.full(K, lo_full), np.full(K, hi_full)
         # w grid rows per seed; a zoom level moves only column idx of `kind`
-        rows = {key: np.repeat(p, w, axis=0) for key, p in pts.items()}
+        rows = {key: _repeat_into(grid[key], p) for key, p in pts.items()}
         if kind != "d":  # the base points' curves and bounds, repeated over each grid
-            F, G = np.repeat(Fb, w, axis=0), np.repeat(Gb, w, axis=0)
-            Sb = np.repeat(bound.allocate(Fb, Gb, pts["v"]), w, axis=0)
+            F, G = _repeat_into(Fw, Fb), _repeat_into(Gw, Gb)
+            _repeat_into(Sb, bound.allocate(Fb, Gb, pts["v"]))
         for _ in range(3):  # zoom levels
             ts, span = _zoom_grid(lo, hi, w)
             rows[kind][:, idx] = ts.ravel()
@@ -503,7 +580,8 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
                 G = supply_batch(ds, rows["d"], rows["x"])
                 S = bound.allocate(F, G, rows["v"])
             else:  # allocate and _ratios both write into S
-                S = bound.allocate(F, G, rows["v"], cell=idx, S=Sb.copy())
+                np.copyto(Sw, Sb)
+                S = bound.allocate(F, G, rows["v"], cell=idx, S=Sw)
             cand = _ratios(S.reshape(K, w, -1), rows["x"].reshape(K, w, -1), r, mass_floor)
             k = np.argmin(cand, axis=1)
             t_k = ts[seed_of, k]

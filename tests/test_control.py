@@ -34,6 +34,25 @@ def test_law_interpolates_on_the_ramp(bench_ctrl, ref_eq):
     assert np.all(v[[1, 2, 3, 5, 6, 7]] == 0.0)
 
 
+def test_law_reads_the_cached_span_bit_for_bit(bench_ctrl):
+    """The config caches v* - b once; the law gives the bits of recomputing
+    it on every call, and the cache is neither shown nor compared."""
+    rng = np.random.default_rng(4)
+    X = bench_ctrl.xstar + rng.uniform(-5.0, 3.0, (200, 8)) * (rng.random((200, 8)) < 0.3)
+    for x in X:
+        excess = np.maximum(x - bench_ctrl.xstar, 0.0)
+        load = (bench_ctrl.K @ excess) / bench_ctrl.tau
+        ramp = bench_ctrl.vstar - (bench_ctrl.vstar - bench_ctrl.b) * load
+        want = np.where(load >= 1.0, bench_ctrl.b, np.where(load <= 0.0, bench_ctrl.vstar, ramp))
+        assert np.array_equal(control_law(bench_ctrl, x), want)
+    assert np.array_equal(bench_ctrl.span, bench_ctrl.vstar - bench_ctrl.b)
+    assert not bench_ctrl.span.flags.writeable
+    assert "span" not in repr(bench_ctrl)
+    with pytest.raises(TypeError):
+        ControllerConfig(bench_ctrl.xstar, bench_ctrl.vstar, bench_ctrl.b, bench_ctrl.K,
+                         bench_ctrl.tau, span=bench_ctrl.span)
+
+
 def test_deficits_do_not_reduce_inflow(bench_ctrl, ref_eq):
     """Only excess above x* loads the law; shortage elsewhere never offsets it."""
     x = np.array(ref_eq.xstar)

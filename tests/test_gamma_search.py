@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 
 from netstab import presets, stability
-from netstab.diagrams import (DiagramSet, SupplyFunction, d_corners,
+from netstab.diagrams import (DiagramSet, SupplyFunction, _philox, d_corners,
                               demand_batch, supply_batch, uniform_uncertainty)
 from netstab.network import NetworkSpec
-from netstab.stability import (ROW_BLOCK, ThrottleBound, _keep_best, _ratios,
-                               _seed_blocks, _zoom_grid, drain_constants, weights_r)
+from netstab.stability import (ThrottleBound, _block_rows, _jam_patterns, _keep_best,
+                               _ratios, _seed_blocks, _seed_ratios, _zoom_grid,
+                               drain_constants, weights_r)
 
 import oracles
 from test_curve_table import PIECEWISE
@@ -264,20 +265,21 @@ def _assert_same_search(spec, ds, bound=None, **kw):
 
 @pytest.mark.parametrize("net", ["benchmark", "pinned-wave benchmark",
                                  "piecewise and pinned cells", "degenerate box",
-                                 "11 cells", "20 cells"])
+                                 "one corner class", "11 cells", "20 cells"])
 def test_drain_constants_match_per_seed_refinement(net):
     spec, ds = {"benchmark": lambda: (presets.reference_network(),
                                       presets.reference_diagrams()),
                 "pinned-wave benchmark": _pinned_benchmark,
                 "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
                 "degenerate box": _degenerate_box,
+                "one corner class": lambda: _classed_net("1 class")[:2],
                 "11 cells": lambda: _freeways_and_chain(1, 3, pinned=(9,)),
                 "20 cells": _twenty_cells}[net]()
     kw = {"n_samples": 2048, "seed": 4}
     if spec.n > 12:
         kw["refine_sweeps"] = 1
     got = _assert_same_search(spec, ds, **kw)
-    assert got.n_evaluated > ROW_BLOCK  # the seed cloud spans several blocks
+    assert got.n_evaluated > _block_rows(spec.n)  # the seed cloud spans several blocks
     # cells without a junction (no routed inflow) take v scans as well
     assert () in spec.predecessors
 
@@ -370,16 +372,28 @@ def _jam_pattern_rows(spec):
     return 32 * (2 ** spec.n - 1 if spec.n <= 12 else 4096)
 
 
+def _expanded(block):
+    """A `_seed_blocks` block as (X, V, D, F, G) on every stream row."""
+    X, V, F, G, rows, D = block
+    return X[rows], V[rows], D, F[rows], G[rows]
+
+
+def _taker(arrays):
+    return lambda t: tuple(part[t] for part in arrays)
+
+
 def _stream(spec, ds, n_samples, seed):
-    """The seed blocks stacked into (X, V, D, F, G), checking that each block
-    holds at most ROW_BLOCK rows of one kind and that its X, V and D are the
-    reference cloud's rows."""
+    """The seed blocks expanded to every stream row and stacked into
+    (X, V, D, F, G), checking that each block covers at most `_block_rows`
+    stream rows of one kind and that its X, V and D are the reference
+    cloud's rows."""
     v_box = _v_box(spec, ds)
     want = oracles.seed_cloud_reference(spec, ds, v_box, n_samples, seed)
     n_struct, blocks, end = _jam_pattern_rows(spec), [], 0
     for block in _seed_blocks(spec, ds, v_box, n_samples, seed):
+        block = _expanded(block)
         lo, end = end, end + len(block[0])
-        assert 0 < end - lo <= ROW_BLOCK
+        assert 0 < end - lo <= _block_rows(spec.n)
         assert (lo < n_struct) == (end <= n_struct)  # one kind per block
         for got, ref in zip(block[:3], want):
             assert np.array_equal(got, ref[lo:end])
@@ -391,9 +405,10 @@ def _stream(spec, ds, n_samples, seed):
 @pytest.mark.parametrize("n_samples", [300, 1000])
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
 def test_seed_stream_equals_the_whole_cloud(net, n_samples):
-    """The blocks' X, V and D are the reference cloud's rows bit for bit,
-    with a Sobol part of 512 rows (under one ROW_BLOCK) or 1,024 (one
-    ROW_BLOCK); the benchmark's 8,160 jam-pattern rows end inside a block."""
+    """The blocks' X, V and D, expanded to every stream row, are the
+    reference cloud's rows bit for bit, with a Sobol part of 512 rows (under
+    one block) or 1,024 (one block); the benchmark's 8,160 jam-pattern rows
+    end inside a block."""
     spec, ds = _net(net)
     X = _stream(spec, ds, n_samples, 3)[0]
     assert len(X) - _jam_pattern_rows(spec) == (512 if n_samples == 300 else 1024)
@@ -403,15 +418,15 @@ def test_seed_stream_equals_the_whole_cloud(net, n_samples):
 def test_jam_pattern_seeds_come_from_corner_tables(net):
     """Every block yields the demands and supplies of its own rows: the
     jam-pattern blocks gather them from 16-corner x {0, a} tables, the Sobol
-    blocks evaluate them.  Both equal `demand_batch`/`supply_batch` of the
-    reference rows, and the jam-pattern rows' throttles equal the junction
-    loop's.  On the benchmark the 8,160 jam-pattern rows end inside a
-    ROW_BLOCK; above 12 cells they are 131,072."""
+    blocks evaluate them.  Expanded to every stream row, both equal
+    `demand_batch`/`supply_batch` of the reference rows, and the jam-pattern
+    rows' throttles equal the junction loop's.  On the benchmark the 8,160
+    jam-pattern rows end inside a block; above 12 cells they are 131,072."""
     spec, ds = _net(net)
     n_struct = _jam_pattern_rows(spec)
     assert n_struct == (8160 if net == "benchmark" else 4096 * 32)
     if net == "benchmark":
-        assert n_struct % ROW_BLOCK != 0
+        assert n_struct % _block_rows(spec.n) != 0
     X, V, D, F, G = _stream(spec, ds, 1024, 3)
     for part, ref in zip((F, G), _curves(ds, X, D)):
         assert np.array_equal(part, ref)
@@ -421,22 +436,22 @@ def test_jam_pattern_seeds_come_from_corner_tables(net):
 
 
 def test_kept_seeds_are_the_stable_order_of_the_whole_cloud():
-    """Equal ratios on both sides of the first ROW_BLOCK seam, on a
-    jam-pattern and a Sobol row, and on rows that sort later: the seeds kept
-    from the stream, rows and curves included, are the first k of a stable
-    sort of the whole cloud's ratios, so ties go in row order."""
+    """Equal ratios on both sides of the first block seam, on a jam-pattern
+    and a Sobol row, and on rows that sort later: the seeds kept from the
+    stream, rows and curves included, are the first k of a stable sort of
+    the whole cloud's ratios, so ties go in row order."""
     spec, ds = _net("benchmark")
-    blocks = list(_seed_blocks(spec, ds, _v_box(spec, ds), 1024, 3))
+    B = _block_rows(spec.n)
+    blocks = [_expanded(b) for b in _seed_blocks(spec, ds, _v_box(spec, ds), 1024, 3)]
     whole = tuple(np.vstack(part) for part in zip(*blocks))
     vals = np.round(whole[0].sum(axis=1) / presets.JAM) + 1.0  # ties among jam patterns
     vals[::7] = np.inf
-    vals[[9000, ROW_BLOCK + 1, 5, ROW_BLOCK - 2, 8500, ROW_BLOCK, ROW_BLOCK - 1,
-          3000]] = 0.5
+    vals[[9000, B + 1, 5, B - 2, 8500, B, B - 1, 3000]] = 0.5
     vals[8800] = 0.25
     want = np.argsort(vals, kind="stable")[:6]
-    assert list(want) == [8800, 5, ROW_BLOCK - 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1]
+    assert list(want) == [8800, 5, B - 2, B - 1, B, B + 1]
     ends = np.cumsum([0] + [len(b[0]) for b in blocks])
-    stream = ((vals[lo:hi], *block) for lo, hi, block in zip(ends, ends[1:], blocks))
+    stream = ((vals[lo:hi], _taker(block)) for lo, hi, block in zip(ends, ends[1:], blocks))
     kept, n_finite = _keep_best(stream, 6)
     for got, ref in zip(kept, (vals, *whole)):
         assert np.array_equal(got, ref[want])
@@ -444,21 +459,117 @@ def test_kept_seeds_are_the_stable_order_of_the_whole_cloud():
     for ratios, k in ((vals, len(vals)), (np.arange(len(vals), dtype=float), 2000)):
         # more seeds than finite ratios (the infinite ones follow in row order),
         # and more seeds than the first block holds
-        kept, _ = _keep_best(((ratios[lo:hi], np.arange(lo, hi))
+        kept, _ = _keep_best(((ratios[lo:hi], _taker((np.arange(lo, hi),)))
                               for lo, hi in zip(ends, ends[1:])), k)
         assert np.array_equal(kept[1], np.argsort(ratios, kind="stable")[:k])
 
 
+def _classed_net(name):
+    """(spec, ds, corner classes): the freeway curves give 4 classes (d3 x d4);
+    pinning every supply scale leaves 2 (d3), and a piecewise demand curve
+    on every cell as well leaves 1."""
+    if name in ("benchmark", "20 cells"):
+        return (*_net(name), 4)
+    if name == "8 relabelled copies":
+        return (*_relabelled_copies(8, 11), 4)
+    spec, ds = presets.reference_network(), presets.reference_diagrams()
+    pinned = tuple(replace(sf, wave=0.25) for sf in ds.supplies)
+    one = name == "1 class"
+    return spec, DiagramSet((PIECEWISE,) * 8 if one else ds.demands, pinned,
+                            ds.d_lo, ds.d_hi), 1 if one else 2
+
+
+def _rows_at(blocks, idx):
+    """The whole cloud's expanded (X, V, D, F, G) at sorted stream rows idx."""
+    got, lo = [], 0
+    for block in blocks:
+        block = _expanded(block)
+        t = idx[(idx >= lo) & (idx < lo + len(block[0]))] - lo
+        got.append(tuple(part[t] for part in block))
+        lo += len(block[0])
+    return tuple(np.vstack(part) for part in zip(*got))
+
+
+@pytest.mark.parametrize("net", ["benchmark", "20 cells", "8 relabelled copies",
+                                 "2 classes", "1 class"])
+def test_distinct_rows_give_the_whole_cloud_ratios(net):
+    """A jam-pattern block bounds and weighs one row per (pattern, inflow
+    end, corner class), padded to a multiple of four rows.  Expanded to
+    every stream row, its ratios equal those of bounding and weighing all
+    of the block's rows, which a whole-cloud call gives too
+    (`test_ratios_in_blocks_equal_the_whole_batch`), and so do its curves.
+    The seeds kept from the stream are then those of a stable sort of the
+    whole cloud, rows and curves included, with the same count of finite
+    ratios.  On 1 class the benchmark's last block of 992 rows has 62
+    distinct rows, which OpenBLAS would weigh with its remainder kernel
+    unpadded.  A mass floor of 1.5 jammed cells (n / 2 above 12 cells) makes
+    some jam-pattern rows inf."""
+    spec, ds, n_classes = _classed_net(net)
+    r, bound, v_box = weights_r(spec), ThrottleBound(spec, ds), _v_box(spec, ds)
+    floor = presets.JAM * (1.5 if spec.n <= 12 else spec.n / 2)
+    n_struct, whole = _jam_pattern_rows(spec), []
+
+    def blocks():
+        return _seed_blocks(spec, ds, v_box, 1024, 3)
+
+    for X, V, F, G, rows, D in blocks():
+        Xe, Ve, De, Fe, Ge = _expanded((X, V, F, G, rows, D))
+        for part, ref in zip((Fe, Ge), _curves(ds, Xe, De)):
+            assert np.array_equal(part, ref)
+        full = _ratios(bound.allocate(Fe, Ge, Ve), Xe, r, floor)
+        assert np.array_equal(_ratios(bound.allocate(F, G, V), X, r, floor)[rows], full)
+        if sum(map(len, whole)) < n_struct:
+            distinct = len(rows) // 16 * n_classes
+            assert len(X) == distinct + -distinct % 4
+        whole.append(full)
+    whole = np.concatenate(whole)
+    assert np.isinf(whole[:n_struct]).any() and np.isfinite(whole[:n_struct]).any()
+    kept, n_finite = _keep_best(_seed_ratios(blocks(), bound, r, floor), 8)
+    want = np.argsort(whole, kind="stable")[:8]
+    assert np.array_equal(kept[0], whole[want])
+    for got, ref in zip(kept[1:], _rows_at(blocks(), np.sort(want))):
+        assert np.array_equal(got, ref[np.argsort(np.argsort(want))])
+    assert n_finite == np.isfinite(whole).sum()
+
+
+@pytest.mark.parametrize("n", [8, 20, 64, 512])
+def test_seed_blocks_keep_to_the_block_rule(n):
+    """Every block covers at most 1,024 stream rows and max(65,536, 64 n)
+    entries, and bounds a multiple of four rows: 1,024 rows up to 64 cells,
+    then the largest power of two in 65,536 / n, at least 64."""
+    assert [_block_rows(m) for m in (1, 8, 64, 65, 100, 256, 512, 1024, 3000)] == \
+        [1024, 1024, 1024, 512, 512, 256, 128, 64, 64]
+    spec, ds = _net("benchmark") if n == 8 else (_twenty_cells() if n == 20 else
+                                                 _relabelled_copies(n // 8, 1))
+    rows_seen = 0
+    for X, V, F, G, rows, D in _seed_blocks(spec, ds, _v_box(spec, ds), 300, 1):
+        assert len(X) % 4 == 0 and len(X) <= len(rows) <= 1024
+        assert len(rows) * n <= max(65_536, 64 * n)
+        assert V.shape == F.shape == G.shape == X.shape and len(D) == len(rows)
+        rows_seen += len(rows)
+    assert rows_seen == _jam_pattern_rows(spec) + 512
+
+
+@pytest.mark.parametrize("n", [20, 64, 512])
+def test_chunked_pattern_draw_equals_the_whole_draw(n):
+    """Above 12 cells the random jam patterns are drawn one block's worth
+    at a time; the chunks are the rows of one (4096, n) draw."""
+    chunk = _block_rows(n) // 32
+    got = np.vstack(list(_jam_patterns(n, 5, chunk)))
+    assert np.array_equal(got, _philox(5 ^ 0x9E3779B9).random((4096, n)) < 0.5)
+    assert chunk == {20: 32, 64: 32, 512: 4}[n]
+
+
 @pytest.mark.parametrize("n", [8, 64, 128])
 def test_ratios_in_blocks_equal_the_whole_batch(n):
-    """The search weighs the seed cloud ROW_BLOCK rows at a time and every
-    scan's seeds as one (K, 33, n) stack.  Both must give each row the bits
-    of one whole-batch call, rows below the mass floor included (they read
-    inf).  BLAS may round a row differently in another batch shape: OpenBLAS
-    gives the last two rows of a batch that leaves 2 or 3 rows over a
-    multiple of four to another kernel, which is why `_ratios` weighs every
-    row and masks afterwards instead of weighing only the rows above the
-    floor, and why ROW_BLOCK is a multiple of four."""
+    """The search weighs the seed cloud one block at a time and every scan's
+    seeds as one (K, 33, n) stack.  Both must give each row the bits of one
+    whole-batch call, rows below the mass floor included (they read inf).
+    BLAS may round a row differently in another batch shape: OpenBLAS gives
+    the last two rows of a batch that leaves 2 or 3 rows over a multiple of
+    four to another kernel, which is why `_ratios` weighs every row and
+    masks afterwards instead of weighing only the rows above the floor, and
+    why every seed block weighs a multiple of four rows."""
     rng = np.random.default_rng(n)
     N, floor = 33 * 100, 0.5
     r = 2.0 ** rng.permutation(n)
@@ -469,9 +580,9 @@ def test_ratios_in_blocks_equal_the_whole_batch(n):
     want = _ratios(S.copy(), X, r, floor)
     assert np.array_equal(np.isinf(want), X.sum(axis=1) < floor)
     assert 0 < np.isinf(want).sum() < N // 2
-    blocks = [_ratios(S[lo:lo + ROW_BLOCK].copy(), X[lo:lo + ROW_BLOCK], r, floor)
-              for lo in range(0, N, ROW_BLOCK)]
-    assert N % ROW_BLOCK and np.array_equal(np.concatenate(blocks), want)
+    B = _block_rows(n)
+    blocks = [_ratios(S[lo:lo + B].copy(), X[lo:lo + B], r, floor) for lo in range(0, N, B)]
+    assert N % B and np.array_equal(np.concatenate(blocks), want)
     stacked = _ratios(S.reshape(-1, 33, n).copy(), X.reshape(-1, 33, n), r, floor)
     assert np.array_equal(stacked.ravel(), want)
     ok = ~np.isinf(want)
