@@ -68,12 +68,14 @@ def control_law(cfg: ControllerConfig, x) -> np.ndarray:
     bit-exact: zero weighted excess returns v*, saturated excess returns b.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (cfg.n,):
+    if x.shape != cfg.xstar.shape:
         raise DimensionError(f"x must have shape ({cfg.n},)")
-    excess = h_map(x - cfg.xstar)
-    load = (cfg.K @ excess) / cfg.tau
-    ramp = cfg.vstar - cfg.span * load
-    return np.where(load >= 1.0, cfg.b, np.where(load <= 0.0, cfg.vstar, ramp))
+    load = (cfg.K @ np.maximum(x - cfg.xstar, 0.0)) / cfg.tau
+    v = cfg.vstar - cfg.span * load
+    # the two saturations are disjoint, so they overwrite the ramp in any order
+    np.copyto(v, cfg.b, where=load >= 1.0)
+    np.copyto(v, cfg.vstar, where=load <= 0.0)
+    return v
 
 
 def uniform_gain(beta: np.ndarray, xstar: np.ndarray) -> float:

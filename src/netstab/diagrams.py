@@ -68,9 +68,10 @@ def _quad(c, z):
     None terms are skipped, so a linear or constant-free piece costs no extra
     array pass.  `demand_all` passes coefficient arrays with zeros for the
     missing terms instead; adding a zero term leaves every nonzero value
-    unchanged.
+    unchanged.  The terms are indexed, not unpacked: unpacking the rows of an
+    array costs about three times as much.
     """
-    c2, c1, c0 = c
+    c2, c1, c0 = c[0], c[1], c[2]
     q = c1 * z if c2 is None else c2 * z * z + c1 * z
     return q if c0 is None else q + c0
 
@@ -230,16 +231,18 @@ class DiagramSet:
     supplies: tuple[SupplyFunction, ...]
     d_lo: np.ndarray
     d_hi: np.ndarray
-    # cached per-cell arrays and family index groups; _wave is None unless
-    # some supply pins its scale (NaN marks the cells scaled by d4);
-    # _pieces holds every cell's demand piece table for `demand_all`
-    # and _d_lo_tol/_d_hi_tol the box that `step` admits d from
+    # cached per-cell arrays, the built-in families' index groups and the
+    # piecewise cells; _wave is None unless some supply pins its scale (NaN
+    # marks the cells scaled by d4); _pieces holds every cell's demand piece
+    # table for `demand_all` and _d_lo_tol/_d_hi_tol the box that `step`
+    # admits d from
     _a: np.ndarray = field(init=False, repr=False, compare=False)
     _delta: np.ndarray = field(init=False, repr=False, compare=False)
     _qcap: np.ndarray = field(init=False, repr=False, compare=False)
     _wave: np.ndarray | None = field(init=False, repr=False, compare=False)
     _groups: dict = field(init=False, repr=False, compare=False)
     _pieces: tuple = field(init=False, repr=False, compare=False)
+    _piecewise: tuple = field(init=False, repr=False, compare=False)
     _d_lo_tol: np.ndarray = field(init=False, repr=False, compare=False)
     _d_hi_tol: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -269,9 +272,11 @@ class DiagramSet:
         groups = {
             fam: np.array([k for k, fd in enumerate(self.demands) if fd.family == fam],
                           dtype=int)
-            for fam in FAMILIES
+            for fam in _FAMILY_BRANCHES
         }
         object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_piecewise", tuple(
+            k for k, fd in enumerate(self.demands) if fd.family == "piecewise"))
         object.__setattr__(self, "_pieces",
                            _piece_table([fd.family for fd in self.demands]))
         object.__setattr__(self, "_d_lo_tol", self.d_lo - D_TOL)
@@ -345,7 +350,7 @@ def demand_all(ds: DiagramSet, d, x) -> np.ndarray:
     w = np.array([d1, d2 * (1.0 - d1), (1.0 - d2) * (1.0 - d1), d3, 1.0 - d3])[:, None]
     q = w * _quad(np.where(x <= knee, lo, hi), x)
     out = np.where(x <= ds._delta, q[0] + q[1] + q[2], q[3] + q[4])
-    for k in ds._groups["piecewise"]:
+    for k in ds._piecewise:
         out[k] = _demand_values(ds.demands[k], d1, d2, d3, x[k])
     out[x < DEMAND_FLOOR] = 0.0
     return out
@@ -373,7 +378,7 @@ def demand_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
         idx = ds._groups[fam]
         if idx.size:
             out[:, idx] = _blend(d1, d2, d3, X[:, idx], ds._delta[idx], *branches)
-    for k in ds._groups["piecewise"]:
+    for k in ds._piecewise:
         out[:, k] = _demand_values(ds.demands[k], d1[:, 0], d2[:, 0], d3[:, 0], X[:, k])
     out[X < DEMAND_FLOOR] = 0.0
     return out

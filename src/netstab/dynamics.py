@@ -12,15 +12,14 @@ sent always equals received and total inflow never exceeds supply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagrams import DEMAND_FLOOR, DiagramSet, demand_all, supply_all
 from .errors import DimensionError, DomainError, NumericalError
-from .network import NetworkSpec
-
-STATE_TOL = 1e-9       # admission tolerance for x against the state box
+from .network import STATE_TOL, NetworkSpec
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,11 @@ class FlowBreakdown:
     attempted_demand: np.ndarray
 
 
-def _allocate(spec: NetworkSpec, f: np.ndarray, g: np.ndarray, v: np.ndarray,
-              x: np.ndarray) -> np.ndarray:
-    """Per-cell throttles honoring external-first, descending-index priority."""
-    fl, gl, vl = f.tolist(), g.tolist(), v.tolist()
+def _allocate(spec: NetworkSpec, fl: list, gl: list, vl: list) -> list:
+    """Per-cell throttles honoring external-first, descending-index priority,
+    from demand, supply and inflow as lists.  A sender with f < DEMAND_FLOOR
+    (every empty cell among them) emits nothing and is never throttled, though
+    its claim still counts against the junction's remaining supply."""
     s = [1.0] * spec.n
     for j, claim in spec.claims:
         rem = gl[j] - vl[j]
@@ -51,12 +51,9 @@ def _allocate(spec: NetworkSpec, f: np.ndarray, g: np.ndarray, v: np.ndarray,
             cap = p * fl[i]
             if cap > DEMAND_FLOOR:
                 ratio = rem / cap
-                if ratio < s[i]:
+                if ratio < s[i] and fl[i] >= DEMAND_FLOOR:
                     s[i] = max(0.0, ratio)
             rem -= cap
-    s = np.array(s)
-    # empty or demandless cells emit nothing and are never considered throttled
-    s[(x <= 0.0) | (f < DEMAND_FLOOR)] = 1.0
     return s
 
 
@@ -66,12 +63,14 @@ def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
     v = np.asarray(v, dtype=float)
     f = demand_all(ds, d, x)
     g = supply_all(ds, d, x)
-    if not np.isfinite(np.concatenate((f, g))).all():
+    fl, gl = f.tolist(), g.tolist()
+    # the sum is finite when every term is, but finite terms can overflow it
+    if not math.isfinite(sum(fl) + sum(gl)):
         for what, y in (("demand", f), ("supply", g)):
             if not np.isfinite(y).all():
                 i = int(np.argmax(~np.isfinite(y)))
                 raise NumericalError(f"non-finite {what} at cell {i + 1}", cell=i)
-    s = _allocate(spec, f, g, v, x)
+    s = np.array(_allocate(spec, fl, gl, v.tolist()))
     outflow = s * f
     accepted = np.minimum(v, g)
     inflow = accepted + outflow @ spec.P
@@ -79,6 +78,12 @@ def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
     w = np.divide(accepted, v, out=np.ones(spec.n), where=v > 0)
     return FlowBreakdown(outflow=outflow, inflow=inflow, exit=exit_flow,
                          s=s, w=w, attempted_demand=f)
+
+
+def _within(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """lo <= z <= hi entrywise; NaN fails.  `np.count_nonzero` reduces a
+    short boolean array at about a third of the cost of `ndarray.all`."""
+    return np.count_nonzero((z >= lo) & (z <= hi)) == z.size
 
 
 def _check_domain(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> None:
@@ -116,14 +121,16 @@ def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBr
         raise DimensionError(f"x and v must have shape ({spec.n},)")
     if d.shape != ds.d_lo.shape:
         raise DimensionError(f"d must have shape {ds.d_lo.shape}, got {d.shape}")
-    # `_check_domain`'s tests under one reduction; it runs only to name a failure
-    if not np.concatenate((x >= -STATE_TOL, x <= spec.a + STATE_TOL, v >= 0.0, v < np.inf,
-                           d >= ds._d_lo_tol, d <= ds._d_hi_tol)).all():
+    # `_check_domain`'s tests against bounds cached on spec and ds; it runs
+    # only to name a failure
+    if not (_within(np.concatenate((x, v)), *spec.admission)
+            and _within(d, ds._d_lo_tol, ds._d_hi_tol)):
         _check_domain(spec, ds, x, v, d)
     x = np.minimum(np.maximum(x, 0.0), spec.a)
     fb = compute_flows(spec, ds, x, v, d)
     x_next = x - fb.outflow + fb.inflow
-    if not (x_next.min() >= -STATE_TOL and (x_next - spec.a).max() <= STATE_TOL):
+    if not (np.minimum.reduce(x_next) >= -STATE_TOL
+            and np.maximum.reduce(x_next - spec.a) <= STATE_TOL):
         if not np.isfinite(x_next).all():
             i = int(np.argmax(~np.isfinite(x_next)))
             raise NumericalError(f"non-finite state at cell {i + 1}", cell=i)

@@ -23,6 +23,7 @@ from .errors import DimensionError
 
 EDGE_TOL = 1e-15
 CHECK_TOL = 1e-12
+STATE_TOL = 1e-9       # admission tolerance for x against the state box
 
 _NETWORK_FIELDS = ("n", "a", "P", "Qexit", "mu", "vmax")
 
@@ -112,6 +113,15 @@ class NetworkSpec:
     def order(self) -> TopologicalOrder:
         """The topological order, sorted on first use; AcyclicityError if cyclic."""
         return topological_sort(self.P)
+
+    @cached_property
+    def admission(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (lo, hi) bounds that `dynamics.step` admits ``(x, v)`` between,
+        concatenated: x in [-STATE_TOL, a + STATE_TOL] and v in [0, DBL_MAX],
+        the float form of v < inf that NaN also fails."""
+        lo = np.concatenate((np.full(self.n, -STATE_TOL), np.zeros(self.n)))
+        hi = np.concatenate((self.a + STATE_TOL, np.full(self.n, np.finfo(float).max)))
+        return _frozen_array(lo), _frozen_array(hi)
 
     @cached_property
     def claim_levels(self):

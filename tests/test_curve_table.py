@@ -14,7 +14,7 @@ from netstab import presets
 from netstab.diagrams import (DEMAND_FLOOR, DemandFunction, DiagramSet, Piece,
                               SupplyFunction, _demand_values, d_corners,
                               demand_all, demand_batch, uniform_uncertainty)
-from netstab.dynamics import FlowBreakdown, step
+from netstab.dynamics import FlowBreakdown, compute_flows, step
 from netstab.network import NetworkSpec
 
 import oracles
@@ -82,6 +82,20 @@ def _random_net(rng):
     return spec, DiagramSet(demands, supplies, ref.d_lo, ref.d_hi)
 
 
+def _turning_rate_above_one():
+    """A raw 4-cell net whose cell 1 routes six times its outflow into cell 3
+    (NetworkSpec does not validate P).  Demand rises with slope 0.2 to 0.9
+    from the empty cell, so at density DEMAND_FLOOR cell 1 demands less than
+    the floor while its claim 6 f is above it."""
+    ref = presets.reference_diagrams()
+    P = np.zeros((4, 4))
+    P[0, 2], P[1, 2], P[2, 3] = 6.0, 1.0, 1.0
+    spec = NetworkSpec(n=4, a=np.full(4, presets.JAM), P=P,
+                       Qexit=np.array([0.0, 0.0, 0.0, 1.0]),
+                       mu=np.full(4, presets.MU_MAIN), vmax=np.full(4, 20.0))
+    return spec, DiagramSet(ref.demands[3:7], ref.supplies[3:7], ref.d_lo, ref.d_hi)
+
+
 def _states(spec, ds, rng, N):
     """N states, each seam density planted in random cells of its own rows,
     plus inflows and disturbances (all box corners first)."""
@@ -100,7 +114,8 @@ def _nets():
             "benchmark, pinned waves": _benchmark(pinned=(0, 4, 7)),
             "benchmark, piecewise cell": _benchmark(pinned=(2,), piecewise=(2, 5)),
             "corridor of 3 copies": _corridor(3, 7),
-            "corridor of 8 copies": _corridor(8, 11)}
+            "corridor of 8 copies": _corridor(8, 11),
+            "turning rate above 1": _turning_rate_above_one()}
     for k in range(6):
         nets[f"random {k}"] = _random_net(rng)
     return nets
@@ -160,3 +175,33 @@ def test_demand_all_at_the_seams(name):
     want = oracles.demand_batch_reference(ds, DD, XX)
     for k in range(len(XX)):
         assert np.array_equal(demand_all(ds, DD[k], XX[k]), want[k]), (XX[k], DD[k])
+
+
+def test_floor_in_the_throttle_loop_equals_the_mask():
+    """`_allocate` never throttles a sender with f < DEMAND_FLOOR, where the
+    reference throttles it in the claims loop and then resets it to 1 with a
+    mask over empty and demandless cells.  Cell 1 sits at DEMAND_FLOOR, so its
+    claim 6 f clears the floor while f does not, and it feeds a jammed cell
+    that takes nothing; the other senders are empty or flowing."""
+    spec, ds = NETS["turning rate above 1"]
+    jam = presets.JAM
+    states = [([DEMAND_FLOOR, DEMAND_FLOOR, jam, 100.0], [0.0, 0.0, 0.0, 0.0]),
+              ([DEMAND_FLOOR, 0.0, jam, 0.0], [3.0, 0.0, 0.0, 0.0]),
+              ([DEMAND_FLOOR, 40.0, 169.9, jam], [0.0, 2.0, 0.5, 0.0]),
+              ([0.0, 0.0, jam, jam], [0.0, 0.0, 0.0, 0.0]),
+              ([0.0, 60.0, 150.0, 0.0], [1.0, 0.0, 0.0, 4.0])]
+    for x, v in states:
+        x, v = np.array(x), np.array(v)
+        for d in d_corners(ds):
+            fb = compute_flows(spec, ds, x, v, d)
+            want_x, want = oracles.step_reference(spec, ds, x, v, d)
+            assert np.array_equal(fb.s, want["s"])
+            x_next, fb = step(spec, ds, x, v, d)
+            assert np.array_equal(x_next, want_x)
+            for field in FIELDS:
+                assert np.array_equal(getattr(fb, field), want[field]), field
+            if x[0] == DEMAND_FLOOR and x[2] == jam:
+                # the case the floor is for: a claim above it from a demand
+                # below it, into a junction with no room
+                f = fb.attempted_demand[0]
+                assert f < DEMAND_FLOOR < spec.P[0, 2] * f and fb.s[0] == 1.0

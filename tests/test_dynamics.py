@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netstab import presets
-from netstab.diagrams import (D_TOL, d_corners, demand_all, demand_batch, supply_all,
+from netstab.diagrams import (D_TOL, DiagramSet, SupplyFunction, d_corners, demand_all,
+                              demand_batch, supply_all,
                               supply_batch, uniform_uncertainty)
 from netstab.dynamics import STATE_TOL, compute_flows, is_uncongested, step
-from netstab.errors import DimensionError, DomainError
+from netstab.errors import DimensionError, DomainError, NumericalError
+from netstab.network import NetworkSpec
 from netstab.stability import ThrottleBound
 
 import oracles
@@ -221,3 +225,38 @@ def test_step_names_the_cell_of_bad_input(ref_spec, ref_ds, ref_eq,
         v[v_bad[0]] = v_bad[1]
     with pytest.raises(error, match=message):
         step(ref_spec, ref_ds, x, v, d)
+
+
+def _huge_pair(supplies, d_hi):
+    """Two cells, 1 feeding 2, of jam capacity 1e308 with the benchmark's
+    main-line demand and the given supplies."""
+    ref = presets.reference_diagrams()
+    fd = dataclasses.replace(ref.demands[0], a=1e308)
+    spec = NetworkSpec(n=2, a=np.full(2, 1e308), P=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                       Qexit=np.array([0.0, 1.0]), mu=np.full(2, 40.0), vmax=np.full(2, 20.0))
+    return spec, DiagramSet((fd, fd), supplies, ref.d_lo, d_hi)
+
+
+def test_finite_flows_whose_sum_overflows_pass():
+    """`compute_flows` screens f and g by their sum, which finite terms can
+    overflow: supplies of 1e308 on two cells sum past DBL_MAX, and the check
+    behind the screen finds every value finite and raises nothing."""
+    sf = SupplyFunction(qcap=1e308, a=1e308)
+    spec, ds = _huge_pair((sf, sf), np.array([1.0, 1.0, 1.0, 1.0]))
+    x, v = np.array([0.0, 0.0]), np.array([2.0, 0.0])
+    d = np.array([0.5, 0.5, 0.5, 1.0])
+    assert supply_all(ds, d, x).tolist() == [1e308, 1e308]
+    fb = compute_flows(spec, ds, x, v, d)
+    assert fb.s.tolist() == [1.0, 1.0] and fb.inflow.tolist() == [2.0, 0.0]
+
+
+def test_non_finite_supply_names_its_cell():
+    """A supply that is not finite still raises NumericalError naming its
+    cell: cell 2 scales by d4 = inf, cell 1 by a pinned wave."""
+    supplies = (SupplyFunction(qcap=1e308, a=1e308, wave=0.3),
+                SupplyFunction(qcap=1e308, a=1e308))
+    spec, ds = _huge_pair(supplies, np.array([1.0, 1.0, 1.0, np.inf]))
+    with pytest.raises(NumericalError, match="non-finite supply at cell 2") as exc:
+        compute_flows(spec, ds, np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                      np.array([0.5, 0.5, 0.5, np.inf]))
+    assert exc.value.cell == 1
