@@ -56,11 +56,12 @@ def _emit(doc: dict) -> None:
     print(json.dumps(_jsonable(doc), indent=2))
 
 
-def _load_pair(args):
-    """Network and diagrams from --network/--diagrams, defaulting to the benchmark."""
+def _load_pair(args, spec=None, ds=None):
+    """Network and diagrams from --network/--diagrams; a file not given is
+    `spec` or `ds`, or else the benchmark's."""
     try:
-        spec = load_network(args.network) if args.network else reference_network()
-        ds = load_diagrams(args.diagrams) if args.diagrams else reference_diagrams()
+        spec = load_network(args.network) if args.network else spec or reference_network()
+        ds = load_diagrams(args.diagrams) if args.diagrams else ds or reference_diagrams()
         check_pair(spec, ds)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
@@ -68,7 +69,7 @@ def _load_pair(args):
 
 
 def _load_ctrl(args, n: int):
-    if not getattr(args, "controller", None):
+    if not args.controller:
         return None
     try:
         return load_controller(args.controller, n)
@@ -89,7 +90,7 @@ def _check_equilibrium(path, ctrl, eq) -> None:
 
 
 def _parse_vstar(args, spec):
-    if getattr(args, "vstar", None):
+    if args.vstar:
         try:
             v = np.array([float(tok) for tok in args.vstar.split(",")])
         except ValueError as exc:
@@ -273,10 +274,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gridlock_demo(args) -> int:
-    if args.network:
-        spec, ds = _load_pair(args)
-    else:
-        spec, ds = three_cell_cycle()
+    # the built-in 3-cell cycle, with its diagrams unless --diagrams names others;
+    # a custom network defaults to the benchmark diagrams like everywhere else
+    spec, ds = _load_pair(args, *(() if args.network else three_cell_cycle()))
     report = gridlock_demo(spec, ds, horizon=args.horizon, seed=args.seed)
     _emit({
         "cycle": [i + 1 for i in report.cycle],
@@ -311,60 +311,50 @@ def _int_at_least(least: int, what: str):
     return parse
 
 
+# argparse keyword arguments of each flag
+_FLAGS = {
+    "network": {"help": "network JSON (default: built-in benchmark; gridlock-demo: "
+                        "3-cell cycle)"},
+    "diagrams": {"help": "diagram JSON (default: built-in benchmark; gridlock-demo "
+                         "without --network: 3-cell cycle)"},
+    "controller": {"help": "controller JSON"},
+    "vstar": {"help": "comma-separated equilibrium inflows"},
+    "scenario": {"required": True, "help": "scenario JSON"},
+    "seed": {"type": _int_at_least(0, "a non-negative integer"), "default": 0},
+    "out": {"help": "output directory"},
+    "horizon": {"type": _int_at_least(1, "a positive integer"), "default": 1000},
+}
+
+# each subcommand's handler, help and the flags it reads: argparse refuses
+# any other flag (exit 2) rather than let it pass unread
+_COMMANDS = {
+    "validate": (cmd_validate, "structural checks on a network", "network diagrams"),
+    "solve-uep": (cmd_solve_uep, "solve the uncongested equilibrium",
+                  "network diagrams vstar"),
+    "synthesize": (cmd_synthesize, "derive a certified controller",
+                   "network diagrams vstar seed out"),
+    "analyze": (cmd_analyze, "full stability certificate with audits",
+                "network diagrams controller vstar seed out"),
+    "simulate": (cmd_simulate, "run one scenario and export CSV",
+                 "network diagrams controller scenario seed out"),
+    "gridlock-demo": (cmd_gridlock_demo, "jam a cyclic network and verify it never unlocks",
+                      "network diagrams seed horizon"),
+    "reproduce-paper": (cmd_reproduce, "run the full benchmark suite and write CSVs plus "
+                                       "a summary report", "seed out"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netstab",
         description="Simulator and stability-certificate toolkit for "
                     "uncertain acyclic traffic networks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, scenario=False, horizon=None):
-        p.add_argument("--network", help="network JSON (default: built-in benchmark)")
-        p.add_argument("--diagrams", help="diagram JSON (default: built-in benchmark)")
-        p.add_argument("--controller", help="controller JSON")
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario JSON")
-        p.add_argument("--seed", type=_int_at_least(0, "a non-negative integer"),
-                       default=0)
-        p.add_argument("--out", help="output directory")
-        if horizon is not None:
-            p.add_argument("--horizon", type=_int_at_least(1, "a positive integer"),
-                           default=horizon)
-
-    p = sub.add_parser("validate", help="structural checks on a network")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("solve-uep", help="solve the uncongested equilibrium")
-    common(p)
-    p.add_argument("--vstar", help="comma-separated equilibrium inflows")
-    p.set_defaults(func=cmd_solve_uep)
-
-    p = sub.add_parser("synthesize", help="derive a certified controller")
-    common(p)
-    p.add_argument("--vstar", help="comma-separated equilibrium inflows")
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("analyze", help="full stability certificate with audits")
-    common(p)
-    p.add_argument("--vstar", help="comma-separated equilibrium inflows")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("simulate", help="run one scenario and export CSV")
-    common(p, scenario=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("gridlock-demo",
-                       help="jam a cyclic network and verify it never unlocks")
-    common(p, horizon=1000)
-    p.set_defaults(func=cmd_gridlock_demo)
-
-    p = sub.add_parser("reproduce-paper",
-                       help="run the full benchmark suite and write CSVs "
-                            "plus a summary report")
-    common(p)
-    p.set_defaults(func=cmd_reproduce)
-
+    for name, (func, help_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -380,7 +370,7 @@ def _check_out(path) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.out:
+        if getattr(args, "out", None):  # only some subcommands take --out
             _check_out(args.out)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, inside the handlers below

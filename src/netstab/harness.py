@@ -298,30 +298,19 @@ def reproduce_suite(outdir, seed: int = 0, horizon: int = 500) -> dict:
     ctrl = experiment_controller(eq.xstar)
     d_bad = _congestion_disturbance(spec, ds)
 
-    starts = benchmark_initial_states()
     scenarios = {
         "open_loop_congestion": ScenarioConfig(
             x0=np.array(spec.a), horizon=min(horizon, OPEN_LOOP_HORIZON),
             disturbance=DisturbanceSpec(kind="constant", d=d_bad),
             control=ControlSpec(kind="open-loop", v=reference_vstar()),
             reference=eq.xstar),
-        "closed_loop_jam": ScenarioConfig(
-            x0=starts[0], horizon=horizon,
-            disturbance=DisturbanceSpec(kind="uniform", seed=seed),
-            control=ControlSpec(kind="closed-loop", controller=ctrl)),
-        "closed_loop_heavy": ScenarioConfig(
-            x0=starts[1], horizon=horizon,
-            disturbance=DisturbanceSpec(kind="uniform", seed=seed + 1),
-            control=ControlSpec(kind="closed-loop", controller=ctrl)),
-        "closed_loop_mixed": ScenarioConfig(
-            x0=starts[2], horizon=horizon,
-            disturbance=DisturbanceSpec(kind="uniform", seed=seed + 2),
-            control=ControlSpec(kind="closed-loop", controller=ctrl)),
-        "closed_loop_light": ScenarioConfig(
-            x0=starts[3], horizon=horizon,
-            disturbance=DisturbanceSpec(kind="uniform", seed=seed + 3),
-            control=ControlSpec(kind="closed-loop", controller=ctrl)),
     }
+    for k, (name, x0) in enumerate(zip(("jam", "heavy", "mixed", "light"),
+                                       benchmark_initial_states())):
+        scenarios[f"closed_loop_{name}"] = ScenarioConfig(
+            x0=x0, horizon=horizon,
+            disturbance=DisturbanceSpec(kind="uniform", seed=seed + k),
+            control=ControlSpec(kind="closed-loop", controller=ctrl))
 
     os.makedirs(outdir, exist_ok=True)
     summary: dict = {

@@ -522,6 +522,14 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
         raise DimensionError(f"r must have shape ({spec.n},)")
     if np.any(r <= 0):
         raise ValueError("weights r must be positive")
+    # every weighted mass the search forms is a sum of nonnegative terms at most r @ a
+    with np.errstate(over="ignore"):
+        heaviest = r @ spec.a
+    if not np.isfinite(heaviest):
+        i = int(np.argmax(r))
+        raise NumericalError(
+            f"cell {i + 1}: weight {r[i]:.3g} makes the weighted jam mass r @ a "
+            f"overflow float64", cell=i)
     n = spec.n
 
     Qconst = float(np.min(1.0 - (spec.P @ r) / r))

@@ -167,6 +167,18 @@ def test_gridlock_demo_cli(capsys):
     assert doc["cycle"] == [1, 2, 3]
 
 
+def test_gridlock_demo_reads_diagrams_for_the_built_in_cycle(capsys, tmp_path):
+    """--diagrams without --network pairs with the 3-cell cycle (it was
+    dropped); diagrams of another cell count exit 2."""
+    three, eight = tmp_path / "three.json", tmp_path / "eight.json"
+    save_diagrams(presets.three_cell_cycle()[1], three)
+    save_diagrams(presets.reference_diagrams(), eight)
+    code, doc = run_cli(capsys, "gridlock-demo", "--horizon", "50", "--diagrams", str(three))
+    assert code == 0 and doc == run_cli(capsys, "gridlock-demo", "--horizon", "50")[1]
+    err = _input_error(capsys, "gridlock-demo", "--diagrams", str(eight))
+    assert err == "error: network has 3 cells but diagrams describe 8\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "--seed", "-1"], "--seed: expected a non-negative integer, got '-1'"),
     (["synthesize", "--seed", "2.5"], "--seed: expected a non-negative integer"),
@@ -217,6 +229,23 @@ def test_infeasible_vstar_is_a_failed_check(capsys):
     assert captured.err.startswith("check failed: cell 8: equilibrium flow 25.2 exceeds")
 
 
+def _no_work(monkeypatch):
+    """Make every command's first step fail loudly, so a test can show none ran."""
+    for name in ("load_network", "reference_network", "reproduce_suite",
+                 "three_cell_cycle"):  # every command's work starts with one
+        monkeypatch.setattr(cli, name, None)
+
+
+def _refused(capsys, *argv):
+    """argparse refuses `argv`: exit 2, a usage line on stderr, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    return captured.err
+
+
 @pytest.mark.parametrize("command", [
     ["validate"], ["solve-uep"], ["synthesize"], ["analyze"], ["gridlock-demo"],
     ["reproduce-paper"], ["simulate", "--scenario", "unread.json"]],
@@ -225,16 +254,65 @@ def test_infeasible_vstar_is_a_failed_check(capsys):
 def test_out_naming_a_file_exits_2_before_any_work(capsys, tmp_path, monkeypatch,
                                                    command, below):
     """--out naming a file, or a path below one, used to fail with a traceback
-    after the whole run; no command may start its work."""
-    for name in ("load_network", "reference_network", "reproduce_suite",
-                 "three_cell_cycle"):  # every command's work starts with one
-        monkeypatch.setattr(cli, name, None)
+    after the whole run; no command may start its work.  validate, solve-uep
+    and gridlock-demo write nothing, and argparse refuses their --out."""
+    _no_work(monkeypatch)
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
     out = taken / "sub" if below else taken
-    err = _input_error(capsys, *command, "--out", str(out))
-    assert err == f"error: --out {out}: {taken} is a file, not a directory\n"
+    if command[0] in ("validate", "solve-uep", "gridlock-demo"):
+        err = _refused(capsys, *command, "--out", str(out))
+        assert "unrecognized arguments: --out" in err
+    else:
+        err = _input_error(capsys, *command, "--out", str(out))
+        assert err == f"error: --out {out}: {taken} is a file, not a directory\n"
     assert taken.read_text() == "keep\n"
+
+
+# the flags a subcommand took and never read, before each took only its own
+_UNREAD = [("validate", "--controller"), ("validate", "--seed"), ("validate", "--out"),
+           ("solve-uep", "--controller"), ("solve-uep", "--seed"), ("solve-uep", "--out"),
+           ("synthesize", "--controller"),
+           ("gridlock-demo", "--controller"), ("gridlock-demo", "--out"),
+           ("reproduce-paper", "--network"), ("reproduce-paper", "--diagrams"),
+           ("reproduce-paper", "--controller")]
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD)
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, tmp_path, monkeypatch,
+                                                     command, flag):
+    """`reproduce-paper --network nope.json` ran the built-in freeway and
+    exited 0: a flag its subcommand ignores is refused before any work."""
+    _no_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    value = "5" if flag == "--seed" else str(tmp_path / "unread")
+    err = _refused(capsys, command, flag, value)
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("validate", "network diagrams"),
+    ("solve-uep", "network diagrams vstar"),
+    ("synthesize", "network diagrams vstar seed out"),
+    ("analyze", "network diagrams controller vstar seed out"),
+    ("simulate", "network diagrams controller scenario seed out"),
+    ("gridlock-demo", "network diagrams seed horizon"),
+    ("reproduce-paper", "seed out"),
+])
+def test_each_subcommand_takes_the_flags_it_reads(command, flags):
+    """28 (subcommand, flag) pairs parse; the other 28 of the 8 flags are refused."""
+    parser = cli._build_parser()
+    required = ["--scenario", "s.json"] if command == "simulate" else []
+    for flag in ("network", "diagrams", "controller", "vstar", "scenario", "seed",
+                 "out", "horizon"):
+        argv = [command, *required, f"--{flag}", "1"]
+        if flag in flags.split():
+            want = 1 if flag in ("seed", "horizon") else "1"
+            assert getattr(parser.parse_args(argv), flag) == want
+        else:
+            with pytest.raises(SystemExit), redirect_stderr(io.StringIO()):
+                parser.parse_args(argv)
 
 
 def _drop(*keys):

@@ -71,6 +71,40 @@ def test_weight_overflow_is_a_typed_error_naming_the_cell(order, cell, power):
     assert np.isfinite(r).all() and r[0] == 2.0 ** 1023
 
 
+def _freeway_copies(copies, seed):
+    """`copies` disjoint benchmark freeways, cells relabelled by a seeded permutation."""
+    spec8, ds8 = presets.reference_network(), presets.reference_diagrams()
+    n = 8 * copies
+    perm = np.random.default_rng(seed).permutation(n).reshape(copies, 8)
+    P = np.zeros((n, n))
+    fields = {k: np.zeros(n) for k in ("a", "Qexit", "mu", "vmax")}
+    demands, supplies = [None] * n, [None] * n
+    for new in perm:
+        P[np.ix_(new, new)] = spec8.P
+        for k, vec in fields.items():
+            vec[new] = getattr(spec8, k)
+        for i, j in enumerate(new):
+            demands[j], supplies[j] = ds8.demands[i], ds8.supplies[i]
+    spec = NetworkSpec(n=n, P=P, **fields)
+    return spec, DiagramSet(tuple(demands), tuple(supplies), ds8.d_lo, ds8.d_hi)
+
+
+def test_weighted_jam_mass_overflow_is_a_typed_error_naming_the_cell():
+    """On 128 freeway copies (1,024 cells) the top weight 2^1023 is finite,
+    but r @ a is not: the gamma search refuses the weights, naming the cell
+    of largest weight, before any weighted sum can overflow."""
+    spec, ds = _freeway_copies(128, seed=1)
+    r = weights_r(spec)
+    assert np.isfinite(r).all() and r.max() == 2.0 ** 1023
+    top = int(np.argmax(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = rf"^cell {top + 1}: weight 8.99e\+307 makes the weighted jam mass"
+        with pytest.raises(NumericalError, match=message) as exc:
+            drain_constants(spec, ds, r, n_samples=256)
+    assert exc.value.cell == top
+
+
 def test_weights_xi_ignores_edges_below_the_edge_tolerance():
     """P[3, 1] = 1e-16 is at most EDGE_TOL: the ordering, the cycle search and
     the predecessor lists treat it as absent, and so do the weights, which
