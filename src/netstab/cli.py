@@ -354,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
@@ -368,7 +368,12 @@ def _check_out(path) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # the usage of the parser that refused them names the flags it takes
+        refused_by = args.parser if argv[0] == args.command else parser
+        refused_by.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         if getattr(args, "out", None):  # only some subcommands take --out
             _check_out(args.out)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .network import NetworkSpec, _check_fields, _checked, _located
+from .sobol import Sobol
 
 FAMILIES = ("freeway-main", "freeway-onramp", "piecewise")
 
@@ -410,10 +411,7 @@ def sample_uncertainty(ds: DiagramSet, m: int, seed: int = 0,
     k = m - len(corners)
     if k < 0:
         raise ValueError(f"need m >= {len(corners)} to include all corners")
-    from scipy.stats import qmc  # imported here: scipy.stats takes about 1 s to import
-
-    sob = qmc.Sobol(d=_D_DIM, scramble=True, seed=seed)
-    u = sob.random_base2(max(1, math.ceil(math.log2(max(k, 2)))))[:k]
+    u = Sobol(_D_DIM, seed).random(2 ** max(1, math.ceil(math.log2(max(k, 2)))))[:k]
     pts = ds.d_lo + u * (ds.d_hi - ds.d_lo)
     return np.vstack([corners, pts]) if len(corners) else pts
 
@@ -457,11 +455,8 @@ def audit_demand_curve(fd: DemandFunction, seed: int = 0) -> DemandAudit:
     if fd.family == "piecewise":
         dmat = np.zeros((1, 3))
     else:
-        from scipy.stats import qmc  # imported here: scipy.stats takes about 1 s to import
-
         corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
-        sob = qmc.Sobol(d=3, scramble=True, seed=seed)
-        dmat = np.vstack([corners, sob.random(AUDIT_D_SAMPLES)])
+        dmat = np.vstack([corners, Sobol(3, seed).random(AUDIT_D_SAMPLES)])
     d1, d2, d3 = (dmat[:, k:k + 1] for k in range(3))
 
     zs = np.linspace(0.0, fd.delta, AUDIT_GRID)

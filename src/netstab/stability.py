@@ -25,6 +25,7 @@ from .dynamics import step
 from .errors import (DimensionError, NumericalError, StructuralError,
                      ThrottleBoundViolation, TrappingInfeasible)
 from .network import NetworkSpec, group_claims
+from .sobol import Sobol
 
 SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
 CONTRACTION_TOL = 1e-9  # largest violation the contraction check lets pass
@@ -382,9 +383,7 @@ def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
                np.where(full, F[1][c], F[0][c]), np.where(full, G[1][c], G[0][c]),
                k // per_end * len(reps) + cls[k % per_end], corners[k % per_end])
 
-    from scipy.stats import qmc  # imported here: scipy.stats takes about 1 s to import
-
-    sobol = qmc.Sobol(d=2 * n + 4, scramble=True, seed=seed)
+    sobol = Sobol(2 * n + 4, seed)
     m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
     chunk = min(block, m)
     for _ in range(m // chunk):

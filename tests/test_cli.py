@@ -291,6 +291,22 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_refused_flag_prints_its_subcommands_usage(capsys):
+    """The usage printed with the refusal named the seven subcommands; it now
+    names the flags `reproduce-paper` takes."""
+    err = _refused(capsys, "reproduce-paper", "--network", "x.json")
+    assert err.startswith("usage: netstab reproduce-paper [-h] [--seed SEED] [--out OUT]\n")
+    assert err.endswith("netstab reproduce-paper: error: unrecognized arguments: "
+                        "--network x.json\n")
+    assert "gridlock-demo" not in err
+
+
+def test_a_flag_before_the_subcommand_is_refused_by_the_top_level(capsys):
+    err = _refused(capsys, "--bogus", "analyze", "--seed", "1")
+    assert err.startswith("usage: netstab [-h]")
+    assert err.endswith("netstab: error: unrecognized arguments: --bogus\n")
+
+
 @pytest.mark.parametrize("command, flags", [
     ("validate", "network diagrams"),
     ("solve-uep", "network diagrams vstar"),
@@ -695,3 +711,33 @@ def test_closed_stdout_exits_without_traceback(buffered):
     proc.stderr.close()
     assert proc.wait() == cli.EXIT_CLOSED_PIPE == 141
     assert err == b""
+
+
+def _src_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+
+def test_python_m_netstab_runs_the_command_line():
+    proc = subprocess.run([sys.executable, "-m", "netstab", "validate"],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)
+
+
+def test_no_subcommand_loads_scipy_stats(tmp_path):
+    """analyze, reproduce-paper, solve-uep and simulate, which draw Sobol'
+    points or run the simulator, leave scipy.stats unimported."""
+    scenario = tmp_path / "open.json"
+    scenario.write_text(json.dumps(_scenario_doc()))
+    runs = [["analyze", "--seed", "0"], ["reproduce-paper", "--out", str(tmp_path / "repro")],
+            ["solve-uep"], ["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]]
+    probe = ("import contextlib, io, json, sys\n"
+             "from netstab import cli\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert cli.main(argv) == 0, argv\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -232,8 +232,8 @@ def test_diagram_set_validation():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """`import netstab` does not load scipy.stats (about 1 s of import time):
-    only the Sobol draws import it, when they run."""
+    """`import netstab` does not load scipy.stats (about 1 s of import time);
+    netstab draws its Sobol' points itself, so no command loads it either."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import netstab; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
