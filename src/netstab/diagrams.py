@@ -260,6 +260,15 @@ class DiagramSet:
             object.__setattr__(self, lohi, arr)
         if np.any(self.d_lo > self.d_hi):
             raise ValueError("uncertainty box is empty")
+        # the demand curves blend by weights d1..d3 in [0, 1], and d4 scales supply
+        for k in range(3):
+            for end, bound in (("lo", self.d_lo[k]), ("hi", self.d_hi[k])):
+                if not 0.0 <= bound <= 1.0:
+                    raise ValueError(f"d_box: d{k + 1} {end} = {bound:.6g} is outside "
+                                     f"[0, 1], the range of a demand blend weight")
+        if not self.d_lo[3] > 0.0:
+            raise ValueError(f"d_box: d4 lo = {self.d_lo[3]:.6g} must be positive: "
+                             f"d4 scales supply")
         for fd, sf in zip(self.demands, self.supplies):
             if fd.a != sf.a:
                 raise ValueError("demand and supply disagree on the jam capacity")
@@ -400,20 +409,16 @@ def d_corners(ds: DiagramSet) -> np.ndarray:
     return np.array(list(itertools.product(*cols)))
 
 
-def sample_uncertainty(ds: DiagramSet, m: int, seed: int = 0,
-                       include_corners: bool = False) -> np.ndarray:
-    """m low-discrepancy samples of d (corners prepended when asked).
-
-    Sobol points get scaled into the box; the total row count is m (corner
-    rows replace the first Sobol rows so callers can rely on the count).
-    """
-    corners = d_corners(ds) if include_corners else np.empty((0, _D_DIM))
+def sample_uncertainty(ds: DiagramSet, m: int, seed: int = 0) -> np.ndarray:
+    """The 16 corners of the uncertainty box, then m - 16 low-discrepancy
+    samples of d: the first Sobol points of one power-of-two draw, scaled
+    into the box."""
+    corners = d_corners(ds)
     k = m - len(corners)
     if k < 0:
-        raise ValueError(f"need m >= {len(corners)} to include all corners")
-    u = Sobol(_D_DIM, seed).random(2 ** max(1, math.ceil(math.log2(max(k, 2)))))[:k]
-    pts = ds.d_lo + u * (ds.d_hi - ds.d_lo)
-    return np.vstack([corners, pts]) if len(corners) else pts
+        raise ValueError(f"need m >= {len(corners)} to include all corners, got {m}")
+    u = Sobol(_D_DIM, seed).random(1 << (k - 1).bit_length())[:k]
+    return np.vstack([corners, ds.d_lo + u * (ds.d_hi - ds.d_lo)])
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -505,8 +510,7 @@ def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet,
     with deliberate epsilon padding of mu sit a hair past exact equality.
     """
     n = spec.n
-    corners = d_corners(ds)
-    dmat = np.vstack([corners, sample_uncertainty(ds, AUDIT_D_SAMPLES, seed=seed)])
+    dmat = sample_uncertainty(ds, 2 ** _D_DIM + AUDIT_D_SAMPLES, seed)
     X_mu = np.tile(spec.mu, (len(dmat), 1))
 
     rng = _philox(seed)

@@ -94,7 +94,7 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
         xstar[i] = _invert_subcritical(fd, dref, float(F[i]))
 
     # the equilibrium must carry the same flows for every admissible d
-    dmat = sample_uncertainty(ds, D_SAMPLES, include_corners=True)
+    dmat = sample_uncertainty(ds, D_SAMPLES)
     Fmat = demand_batch(ds, dmat, np.tile(xstar, (len(dmat), 1)))
     dev = np.abs(Fmat - F[None, :]).max(axis=0)
     if np.any(dev > INVARIANCE_TOL):

@@ -1,13 +1,15 @@
 """Scrambled Sobol' points, the same bits as scipy.stats.qmc.Sobol draws.
 
 `Sobol(d, seed).random(n)` equals `scipy.stats.qmc.Sobol(d=d, scramble=True,
-seed=seed).random(n)` bit for bit, over any sequence of calls, without
-importing scipy.stats (about 1 s and 70 MB).  The direction numbers are Joe
-& Kuo's (2008), read from the table installed with scipy; each dimension's
-are scrambled by a random lower-triangular matrix over GF(2) and the points
-by a random digital shift, both drawn from `np.random.default_rng(seed)` in
-scipy's order; point k is the shift XOR the direction numbers picked by the
-bits of gray(k) = k ^ (k >> 1).
+seed=seed).random(n)` bit for bit, without importing scipy.stats (about 1 s
+and 70 MB).  The engine draws aligned power-of-two blocks: n a power of two
+that divides the count already drawn, the only draws netstab makes (a whole
+cloud at once, or one in equal blocks).  It refuses any other draw.  The
+direction numbers are Joe & Kuo's (2008), read from the table installed with
+scipy; each dimension's are scrambled by a random lower-triangular matrix
+over GF(2) and the points by a random digital shift, both drawn from
+`np.random.default_rng(seed)` in scipy's order; point k is the shift XOR the
+direction numbers picked by the bits of gray(k) = k ^ (k >> 1).
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _direction_numbers(d: int) -> np.ndarray:
 class Sobol:
     """A scrambled Sobol' sequence in [0, 1)^d, drawn in order by `random`."""
 
-    def __init__(self, d: int, seed=None):
+    def __init__(self, d: int, seed):
         v = _direction_numbers(d)
         rng = np.random.default_rng(seed)
         weights = np.arange(BITS, dtype=np.uint32)
@@ -98,59 +100,38 @@ class Sobol:
         self._v = np.tile(v, self._reps)  # (BITS + 1, reps * d)
         self._point = np.tile(shift.astype(np.int32), self._reps)  # the next point drawn, unscaled
         self._table = np.zeros((1, d), np.int32)  # row j: XOR of v over the bits of gray(j)
-        self._blocks = {}  # size -> the table's first `size` rows, reps to a row
-        self._steps = {}  # v rows (k - 1, lowest bit of end) -> their XOR
         self.d = d
         self.num_generated = 0
 
-    def _block(self, size: int) -> np.ndarray:
-        """The table's first `size` rows (a power of two), min(size, reps) to a row."""
-        rows = self._blocks.get(size)
-        if rows is None:
-            table, h = self._table, len(self._table)
-            if h < size:  # gray(h + j) = h | gray(h - 1 - j) for j < h, h a power of two
-                table = self._table = np.vstack([table, np.empty((size - h, self.d), np.int32)])
-                self._blocks.clear()  # views of the old table
-                for b in range(h.bit_length() - 1, size.bit_length() - 1):
-                    h = 1 << b
-                    np.bitwise_xor(table[h - 1::-1], self._v[b, :self.d], out=table[h:2 * h])
-            rows = self._blocks[size] = table[:size].reshape(-1, min(size, self._reps) * self.d)
-        return rows
+    def random(self, n: int) -> np.ndarray:
+        """The next n points, an (n, d) float64 array.
 
-    def _advance(self, size: int, end: int) -> None:
-        """Move the point from point(end - size) to point(end) over a block of
-        `size` rows: XOR table row size - 1, which is v[k - 1] for size 2^k
-        (v[-1], zeros, for size 1), and v[lowest bit of end] (v[BITS], zeros,
-        at end = 2^30)."""
-        key = (size.bit_length() - 2, (end & -end).bit_length() - 1)
-        step = self._steps.get(key)
-        if step is None:
-            if len(self._steps) > BITS:  # a stream of equal blocks needs fewer
-                self._steps.clear()
-            step = self._steps[key] = self._v[key[0]] ^ self._v[key[1]]
-        self._point ^= step
-
-    def random(self, n: int = 1) -> np.ndarray:
-        """The next n points, an (n, d) float64 array."""
+        n must be a power of two and divide the count already drawn: on such
+        a block gray(start + j) = gray(start) ^ gray(j), so row j is the
+        block's first point XOR table row j.  Any other n raises a ValueError.
+        """
         start = self.num_generated
+        if n < 1 or n & (n - 1) or start % n:
+            raise ValueError(f"Sobol' draws are aligned blocks of a power of two "
+                             f"points: cannot draw {n} after {start}")
         if start + n > 2 ** BITS:
             raise ValueError(f"at most 2**{BITS} Sobol' points can be drawn: "
                              f"{start} drawn, {n} more asked")
-        out = np.empty((n, self.d))
-        done = 0
-        while done < n:
-            # the largest power-of-two block that fits and starts at a multiple
-            # of its size: there gray(pos + j) = gray(pos) ^ gray(j), so row j
-            # is the block's first point XOR table row j
-            pos, size = start + done, 1 << ((n - done).bit_length() - 1)
-            if pos:
-                size = min(size, pos & -pos)
-            rows = self._block(size)
-            block = out if size == n else out[done:done + size]
-            np.bitwise_xor(rows, self._point[:rows.shape[1]], out=block.reshape(rows.shape),
-                           casting="unsafe")
-            done += size
-            self._advance(size, pos + size)
+        table, h = self._table, len(self._table)
+        if h < n:  # gray(h + j) = h | gray(h - 1 - j) for j < h, h a power of two
+            table = self._table = np.vstack([table, np.empty((n - h, self.d), np.int32)])
+            for b in range(h.bit_length() - 1, n.bit_length() - 1):
+                h = 1 << b
+                np.bitwise_xor(table[h - 1::-1], self._v[b, :self.d], out=table[h:2 * h])
+        rows = table[:n].reshape(-1, min(n, self._reps) * self.d)
+        out = np.empty(rows.shape)
+        np.bitwise_xor(rows, self._point[:rows.shape[1]], out=out, casting="unsafe")
         out *= _SCALE
-        self.num_generated = start + n
-        return out
+        # the next point: XOR table row n - 1, which is v[k - 1] for n = 2^k
+        # (v[-1], zeros, for n = 1), and v[lowest bit of end] (v[BITS], zeros,
+        # at end = 2^30); in place, one row at a time, as a temporary XOR of
+        # the two rows costs more than the second pass
+        end = self.num_generated = start + n
+        self._point ^= self._v[n.bit_length() - 2]
+        self._point ^= self._v[(end & -end).bit_length() - 1]
+        return out.reshape(n, self.d)

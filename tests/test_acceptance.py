@@ -39,7 +39,7 @@ def test_c01_uncongested_equilibrium(ref_eq):
 
 
 def test_c02_fixed_point_for_all_disturbances(ref_spec, ref_ds, ref_eq):
-    D = sample_uncertainty(ref_ds, 100, include_corners=True)
+    D = sample_uncertainty(ref_ds, 100)
     worst = 0.0
     for d in D:
         x_next, _ = step(ref_spec, ref_ds, ref_eq.xstar, ref_eq.vstar, d)

@@ -384,6 +384,11 @@ def _piecewise(**tables):
      "cell 8: supply field 'wave' must be a finite number, got inf"),
     (_set("d_box", 3, 0, value=float("nan")), "d_box: d4 lo must be a finite number, got nan"),
     (_set("d_box", 3, value=[0.1]), "d_box must be 4 [lo, hi] pairs"),
+    (_set("d_box", 2, value=[0, 2]),
+     "d_box: d3 hi = 2 is outside [0, 1], the range of a demand blend weight"),
+    (_set("d_box", 0, value=[-0.5, 1.5]),
+     "d_box: d1 lo = -0.5 is outside [0, 1], the range of a demand blend weight"),
+    (_set("d_box", 3, value=[-0.1, 0.3]), "d_box: d4 lo = -0.1 must be positive"),
     (_set("cells", 0, "family", value=5), "cell 1: unknown demand family 5"),
     (_set("cells", 2, "family", value=None), "cell 3: unknown demand family None"),
     (_piecewise(subcritical=[[1, 2]]),

@@ -54,7 +54,7 @@ def test_supply_matches_exact_arithmetic(ref_ds):
 def test_all_curves_meet_at_the_equilibrium(ref_ds):
     """Every blend passes through the same uncongested operating point."""
     main, ramp = _cells(ref_ds)
-    for d in sample_uncertainty(ref_ds, 40, include_corners=True):
+    for d in sample_uncertainty(ref_ds, 40):
         assert eval_demand(main, d, 55.0) == pytest.approx(25.0, abs=1e-9)
         assert eval_demand(ramp, d, 27.5) == pytest.approx(12.5, abs=1e-9)
 
@@ -133,10 +133,12 @@ def test_uncertainty_sampling(ref_ds):
     corners = d_corners(ref_ds)
     assert corners.shape == (16, 4)
     assert len(np.unique(corners, axis=0)) == 16
-    S = sample_uncertainty(ref_ds, 100, include_corners=True)
+    S = sample_uncertainty(ref_ds, 100)
     assert S.shape == (100, 4)
     np.testing.assert_array_equal(S[:16], corners)
     assert np.all(S >= ref_ds.d_lo) and np.all(S <= ref_ds.d_hi)
+    with pytest.raises(ValueError, match="m >= 16"):
+        sample_uncertainty(ref_ds, 15)
 
     rng = np.random.default_rng(0)
     U = uniform_uncertainty(ref_ds, 50, rng)
@@ -221,6 +223,11 @@ def test_diagram_set_validation():
     with pytest.raises(ValueError, match="empty"):
         DiagramSet(demands=(), supplies=(), d_lo=(1, 0, 0, 0.3),
                    d_hi=(0, 1, 1, 0.2))
+    for lo, hi, message in [((0, 0, 0, 0.22), (1, 1, 2, 0.3), "d3 hi = 2 is outside"),
+                            ((-0.5, 0, 0, 0.22), (1, 1, 1, 0.3), "d1 lo = -0.5 is outside"),
+                            ((0, 0, 0, 0), (1, 1, 1, 0.3), "d4 lo = 0 must be positive")]:
+        with pytest.raises(ValueError, match=message):
+            DiagramSet(demands=(), supplies=(), d_lo=lo, d_hi=hi)
     with pytest.raises(ValueError, match="family"):
         DemandFunction(family="triangular", a=100, delta=40, delta_tilde=40,
                        L=0.5, G=0.5, fmin=10)

@@ -10,35 +10,46 @@ from scipy.stats import qmc
 from netstab import sobol
 from netstab.sobol import Sobol
 
-# scipy warns when a fresh sequence's first draw is not a power of two
-pytestmark = pytest.mark.filterwarnings("ignore:The balance properties:UserWarning")
-
-CALLS = [1024, 1024, 64, 1, 3, 7, 2048]
+CALLS = [1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**70])
 @pytest.mark.parametrize("d", [1, 3, 4, 20, 36, 132, 1028])
 def test_draws_equal_scipy_bit_for_bit(d, seed):
-    """Every call of a sequence that ends aligned, unaligned and aligned
-    again returns scipy's points, bit for bit."""
+    """Every call of a doubling sequence, each block aligned on the count
+    drawn before it, returns scipy's points, bit for bit."""
     ours, theirs = Sobol(d, seed), qmc.Sobol(d=d, scramble=True, seed=seed)
     for n in CALLS:
         assert np.array_equal(ours.random(n), theirs.random(n)), n
     assert ours.num_generated == sum(CALLS)
 
 
-@pytest.mark.parametrize("calls", [[5, 1024], [1, 1, 2, 4, 8], [3, 0, 13, 256]],
-                         ids=["1024 after 5", "doubling after 1", "256 after 16"])
-def test_power_of_two_draws_after_an_unaligned_start(calls):
-    ours, theirs = Sobol(36, 7), qmc.Sobol(d=36, scramble=True, seed=7)
-    for n in calls:
-        assert np.array_equal(ours.random(n), theirs.random(n)), n
+@pytest.mark.parametrize("d, blocks, size", [(20, 128, 1024), (1028, 16, 128), (36, 8, 1024),
+                                             (36, 8, 128), (3, 1, 64)])
+def test_equal_blocks_equal_one_whole_draw(d, blocks, size):
+    """A stream of equal blocks, as the gamma search draws its cloud, equals
+    scipy's one draw of the same total, bit for bit."""
+    ours = Sobol(d, 5)
+    whole = qmc.Sobol(d=d, scramble=True, seed=5).random_base2((blocks * size).bit_length() - 1)
+    for b in range(blocks):
+        assert np.array_equal(ours.random(size), whole[b * size:(b + 1) * size]), b
+
+
+@pytest.mark.parametrize("before, n", [(0, 3), (1, 2), (64, 128), (0, 0)],
+                         ids=["3 at the start", "2 after 1", "128 after 64", "0"])
+def test_an_unaligned_or_non_power_of_two_draw_is_refused(before, n):
+    s = Sobol(4, 0)
+    if before:
+        s.random(before)
+    with pytest.raises(ValueError, match=f"cannot draw {n} after {before}"):
+        s.random(n)
+    assert s.num_generated == before
 
 
 def test_more_than_2_to_the_30_points_are_refused():
     s = Sobol(3, 0)
     with pytest.raises(ValueError, match="2\\*\\*30"):
-        s.random(2**30 + 1)
+        s.random(2**31)
     assert s.num_generated == 0
 
 
