@@ -164,10 +164,9 @@ def cmd_analyze(args) -> int:
     cert = certify(spec, ds, eq, controller=controller, seed=args.seed)
 
     # cells sharing a curve share its audit (DemandFunction is frozen, hence hashable)
-    audit_of = {fd: audit_demand_curve(fd, seed=args.seed)
-                for fd in dict.fromkeys(ds.demands)}
+    audit_of = {fd: audit_demand_curve(fd) for fd in dict.fromkeys(ds.demands)}
     demand_audits = [audit_of[fd] for fd in ds.demands]
-    supply_audit = audit_supply_margin(spec, ds, seed=args.seed)
+    supply_audit = audit_supply_margin(spec, ds)
     contraction = contraction_check(spec, ds, cert.controller, cert,
                                     n_samples=2000, seed=args.seed)
     checks = {
@@ -320,7 +319,8 @@ _FLAGS = {
     "controller": {"help": "controller JSON"},
     "vstar": {"help": "comma-separated equilibrium inflows"},
     "scenario": {"required": True, "help": "scenario JSON"},
-    "seed": {"type": _int_at_least(0, "a non-negative integer"), "default": 0},
+    "seed": {"type": _int_at_least(0, "a non-negative integer"), "default": 0,
+             "help": "seeds the gamma search's Sobol' cloud, contraction check and disturbances"},
     "out": {"help": "output directory"},
     "horizon": {"type": _int_at_least(1, "a positive integer"), "default": 1000},
 }

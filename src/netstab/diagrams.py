@@ -1,4 +1,4 @@
-"""Uncertain demand/supply curve families and their sampling audits.
+"""Uncertain demand/supply curve families and their exact audits.
 
 Each cell carries a demand curve f(d, x) (attempted outflow, increasing up to
 the critical density ``delta``) and a supply curve g(d, x) (acceptable inflow,
@@ -7,7 +7,7 @@ d = (d1, d2, d3, d4): d1..d3 blend the demand branches, d4 scales supply.
 
 Two built-in demand families cover the reference freeway (mainline and
 on-ramp-merge shapes); "piecewise" admits user polynomials per branch.
-The audits check, by sampling, that declared sector/floor constants hold and
+The audits check, exactly, that declared sector/floor constants hold and
 that supplies can absorb worst-case inflows on the uncongested box.
 """
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .network import NetworkSpec, _check_fields, _checked, _located
-from .sobol import Sobol
 
 FAMILIES = ("freeway-main", "freeway-onramp", "piecewise")
 
@@ -31,9 +30,6 @@ _D_DIM = 4
 
 DEMAND_FLOOR = 1e-12   # a density (or demand) below this is an empty cell
 D_TOL = 1e-12          # admission tolerance for d against the uncertainty box
-AUDIT_GRID = 512       # densities per branch in a demand audit
-AUDIT_D_SAMPLES = 64   # low-discrepancy d samples per audit (a power of two)
-AUDIT_X_SAMPLES = 4096  # random (x, d) states in the supply-margin audit
 SUPPLY_TOL = 1e-4      # supply-margin slack below zero that still passes
 
 
@@ -156,7 +152,7 @@ class DemandFunction:
 
     ``L``/``G`` bound the subcritical slopes (L on [0, delta_tilde], G on
     [0, delta]); ``fmin`` lower-bounds demand beyond the critical density.
-    These are *declared* values — `audit_demand_curve` checks them against samples.
+    These are *declared* values — `audit_demand_curve` checks them exactly.
     """
 
     family: str
@@ -405,20 +401,7 @@ def supply_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def d_corners(ds: DiagramSet) -> np.ndarray:
     """All 2^4 corner points of the uncertainty box."""
-    cols = [(ds.d_lo[k], ds.d_hi[k]) for k in range(_D_DIM)]
-    return np.array(list(itertools.product(*cols)))
-
-
-def sample_uncertainty(ds: DiagramSet, m: int, seed: int = 0) -> np.ndarray:
-    """The 16 corners of the uncertainty box, then m - 16 low-discrepancy
-    samples of d: the first Sobol points of one power-of-two draw, scaled
-    into the box."""
-    corners = d_corners(ds)
-    k = m - len(corners)
-    if k < 0:
-        raise ValueError(f"need m >= {len(corners)} to include all corners, got {m}")
-    u = Sobol(_D_DIM, seed).random(1 << (k - 1).bit_length())[:k]
-    return np.vstack([corners, ds.d_lo + u * (ds.d_hi - ds.d_lo)])
+    return np.array(list(itertools.product(*zip(ds.d_lo, ds.d_hi))))
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -432,10 +415,42 @@ def uniform_uncertainty(ds: DiagramSet, m: int, rng: np.random.Generator) -> np.
 
 
 # --- assumption audits -------------------------------------------------------
+# Both are exact.  For d1..d3 in [0, 1] the blend weights are nonnegative and
+# sum to 1, so a built-in demand and its slope take their extremes over d on a
+# single branch.  A polynomial's extremes on [lo, hi] lie at an end or at a
+# real root of its derivative inside.
+
+_P = np.polynomial.polynomial
+
+
+def _branch_pieces(fd: DemandFunction) -> list:
+    """(below delta?, Piece table) of each branch of a demand curve."""
+    if fd.family == "piecewise":
+        return [(True, fd.subcritical), (False, fd.overcritical)]
+
+    def pieces(branch, lo, hi):
+        knee, below, above = branch
+        knee = hi if knee is None else min(knee, hi)
+        return tuple(Piece(s, e, [0.0 if t is None else t for t in q[::-1]])
+                     for s, e, q in ((lo, knee, below), (knee, hi, above)) if q)
+
+    return ([(True, pieces(b, 0.0, fd.delta))
+             for b in ((None, _PHI1, None),) + _FAMILY_BRANCHES[fd.family]]
+            + [(False, pieces((None, q, None), fd.delta, fd.a)) for q in (_PHI6, _PHI7)])
+
+
+def _extremes(c, lo: float, hi: float) -> tuple[float, float]:
+    """(min, max) on [lo, hi] of the polynomial with ascending coefficients c."""
+    c = _P.polytrim(c)
+    z = [lo, hi] + [r.real for r in _P.polyroots(_P.polyder(c)) if lo < r.real < hi]
+    v = _P.polyval(np.array(z), c)
+    return float(v.min()), float(v.max())
+
 
 @dataclass(frozen=True)
 class DemandAudit:
-    """Sampled audit of one demand curve against its declared constants."""
+    """One demand curve's least slope on [0, delta_tilde], greatest on [0, delta]
+    and least value on [delta, a] over d in [0, 1]^3, and the checks."""
 
     monotone_ok: bool
     sector_ok: bool
@@ -450,42 +465,43 @@ class DemandAudit:
         return self.monotone_ok and self.sector_ok and self.fmin_ok and self.strict_bound_ok
 
 
-def audit_demand_curve(fd: DemandFunction, seed: int = 0) -> DemandAudit:
-    """Audit increase/sector/floor/strict-bound behavior of a demand curve.
-
-    Sampling-based: AUDIT_GRID densities per branch crossed with the corners
-    and AUDIT_D_SAMPLES low-discrepancy blend weights of [0,1]^3.
-    Reports the tightest empirical constants next to the declared ones.
-    """
-    if fd.family == "piecewise":
-        dmat = np.zeros((1, 3))
-    else:
-        corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
-        dmat = np.vstack([corners, Sobol(3, seed).random(AUDIT_D_SAMPLES)])
-    d1, d2, d3 = (dmat[:, k:k + 1] for k in range(3))
-
-    zs = np.linspace(0.0, fd.delta, AUDIT_GRID)
-    f_sub = _demand_values(fd, d1, d2, d3, zs[None, :])
-    df = np.diff(f_sub, axis=1)
-    slopes = df / np.diff(zs)
-    monotone_ok = bool((df > 0).all())
-    # two-point slopes over a sorted grid: adjacent pairs attain the extremes
-    tilde = zs[1:] <= fd.delta_tilde + 1e-12
-    L_hat = float(slopes[:, tilde].min()) if tilde.any() else math.inf
-    G_hat = float(slopes.max())
-    sector_ok = bool(L_hat >= fd.L - 1e-9 and G_hat <= fd.G + 1e-9)
-
-    zo = np.linspace(fd.delta, fd.a, AUDIT_GRID)
-    f_over = _demand_values(fd, d1, d2, d3, zo[None, :])
-    fmin_hat = float(f_over.min())
-    fmin_ok = bool(fmin_hat >= fd.fmin - 1e-9)
-
-    z_all = np.concatenate([zs[1:], zo])
-    f_all = np.hstack([f_sub[:, 1:], f_over])
-    strict_bound_ok = bool((f_all > 0).all() and (f_all < z_all[None, :]).all())
-
-    return DemandAudit(monotone_ok, sector_ok, fmin_ok, strict_bound_ok,
-                    L_hat, G_hat, fmin_hat)
+def audit_demand_curve(fd: DemandFunction) -> DemandAudit:
+    """Audit increase/sector/floor/strict-bound behavior of a demand curve:
+    a positive slope on [0, delta], and 0 < f(z) < z on (0, a] (on the piece
+    through 0: f(0) = 0 and f(z)/z in (0, 1)).  A jump beyond 1e-9 at a
+    piece end is an unbounded slope: G_hat is inf, or the increase fails and
+    L_hat is -inf.  Raises DomainError where no piece covers a density."""
+    L_hat, G_hat, fmin_hat = math.inf, -math.inf, math.inf
+    monotone_ok = strict_bound_ok = True
+    for sub, pieces in _branch_pieces(fd):
+        lo, hi = (0.0, fd.delta) if sub else (fd.delta, fd.a)
+        ends = np.unique([lo, hi, *(e for p in pieces for e in (p.lo, p.hi) if lo < e < hi)])
+        mids = 0.5 * (ends[:-1] + ends[1:])
+        f_ends = _eval_pieces(pieces, np.concatenate([ends, mids]))[:len(ends)]  # gaps raise
+        strict_bound_ok &= bool(np.all((ends == 0.0) | ((f_ends > 0.0) & (f_ends < ends))))
+        fmin_hat = min(fmin_hat, float(f_ends[-1] if sub else f_ends.min()))
+        for u, w, m, f_u, f_w in zip(ends, ends[1:], mids, f_ends, f_ends[1:]):
+            c = next(p.coeffs for p in pieces if p.lo <= m <= p.hi)
+            low = _extremes(c, u, w)[0]
+            if u == 0.0:
+                ratio = _extremes(c[1:] or (0.0,), u, w)
+                strict_bound_ok &= c[0] == 0.0 and ratio[0] > 0.0 and ratio[1] < 1.0
+            else:
+                excess = _extremes(_P.polysub(c, (0.0, 1.0)), u, w)[1]  # f(z) - z
+                strict_bound_ok &= low > 0.0 and excess < 0.0
+            if not sub:
+                fmin_hat = min(fmin_hat, low)
+                continue
+            jumps = (_P.polyval(u, c) - f_u, f_w - _P.polyval(w, c))
+            slope = _P.polyder(c)
+            s_lo, s_hi = _extremes(slope, u, w)
+            monotone_ok &= s_lo > 0.0 and min(jumps) >= -1e-9
+            G_hat = max(G_hat, math.inf if max(jumps) > 1e-9 else s_hi)
+            if u < fd.delta_tilde:
+                L_hat = min(L_hat, -math.inf if min(jumps) < -1e-9
+                            else _extremes(slope, u, min(w, fd.delta_tilde))[0])
+    return DemandAudit(monotone_ok, L_hat >= fd.L - 1e-9 and G_hat <= fd.G + 1e-9,
+                       fmin_hat >= fd.fmin - 1e-9, strict_bound_ok, L_hat, G_hat, fmin_hat)
 
 
 @dataclass(frozen=True)
@@ -499,38 +515,22 @@ class SupplyMarginAudit:
     passed: bool
 
 
-def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet,
-                        seed: int = 0) -> SupplyMarginAudit:
-    """Check v_max + routed demand <= supply for all sampled x <= mu, d in D.
+def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet) -> SupplyMarginAudit:
+    """Check v_max + routed demand <= supply for every x <= mu and d in D.
 
-    Both demand and supply are monotone in x, so the honest worst case sits
-    at x = mu exactly; that slice is swept against all box corners and a
-    low-discrepancy d-sample, then a random (x, d) cloud fills in the rest.
-    Slack slightly below zero (within SUPPLY_TOL) still passes: instances built
-    with deliberate epsilon padding of mu sit a hair past exact equality.
-    """
-    n = spec.n
-    dmat = sample_uncertainty(ds, 2 ** _D_DIM + AUDIT_D_SAMPLES, seed)
-    X_mu = np.tile(spec.mu, (len(dmat), 1))
-
-    rng = _philox(seed)
-    D_rand = uniform_uncertainty(ds, AUDIT_X_SAMPLES, rng)
-    X_rand = rng.uniform(size=(AUDIT_X_SAMPLES, n)) * spec.mu
-
-    D_all = np.vstack([dmat, D_rand])
-    X_all = np.vstack([X_mu, X_rand])
-    F = demand_batch(ds, D_all, X_all)
-    Gs = supply_batch(ds, D_all, X_all)
-    slack = Gs - spec.vmax[None, :] - F @ spec.P  # (N, n); col j gets sum_i P[i,j] f_i
-    flat = int(np.argmin(slack))
-    row, cell = divmod(flat, n)
-    return SupplyMarginAudit(
-        min_slack=float(slack.flat[flat]),
-        worst_cell=cell,
-        worst_d=D_all[row].copy(),
-        worst_x=X_all[row].copy(),
-        passed=bool(slack.flat[flat] >= -SUPPLY_TOL),
-    )
+    Supply falls with x and is linear in d4, demand is multi-affine in d1..d3
+    and rises below delta (for curves that pass `audit_demand_curve`): where
+    mu <= delta the least slack is at x = mu and a box corner.  A cell with
+    mu_i > delta_i fails and is named.  Slack within SUPPLY_TOL below zero
+    passes: the presets pad mu by an epsilon past exact equality."""
+    D = d_corners(ds)
+    X = np.tile(spec.mu, (len(D), 1))
+    slack = supply_batch(ds, D, X) - spec.vmax[None, :] - demand_batch(ds, D, X) @ spec.P
+    beyond = np.flatnonzero(spec.mu > ds._delta)
+    cell = int(beyond[0]) if beyond.size else int(np.argmin(slack.min(axis=0)))
+    row = int(np.argmin(slack[:, cell]))
+    return SupplyMarginAudit(float(slack[row, cell]), cell, D[row], X[row],
+                             not beyond.size and bool(slack[row, cell] >= -SUPPLY_TOL))
 
 
 # --- JSON I/O ----------------------------------------------------------------

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .diagrams import (DiagramSet, _demand_values, check_pair, demand_batch,
-                       sample_uncertainty, supply_batch)
+from .diagrams import (DiagramSet, _demand_values, check_pair, d_corners,
+                       demand_batch, supply_batch)
 from .errors import DomainError, InfeasibleInflow, NonUniformEquilibrium
 from .network import NetworkSpec
 
 BISECTION_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
-D_SAMPLES = 64
 FIT_STAGES = 3         # zoom levels of the supply-scale fit
 FIT_WIDTH = 801        # grid points per zoom level of the supply-scale fit
 
@@ -65,8 +64,8 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
     or above its bound (an input error), InfeasibleInflow when some cell's
     required throughput exceeds its peak subcritical demand,
     NonUniformEquilibrium when the solved densities fail to carry the same
-    flow under every sampled disturbance, ValueError naming the cell when the
-    strict supply slack fails or the diagrams do not describe the network's
+    flow under every admissible disturbance, ValueError naming the cell when
+    the strict supply slack fails or the diagrams do not describe the network's
     cells (`check_pair`), and AcyclicityError when the network has a cycle.
     """
     check_pair(spec, ds)
@@ -93,10 +92,11 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
             raise InfeasibleInflow(i, float(F[i]), f_peak)
         xstar[i] = _invert_subcritical(fd, dref, float(F[i]))
 
-    # the equilibrium must carry the same flows for every admissible d
-    dmat = sample_uncertainty(ds, D_SAMPLES)
-    Fmat = demand_batch(ds, dmat, np.tile(xstar, (len(dmat), 1)))
-    dev = np.abs(Fmat - F[None, :]).max(axis=0)
+    # the same flows for every admissible d: demand is multi-affine in d1..d3
+    # and supply linear in d4, so both checks peak at corners of the box
+    dmat = d_corners(ds)
+    X = np.tile(xstar, (len(dmat), 1))
+    dev = np.abs(demand_batch(ds, dmat, X) - F[None, :]).max(axis=0)
     if np.any(dev > INVARIANCE_TOL):
         i = int(np.argmax(dev))
         raise NonUniformEquilibrium(i, float(dev[i]))
@@ -107,8 +107,7 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
             f"cell {i + 1}: equilibrium density {xstar[i]:.6g} is not below the "
             f"uncongested threshold {spec.mu[i]:.6g}")
 
-    Gmat = supply_batch(ds, dmat, np.tile(xstar, (len(dmat), 1)))
-    slack = Gmat - vstar[None, :] - (F @ spec.P)[None, :]
+    slack = supply_batch(ds, dmat, X) - vstar[None, :] - (F @ spec.P)[None, :]
     if slack.min() <= 0:
         i = int(np.argmin(slack.min(axis=0)))
         raise ValueError(

@@ -427,3 +427,110 @@ def step_reference(spec, ds, x, v, d):
     }
     x_next = x - outflow + fields["inflow"]
     return np.clip(x_next, 0.0, spec.a), fields
+
+
+# sampled curve audits ------------------------------------------------------------
+# The audits as they were before they read their worst cases off the curve
+# pieces and the box corners: secant slopes on a density grid crossed with
+# low-discrepancy blend weights, and a supply margin over corners, Sobol' d
+# samples and a random (x, d) cloud.  A sampled extreme can only be less
+# extreme than the exact one, so the exact audits are checked against them.
+
+AUDIT_GRID = 512       # densities per branch in a demand audit
+AUDIT_D_SAMPLES = 64   # low-discrepancy d samples per audit (a power of two)
+AUDIT_X_SAMPLES = 4096  # random (x, d) states in the supply-margin audit
+
+
+def sample_uncertainty(ds, m: int, seed: int = 0) -> np.ndarray:
+    """The 16 corners of the uncertainty box, then m - 16 low-discrepancy
+    samples of d: the first Sobol points of one power-of-two draw, scaled
+    into the box."""
+    from netstab.diagrams import _D_DIM, d_corners
+    from netstab.sobol import Sobol
+
+    corners = d_corners(ds)
+    k = m - len(corners)
+    if k < 0:
+        raise ValueError(f"need m >= {len(corners)} to include all corners, got {m}")
+    u = Sobol(_D_DIM, seed).random(1 << (k - 1).bit_length())[:k]
+    return np.vstack([corners, ds.d_lo + u * (ds.d_hi - ds.d_lo)])
+
+
+def audit_demand_curve_sampled(fd, seed: int = 0):
+    """Audit increase/sector/floor/strict-bound behavior of a demand curve.
+
+    Sampling-based: AUDIT_GRID densities per branch crossed with the corners
+    and AUDIT_D_SAMPLES low-discrepancy blend weights of [0,1]^3.
+    Reports the tightest empirical constants next to the declared ones.
+    """
+    import itertools
+    import math
+
+    from netstab.diagrams import DemandAudit, _demand_values
+    from netstab.sobol import Sobol
+
+    if fd.family == "piecewise":
+        dmat = np.zeros((1, 3))
+    else:
+        corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        dmat = np.vstack([corners, Sobol(3, seed).random(AUDIT_D_SAMPLES)])
+    d1, d2, d3 = (dmat[:, k:k + 1] for k in range(3))
+
+    zs = np.linspace(0.0, fd.delta, AUDIT_GRID)
+    f_sub = _demand_values(fd, d1, d2, d3, zs[None, :])
+    df = np.diff(f_sub, axis=1)
+    slopes = df / np.diff(zs)
+    monotone_ok = bool((df > 0).all())
+    # two-point slopes over a sorted grid: adjacent pairs attain the extremes
+    tilde = zs[1:] <= fd.delta_tilde + 1e-12
+    L_hat = float(slopes[:, tilde].min()) if tilde.any() else math.inf
+    G_hat = float(slopes.max())
+    sector_ok = bool(L_hat >= fd.L - 1e-9 and G_hat <= fd.G + 1e-9)
+
+    zo = np.linspace(fd.delta, fd.a, AUDIT_GRID)
+    f_over = _demand_values(fd, d1, d2, d3, zo[None, :])
+    fmin_hat = float(f_over.min())
+    fmin_ok = bool(fmin_hat >= fd.fmin - 1e-9)
+
+    z_all = np.concatenate([zs[1:], zo])
+    f_all = np.hstack([f_sub[:, 1:], f_over])
+    strict_bound_ok = bool((f_all > 0).all() and (f_all < z_all[None, :]).all())
+
+    return DemandAudit(monotone_ok, sector_ok, fmin_ok, strict_bound_ok,
+                    L_hat, G_hat, fmin_hat)
+
+
+def audit_supply_margin_sampled(spec, ds, seed: int = 0):
+    """Check v_max + routed demand <= supply for all sampled x <= mu, d in D.
+
+    Both demand and supply are monotone in x, so the honest worst case sits
+    at x = mu exactly; that slice is swept against all box corners and a
+    low-discrepancy d-sample, then a random (x, d) cloud fills in the rest.
+    Slack slightly below zero (within SUPPLY_TOL) still passes: instances built
+    with deliberate epsilon padding of mu sit a hair past exact equality.
+    """
+    from netstab.diagrams import (_D_DIM, SUPPLY_TOL, SupplyMarginAudit, _philox,
+                                  demand_batch, supply_batch, uniform_uncertainty)
+
+    n = spec.n
+    dmat = sample_uncertainty(ds, 2 ** _D_DIM + AUDIT_D_SAMPLES, seed)
+    X_mu = np.tile(spec.mu, (len(dmat), 1))
+
+    rng = _philox(seed)
+    D_rand = uniform_uncertainty(ds, AUDIT_X_SAMPLES, rng)
+    X_rand = rng.uniform(size=(AUDIT_X_SAMPLES, n)) * spec.mu
+
+    D_all = np.vstack([dmat, D_rand])
+    X_all = np.vstack([X_mu, X_rand])
+    F = demand_batch(ds, D_all, X_all)
+    Gs = supply_batch(ds, D_all, X_all)
+    slack = Gs - spec.vmax[None, :] - F @ spec.P  # (N, n); col j gets sum_i P[i,j] f_i
+    flat = int(np.argmin(slack))
+    row, cell = divmod(flat, n)
+    return SupplyMarginAudit(
+        min_slack=float(slack.flat[flat]),
+        worst_cell=cell,
+        worst_d=D_all[row].copy(),
+        worst_x=X_all[row].copy(),
+        passed=bool(slack.flat[flat] >= -SUPPLY_TOL),
+    )

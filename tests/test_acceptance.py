@@ -11,8 +11,7 @@ import netstab
 from netstab import presets
 from netstab.control import control_law
 from netstab.diagrams import (audit_demand_curve, audit_supply_margin,
-                              d_corners, sample_uncertainty,
-                              uniform_uncertainty, _philox)
+                              d_corners, uniform_uncertainty, _philox)
 from netstab.dynamics import step
 from netstab.harness import (ControlSpec, DisturbanceSpec, ScenarioConfig,
                              estimate_decay, mass_balance_residuals,
@@ -39,7 +38,7 @@ def test_c01_uncongested_equilibrium(ref_eq):
 
 
 def test_c02_fixed_point_for_all_disturbances(ref_spec, ref_ds, ref_eq):
-    D = sample_uncertainty(ref_ds, 100)
+    D = oracles.sample_uncertainty(ref_ds, 100)
     worst = 0.0
     for d in D:
         x_next, _ = step(ref_spec, ref_ds, ref_eq.xstar, ref_eq.vstar, d)

@@ -676,7 +676,7 @@ def test_analyze_audits_each_distinct_curve_once(capsys, monkeypatch):
     demands = presets.reference_diagrams().demands
     assert code == 0
     assert len(audited) == len(set(demands)) < len(demands)
-    by_curve = {fd: real(fd, seed=0) for fd in set(demands)}
+    by_curve = {fd: real(fd) for fd in set(demands)}
     assert doc["audits"]["demand"] == [
         {"cell": i + 1, "passed": by_curve[fd].passed, "L_hat": by_curve[fd].L_hat,
          "G_hat": by_curve[fd].G_hat, "fmin_hat": by_curve[fd].fmin_hat}

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netstab import presets
+from netstab import diagrams, presets
 from netstab.diagrams import (DemandFunction, DiagramSet, Piece,
-                              SupplyFunction, audit_demand_curve,
+                              SupplyFunction, _philox, audit_demand_curve,
                               audit_supply_margin, d_corners, demand_all,
                               demand_batch, eval_demand, eval_supply,
-                              load_diagrams, sample_uncertainty, save_diagrams,
-                              supply_all, supply_batch, uniform_uncertainty)
+                              load_diagrams, save_diagrams, supply_all,
+                              supply_batch, uniform_uncertainty)
 from netstab.errors import DimensionError, DomainError
+from netstab.network import NetworkSpec
 
 import oracles
+from test_curve_table import PIECEWISE, _random_net
 
 D_BOX = st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
                   st.floats(0.22, 0.3))
@@ -54,7 +56,7 @@ def test_supply_matches_exact_arithmetic(ref_ds):
 def test_all_curves_meet_at_the_equilibrium(ref_ds):
     """Every blend passes through the same uncongested operating point."""
     main, ramp = _cells(ref_ds)
-    for d in sample_uncertainty(ref_ds, 40):
+    for d in np.vstack([d_corners(ref_ds), uniform_uncertainty(ref_ds, 24, _philox(0))]):
         assert eval_demand(main, d, 55.0) == pytest.approx(25.0, abs=1e-9)
         assert eval_demand(ramp, d, 27.5) == pytest.approx(12.5, abs=1e-9)
 
@@ -133,12 +135,13 @@ def test_uncertainty_sampling(ref_ds):
     corners = d_corners(ref_ds)
     assert corners.shape == (16, 4)
     assert len(np.unique(corners, axis=0)) == 16
-    S = sample_uncertainty(ref_ds, 100)
+    # the sampled cross-check draws the corners first, then Sobol' points
+    S = oracles.sample_uncertainty(ref_ds, 100)
     assert S.shape == (100, 4)
     np.testing.assert_array_equal(S[:16], corners)
     assert np.all(S >= ref_ds.d_lo) and np.all(S <= ref_ds.d_hi)
     with pytest.raises(ValueError, match="m >= 16"):
-        sample_uncertainty(ref_ds, 15)
+        oracles.sample_uncertainty(ref_ds, 15)
 
     rng = np.random.default_rng(0)
     U = uniform_uncertainty(ref_ds, 50, rng)
@@ -157,6 +160,15 @@ def test_demand_audit_accepts_reference(ref_ds):
         assert audit.L_hat >= fd.L - 1e-9
         assert audit.G_hat <= fd.G + 1e-9
         assert audit.fmin_hat >= fd.fmin - 1e-9
+    # the exact extremes: the B branch's slope at 0 and at delta, the on-ramp
+    # A branch's slope at its knee and at 0, the phi6 branch at jam
+    main, ramp = _cells(ref_ds)
+    exact = {main: (0.2, 0.2 + 28 / 3025 * presets.DELTA), ramp: (1 / 110, 0.9)}
+    for fd, (L, G) in exact.items():
+        audit = audit_demand_curve(fd)
+        assert audit.L_hat == pytest.approx(L, abs=1e-12)
+        assert audit.G_hat == pytest.approx(G, abs=1e-12)
+        assert audit.fmin_hat == pytest.approx(10.0, abs=1e-12)
 
 
 def test_demand_audit_rejects_wrong_declarations(ref_ds):
@@ -164,14 +176,118 @@ def test_demand_audit_rejects_wrong_declarations(ref_ds):
     assert not audit_demand_curve(replace(ramp, L=0.5)).passed
     assert not audit_demand_curve(replace(main, G=0.5)).passed
     assert not audit_demand_curve(replace(main, fmin=20.0)).passed
+    # declarations within the sampled audit's grid error, which it accepted:
+    # the true least ramp slope is 1/110, the true greatest main slope 0.709091
+    # and the least main slope 0.2
+    assert not audit_demand_curve(replace(ramp, L=0.012)).passed
+    assert not audit_demand_curve(replace(main, G=0.7087)).passed
+    assert not audit_demand_curve(replace(main, L=0.2004)).passed
+    # f(0) = 0.01, so f(z) > z below z = 0.02, between the sampled grid's points
+    lifted = DemandFunction(
+        family="piecewise", a=100.0, delta=40.0, delta_tilde=40.0,
+        L=0.5, G=0.7, fmin=10.0,
+        subcritical=(Piece(0.0, 40.0, (0.01, 0.5)),),
+        overcritical=(Piece(40.0, 100.0, (23.0, -0.08)),),
+    )
+    audit = audit_demand_curve(lifted)
+    assert not audit.strict_bound_ok and not audit.passed
+
+
+def test_demand_audit_reads_jumps_and_gaps():
+    """A jump between pieces is an infinite slope; a gap is a DomainError."""
+    up = audit_demand_curve(PIECEWISE)  # 15 below its seam at 30, 17.1 above
+    assert up.monotone_ok and up.G_hat == np.inf and not up.passed
+    down = replace(PIECEWISE, subcritical=(Piece(0.0, 30.0, (0.0, 0.5)),
+                                           Piece(30.0, presets.DELTA, (-3.0, 0.5))))
+    audit = audit_demand_curve(down)
+    assert not audit.monotone_ok and audit.L_hat == -np.inf and not audit.passed
+    gap = replace(PIECEWISE, subcritical=(Piece(0.0, 30.0, (0.0, 0.5)),
+                                          Piece(31.0, presets.DELTA, (0.0, 0.5))))
+    with pytest.raises(DomainError, match="covers density 30.5"):
+        audit_demand_curve(gap)
+
+
+def _random_poly(rng, degree, scale, start, value):
+    """Ascending coefficients of a random polynomial through (start, value)."""
+    c = [0.0] + [rng.uniform(-1, 1) / scale ** (k - 1) for k in range(1, degree + 1)]
+    c[1] = abs(c[1])
+    c[0] = value - np.polynomial.polynomial.polyval(start, c)
+    return tuple(c)
+
+
+def _random_branch(rng, lo, hi, value):
+    """Continuous random polynomial pieces covering [lo, hi], through (lo, value)."""
+    ends = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, rng.integers(0, 3))]))
+    pieces = []
+    for u, w in zip(ends, ends[1:]):
+        c = _random_poly(rng, int(rng.integers(1, 4)), hi, u, value)
+        pieces.append(Piece(u, w, c))
+        value = np.polynomial.polynomial.polyval(w, c)
+    return tuple(pieces)
+
+
+def _assert_exact_bounds_sampled(fd):
+    exact, sampled = audit_demand_curve(fd), oracles.audit_demand_curve_sampled(fd)
+    assert exact.L_hat <= sampled.L_hat + 1e-9
+    assert exact.G_hat >= sampled.G_hat - 1e-9
+    assert exact.fmin_hat <= sampled.fmin_hat + 1e-9
+    assert sampled.passed or not exact.passed
+    return exact
+
+
+def test_exact_demand_audit_bounds_the_sampled_one(monkeypatch):
+    """The exact extremes are at least as extreme as the sampled ones, on
+    random piecewise curves and random built-in-shaped quadratics."""
+    rng = np.random.default_rng(19)
+    passed = 0
+    for _ in range(60):
+        delta = rng.uniform(10.0, 60.0)
+        a = delta + rng.uniform(10.0, 120.0)
+        shape = dict(a=a, delta=delta, delta_tilde=rng.uniform(0.3, 1.0) * delta,
+                     L=0.05, G=0.95, fmin=1.0)
+        sub = _random_branch(rng, 0.0, delta, 0.0)
+        end = np.polynomial.polynomial.polyval(delta, sub[-1].coeffs)
+        over = _random_branch(rng, delta, a, end)
+        passed += _assert_exact_bounds_sampled(DemandFunction(
+            family="piecewise", subcritical=sub, overcritical=over, **shape)).passed
+
+        # the built-in A and B branches as random quadratics, A with a knee
+        # (c2, c1, c0) with c0 None through the origin
+        knee = rng.uniform(0.2, 0.8) * delta
+        below, other = (_random_poly(rng, 2, delta, 0.0, 0.0) for _ in range(2))
+        above = _random_poly(rng, 2, delta, knee,
+                             np.polynomial.polynomial.polyval(knee, below))
+        branches = ((knee, (below[2], below[1], None), above[::-1]),
+                    (None, (other[2], other[1], None), None))
+        monkeypatch.setitem(diagrams._FAMILY_BRANCHES, "freeway-main", branches)
+        _assert_exact_bounds_sampled(DemandFunction(family="freeway-main", **shape))
+    assert passed  # some random curves pass, so the pass direction is exercised
+
+
+def test_exact_supply_margin_bounds_the_sampled_one():
+    """On random nets with mu <= delta the corner slack at x = mu is the
+    least: no sampled (x, d) finds less."""
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        net, ds = _random_net(rng)
+        delta = np.array([fd.delta for fd in ds.demands])
+        spec = NetworkSpec(n=net.n, a=net.a, P=net.P, Qexit=net.Qexit,
+                           mu=rng.uniform(0.05, 1.0, net.n) * delta, vmax=net.vmax)
+        exact = audit_supply_margin(spec, ds)
+        sampled = oracles.audit_supply_margin_sampled(spec, ds)
+        assert exact.min_slack <= sampled.min_slack + 1e-12
+        assert sampled.passed or not exact.passed
 
 
 def test_supply_margin_audit(ref_spec, ref_ds):
     audit = audit_supply_margin(ref_spec, ref_ds)
     assert audit.passed
     # tightest cell is pinned at the uncongested ceiling, low supply corner
-    assert audit.min_slack > -1e-4
-    assert audit.worst_d[3] == pytest.approx(0.22)
+    # (bit for bit under one BLAS thread: it rests on how F @ P is split)
+    assert audit.min_slack == -1.124545306296909e-05
+    assert audit.worst_cell == 6
+    np.testing.assert_array_equal(audit.worst_d, [0.0, 1.0, 0.0, 0.22])
+    np.testing.assert_array_equal(audit.worst_x, ref_spec.mu)
 
     greedy = np.array(ref_spec.vmax)
     greedy[:] = 30.0  # demand that no supply corner can absorb
@@ -180,6 +296,18 @@ def test_supply_margin_audit(ref_spec, ref_ds):
                               Qexit=ref_spec.Qexit, mu=ref_spec.mu,
                               vmax=greedy)
     assert not audit_supply_margin(bloated, ref_ds).passed
+
+
+def test_supply_margin_audit_refuses_mu_above_delta(ref_spec, ref_ds):
+    """Past delta a demand may fall with x, so x = mu need not be the worst
+    case: such a cell fails the audit, even with room to spare at x = mu."""
+    mu = ref_spec.mu.copy()
+    mu[2] = 60.0
+    spec = NetworkSpec(n=ref_spec.n, a=ref_spec.a, P=ref_spec.P,
+                       Qexit=ref_spec.Qexit, mu=mu, vmax=ref_spec.vmax)
+    audit = audit_supply_margin(spec, ref_ds)
+    assert not audit.passed and audit.worst_cell == 2
+    assert audit.worst_x[2] == 60.0
 
 
 def test_piecewise_family_round_trip(tmp_path):
