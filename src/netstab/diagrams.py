@@ -511,7 +511,6 @@ class SupplyMarginAudit:
     min_slack: float
     worst_cell: int
     worst_d: np.ndarray
-    worst_x: np.ndarray
     passed: bool
 
 
@@ -529,7 +528,7 @@ def audit_supply_margin(spec: NetworkSpec, ds: DiagramSet) -> SupplyMarginAudit:
     beyond = np.flatnonzero(spec.mu > ds._delta)
     cell = int(beyond[0]) if beyond.size else int(np.argmin(slack.min(axis=0)))
     row = int(np.argmin(slack[:, cell]))
-    return SupplyMarginAudit(float(slack[row, cell]), cell, D[row], X[row],
+    return SupplyMarginAudit(float(slack[row, cell]), cell, D[row],
                              not beyond.size and bool(slack[row, cell] >= -SUPPLY_TOL))
 
 

@@ -255,12 +255,13 @@ def export_csv(record: TrajectoryRecord, path) -> None:
               + [f"V_{i + 1}" for i in range(2 * n)])
     table = np.column_stack([record.states, record.inflows, record.deviation,
                              record.lyapunov])
+    line = "%d," + ",".join(["%.15g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for t, row in enumerate(table):
             # Python floats format faster than numpy scalars, to the same text;
             # converting one row at a time keeps a long record's copy small
-            fh.write(str(t) + "," + ",".join(f"{val:.15g}" for val in row.tolist()) + "\n")
+            fh.write(line % (t, *row.tolist()))
 
 
 def _congestion_disturbance(spec: NetworkSpec, ds: DiagramSet) -> np.ndarray:

@@ -29,6 +29,7 @@ from .sobol import Sobol
 
 SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
 CONTRACTION_TOL = 1e-9  # largest violation the contraction check lets pass
+CONTRACTION_CHUNK = 128  # samples the contraction check steps and compares at a time
 JAM_PATTERN_LIMIT = 12  # enumerate binary jam patterns up to this cell count
 BLOCK_ENTRIES = 65_536  # entries (rows x cells) per block of the gamma search's seed stream
 SCAN_WIDTH = 33         # grid points per zoom level of a gamma-search scan
@@ -674,21 +675,30 @@ def contraction_check(spec: NetworkSpec, ds: DiagramSet,
 
     Draws states uniformly from the certified box and disturbances from the
     uncertainty box, applies the control law, and reports the worst entry of
-    V(x+) - Gamma V(x) (positive means the bound failed).
+    V(x+) - Gamma V(x) (positive means the bound failed).  The samples are
+    drawn whole, then stepped and compared CONTRACTION_CHUNK at a time, so
+    memory holds the sampled X and D plus one chunk's successors and
+    Lyapunov vectors, whatever n_samples is.  Raises ValueError when
+    n_samples is below 1: a check that sampled nothing cannot pass.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples = {n_samples} is below 1")
     rng = _philox(seed)
     beta = np.asarray(cert.beta, dtype=float)
     Gamma = np.asarray(cert.Gamma, dtype=float)
     X = rng.uniform(0.0, beta, size=(n_samples, spec.n))
     D = uniform_uncertainty(ds, n_samples, rng)
-    X_next = np.empty_like(X)
-    for k, (x, d) in enumerate(zip(X, D)):
-        X_next[k], _ = step(spec, ds, x, control.control_law(controller, x), d)
-    V = lyapunov_eval(X, controller.xstar)
-    V_next = lyapunov_eval(X_next, controller.xstar)
-    # one matrix-vector product per sample: a batched product may round differently
-    gap = V_next - np.array([Gamma @ vk for vk in V]).reshape(V.shape)
-    worst = float(gap.max(initial=-math.inf))
+    worst = -math.inf
+    for lo in range(0, n_samples, CONTRACTION_CHUNK):
+        Xc, Dc = X[lo:lo + CONTRACTION_CHUNK], D[lo:lo + CONTRACTION_CHUNK]
+        X_next = np.empty_like(Xc)
+        for k, (x, d) in enumerate(zip(Xc, Dc)):
+            X_next[k], _ = step(spec, ds, x, control.control_law(controller, x), d)
+        gap = lyapunov_eval(X_next, controller.xstar)
+        # one matrix-vector product per sample: a batched product may round differently
+        for k, vk in enumerate(lyapunov_eval(Xc, controller.xstar)):
+            gap[k] -= Gamma @ vk
+        worst = float(np.maximum(worst, gap.max(initial=-math.inf)))  # NaN stays NaN
     return ContractionReport(max_violation=worst, n_samples=n_samples, tol=CONTRACTION_TOL)
 
 

@@ -531,6 +531,30 @@ def audit_supply_margin_sampled(spec, ds, seed: int = 0):
         min_slack=float(slack.flat[flat]),
         worst_cell=cell,
         worst_d=D_all[row].copy(),
-        worst_x=X_all[row].copy(),
         passed=bool(slack.flat[flat] >= -SUPPLY_TOL),
     )
+
+
+def contraction_reference(spec, ds, controller, cert, n_samples: int, seed: int = 0) -> float:
+    """The contraction check's worst gap from whole arrays: every successor,
+    then both stacked Lyapunov maps, then one Gamma @ v per sample, stacked,
+    as `stability.contraction_check` computed it before it worked in chunks."""
+    import math
+
+    from netstab.control import control_law
+    from netstab.diagrams import _philox, uniform_uncertainty
+    from netstab.dynamics import step
+    from netstab.stability import lyapunov_eval
+
+    rng = _philox(seed)
+    beta = np.asarray(cert.beta, dtype=float)
+    Gamma = np.asarray(cert.Gamma, dtype=float)
+    X = rng.uniform(0.0, beta, size=(n_samples, spec.n))
+    D = uniform_uncertainty(ds, n_samples, rng)
+    X_next = np.empty_like(X)
+    for k, (x, d) in enumerate(zip(X, D)):
+        X_next[k], _ = step(spec, ds, x, control_law(controller, x), d)
+    V = lyapunov_eval(X, controller.xstar)
+    V_next = lyapunov_eval(X_next, controller.xstar)
+    gap = V_next - np.array([Gamma @ vk for vk in V]).reshape(V.shape)
+    return float(gap.max(initial=-math.inf))

@@ -1,23 +1,27 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from netstab import network, presets, stability
+from netstab.control import ControllerConfig
 from netstab.diagrams import DiagramSet
 from netstab.equilibrium import solve_uep
 from netstab.errors import (DimensionError, NumericalError, StructuralError,
                             TrappingInfeasible)
 from netstab.network import NetworkSpec, find_cycle
-from netstab.stability import (build_gamma, certify, contraction_check,
-                               drain_constants, invariant_region,
+from netstab.stability import (CONTRACTION_CHUNK, build_gamma, certify,
+                               contraction_check, drain_constants, invariant_region,
                                lyapunov_eval, spectral_radius, trapping_bound,
                                weights_r, weights_xi)
 
 import oracles
+from test_curve_table import _corridor
 
 
 def _ref_slopes(ref_ds):
@@ -389,8 +393,6 @@ def test_contraction_check_passes_on_certified_box(ref_spec, ref_ds, ref_cert):
 def test_contraction_check_matches_per_sample_loop(ref_spec, ref_ds, ref_cert):
     """The stacked Lyapunov maps give the per-sample loop's worst gap, bit for
     bit, where that gap is positive and sensitive to every rounding."""
-    from types import SimpleNamespace
-
     from netstab.control import control_law
     from netstab.diagrams import _philox, uniform_uncertainty
     from netstab.dynamics import step
@@ -413,6 +415,81 @@ def test_contraction_check_matches_per_sample_loop(ref_spec, ref_ds, ref_cert):
             worst = max(worst, float(gap.max()))
         assert worst > 0.0
         assert report.max_violation == worst
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_contraction_check_refuses_no_samples(ref_spec, ref_ds, ref_cert, n_samples):
+    """A check that sampled nothing would pass with max_violation -inf."""
+    with pytest.raises(ValueError, match=f"n_samples = {n_samples} is below 1"):
+        contraction_check(ref_spec, ref_ds, ref_cert.controller, ref_cert,
+                          n_samples=n_samples)
+
+
+def test_contraction_check_reports_a_nan_gap(ref_spec, ref_ds, ref_cert):
+    """A NaN gap fails the check rather than falling out of the running max."""
+    Gamma = np.array(ref_cert.Gamma)
+    Gamma[3, 5] = math.nan
+    cert = SimpleNamespace(beta=ref_cert.beta, Gamma=Gamma)
+    report = contraction_check(ref_spec, ref_ds, ref_cert.controller, cert,
+                               n_samples=CONTRACTION_CHUNK + 1)
+    assert math.isnan(report.max_violation)
+    assert not report.passed
+
+
+def _corridor_check(ref_cert, copies, seed):
+    """`_corridor(copies, seed)` with the benchmark controller on each copy's
+    relabelled cells."""
+    spec, ds = _corridor(copies, seed)
+    ctrl = ref_cert.controller
+    perm = np.random.default_rng(seed).permutation(spec.n)
+    vec = {k: np.zeros(spec.n) for k in ("xstar", "vstar", "b")}
+    K = np.zeros((spec.n, spec.n))
+    for c in range(copies):
+        new = perm[8 * c:8 * c + 8]
+        for k in vec:
+            vec[k][new] = getattr(ctrl, k)
+        K[np.ix_(new, new)] = ctrl.K
+    return spec, ds, ControllerConfig(K=K, tau=ctrl.tau, **vec)
+
+
+@pytest.mark.parametrize("n_samples", [1, CONTRACTION_CHUNK - 1, CONTRACTION_CHUNK,
+                                       CONTRACTION_CHUNK + 1, 2000])
+@pytest.mark.parametrize("net", ["benchmark", "corridor of 8 copies"])
+def test_chunked_contraction_check_equals_whole_arrays(ref_spec, ref_ds, ref_cert,
+                                                       net, n_samples):
+    """The chunks give the whole-array worst gap bit for bit, where that gap
+    is positive and sensitive to every rounding, across a chunk's edges."""
+    if net == "benchmark":
+        spec, ds, ctrl = ref_spec, ref_ds, ref_cert.controller
+    else:
+        spec, ds, ctrl = _corridor_check(ref_cert, 8, 11)
+    rng = np.random.default_rng(n_samples)
+    cert = SimpleNamespace(beta=np.array(spec.a),
+                           Gamma=rng.uniform(0.0, 2.4 / spec.n, (2 * spec.n, 2 * spec.n)))
+    report = contraction_check(spec, ds, ctrl, cert, n_samples=n_samples, seed=5)
+    want = oracles.contraction_reference(spec, ds, ctrl, cert, n_samples, seed=5)
+    assert want > 0.0
+    assert report.max_violation == want
+    assert report.n_samples == n_samples
+
+
+def test_contraction_check_runs_in_chunk_memory(ref_cert):
+    """On 64 cells, doubling the samples adds only their X and D rows to the
+    peak: the successors, Lyapunov vectors and products live one chunk at a
+    time."""
+    spec, ds, ctrl = _corridor_check(ref_cert, 8, 11)
+    cert = SimpleNamespace(beta=np.array(spec.a), Gamma=np.eye(2 * spec.n))
+    contraction_check(spec, ds, ctrl, cert, n_samples=CONTRACTION_CHUNK)  # warm caches
+    peaks = []
+    for n_samples in (500, 1000):
+        tracemalloc.start()
+        try:
+            contraction_check(spec, ds, ctrl, cert, n_samples=n_samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 4 KiB for a few Python objects; whole (N, 2n) arrays would add about 2.6 MB
+    assert peaks[1] - peaks[0] <= 500 * (spec.n + 4) * 8 + 4096
 
 
 def test_certificate_consistency(ref_spec, ref_eq, ref_cert):
