@@ -53,7 +53,10 @@ def _jsonable(obj):
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(_jsonable(doc), indent=2))
+    """Print doc as indented JSON, streamed: the text of a 512-cell
+    certificate is never held whole."""
+    json.dump(_jsonable(doc), sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _load_pair(args, spec=None, ds=None):

@@ -231,14 +231,15 @@ class DiagramSet:
     # cached per-cell arrays, the built-in families' index groups and the
     # piecewise cells; _wave is None unless some supply pins its scale (NaN
     # marks the cells scaled by d4); _pieces holds every cell's demand piece
-    # table for `demand_all` and _d_lo_tol/_d_hi_tol the box that `step`
-    # admits d from
+    # table for `demand_all`, _fcap every cell's `demand_cap` and
+    # _d_lo_tol/_d_hi_tol the box that `step` admits d from
     _a: np.ndarray = field(init=False, repr=False, compare=False)
     _delta: np.ndarray = field(init=False, repr=False, compare=False)
     _qcap: np.ndarray = field(init=False, repr=False, compare=False)
     _wave: np.ndarray | None = field(init=False, repr=False, compare=False)
     _groups: dict = field(init=False, repr=False, compare=False)
     _pieces: tuple = field(init=False, repr=False, compare=False)
+    _fcap: np.ndarray = field(init=False, repr=False, compare=False)
     _piecewise: tuple = field(init=False, repr=False, compare=False)
     _d_lo_tol: np.ndarray = field(init=False, repr=False, compare=False)
     _d_hi_tol: np.ndarray = field(init=False, repr=False, compare=False)
@@ -285,6 +286,8 @@ class DiagramSet:
             k for k, fd in enumerate(self.demands) if fd.family == "piecewise"))
         object.__setattr__(self, "_pieces",
                            _piece_table([fd.family for fd in self.demands]))
+        caps = {fd: demand_cap(fd) for fd in set(self.demands)}
+        object.__setattr__(self, "_fcap", np.array([caps[fd] for fd in self.demands]))
         object.__setattr__(self, "_d_lo_tol", self.d_lo - D_TOL)
         object.__setattr__(self, "_d_hi_tol", self.d_hi + D_TOL)
 
@@ -437,6 +440,37 @@ def _branch_pieces(fd: DemandFunction) -> list:
     return ([(True, pieces(b, 0.0, fd.delta))
              for b in ((None, _PHI1, None),) + _FAMILY_BRANCHES[fd.family]]
             + [(False, pieces((None, q, None), fd.delta, fd.a)) for q in (_PHI6, _PHI7)])
+
+
+def demand_cap(fd: DemandFunction) -> float:
+    """A bound on every demand `demand_batch` and `demand_all` return for this
+    curve, at densities in [0, a] and d in [0, 1]^3: the largest
+    sum_k |c_k| m^k over the pieces of `_branch_pieces`, m = max(|lo|, |hi|)
+    of the piece's interval, times 1 + 2^-40.
+
+    Proof.  Every density a curve is evaluated at lies in the interval of
+    the piece that evaluates it: a built-in knee sends z <= knee to the piece
+    on [0, knee] and the rest to [knee, delta], a piecewise table evaluates
+    the piece that claims z.  There the exact polynomial is at most
+    sum_k |c_k| |z|^k <= sum_k |c_k| m^k.  A built-in demand below delta
+    blends its three branches by d1, d2 (1 - d1) and (1 - d2)(1 - d1), above
+    delta its two by d3 and 1 - d3: weights that are nonnegative and sum to
+    one, so the blend is at most its largest branch.  Rounding adds at most
+    a factor 1 + 2k u (u = 2^-53) to a degree-k polynomial in any order of
+    its terms, Horner's included, about 1 + 6u to the rounded weights and
+    their sum, and as much again as computing the bound itself lost.  For a
+    degree below about 1,000 the factor 1 + 2^-40 covers all of them.
+    Densities below DEMAND_FLOOR give 0.  A coefficient or end that is not
+    finite, or a bound that overflows, gives inf or NaN: no finite bound.
+    """
+    caps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, pieces in _branch_pieces(fd):
+            for p in pieces:
+                c = np.abs(p.coeffs)
+                m = max(abs(p.lo), abs(p.hi))
+                caps.append(np.sum(c * m ** np.arange(len(c)), where=c != 0))
+        return float(np.max(caps) * (1.0 + 2.0 ** -40))
 
 
 def _extremes(c, lo: float, hi: float) -> tuple[float, float]:

@@ -238,6 +238,14 @@ class ThrottleBound:
     ``np.minimum`` is exact, so the result equals a full `allocate` bit for
     bit.  A bound that ignores `cell` and `S` and allocates in full is
     equally correct, only slower.
+
+    `allocate` is non-increasing in F: F <= F' entrywise gives
+    allocate(F', G, V) <= allocate(F, G, V) entrywise, bit for bit.  A larger
+    demand only subtracts more from the remaining supply of later levels,
+    and every rounded operation on the way (the product p * F, the
+    subtraction, the division by a positive cap, the clip and the minimum)
+    is monotone.  The gamma search's skip of Sobol blocks rests on it
+    (`_seed_ratios`), so a stand-in bound must keep it too.
     """
 
     def __init__(self, spec: NetworkSpec, ds: DiagramSet):
@@ -269,7 +277,7 @@ class ThrottleBound:
         """
         if cell is None:
             cols, levels = self.cols, self.levels
-            S = np.ones_like(F)
+            S = np.ones(F.shape)  # C order also for a broadcast F, so `_ratios` weighs S alike
         else:
             moved, cols, levels = self._plan(cell)
             S[:, moved] = 1.0
@@ -359,8 +367,9 @@ def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
 
     A scrambled-Sobol cloud over (x, v, d) of n_samples rows, rounded up to
     a power of two, follows; it is drawn in power-of-two chunks, which equal
-    one whole draw bit for bit, and its rows are all distinct.  No block
-    mixes the two kinds.
+    one whole draw bit for bit, and its rows are all distinct.  Its F is
+    None: `_seed_ratios` evaluates the demands only of a block that its
+    floor does not rule out.  No block mixes the two kinds.
     """
     n, block = spec.n, _block_rows(spec.n)
     ends, corners = np.stack([np.zeros(n), v_box]), d_corners(ds)
@@ -392,23 +401,32 @@ def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
         X, V = u[:, :n] * spec.a, u[:, n:2 * n] * v_box
         D = u[:, 2 * n:] * (ds.d_hi - ds.d_lo) + ds.d_lo
         del u  # 2n + 4 columns, not to be held while the consumer bounds the block
-        yield X, V, demand_batch(ds, D, X), supply_batch(ds, D, X), np.arange(chunk), D
+        yield X, V, None, supply_batch(ds, D, X), np.arange(chunk), D
 
 
 def _keep_best(blocks, k: int):
-    """The k rows of lowest ratio in a stream of (ratios, take) blocks.
+    """The k rows of lowest ratio in a stream of (floor, evaluate) blocks.
 
-    `take(t)` returns the arrays of the block's rows t.  It is called only
-    for rows that may be kept, and before the next block is drawn, so a
-    block need not hold arrays for all of its rows.  Returns
+    `floor` bounds the block's ratios from below, row by row, and is finite
+    exactly where they are; `evaluate()` returns (ratios, take), where
+    `take(t)` returns the arrays of the block's rows t.  Once k rows are
+    kept, a block whose floor sorts no row before the last kept one is
+    skipped unevaluated: none of its rows could enter.  `take` is called
+    only for rows that may be kept, and before the next block is drawn, so
+    a block need not hold arrays for all of its rows.  Returns
     (ratios, *arrays) of the kept rows in (ratio, row) order, as a stable
     sort of the whole stream orders them, with the count of finite ratios
     in the stream.
     """
     kept, n_finite = (), 0
-    for ratios, take in blocks:
+    for floor, evaluate in blocks:
+        full = bool(kept) and len(kept[0]) == k
+        if full and floor.min() >= kept[0][-1]:
+            n_finite += int(np.isfinite(floor).sum())
+            continue
+        ratios, take = evaluate()
         n_finite += int(np.isfinite(ratios).sum())
-        if kept and len(kept[0]) == k and ratios.min() >= kept[0][-1]:
+        if full and ratios.min() >= kept[0][-1]:
             continue  # no row of the block sorts before the last kept one
         top = np.argsort(ratios, kind="stable")[:k]
         rows = (ratios[top], *take(top))
@@ -419,16 +437,40 @@ def _keep_best(blocks, k: int):
     return kept, n_finite
 
 
-def _seed_ratios(blocks, bound: ThrottleBound, r: np.ndarray, mass_floor: float):
-    """(ratios, take) of each `_seed_blocks` block, for `_keep_best`.
+def _seed_ratios(blocks, ds: DiagramSet, bound: ThrottleBound, r: np.ndarray,
+                 mass_floor: float):
+    """(floor, evaluate) of each `_seed_blocks` block, for `_keep_best`.
 
     Only the distinct rows are bounded and weighed; their ratios are then
     expanded to every stream row.  `take(t)` gives stream rows t as
     (X, V, D, F, G): X, V, F and G from their distinct rows, D their own.
+
+    A jam-pattern block is evaluated at once and is its own floor.  A Sobol
+    block's floor puts every cell's demand at its cap, `ds._fcap`
+    (`demand_cap`), so F <= cap entrywise.  `allocate` is non-increasing in
+    F (`ThrottleBound`), and `_ratios` weighs the floor's S, of the same
+    shape and order as the exact one, with the same monotone rounded
+    operations in the same sequence, so the floor is at most each exact
+    ratio, bit for bit.  The mass floor and the weighted mass are the same,
+    so for finite curves the floor is finite exactly where the ratio is.
+    Only a block that the floor does not rule out evaluates its demands.  A
+    cap that is not finite bounds nothing: every block is then evaluated at
+    once.
     """
+    finite = np.isfinite(ds._fcap).all()
     for X, V, F, G, rows, D in blocks:
-        ratios = _ratios(bound.allocate(F, G, V), X, r, mass_floor)
-        yield ratios[rows], lambda t: (X[rows[t]], V[rows[t]], D[t], F[rows[t]], G[rows[t]])
+        def evaluate(X=X, V=V, F=F, G=G, rows=rows, D=D):
+            F = demand_batch(ds, D, X) if F is None else F
+            ratios = _ratios(bound.allocate(F, G, V), X, r, mass_floor)
+            return ratios[rows], lambda t: (X[rows[t]], V[rows[t]], D[t], F[rows[t]],
+                                            G[rows[t]])
+
+        if F is None and finite:
+            caps = np.broadcast_to(ds._fcap, X.shape)
+            yield _ratios(bound.allocate(caps, G, V), X, r, mass_floor)[rows], evaluate
+        else:
+            ratios, take = evaluate()
+            yield ratios, lambda ratios=ratios, take=take: (ratios, take)
 
 
 def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
@@ -490,7 +532,11 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     ratios before the next one exists.  A jam-pattern block bounds and
     weighs each of its distinct rows once, and its ratios are expanded to
     every stream row (`_seed_ratios`), so the stream's ratios, their order
-    and the sample count are those of the whole cloud.  The search keeps
+    and the sample count are those of the whole cloud.  A Sobol block is
+    first bounded with every demand at its cap (`demand_cap`), which gives
+    a floor at most each of its ratios; once refine_top seeds are kept, a
+    block whose floor cannot sort a row before the last kept one is skipped
+    before its demands are evaluated.  The search keeps
     only the best refine_top seeds, gathering their rows and curves alone
     (`_keep_best`: seeds of equal ratio are taken in row order), and refines
     them in lockstep: every zoom level of a coordinate scan allocates and
@@ -550,7 +596,8 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
     kept, n_evaluated = _keep_best(
-        _seed_ratios(_seed_blocks(spec, ds, v_box, n_samples, seed), bound, r, mass_floor),
+        _seed_ratios(_seed_blocks(spec, ds, v_box, n_samples, seed), ds, bound, r,
+                     mass_floor),
         refine_top)
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")

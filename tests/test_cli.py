@@ -31,6 +31,17 @@ def run_cli(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def test_emit_writes_the_bytes_of_one_dumps(capsys):
+    """`_emit` streams the document with `json.dump` and then a newline:
+    the bytes of `json.dumps(..., indent=2)` plus a newline."""
+    doc = {"K": np.arange(12.0).reshape(3, 4) / 7.0, "n": np.int64(3), "ok": True,
+           "m": None, "rows": [{"x": np.float64(0.1), "cell": "3"}, (1, 2.5e-300)]}
+    cli._emit(doc)
+    out = capsys.readouterr().out
+    assert out == json.dumps(cli._jsonable(doc), indent=2) + "\n"
+    assert out.count("\n") == len(out.splitlines()) and json.loads(out)["n"] == 3
+
+
 def test_validate_default_network(capsys):
     code, doc = run_cli(capsys, "validate")
     assert code == 0

@@ -7,13 +7,16 @@ loop references in `oracles`, bit for bit.
 a flow field or a successor state.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from netstab import presets
+from netstab import diagrams, presets
 from netstab.diagrams import (DEMAND_FLOOR, DemandFunction, DiagramSet, Piece,
-                              SupplyFunction, _demand_values, d_corners,
-                              demand_all, demand_batch, uniform_uncertainty)
+                              SupplyFunction, _branch_pieces, _demand_values,
+                              d_corners, demand_all, demand_batch, demand_cap,
+                              uniform_uncertainty)
 from netstab.dynamics import FlowBreakdown, compute_flows, step
 from netstab.network import NetworkSpec
 
@@ -175,6 +178,58 @@ def test_demand_all_at_the_seams(name):
     want = oracles.demand_batch_reference(ds, DD, XX)
     for k in range(len(XX)):
         assert np.array_equal(demand_all(ds, DD[k], XX[k]), want[k]), (XX[k], DD[k])
+
+
+@pytest.mark.parametrize("name", NETS)
+def test_demand_never_exceeds_its_cap(name):
+    """The gamma search bounds every demand by its cell's cap (`demand_cap`)
+    to skip Sobol blocks unevaluated.  Both evaluators stay at or below it,
+    in magnitude, at random states and at every cell's knees, piece ends,
+    delta, DEMAND_FLOOR, 0 and a (one float either side inside [0, a]),
+    under the 16 box corners and random d."""
+    spec, ds = NETS[name]
+    rng = np.random.default_rng(7 + len(name))
+    assert np.isfinite(ds._fcap).all()
+    ends = {0.0, DEMAND_FLOOR, 27.5, *(e for fd in set(ds.demands)
+                                       for _, pieces in _branch_pieces(fd)
+                                       for p in pieces for e in (p.lo, p.hi))}
+    a = np.array([fd.a for fd in ds.demands])
+    seams = np.clip([np.nextafter(np.full(ds.n, z), toward) for z in sorted(ends)
+                     for toward in (-np.inf, z, np.inf)], 0.0, a)
+    X = np.vstack([seams, a, rng.uniform(0.0, a, (60, ds.n))])
+    D = np.vstack([d_corners(ds), uniform_uncertainty(ds, 16, rng)])
+    XX, DD = np.repeat(X, len(D), axis=0), np.tile(D, (len(X), 1))
+    F = demand_batch(ds, DD, XX)
+    assert (np.abs(F) <= ds._fcap).all()
+    assert all((np.abs(demand_all(ds, d, x)) <= ds._fcap).all() for x, d in zip(XX, DD))
+    assert (F.max(axis=0) > 0.05 * ds._fcap).all()  # a bound, not a blanket
+
+
+def test_demand_cap_per_curve(monkeypatch):
+    """A curve whose pieces rise with positive coefficients reaches its cap
+    at the top of its last piece, within the 2^-40 allowance.  A 64-cell
+    corridor holds two distinct curves, and each gets one `demand_cap`.  A
+    coefficient or piece end that is not finite, or a bound that overflows,
+    gives no finite cap (the search then evaluates every block)."""
+    rising = DemandFunction(**{**PIECEWISE.__dict__, "overcritical": (
+        Piece(presets.DELTA, 100.0, (1.0, 0.1)), Piece(100.0, presets.JAM, (1.0, 0.1, 1e-3)))})
+    top = 1.0 + 0.1 * presets.JAM + 1e-3 * presets.JAM ** 2
+    assert demand_cap(rising) == top * (1.0 + 2.0 ** -40)
+    assert demand_cap(PIECEWISE) == (30.0 + 0.1 * presets.JAM) * (1.0 + 2.0 ** -40)
+    ref = presets.reference_diagrams()
+    ds = DiagramSet((rising,), ref.supplies[:1], ref.d_lo, ref.d_hi)
+    f = demand_batch(ds, ref.d_lo[None, :], np.full((1, 1), presets.JAM))[0, 0]
+    assert f <= ds._fcap[0] and abs(f - top) <= 1e-14 * top
+    calls, ds = [], _corridor(8, 11)[1]
+    monkeypatch.setattr(diagrams, "demand_cap", lambda fd: calls.append(fd) or demand_cap(fd))
+    again = DiagramSet(ds.demands, ds.supplies, ds.d_lo, ds.d_hi)
+    assert len(calls) == len(set(calls)) == len(set(ds.demands)) == 2
+    assert np.array_equal(again._fcap, ds._fcap)
+    for coeffs, hi in (((0.0, math.inf), 30.0), ((0.0, 0.5), math.inf),
+                       ((1e200, 0.0, 1e200), 1e60)):
+        fd = DemandFunction(**{**PIECEWISE.__dict__,
+                               "subcritical": (Piece(0.0, hi, coeffs),)})
+        assert not math.isfinite(demand_cap(fd))
 
 
 def test_floor_in_the_throttle_loop_equals_the_mask():

@@ -7,18 +7,20 @@ them in lockstep.  It also evaluates the curves only where its
 samples differ: the cloud gathers the jam-pattern seeds' curves from corner
 tables, the refined points carry theirs, and a coordinate scan re-evaluates
 only the scanned cell (x), no curve (v) or every cell (d).  An x or v scan
-re-allocates only the throttle columns that its cell can move.
+re-allocates only the throttle columns that its cell can move, and a Sobol
+block whose floor (every demand at its cap) rules it out is skipped unevaluated.
 None of that may change a single bit of the throttle bounds, gamma, its
 argmin or the sample count.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from netstab import presets, stability
+from netstab import diagrams, presets, stability
 from netstab.diagrams import (DiagramSet, SupplyFunction, _philox, d_corners,
                               demand_batch, supply_batch, uniform_uncertainty)
 from netstab.network import NetworkSpec
@@ -27,7 +29,7 @@ from netstab.stability import (ThrottleBound, _block_rows, _jam_patterns, _keep_
                                drain_constants, weights_r)
 
 import oracles
-from test_curve_table import PIECEWISE
+from test_curve_table import PIECEWISE, _corridor
 
 
 def _diagrams_for(n, rng, pinned=(), piecewise=0.0):
@@ -298,18 +300,18 @@ class _Overflowing(_LowCornerBound):
     """The built-in bound, finite on two kinds of rows only.  One kind has no
     inflow, supplies at most those of the low d4 corner and at most one
     jammed cell (zero supply; three on 20 cells), whose demand is that of
-    the low d3 corner: a few jam-pattern seeds.  The other has exactly one
-    jammed cell and no empty one (zero demand): no seed, but an x scan that
-    jams a cell of a Sobol seed gets there, and on 20 cells it then undercuts
-    the finite seeds.  Elsewhere S = 1e308, so S * X overflows to an
-    infinite ratio."""
+    the low d3 corner, the largest jam demand in the box: a few jam-pattern
+    seeds.  The other has exactly one jammed cell and no empty one (zero
+    demand): no seed, but an x scan that jams a cell of a Sobol seed gets
+    there, and on 20 cells it then undercuts the finite seeds.  Elsewhere
+    S = 1e308, so S * X overflows to an infinite ratio."""
 
     def allocate(self, F, G, V, cell=None, S=None):
         S = super().allocate(F, G, V)
         jam, count = G == 0, (G == 0).sum(axis=1)
         seeds = ((V == 0).all(axis=1) & (G <= self.g_low).all(axis=1)
                  & (count <= (1 if F.shape[1] <= 12 else 3))
-                 & ((F == self.f_jam) | ~jam).all(axis=1))
+                 & ((F >= self.f_jam) | ~jam).all(axis=1))
         S[~(seeds | ((count == 1) & (F > 0).all(axis=1)))] = 1e308
         return S
 
@@ -332,14 +334,15 @@ class _Landscape(_LowCornerBound):
     y = 1 - G / g(d_lo, 0) is 0 up to a - qcap and rises to 1 at jam.  Well
     A is cell 1 jammed and all else empty, well B cell 2 jammed; beside B
     lies a deeper well at y_1 = 0.272, off the scan grid.  Inflow, a supply
-    above the low d4 corner or a jam demand off the low d3 corner adds 1."""
+    above the low d4 corner or a jam demand below the low d3 corner's (the
+    largest in the box) adds 1."""
 
     def allocate(self, F, G, V, cell=None, S=None):
         y = 1.0 - G / self.g_low
         n = y.shape[1]
         well = np.eye(n)
         away = ((V.sum(axis=1) > 0) | (y < 0).any(axis=1)
-                | ((F != self.f_jam) & (G == 0)).any(axis=1))
+                | ((F < self.f_jam) & (G == 0)).any(axis=1))
         c_a = 0.5 + np.abs(y - well[0]).sum(axis=1) / n
         c_b = (0.6 + 10.0 * np.abs(y[:, 1:] - well[1, 1:]).sum(axis=1) / n
                - 0.5 * np.maximum(0.0, 1.0 - np.abs(y[:, 0] - 0.272) / 0.12))
@@ -372,14 +375,26 @@ def _jam_pattern_rows(spec):
     return 32 * (2 ** spec.n - 1 if spec.n <= 12 else 4096)
 
 
-def _expanded(block):
-    """A `_seed_blocks` block as (X, V, D, F, G) on every stream row."""
+def _filled(block, ds):
+    """A `_seed_blocks` block with its demands: a Sobol block leaves F to
+    the consumer (None), which evaluates them like this."""
     X, V, F, G, rows, D = block
+    return X, V, demand_batch(ds, D, X) if F is None else F, G, rows, D
+
+
+def _expanded(block, ds):
+    """A `_seed_blocks` block as (X, V, D, F, G) on every stream row."""
+    X, V, F, G, rows, D = _filled(block, ds)
     return X[rows], V[rows], D, F[rows], G[rows]
 
 
 def _taker(arrays):
     return lambda t: tuple(part[t] for part in arrays)
+
+
+def _exact(ratios, take):
+    """A `_keep_best` block whose floor is its ratios."""
+    return ratios, lambda: (ratios, take)
 
 
 def _stream(spec, ds, n_samples, seed):
@@ -391,7 +406,7 @@ def _stream(spec, ds, n_samples, seed):
     want = oracles.seed_cloud_reference(spec, ds, v_box, n_samples, seed)
     n_struct, blocks, end = _jam_pattern_rows(spec), [], 0
     for block in _seed_blocks(spec, ds, v_box, n_samples, seed):
-        block = _expanded(block)
+        block = _expanded(block, ds)
         lo, end = end, end + len(block[0])
         assert 0 < end - lo <= _block_rows(spec.n)
         assert (lo < n_struct) == (end <= n_struct)  # one kind per block
@@ -442,7 +457,7 @@ def test_kept_seeds_are_the_stable_order_of_the_whole_cloud():
     the whole cloud's ratios, so ties go in row order."""
     spec, ds = _net("benchmark")
     B = _block_rows(spec.n)
-    blocks = [_expanded(b) for b in _seed_blocks(spec, ds, _v_box(spec, ds), 1024, 3)]
+    blocks = [_expanded(b, ds) for b in _seed_blocks(spec, ds, _v_box(spec, ds), 1024, 3)]
     whole = tuple(np.vstack(part) for part in zip(*blocks))
     vals = np.round(whole[0].sum(axis=1) / presets.JAM) + 1.0  # ties among jam patterns
     vals[::7] = np.inf
@@ -451,7 +466,7 @@ def test_kept_seeds_are_the_stable_order_of_the_whole_cloud():
     want = np.argsort(vals, kind="stable")[:6]
     assert list(want) == [8800, 5, B - 2, B - 1, B, B + 1]
     ends = np.cumsum([0] + [len(b[0]) for b in blocks])
-    stream = ((vals[lo:hi], _taker(block)) for lo, hi, block in zip(ends, ends[1:], blocks))
+    stream = (_exact(vals[lo:hi], _taker(block)) for lo, hi, block in zip(ends, ends[1:], blocks))
     kept, n_finite = _keep_best(stream, 6)
     for got, ref in zip(kept, (vals, *whole)):
         assert np.array_equal(got, ref[want])
@@ -459,7 +474,7 @@ def test_kept_seeds_are_the_stable_order_of_the_whole_cloud():
     for ratios, k in ((vals, len(vals)), (np.arange(len(vals), dtype=float), 2000)):
         # more seeds than finite ratios (the infinite ones follow in row order),
         # and more seeds than the first block holds
-        kept, _ = _keep_best(((ratios[lo:hi], _taker((np.arange(lo, hi),)))
+        kept, _ = _keep_best((_exact(ratios[lo:hi], _taker((np.arange(lo, hi),)))
                               for lo, hi in zip(ends, ends[1:])), k)
         assert np.array_equal(kept[1], np.argsort(ratios, kind="stable")[:k])
 
@@ -479,11 +494,11 @@ def _classed_net(name):
                             ds.d_lo, ds.d_hi), 1 if one else 2
 
 
-def _rows_at(blocks, idx):
+def _rows_at(blocks, idx, ds):
     """The whole cloud's expanded (X, V, D, F, G) at sorted stream rows idx."""
     got, lo = [], 0
     for block in blocks:
-        block = _expanded(block)
+        block = _expanded(block, ds)
         t = idx[(idx >= lo) & (idx < lo + len(block[0]))] - lo
         got.append(tuple(part[t] for part in block))
         lo += len(block[0])
@@ -512,8 +527,9 @@ def test_distinct_rows_give_the_whole_cloud_ratios(net):
     def blocks():
         return _seed_blocks(spec, ds, v_box, 1024, 3)
 
-    for X, V, F, G, rows, D in blocks():
-        Xe, Ve, De, Fe, Ge = _expanded((X, V, F, G, rows, D))
+    for block in blocks():
+        X, V, F, G, rows, D = _filled(block, ds)
+        Xe, Ve, De, Fe, Ge = _expanded(block, ds)
         for part, ref in zip((Fe, Ge), _curves(ds, Xe, De)):
             assert np.array_equal(part, ref)
         full = _ratios(bound.allocate(Fe, Ge, Ve), Xe, r, floor)
@@ -524,10 +540,10 @@ def test_distinct_rows_give_the_whole_cloud_ratios(net):
         whole.append(full)
     whole = np.concatenate(whole)
     assert np.isinf(whole[:n_struct]).any() and np.isfinite(whole[:n_struct]).any()
-    kept, n_finite = _keep_best(_seed_ratios(blocks(), bound, r, floor), 8)
+    kept, n_finite = _keep_best(_seed_ratios(blocks(), ds, bound, r, floor), 8)
     want = np.argsort(whole, kind="stable")[:8]
     assert np.array_equal(kept[0], whole[want])
-    for got, ref in zip(kept[1:], _rows_at(blocks(), np.sort(want))):
+    for got, ref in zip(kept[1:], _rows_at(blocks(), np.sort(want), ds)):
         assert np.array_equal(got, ref[np.argsort(np.argsort(want))])
     assert n_finite == np.isfinite(whole).sum()
 
@@ -545,7 +561,9 @@ def test_seed_blocks_keep_to_the_block_rule(n):
     for X, V, F, G, rows, D in _seed_blocks(spec, ds, _v_box(spec, ds), 300, 1):
         assert len(X) % 4 == 0 and len(X) <= len(rows) <= 1024
         assert len(rows) * n <= max(65_536, 64 * n)
-        assert V.shape == F.shape == G.shape == X.shape and len(D) == len(rows)
+        assert V.shape == G.shape == X.shape and len(D) == len(rows)
+        # a Sobol block leaves its demands to the consumer
+        assert F is None if rows_seen >= _jam_pattern_rows(spec) else F.shape == X.shape
         rows_seen += len(rows)
     assert rows_seen == _jam_pattern_rows(spec) + 512
 
@@ -605,13 +623,102 @@ def test_gamma_search_runs_in_fixed_memory():
 
 
 class _CurveSensitiveBound(ThrottleBound):
-    """A stand-in allocation whose throttles swing with every demand, supply
-    and inflow value, so that every kind of scan keeps finding improvements.
-    A stale, misplaced or wrongly weighted curve value in any scan then
-    changes the path of the search."""
+    """A stand-in allocation whose throttles swing with every supply and
+    inflow value and fall with every demand, so that every kind of scan
+    keeps finding improvements.  A stale, misplaced or wrongly weighted
+    curve value in any scan then changes the path of the search."""
 
     def allocate(self, F, G, V, cell=None, S=None):
-        return 0.5 + 0.4 * np.cos(0.37 * F + 0.11 * G + 0.05 * V)
+        return 0.55 + 0.4 * np.cos(0.11 * G + 0.05 * V) - 0.004 * F
+
+
+BOUNDS = {"built-in": ThrottleBound, "overflowing": _Overflowing,
+          "landscape": _Landscape, "curve-sensitive": _CurveSensitiveBound}
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+def test_allocate_is_non_increasing_in_demand(name):
+    """The search skips a Sobol block whose floor, the ratios under every
+    demand at its cap, rules it out, so F <= F' entrywise must give
+    allocate(F') <= allocate(F), for the built-in bound and for every
+    stand-in the tests swap in.  Raised demands: random increments, whole
+    rows at the caps, and unchanged rows; on the benchmark's first block of
+    jam-pattern seeds (which reach the stand-ins' jam cases) and on random
+    states of the benchmark and of dense random nets, among them nets where
+    a sender claims at two junctions of one level."""
+    rng = np.random.default_rng(31)
+    spec, ds = _net("benchmark")
+    X, V, _, F, G = _expanded(next(_seed_blocks(spec, ds, _v_box(spec, ds), 300, 1)), ds)
+    cases, nets, shapes = [(spec, ds, F, G, V)], [(spec, ds)], []
+    for _ in range(12):
+        n = int(rng.integers(3, 16))
+        spec = _spec_for(_dense_net(rng, n), rng)
+        nets.append((spec, _diagrams_for(n, rng, tuple(np.nonzero(rng.random(n) < 0.3)[0]),
+                                         0.2)))
+        shapes.append(_claim_shape(spec))
+    assert sum(repeats for _, repeats in shapes) >= 3
+    for spec, ds in nets:
+        X, V, D = _states(spec, ds, rng, 300)
+        cases.append((spec, ds, *_curves(ds, X, D), V))
+    for spec, ds, F, G, V in cases:
+        up = F + rng.uniform(0.0, 40.0, F.shape) * (rng.random(F.shape) < 0.5)
+        up[::7] = ds._fcap
+        up[1::7] = F[1::7]
+        bound = BOUNDS[name](spec, ds)
+        assert (bound.allocate(up, G, V) <= bound.allocate(F, G, V)).all()
+
+
+def test_keep_best_skips_a_block_its_floor_rules_out():
+    """Once k rows are kept, a block whose floor sorts no row before the
+    last kept one is not evaluated, and its finite count is the floor's; a
+    block whose floor does is evaluated and merged by its exact ratios."""
+    def never():
+        raise AssertionError("a ruled-out block was evaluated")
+
+    later = (np.array([1.7, 9.0]), _taker((np.array([10.0, 11.0]),)))
+    stream = [_exact(np.array([3.0, 1.0, np.inf, 2.0]), _taker((np.arange(4.0),))),
+              (np.array([2.0, 5.0, np.inf]), never),  # none below the last kept ratio, 2
+              (np.array([1.5, 9.0]), lambda: later),
+              (np.array([1.7, np.inf]), never)]  # a tie sorts after the kept row
+    kept, n_finite = _keep_best(iter(stream), 2)
+    assert kept[0].tolist() == [1.0, 1.7] and kept[1].tolist() == [1.0, 10.0]
+    assert n_finite == 3 + 2 + 2 + 1
+
+
+@pytest.mark.parametrize("net", ["benchmark", "piecewise and pinned cells", "20 cells",
+                                 "corridor of 8 copies"])
+def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch):
+    """With every demand cap infinite no Sobol block is skipped.  The search
+    gives the same gamma, C, argmin and n_evaluated bit for bit either way,
+    and the caps do skip blocks: counted by the rows that reach
+    `demand_batch`, on the benchmark at the default 100,000 samples no
+    Sobol row does."""
+    spec, ds = {"benchmark": lambda: _net("benchmark"),
+                "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
+                "20 cells": _twenty_cells,
+                "corridor of 8 copies": lambda: _corridor(8, 11)}[net]()
+    kw = {} if spec.n <= 12 else {"n_samples": 2 ** 14, "refine_sweeps": 1}
+    with monkeypatch.context() as mp:
+        mp.setattr(diagrams, "demand_cap", lambda fd: math.inf)
+        uncapped = DiagramSet(ds.demands, ds.supplies, ds.d_lo, ds.d_hi)
+    assert np.isfinite(ds._fcap).all() and np.isinf(uncapped._fcap).all()
+    rows = []
+    monkeypatch.setattr(stability, "demand_batch",
+                        lambda ds, D, X: rows.append(len(X)) or demand_batch(ds, D, X))
+    got = []
+    for curves in (ds, uncapped):
+        rows.clear()
+        got.append((drain_constants(spec, curves, weights_r(spec), **kw), sum(rows)))
+    (capped, n_capped), (full, n_full) = got
+    assert capped.gamma == full.gamma and capped.C == full.C
+    assert capped.n_evaluated == full.n_evaluated
+    assert capped.argmin["ratio"] == full.argmin["ratio"]
+    for key in "xvd":
+        assert np.array_equal(capped.argmin[key], full.argmin[key])
+    cloud, skipped = 2 ** math.ceil(math.log2(kw.get("n_samples", 100_000))), n_full - n_capped
+    assert 0 < skipped <= cloud and skipped % _block_rows(spec.n) == 0
+    if net == "benchmark":
+        assert skipped == cloud
 
 
 @pytest.mark.parametrize("net", ["benchmark", "piecewise and pinned cells",
