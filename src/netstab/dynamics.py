@@ -13,7 +13,6 @@ sent always equals received and total inflow never exceeds supply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +21,61 @@ from .errors import DimensionError, DomainError, NumericalError
 from .network import STATE_TOL, NetworkSpec
 
 
-@dataclass(frozen=True)
 class FlowBreakdown:
     """Everything that moved in one step.
 
     outflow[i] = s[i] * attempted_demand[i]; inflow[i] sums accepted external
     inflow (w[i] * v[i]) and routed upstream arrivals; exit[i] is the share
     leaving the network.  inflow never exceeds the cell's supply.
+
+    The step keeps the accepted inflow, a copy of the offered inflow v (so
+    a caller writing into its v array later changes nothing here) and the
+    exit shares; `w` and `exit` are derived from them on first read, and
+    `derived_fields` derives them for a whole run at once.  It is a slotted
+    plain class: a frozen dataclass sets each field through
+    `object.__setattr__`, which made building one cost five times as much.
     """
 
-    outflow: np.ndarray
-    inflow: np.ndarray
-    exit: np.ndarray
-    s: np.ndarray
-    w: np.ndarray
-    attempted_demand: np.ndarray
+    __slots__ = ("outflow", "inflow", "s", "attempted_demand",
+                 "_accepted", "_v", "_qexit", "_w", "_exit")
+
+    def __init__(self, outflow, inflow, s, attempted_demand, accepted, v, qexit):
+        self.outflow = outflow
+        self.inflow = inflow
+        self.s = s
+        self.attempted_demand = attempted_demand
+        self._accepted = accepted
+        self._v = v
+        self._qexit = qexit
+        self._w = self._exit = None
+
+    @property
+    def w(self) -> np.ndarray:
+        if self._w is None:
+            self._w = _accepted_share(self._accepted, self._v)
+        return self._w
+
+    @property
+    def exit(self) -> np.ndarray:
+        if self._exit is None:
+            self._exit = self._qexit * self.outflow
+        return self._exit
+
+
+def _accepted_share(accepted: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """accepted / v where v > 0, else 1; elementwise, so a (T, n) stack of
+    rows gives each row's own bits."""
+    return np.divide(accepted, v, out=np.ones(v.shape), where=v > 0)
+
+
+def derived_fields(flows) -> tuple[np.ndarray, np.ndarray]:
+    """`w` and `exit` of a run's breakdowns as (T, n) arrays, row t equal bit
+    for bit to flows[t].w and flows[t].exit.  Every breakdown of one run
+    shares its network's exit shares.  Each stacked input is dropped once
+    its field is built, so no more than three (T, n) arrays are alive."""
+    w = _accepted_share(np.array([fb._accepted for fb in flows]),
+                        np.array([fb._v for fb in flows]))
+    return w, flows[0]._qexit * np.array([fb.outflow for fb in flows])
 
 
 def _allocate(spec: NetworkSpec, fl: list, gl: list, vl: list) -> list:
@@ -59,8 +98,12 @@ def _allocate(spec: NetworkSpec, fl: list, gl: list, vl: list) -> list:
 
 def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
     """Flow breakdown at (x, v, d) without validation; see `step` for checks."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
+    return _flows(spec, ds, np.asarray(x, dtype=float), np.asarray(v, dtype=float), d)
+
+
+def _flows(spec: NetworkSpec, ds: DiagramSet, x: np.ndarray, v: np.ndarray,
+           d) -> FlowBreakdown:
+    """`compute_flows` on x and v already converted to float arrays."""
     f = demand_all(ds, d, x)
     g = supply_all(ds, d, x)
     fl, gl = f.tolist(), g.tolist()
@@ -73,11 +116,8 @@ def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
     s = np.array(_allocate(spec, fl, gl, v.tolist()))
     outflow = s * f
     accepted = np.minimum(v, g)
-    inflow = accepted + outflow @ spec.P
-    exit_flow = spec.Qexit * outflow
-    w = np.divide(accepted, v, out=np.ones(spec.n), where=v > 0)
-    return FlowBreakdown(outflow=outflow, inflow=inflow, exit=exit_flow,
-                         s=s, w=w, attempted_demand=f)
+    return FlowBreakdown(outflow, accepted + outflow @ spec.P, s, f,
+                         accepted, v.copy(), spec.Qexit)
 
 
 def _within(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
@@ -90,8 +130,11 @@ def _check_domain(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> None:
     """The domain checks of `step` on float arrays of the right shapes; None
     skips one.  Each admission test is written so that NaN fails it.  `step`
     screens with the same tests and calls this only to name what failed."""
-    if x is not None and not ((x >= -STATE_TOL).all() and (x <= spec.a + STATE_TOL).all()):
-        i = int(np.argmax(np.maximum(-x, x - spec.a)))  # NaN and inf rank first
+    refused = x is not None and ~((x >= -STATE_TOL) & (x <= spec.a + STATE_TOL))
+    if np.any(refused):
+        # the refused cell furthest out, NaN and inf first: an admitted cell
+        # just above a can reach further than a refusal just below -STATE_TOL
+        i = int(np.argmax(np.where(refused, np.maximum(-x, x - spec.a), -np.inf)))
         if not np.isfinite(x[i]):
             raise DomainError(f"cell {i + 1}: non-finite density {x[i]}")
         raise DomainError(f"cell {i + 1}: density {x[i]:.6g} outside [0, {spec.a[i]:.6g}]")
@@ -121,13 +164,15 @@ def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBr
         raise DimensionError(f"x and v must have shape ({spec.n},)")
     if d.shape != ds.d_lo.shape:
         raise DimensionError(f"d must have shape {ds.d_lo.shape}, got {d.shape}")
-    # `_check_domain`'s tests against bounds cached on spec and ds; it runs
-    # only to name a failure
+    # one screen against bounds cached on spec and ds, strict for x, so a
+    # state a step returned (clipped to [0, a]) skips the clip; otherwise
+    # `_check_domain` raises, naming what failed, unless x lies in the
+    # STATE_TOL band around the box, which is clipped
     if not (_within(np.concatenate((x, v)), *spec.admission)
             and _within(d, ds._d_lo_tol, ds._d_hi_tol)):
         _check_domain(spec, ds, x, v, d)
-    x = np.minimum(np.maximum(x, 0.0), spec.a)
-    fb = compute_flows(spec, ds, x, v, d)
+        x = np.minimum(np.maximum(x, 0.0), spec.a)
+    fb = _flows(spec, ds, x, v, d)
     x_next = x - fb.outflow + fb.inflow
     if not (np.minimum.reduce(x_next) >= -STATE_TOL
             and np.maximum.reduce(x_next - spec.a) <= STATE_TOL):

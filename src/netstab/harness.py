@@ -233,10 +233,9 @@ def mass_balance_residuals(record: TrajectoryRecord) -> np.ndarray:
 
     Zero up to rounding for any run produced by `run_scenario`.
     """
-    T, n = record.horizon, record.states.shape[1]
+    T = record.horizon
+    w, exit_flow = dynamics.derived_fields(record.flows)
     # row sums of C-contiguous rows add each row as a 1-D sum would
-    w = np.array([fb.w for fb in record.flows]).reshape(T, n)
-    exit_flow = np.array([fb.exit for fb in record.flows]).reshape(T, n)
     mass = record.states.sum(axis=1)
     accepted = (w * record.inflows[:T]).sum(axis=1)
     return np.abs(np.diff(mass) - accepted + exit_flow.sum(axis=1))

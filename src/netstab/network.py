@@ -116,11 +116,12 @@ class NetworkSpec:
 
     @cached_property
     def admission(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (lo, hi) bounds that `dynamics.step` admits ``(x, v)`` between,
-        concatenated: x in [-STATE_TOL, a + STATE_TOL] and v in [0, DBL_MAX],
-        the float form of v < inf that NaN also fails."""
-        lo = np.concatenate((np.full(self.n, -STATE_TOL), np.zeros(self.n)))
-        hi = np.concatenate((self.a + STATE_TOL, np.full(self.n, np.finfo(float).max)))
+        """The (lo, hi) bounds that `dynamics.step` admits ``(x, v)`` between
+        without a second look, concatenated: x in [0, a] and v in [0, DBL_MAX],
+        the float form of v < inf that NaN also fails.  `step` clips a state
+        in the STATE_TOL band around [0, a] and refuses the rest."""
+        lo = np.zeros(2 * self.n)
+        hi = np.concatenate((self.a, np.full(self.n, np.finfo(float).max)))
         return _frozen_array(lo), _frozen_array(hi)
 
     @cached_property

@@ -391,10 +391,15 @@ def demand_batch_reference(ds, D, X):
     return out
 
 
+# the public fields of the package's FlowBreakdown
+FLOW_FIELDS = ("outflow", "inflow", "exit", "s", "w", "attempted_demand")
+
+
 def step_reference(spec, ds, x, v, d):
     """(x_next, flow fields) of one step as one batch row, claimant by claimant.
 
-    The fields are those of the package's FlowBreakdown, keyed by name.
+    The fields are the FLOW_FIELDS of the package's FlowBreakdown, keyed by
+    name.
     """
     n = spec.n
     x = np.clip(np.asarray(x, dtype=float), 0.0, spec.a)
@@ -427,6 +432,26 @@ def step_reference(spec, ds, x, v, d):
     }
     x_next = x - outflow + fields["inflow"]
     return np.clip(x_next, 0.0, spec.a), fields
+
+
+def eager_mass_balance(spec, ds, record):
+    """(w, exit, residuals) of a run as the step computed w and exit for
+    every breakdown before they were derived on demand: w from the supply at
+    each recorded state, stacked per step, then the conservation error."""
+    from netstab.diagrams import supply_all
+
+    T, n = record.horizon, spec.n
+    w, exit_flow = [], []
+    for t, fb in enumerate(record.flows):
+        v = record.inflows[t]
+        accepted = np.minimum(v, supply_all(ds, record.disturbances[t], record.states[t]))
+        w.append(np.divide(accepted, v, out=np.ones(n), where=v > 0))
+        exit_flow.append(spec.Qexit * fb.outflow)
+    w = np.array(w).reshape(T, n)
+    exit_flow = np.array(exit_flow).reshape(T, n)
+    mass = record.states.sum(axis=1)
+    accepted = (w * record.inflows[:T]).sum(axis=1)
+    return w, exit_flow, np.abs(np.diff(mass) - accepted + exit_flow.sum(axis=1))
 
 
 # sampled curve audits ------------------------------------------------------------

@@ -694,6 +694,10 @@ def test_analyze_audits_each_distinct_curve_once(capsys, monkeypatch):
         for i, fd in enumerate(demands)]
 
 
+# sha256 of the default-seed summary.json; the same under one BLAS thread and two
+SUMMARY_SHA256 = "c54d452feff84519dd9aa570f0882ecb5ac9f232c608e10924f33c2341950dba"
+
+
 def test_reproduce_writes_suite(capsys, tmp_path):
     code, doc = run_cli(capsys, "reproduce-paper", "--out", str(tmp_path))
     assert code == 0
@@ -709,6 +713,9 @@ def test_reproduce_writes_suite(capsys, tmp_path):
                for name in expected["reproduce_csv_sha256"]}
     assert digests == expected["reproduce_csv_sha256"]
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(digests)
+    # summary.json too, whose max_mass_balance_error values no other test pins
+    summary = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
+    assert summary == SUMMARY_SHA256
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])

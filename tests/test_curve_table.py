@@ -17,12 +17,10 @@ from netstab.diagrams import (DEMAND_FLOOR, DemandFunction, DiagramSet, Piece,
                               SupplyFunction, _branch_pieces, _demand_values,
                               d_corners, demand_all, demand_batch, demand_cap,
                               uniform_uncertainty)
-from netstab.dynamics import FlowBreakdown, compute_flows, step
+from netstab.dynamics import compute_flows, step
 from netstab.network import NetworkSpec
 
 import oracles
-
-FIELDS = tuple(FlowBreakdown.__dataclass_fields__)
 
 # densities on the seams of the curves: the on-ramp knee, the critical density,
 # the empty-cell floor (a hair above and below), a subnormal and the ends
@@ -157,7 +155,7 @@ def test_step_matches_pre_table_reference(name):
         x_next, fb = step(spec, ds, x, v, d)
         want_x, want = oracles.step_reference(spec, ds, x, v, d)
         assert np.array_equal(x_next, want_x)
-        for field in FIELDS:
+        for field in oracles.FLOW_FIELDS:
             assert np.array_equal(getattr(fb, field), want[field]), field
 
 
@@ -253,7 +251,7 @@ def test_floor_in_the_throttle_loop_equals_the_mask():
             assert np.array_equal(fb.s, want["s"])
             x_next, fb = step(spec, ds, x, v, d)
             assert np.array_equal(x_next, want_x)
-            for field in FIELDS:
+            for field in oracles.FLOW_FIELDS:
                 assert np.array_equal(getattr(fb, field), want[field]), field
             if x[0] == DEMAND_FLOOR and x[2] == jam:
                 # the case the floor is for: a claim above it from a demand

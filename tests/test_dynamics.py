@@ -202,6 +202,72 @@ def test_step_admits_exactly_its_box(ref_spec, ref_ds, ref_eq, which, index, val
         assert str(exc.value) == message
 
 
+# densities a closed loop never feeds back, admitted: -0.0 passes the strict
+# screen of [0, a] unclipped, the rest lie in the STATE_TOL band around it
+# and take the slow path, which clips them
+BAND = (-0.0, 0.0, _past(0.0, -np.inf), -1e-10, -STATE_TOL,
+        presets.JAM, _past(presets.JAM, np.inf), presets.JAM + 1e-10,
+        presets.JAM + STATE_TOL)
+
+
+def test_step_on_the_tolerance_band_matches_the_reference(ref_spec, ref_ds, ref_eq):
+    """States with band entries at random cells, under the 16 box corners and
+    random d: x_next and all six fields equal `oracles.step_reference`,
+    which clips every state, and what `step` gives on the clipped state."""
+    rng = np.random.default_rng(22)
+    D = np.vstack([d_corners(ref_ds), uniform_uncertainty(ref_ds, 16, rng)])
+    for k, d in enumerate(D):
+        x = rng.uniform(0.0, ref_spec.a)
+        cells = rng.choice(8, size=1 + k % 8, replace=False)
+        x[cells] = rng.choice(BAND, size=cells.size)
+        v = ref_eq.vstar * rng.uniform(0.0, 2.0)
+        x_next, fb = step(ref_spec, ref_ds, x, v, d)
+        want_x, want = oracles.step_reference(ref_spec, ref_ds, x, v, d)
+        clip_next, clip_fb = step(ref_spec, ref_ds, np.clip(x, 0.0, ref_spec.a), v, d)
+        assert np.array_equal(x_next, want_x) and np.array_equal(x_next, clip_next)
+        for field in oracles.FLOW_FIELDS:
+            assert np.array_equal(getattr(fb, field), want[field]), field
+            assert np.array_equal(getattr(fb, field), getattr(clip_fb, field)), field
+
+
+def test_breakdown_keeps_the_inflow_it_was_offered(ref_spec, ref_ds, ref_eq):
+    """`w` is derived on first read, from the inflow the step was offered:
+    writing into the caller's v array afterwards changes nothing."""
+    x, d = ref_eq.xstar * 1.5, np.array([0.5, 0.5, 0.5, 0.25])
+    v = ref_eq.vstar * 3.0
+    want = compute_flows(ref_spec, ref_ds, x, v.copy(), d).w
+    _, fb = step(ref_spec, ref_ds, x, v, d)
+    v[:] = 1.0
+    assert np.array_equal(fb.w, want) and (want < 1.0).any()
+
+
+@pytest.mark.parametrize("a, bad, admitted, message", [
+    (170.0, (2, np.nan), (6, -1e-10), "cell 3: non-finite density nan"),
+    (170.0, (0, np.inf), (3, presets.JAM + STATE_TOL), "cell 1: non-finite density inf"),
+    (170.0, (7, -np.inf), (1, -0.0), "cell 8: non-finite density -inf"),
+    (170.0, (4, _past(-STATE_TOL, -np.inf)), (2, presets.JAM + STATE_TOL),
+     "cell 5: density -1e-09 outside [0, 170]"),
+    (170.0, (5, _past(presets.JAM + STATE_TOL, np.inf)), (0, -STATE_TOL),
+     "cell 6: density 170 outside [0, 170]"),
+    (170.0, (1, -1.0), (7, _past(0.0, -np.inf)), "cell 2: density -1 outside [0, 170]"),
+    # a + STATE_TOL rounds up at a = 100, so the admitted cell 3 lies further
+    # out than the refused cell 5
+    (100.0, (4, _past(-STATE_TOL, -np.inf)), (2, 100.0 + STATE_TOL),
+     "cell 5: density -1e-09 outside [0, 100]"),
+])
+def test_step_names_the_refused_cell_beside_an_admitted_one(ref_spec, ref_ds, ref_eq,
+                                                           a, bad, admitted, message):
+    """A state refused at one cell while another lies in the tolerance band:
+    the DomainError names the refused cell."""
+    spec = NetworkSpec(8, np.full(8, a), ref_spec.P, ref_spec.Qexit, ref_spec.mu,
+                       ref_spec.vmax)
+    x = np.full(8, 50.0)
+    x[admitted[0]], x[bad[0]] = admitted[1], bad[1]
+    with pytest.raises(DomainError) as exc:
+        step(spec, ref_ds, x, ref_eq.vstar, np.array([0.5, 0.5, 0.5, 0.25]))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("x_bad, v_bad, d_bad, error, message", [
     ((2, np.nan), None, None, DomainError, "cell 3: non-finite density"),
     ((0, np.inf), None, None, DomainError, "cell 1: non-finite density"),

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from netstab import presets
+from netstab.dynamics import derived_fields
 from netstab.errors import MisuseError
 from netstab.harness import (ControlSpec, DisturbanceSpec, ScenarioConfig,
                              TrajectoryRecord, estimate_decay, export_csv,
                              gridlock_demo, mass_balance_residuals,
                              reproduce_suite, run_scenario)
 
-from test_stability import _jam_capacity
+import oracles
+from test_stability import _corridor_check, _jam_capacity
 
 
 def _record_with_deviation(dev):
@@ -113,6 +115,29 @@ def test_mass_balance_residuals_are_tiny(ref_spec, ref_ds):
     res = mass_balance_residuals(rec)
     assert res.shape == (40,)
     assert res.max() < 1e-10
+
+
+@pytest.mark.parametrize("net", ["benchmark", "corridor of 8 copies"])
+def test_derived_flow_fields_equal_the_eager_formulas(ref_spec, ref_ds, ref_cert, net):
+    """On 20 closed-loop records from random starts, `fb.w`, `fb.exit`,
+    `derived_fields` and `mass_balance_residuals` equal bit for bit what the
+    step computed for every breakdown before they were derived on demand."""
+    if net == "benchmark":
+        spec, ds, ctrl = ref_spec, ref_ds, ref_cert.controller
+    else:
+        spec, ds, ctrl = _corridor_check(ref_cert, 8, 11)
+    rng = np.random.default_rng(spec.n)
+    for k in range(20):
+        cfg = ScenarioConfig(x0=rng.uniform(0.0, spec.a), horizon=50,
+                             disturbance=DisturbanceSpec(kind="uniform", seed=k),
+                             control=ControlSpec(kind="closed-loop", controller=ctrl))
+        rec = run_scenario(spec, ds, cfg)
+        w, exit_flow, residuals = oracles.eager_mass_balance(spec, ds, rec)
+        assert np.array_equal(mass_balance_residuals(rec), residuals)
+        stacked = derived_fields(rec.flows)
+        assert np.array_equal(stacked[0], w) and np.array_equal(stacked[1], exit_flow)
+        for t, fb in enumerate(rec.flows):
+            assert np.array_equal(fb.w, w[t]) and np.array_equal(fb.exit, exit_flow[t])
 
 
 def test_export_csv_round_trips(tmp_path, ref_spec, ref_ds):
