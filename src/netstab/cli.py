@@ -40,23 +40,12 @@ class _InputError(Exception):
     """Anything wrong with the user's files or flags (exit code 2)."""
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def _emit(doc: dict) -> None:
-    """Print doc as indented JSON, streamed: the text of a 512-cell
-    certificate is never held whole."""
-    json.dump(_jsonable(doc), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(doc: dict, fh) -> None:
+    """Write doc to the stream fh as indented JSON and a newline, streamed:
+    the text of a 512-cell certificate is never held whole.  numpy arrays
+    and scalars are written as their `tolist()` values."""
+    json.dump(doc, fh, indent=2, default=lambda o: o.tolist())
+    fh.write("\n")
 
 
 def _load_pair(args, spec=None, ds=None):
@@ -130,7 +119,7 @@ def cmd_validate(args) -> int:
         "acyclic": not cycle,
         "ok": not violations and not cycle,
     }
-    _emit(doc)
+    _emit(doc, sys.stdout)
     return 0 if doc["ok"] else 1
 
 
@@ -138,7 +127,7 @@ def cmd_solve_uep(args) -> int:
     spec, ds = _load_pair(args)
     vstar = _parse_vstar(args, spec)
     eq = solve_uep(spec, ds, vstar)
-    _emit({"xstar": eq.xstar, "vstar": eq.vstar, "flows": eq.flows})
+    _emit({"xstar": eq.xstar, "vstar": eq.vstar, "flows": eq.flows}, sys.stdout)
     return 0
 
 
@@ -150,7 +139,7 @@ def cmd_synthesize(args) -> int:
     cfg = cert.controller
     doc = {"xstar": cfg.xstar, "vstar": cfg.vstar, "b": cfg.b, "K": cfg.K,
            "tau": cfg.tau}
-    _emit(doc)
+    _emit(doc, sys.stdout)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         save_controller(cfg, os.path.join(args.out, "controller.json"))
@@ -170,8 +159,7 @@ def cmd_analyze(args) -> int:
     audit_of = {fd: audit_demand_curve(fd) for fd in dict.fromkeys(ds.demands)}
     demand_audits = [audit_of[fd] for fd in ds.demands]
     supply_audit = audit_supply_margin(spec, ds)
-    contraction = contraction_check(spec, ds, cert.controller, cert,
-                                    n_samples=2000, seed=args.seed)
+    contraction = contraction_check(spec, ds, cert, seed=args.seed)
     checks = {
         "demand_audits_ok": all(a.passed for a in demand_audits),
         "supply_margin_ok": supply_audit.passed,
@@ -208,13 +196,12 @@ def cmd_analyze(args) -> int:
         "checks": checks,
         "ok": all(checks.values()),
     }
-    _emit(doc)
+    _emit(doc, sys.stdout)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "certificate.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(_jsonable(doc), fh, indent=2)
-            fh.write("\n")
+            _emit(doc, fh)
     return 0 if doc["ok"] else 1
 
 
@@ -262,7 +249,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, Path(args.scenario).stem + ".csv")
     export_csv(record, csv_path)
-    fit = estimate_decay(record, burn_in=min(50, cfg.horizon // 2))
+    fit = estimate_decay(record)
     _emit({
         "csv": csv_path,
         "horizon": cfg.horizon,
@@ -271,7 +258,7 @@ def cmd_simulate(args) -> int:
         "M_hat": fit.M_hat,
         "converged_immediately": fit.converged_immediately,
         "max_mass_balance_error": float(mass_balance_residuals(record).max()),
-    })
+    }, sys.stdout)
     return 0
 
 
@@ -286,14 +273,14 @@ def cmd_gridlock_demo(args) -> int:
         "max_drift": report.max_drift,
         "final_state": report.final_state,
         "locked": report.max_drift == 0.0,
-    })
+    }, sys.stdout)
     return 0 if report.max_drift == 0.0 else 1
 
 
 def cmd_reproduce(args) -> int:
     outdir = args.out or "benchmark_out"
     summary = reproduce_suite(outdir, seed=args.seed)
-    _emit(summary)
+    _emit(summary, sys.stdout)
     closed = [v for k, v in summary["scenarios"].items()
               if k.startswith("closed_loop")]
     ok = all(s["terminal_deviation"] < 1.0 for s in closed)

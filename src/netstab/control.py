@@ -111,20 +111,20 @@ def synthesize(spec, eq, r, C: float, beta) -> ControllerConfig:
     return cfg
 
 
-def controller_from_dict(doc, n=None) -> ControllerConfig:
-    """A ControllerConfig of `n` cells (any number when None) from a parsed
-    JSON object, every field checked; ``K`` may be rows or a flat n*n list."""
+def controller_from_dict(doc, n: int) -> ControllerConfig:
+    """A ControllerConfig of `n` cells from a parsed JSON object, every field
+    checked; ``K`` may be rows or a flat n*n list."""
     _check_fields(doc, set(_CONTROLLER_FIELDS), set(_CONTROLLER_FIELDS))
-    xstar = _checked(doc["xstar"], (n,), "field 'xstar'")
-    n, K = len(xstar), doc["K"]
+    K = doc["K"]
     rows = isinstance(K, list) and any(isinstance(row, list) for row in K)
-    vstar, b = (_checked(doc[name], (n,), f"field '{name}'") for name in ("vstar", "b"))
+    xstar, vstar, b = (_checked(doc[name], (n,), f"field '{name}'")
+                       for name in ("xstar", "vstar", "b"))
     K = _checked(K, (n, n) if rows else (n * n,), "field 'K'").reshape(n, n)
     return ControllerConfig(xstar, vstar, b, K, float(_checked(doc["tau"], (), "field 'tau'")))
 
 
-def load_controller(path, n=None) -> ControllerConfig:
-    """Read a controller of `n` cells (any number when None) from a JSON file."""
+def load_controller(path, n: int) -> ControllerConfig:
+    """Read a controller of `n` cells from a JSON file."""
     with open(path, encoding="utf-8") as fh, _located(path):
         return controller_from_dict(json.load(fh), n)
 

@@ -345,16 +345,15 @@ def eval_supply(sf: SupplyFunction, d, x) -> float:
     return float(_supply_values(sf, d[3], x))
 
 
-def demand_all(ds: DiagramSet, d, x) -> np.ndarray:
-    """All cells' demand at state x (one uncertainty sample); same values as
-    the matching row of `demand_batch`.
+def demand_all(ds: DiagramSet, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """All cells' demand at state x (one uncertainty sample), both float
+    arrays; same values as the matching row of `demand_batch`.
 
     Each cell's knee picks the coefficients of its five pieces, so one
     quadratic pass evaluates them all; the weighted pieces are then summed in
     `_blend`'s order.
     """
-    x = np.asarray(x, dtype=float)
-    d1, d2, d3 = np.asarray(d, dtype=float)[:3].tolist()
+    d1, d2, d3 = d[:3].tolist()
     knee, lo, hi = ds._pieces
     w = np.array([d1, d2 * (1.0 - d1), (1.0 - d2) * (1.0 - d1), d3, 1.0 - d3])[:, None]
     q = w * _quad(np.where(x <= knee, lo, hi), x)
@@ -365,11 +364,12 @@ def demand_all(ds: DiagramSet, d, x) -> np.ndarray:
     return out
 
 
-def supply_all(ds: DiagramSet, d, x) -> np.ndarray:
-    """All cells' supply at state x; same values as a row of `supply_batch`."""
-    d4 = float(np.asarray(d, dtype=float)[3])
+def supply_all(ds: DiagramSet, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """All cells' supply at state x, d and x float arrays; same values as a
+    row of `supply_batch`."""
+    d4 = float(d[3])
     scale = d4 if ds._wave is None else np.where(np.isnan(ds._wave), d4, ds._wave)
-    return scale * np.minimum(ds._qcap, ds._a - np.asarray(x, dtype=float))
+    return scale * np.minimum(ds._qcap, ds._a - x)
 
 
 def demand_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -529,7 +529,7 @@ def audit_demand_curve(fd: DemandFunction) -> DemandAudit:
             jumps = (_P.polyval(u, c) - f_u, f_w - _P.polyval(w, c))
             slope = _P.polyder(c)
             s_lo, s_hi = _extremes(slope, u, w)
-            monotone_ok &= s_lo > 0.0 and min(jumps) >= -1e-9
+            monotone_ok &= bool(s_lo > 0.0 and min(jumps) >= -1e-9)  # jumps are numpy floats
             G_hat = max(G_hat, math.inf if max(jumps) > 1e-9 else s_hi)
             if u < fd.delta_tilde:
                 L_hat = min(L_hat, -math.inf if min(jumps) < -1e-9

@@ -98,12 +98,13 @@ def _allocate(spec: NetworkSpec, fl: list, gl: list, vl: list) -> list:
 
 def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
     """Flow breakdown at (x, v, d) without validation; see `step` for checks."""
-    return _flows(spec, ds, np.asarray(x, dtype=float), np.asarray(v, dtype=float), d)
+    return _flows(spec, ds, np.asarray(x, dtype=float), np.asarray(v, dtype=float),
+                  np.asarray(d, dtype=float))
 
 
 def _flows(spec: NetworkSpec, ds: DiagramSet, x: np.ndarray, v: np.ndarray,
-           d) -> FlowBreakdown:
-    """`compute_flows` on x and v already converted to float arrays."""
+           d: np.ndarray) -> FlowBreakdown:
+    """`compute_flows` on x, v and d already converted to float arrays."""
     f = demand_all(ds, d, x)
     g = supply_all(ds, d, x)
     fl, gl = f.tolist(), g.tolist()
@@ -190,6 +191,7 @@ def is_uncongested(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> bool:
     """True iff every cell's supply covers its attempted inflow at (x, v, d)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
+    d = np.asarray(d, dtype=float)
     f = demand_all(ds, d, x)
     g = supply_all(ds, d, x)
     return bool(np.all(v + f @ spec.P <= g))

@@ -168,15 +168,16 @@ class DecayFit:
     converged_immediately: bool = False
 
 
-def estimate_decay(record: TrajectoryRecord, burn_in: int = 0) -> DecayFit:
-    """Fit ln(deviation) ~ ln M - sigma * t on the tail after ``burn_in``.
+def estimate_decay(record: TrajectoryRecord) -> DecayFit:
+    """Fit ln(deviation) ~ ln M - sigma * t on the tail after a burn-in of
+    min(50, T // 2) steps, T the record's horizon.
 
     The rate is the least-squares slope over steps whose deviation exceeds
     the floor; M_hat is then tightened to the smallest prefactor that makes
     the envelope hold at every fitted step.  Runs already at the floor when
     the fit window opens report converged_immediately (infinite rate).
     """
-    dev = record.deviation[burn_in:]
+    dev = record.deviation[min(50, record.horizon // 2):]
     t = np.arange(len(dev), dtype=float)
     keep = dev > DEVIATION_FLOOR
     if keep.sum() < 2 or dev[0] <= DEVIATION_FLOOR:
@@ -281,9 +282,10 @@ def _congestion_disturbance(spec: NetworkSpec, ds: DiagramSet) -> np.ndarray:
 # last cell sits on a regime boundary (sending rate equals downstream supply)
 # and drifts off it after roughly 460 steps.  Snapshot mid-plateau.
 OPEN_LOOP_HORIZON = 450
+SUITE_HORIZON = 500  # steps of each closed-loop run of the benchmark suite
 
 
-def reproduce_suite(outdir, seed: int = 0, horizon: int = 500) -> dict:
+def reproduce_suite(outdir, seed: int = 0) -> dict:
     """Run the benchmark: one open-loop congestion run, four closed-loop runs.
 
     Writes one CSV per scenario plus summary.json into ``outdir`` and returns
@@ -300,7 +302,7 @@ def reproduce_suite(outdir, seed: int = 0, horizon: int = 500) -> dict:
 
     scenarios = {
         "open_loop_congestion": ScenarioConfig(
-            x0=np.array(spec.a), horizon=min(horizon, OPEN_LOOP_HORIZON),
+            x0=np.array(spec.a), horizon=min(SUITE_HORIZON, OPEN_LOOP_HORIZON),
             disturbance=DisturbanceSpec(kind="constant", d=d_bad),
             control=ControlSpec(kind="open-loop", v=reference_vstar()),
             reference=eq.xstar),
@@ -308,21 +310,21 @@ def reproduce_suite(outdir, seed: int = 0, horizon: int = 500) -> dict:
     for k, (name, x0) in enumerate(zip(("jam", "heavy", "mixed", "light"),
                                        benchmark_initial_states())):
         scenarios[f"closed_loop_{name}"] = ScenarioConfig(
-            x0=x0, horizon=horizon,
+            x0=x0, horizon=SUITE_HORIZON,
             disturbance=DisturbanceSpec(kind="uniform", seed=seed + k),
             control=ControlSpec(kind="closed-loop", controller=ctrl))
 
     os.makedirs(outdir, exist_ok=True)
     summary: dict = {
         "seed": seed,
-        "horizon": horizon,
+        "horizon": SUITE_HORIZON,
         "adversarial_disturbance": [float(v) for v in d_bad],
         "scenarios": {},
     }
     for name, cfg in scenarios.items():
         record = run_scenario(spec, ds, cfg)
         export_csv(record, os.path.join(outdir, f"{name}.csv"))
-        fit = estimate_decay(record, burn_in=min(50, horizon // 2))
+        fit = estimate_decay(record)
         terminal = record.states[-1]
         summary["scenarios"][name] = {
             "horizon": record.horizon,

@@ -29,10 +29,14 @@ from .sobol import Sobol
 
 SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
 CONTRACTION_TOL = 1e-9  # largest violation the contraction check lets pass
+CONTRACTION_SAMPLES = 2000  # closed-loop steps the contraction check samples
 CONTRACTION_CHUNK = 128  # samples the contraction check steps and compares at a time
 JAM_PATTERN_LIMIT = 12  # enumerate binary jam patterns up to this cell count
 BLOCK_ENTRIES = 65_536  # entries (rows x cells) per block of the gamma search's seed stream
 SCAN_WIDTH = 33         # grid points per zoom level of a gamma-search scan
+GAMMA_SAMPLES = 100_000  # Sobol points of the gamma search, rounded up to a power of two
+REFINE_TOP = 8          # best seeds the gamma search refines
+REFINE_SWEEPS = 3       # coordinate-descent sweeps over every x, v and d coordinate
 
 
 def weights_r(spec: NetworkSpec) -> np.ndarray:
@@ -516,16 +520,16 @@ def _zoom_grid(lo: np.ndarray, hi: np.ndarray, w: int):
     return ts, span
 
 
-def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
-                    n_samples: int = 100_000, seed: int = 0,
-                    refine_top: int = 8, refine_sweeps: int = 3) -> DrainConstants:
+def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> DrainConstants:
     """Estimate the per-step drain constants (Qconst, theta, gamma, C).
 
     gamma is a sampled infimum: structured seeds (every binary jam pattern
     for small networks, inflows at both box ends, all uncertainty corners)
-    plus a joint low-discrepancy cloud, followed by coordinate-descent
-    refinement of the best seeds with a zooming grid per coordinate.  A
-    nonpositive gamma raises ThrottleBoundViolation with the witness sample.
+    plus a joint low-discrepancy cloud of GAMMA_SAMPLES points, followed by
+    REFINE_SWEEPS sweeps of coordinate-descent refinement of the best seeds
+    with a zooming grid per coordinate.  A nonpositive gamma raises
+    ThrottleBoundViolation with the witness sample.  The three constants
+    are read at call time.
 
     The seed cloud is a stream of blocks of at most 1,024 rows and about
     BLOCK_ENTRIES entries (`_seed_blocks`), each bounded and reduced to its
@@ -534,10 +538,10 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     every stream row (`_seed_ratios`), so the stream's ratios, their order
     and the sample count are those of the whole cloud.  A Sobol block is
     first bounded with every demand at its cap (`demand_cap`), which gives
-    a floor at most each of its ratios; once refine_top seeds are kept, a
+    a floor at most each of its ratios; once REFINE_TOP seeds are kept, a
     block whose floor cannot sort a row before the last kept one is skipped
     before its demands are evaluated.  The search keeps
-    only the best refine_top seeds, gathering their rows and curves alone
+    only the best REFINE_TOP seeds, gathering their rows and curves alone
     (`_keep_best`: seeds of equal ratio are taken in row order), and refines
     them in lockstep: every zoom level of a coordinate scan allocates and
     weighs all seeds' grids at once, while each seed keeps its own zoom
@@ -555,13 +559,6 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     with ``cell=i``), so its allocation costs O(degree(i)) per grid row
     instead of O(n).  A d scan allocates whole rows.
     """
-    if not 1 <= n_samples <= 2 ** 30:
-        raise ValueError(f"n_samples = {n_samples} is outside [1, 2**30]; the "
-                         f"Sobol cloud holds at most 2**30 points")
-    if refine_top < 1:
-        raise ValueError(f"refine_top = {refine_top} is below 1")
-    if refine_sweeps < 0:
-        raise ValueError(f"refine_sweeps = {refine_sweeps} is negative")
     bound = ThrottleBound(spec, ds)
     r = np.asarray(r, dtype=float)
     if r.shape != (spec.n,):
@@ -596,9 +593,9 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
     kept, n_evaluated = _keep_best(
-        _seed_ratios(_seed_blocks(spec, ds, v_box, n_samples, seed), ds, bound, r,
+        _seed_ratios(_seed_blocks(spec, ds, v_box, GAMMA_SAMPLES, seed), ds, bound, r,
                      mass_floor),
-        refine_top)
+        REFINE_TOP)
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")
 
@@ -648,7 +645,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r,
             lo = np.maximum(lo_full, t_k - span)
             hi = np.minimum(hi_full, t_k + span)
 
-    for _ in range(refine_sweeps):
+    for _ in range(REFINE_SWEEPS):
         for i in range(n):
             scan("x", i, 0.0, float(spec.a[i]))
         for i in range(n):
@@ -715,21 +712,19 @@ class ContractionReport:
         return self.max_violation <= self.tol
 
 
-def contraction_check(spec: NetworkSpec, ds: DiagramSet,
-                      controller: ControllerConfig, cert,
-                      n_samples: int = 10_000, seed: int = 0) -> ContractionReport:
+def contraction_check(spec: NetworkSpec, ds: DiagramSet, cert,
+                      seed: int = 0) -> ContractionReport:
     """Sample closed-loop steps inside [0, beta] against the comparison bound.
 
-    Draws states uniformly from the certified box and disturbances from the
-    uncertainty box, applies the control law, and reports the worst entry of
-    V(x+) - Gamma V(x) (positive means the bound failed).  The samples are
-    drawn whole, then stepped and compared CONTRACTION_CHUNK at a time, so
-    memory holds the sampled X and D plus one chunk's successors and
-    Lyapunov vectors, whatever n_samples is.  Raises ValueError when
-    n_samples is below 1: a check that sampled nothing cannot pass.
+    Draws CONTRACTION_SAMPLES states uniformly from the certified box and
+    disturbances from the uncertainty box, applies the certificate's control
+    law, and reports the worst entry of V(x+) - Gamma V(x) (positive means
+    the bound failed).  The samples are drawn whole, then stepped and
+    compared CONTRACTION_CHUNK at a time, so memory holds the sampled X and
+    D plus one chunk's successors and Lyapunov vectors, whatever the sample
+    count is.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples = {n_samples} is below 1")
+    n_samples, controller = CONTRACTION_SAMPLES, cert.controller
     rng = _philox(seed)
     beta = np.asarray(cert.beta, dtype=float)
     Gamma = np.asarray(cert.Gamma, dtype=float)
@@ -776,7 +771,7 @@ class StabilityCertificate:
 
 
 def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
-            n_gamma_samples: int = 100_000, seed: int = 0) -> StabilityCertificate:
+            seed: int = 0) -> StabilityCertificate:
     """Run the full pipeline around an equilibrium, synthesizing if needed.
 
     Stage one computes weights, the invariant box, and the drain constants
@@ -789,7 +784,7 @@ def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
     G = np.array([fd.G for fd in ds.demands])
     xi = weights_xi(spec, L, G)
     epsstar, beta = invariant_region(eq.xstar, xi, spec.mu)
-    drain = drain_constants(spec, ds, r, n_samples=n_gamma_samples, seed=seed)
+    drain = drain_constants(spec, ds, r, seed=seed)
 
     if controller is None:
         controller = control.synthesize(spec, eq, r, drain.C, beta)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import netstab
-from netstab import presets
+from netstab import harness, presets, stability
 
 # one line per acceptance criterion, echoed after the run so a plain
 # `pytest` invocation still shows the pass/fail table
@@ -20,6 +20,20 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in _ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def constants(monkeypatch):
+    """Set module constants for the rest of one test, e.g.
+    ``constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=1)``.  Each name is looked
+    up in `netstab.stability`, else in `netstab.harness` (SUITE_HORIZON); an
+    unknown name raises AttributeError.  The functions read their constants
+    at call time, so a test runs them smaller or at a chunk's edges."""
+    def set_(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(stability if hasattr(stability, name) else harness,
+                                name, value)
+    return set_
 
 
 @pytest.fixture(scope="session")

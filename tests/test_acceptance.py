@@ -110,7 +110,7 @@ def test_c05_closed_loop_benchmark(ref_spec, ref_ds, bench_ctrl, mass_audit):
         rec = run_scenario(ref_spec, ref_ds, cfg)
         worst_mass = max(worst_mass, float(mass_balance_residuals(rec).max()))
         below = np.nonzero(rec.deviation < 1.0)[0]
-        fit = estimate_decay(rec, burn_in=50)
+        fit = estimate_decay(rec)
         results.append((len(below) > 0 and int(below[0]) <= 500,
                         fit.sigma_hat > 0,
                         int(below[0]) if len(below) else -1, fit.sigma_hat))
@@ -168,9 +168,9 @@ def test_c06_trapping_bound(ref_spec, ref_ds, ref_cert, mass_audit):
     assert ok, line
 
 
-def test_c07_contraction(ref_spec, ref_ds, ref_cert):
-    report = contraction_check(ref_spec, ref_ds, ref_cert.controller, ref_cert,
-                               n_samples=10_000, seed=7)
+def test_c07_contraction(ref_spec, ref_ds, ref_cert, constants):
+    constants(CONTRACTION_SAMPLES=10_000)
+    report = contraction_check(ref_spec, ref_ds, ref_cert, seed=7)
     assert report.tol == 1e-9
     ok = report.passed
     line = _line(ok, f"c07 contraction: max componentwise violation "
@@ -209,7 +209,7 @@ def test_c09_gridlock():
     assert ok, line
 
 
-def test_c10_conservation(ref_spec, ref_ds, ref_eq, congestion_d, mass_audit):
+def test_c10_conservation(ref_spec, ref_ds, ref_eq, congestion_d, mass_audit, constants):
     # standalone fallback: regenerate a small slice of the earlier criteria
     if "c4" not in mass_audit:
         cfg = ScenarioConfig(
@@ -228,7 +228,8 @@ def test_c10_conservation(ref_spec, ref_ds, ref_eq, congestion_d, mass_audit):
         mass_audit["c5"] = float(
             mass_balance_residuals(run_scenario(ref_spec, ref_ds, cfg)).max())
     if "c6" not in mass_audit:
-        cert = netstab.certify(ref_spec, ref_ds, ref_eq, n_gamma_samples=4096)
+        constants(GAMMA_SAMPLES=4096)
+        cert = netstab.certify(ref_spec, ref_ds, ref_eq)
         rng = _philox(1010)
         worst = 0.0
         for _ in range(25):

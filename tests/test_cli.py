@@ -33,12 +33,16 @@ def run_cli(capsys, *argv):
 
 def test_emit_writes_the_bytes_of_one_dumps(capsys):
     """`_emit` streams the document with `json.dump` and then a newline:
-    the bytes of `json.dumps(..., indent=2)` plus a newline."""
-    doc = {"K": np.arange(12.0).reshape(3, 4) / 7.0, "n": np.int64(3), "ok": True,
+    the bytes of `json.dumps(..., indent=2)` of the document with its numpy
+    values converted by hand, plus a newline."""
+    K = np.arange(12.0).reshape(3, 4) / 7.0
+    doc = {"K": K, "n": np.int64(3), "ok": True, "passed": np.bool_(False),
            "m": None, "rows": [{"x": np.float64(0.1), "cell": "3"}, (1, 2.5e-300)]}
-    cli._emit(doc)
+    plain = {"K": [[float(k) for k in row] for row in K], "n": 3, "ok": True,
+             "passed": False, "m": None, "rows": [{"x": 0.1, "cell": "3"}, [1, 2.5e-300]]}
+    cli._emit(doc, sys.stdout)
     out = capsys.readouterr().out
-    assert out == json.dumps(cli._jsonable(doc), indent=2) + "\n"
+    assert out == json.dumps(plain, indent=2) + "\n"
     assert out.count("\n") == len(out.splitlines()) and json.loads(out)["n"] == 3
 
 
@@ -124,22 +128,44 @@ def test_custom_network_requires_vstar(capsys, tmp_path):
 def test_synthesize_writes_a_loadable_controller(capsys, tmp_path):
     code, doc = run_cli(capsys, "synthesize", "--out", str(tmp_path))
     assert code == 0
-    cfg = load_controller(tmp_path / "controller.json")
+    cfg = load_controller(tmp_path / "controller.json", 8)
     np.testing.assert_allclose(cfg.b, doc["b"], rtol=0, atol=0)
     assert cfg.tau == 0.5
     assert np.all(cfg.b[np.array([0, 4])] > 0)
 
 
 def test_analyze_emits_a_full_certificate(capsys, tmp_path):
-    code, doc = run_cli(capsys, "analyze", "--out", str(tmp_path))
+    code = main(["analyze", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert code == 0
     assert doc["ok"]
     assert doc["comparison"]["rho"] == pytest.approx(0.991, abs=1e-9)
     assert doc["checks"]["contraction_ok"]
     assert doc["trapping_steps"] > 0
     assert len(doc["audits"]["demand"]) == 8
-    saved = json.loads((tmp_path / "certificate.json").read_text())
-    assert saved["comparison"]["rho"] == doc["comparison"]["rho"]
+    assert (tmp_path / "certificate.json").read_text(encoding="utf-8") == out
+
+
+def test_a_failed_demand_audit_is_reported_in_one_document(capsys, tmp_path):
+    """Cell 1's subcritical branch falls on [40, 45], so its slope test
+    fails.  The audit's result is a Python bool: a numpy bool there cut
+    the output short with a TypeError traceback."""
+    path = tmp_path / "dia.json"
+    save_diagrams(presets.reference_diagrams(), path)
+    doc = json.loads(path.read_text())
+    delta = presets.DELTA
+    doc["cells"][0].update(
+        family="piecewise", overcritical=[[delta, 170, [20]]],
+        subcritical=[[0, 40, [0, 0.5]], [40, 45, [24, -0.1]], [45, delta, [-9.75, 0.65]]])
+    path.write_text(json.dumps(doc))
+    code = main(["analyze", "--diagrams", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    out = json.loads(captured.out)
+    assert out["audits"]["demand"][0]["passed"] is False
+    assert out["ok"] is False
 
 
 def test_simulate_runs_a_scenario_file(capsys, tmp_path):

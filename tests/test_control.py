@@ -134,7 +134,7 @@ def test_synthesized_floor_respects_the_drain_budget(ref_spec, ref_eq, ref_cert)
 def test_controller_round_trip(tmp_path, bench_ctrl):
     path = tmp_path / "controller.json"
     save_controller(bench_ctrl, path)
-    again = load_controller(path)
+    again = load_controller(path, 8)
     np.testing.assert_array_equal(again.b, bench_ctrl.b)
     np.testing.assert_array_equal(again.K, bench_ctrl.K)
     assert again.tau == bench_ctrl.tau
@@ -143,7 +143,7 @@ def test_controller_round_trip(tmp_path, bench_ctrl):
     doc["gain_schedule"] = []
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="unknown"):
-        load_controller(path)
+        load_controller(path, 8)
 
 
 def test_controller_from_dict_accepts_flat_gain(ref_eq):
@@ -154,8 +154,8 @@ def test_controller_from_dict_accepts_flat_gain(ref_eq):
         "K": [0.01] * 64,
         "tau": 0.5,
     }
-    cfg = controller_from_dict(doc)
+    cfg = controller_from_dict(doc, 8)
     assert cfg.K.shape == (8, 8)
     doc.pop("tau")
     with pytest.raises(ValueError, match="missing"):
-        controller_from_dict(doc)
+        controller_from_dict(doc, 8)

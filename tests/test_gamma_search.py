@@ -246,17 +246,19 @@ def _degenerate_box():
     return presets.reference_network(), DiagramSet(ds.demands, ds.supplies, lo, hi)
 
 
-def _assert_same_search(spec, ds, bound=None, **kw):
-    """`drain_constants` against the reference; `bound`, a ThrottleBound
-    subclass, stands in for the built-in bound in both."""
+def _assert_same_search(spec, ds, bound=None, seed=0):
+    """`drain_constants` against the reference at the search constants in
+    force; `bound`, a ThrottleBound subclass, stands in for the built-in
+    bound in both."""
     r = weights_r(spec)
     with pytest.MonkeyPatch.context() as mp:
         if bound is not None:
             mp.setattr(stability, "ThrottleBound", bound)
-        got = drain_constants(spec, ds, r, **kw)
+        got = drain_constants(spec, ds, r, seed=seed)
     stilde = None if bound is None else bound(spec, ds)
-    gamma, argmin, n_evaluated = oracles.gamma_search_reference(spec, ds, r, stilde,
-                                                                **kw)
+    gamma, argmin, n_evaluated = oracles.gamma_search_reference(
+        spec, ds, r, stilde, n_samples=stability.GAMMA_SAMPLES, seed=seed,
+        refine_top=stability.REFINE_TOP, refine_sweeps=stability.REFINE_SWEEPS)
     assert got.gamma == gamma
     assert got.argmin["ratio"] == argmin["ratio"]
     for key in "xvd":
@@ -268,7 +270,7 @@ def _assert_same_search(spec, ds, bound=None, **kw):
 @pytest.mark.parametrize("net", ["benchmark", "pinned-wave benchmark",
                                  "piecewise and pinned cells", "degenerate box",
                                  "one corner class", "11 cells", "20 cells"])
-def test_drain_constants_match_per_seed_refinement(net):
+def test_drain_constants_match_per_seed_refinement(net, constants):
     spec, ds = {"benchmark": lambda: (presets.reference_network(),
                                       presets.reference_diagrams()),
                 "pinned-wave benchmark": _pinned_benchmark,
@@ -277,10 +279,10 @@ def test_drain_constants_match_per_seed_refinement(net):
                 "one corner class": lambda: _classed_net("1 class")[:2],
                 "11 cells": lambda: _freeways_and_chain(1, 3, pinned=(9,)),
                 "20 cells": _twenty_cells}[net]()
-    kw = {"n_samples": 2048, "seed": 4}
+    constants(GAMMA_SAMPLES=2048)
     if spec.n > 12:
-        kw["refine_sweeps"] = 1
-    got = _assert_same_search(spec, ds, **kw)
+        constants(REFINE_SWEEPS=1)
+    got = _assert_same_search(spec, ds, seed=4)
     assert got.n_evaluated > _block_rows(spec.n)  # the seed cloud spans several blocks
     # cells without a junction (no routed inflow) take v scans as well
     assert () in spec.predecessors
@@ -317,16 +319,16 @@ class _Overflowing(_LowCornerBound):
 
 
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
-def test_drain_constants_skip_infinite_seeds_like_the_reference(net):
+def test_drain_constants_skip_infinite_seeds_like_the_reference(net, constants):
     """A bound that overflows off a handful of seeds leaves inf-ratio seeds
     among the best ones; both searches must skip the same ones (refining
     them would lower gamma on 20 cells)."""
     spec, ds = ((presets.reference_network(), presets.reference_diagrams())
                 if net == "benchmark" else _twenty_cells())
-    kw = {"n_samples": 1024, "seed": 2, "refine_top": 40, "refine_sweeps": 1}
+    constants(GAMMA_SAMPLES=1024, REFINE_TOP=40, REFINE_SWEEPS=1)
     with np.errstate(over="ignore"):
-        got = _assert_same_search(spec, ds, _Overflowing, **kw)
-    assert 0 < got.n_evaluated < kw["refine_top"]
+        got = _assert_same_search(spec, ds, _Overflowing, seed=2)
+    assert 0 < got.n_evaluated < stability.REFINE_TOP
 
 
 class _Landscape(_LowCornerBound):
@@ -350,13 +352,13 @@ class _Landscape(_LowCornerBound):
         return np.repeat(c[:, None], n, axis=1)
 
 
-def test_a_later_seed_can_win_with_its_own_zoom_windows():
+def test_a_later_seed_can_win_with_its_own_zoom_windows(constants):
     """The best seed sits in a shallow well, the next ones beside a deeper
     well off the scan grid.  The winner then comes from a later seed and the
     zoom windows that seed chose, not from the first seed's."""
     spec = presets.reference_network()
-    got = _assert_same_search(spec, presets.reference_diagrams(), _Landscape,
-                              n_samples=1024, refine_sweeps=1)
+    constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=1)
+    got = _assert_same_search(spec, presets.reference_diagrams(), _Landscape)
     assert got.gamma < 0.2 and got.argmin["x"][1] == spec.a[1]
     fill = (got.argmin["x"][0] - (spec.a[0] - presets.QCAP)) / presets.QCAP
     assert abs(fill - 0.272) < 5e-4
@@ -607,14 +609,15 @@ def test_ratios_in_blocks_equal_the_whole_batch(n):
     np.testing.assert_allclose(want[ok], ((S * X)[ok] @ r) / (X[ok] @ r), rtol=1e-15)
 
 
-def test_gamma_search_runs_in_fixed_memory():
+def test_gamma_search_runs_in_fixed_memory(constants):
     """262,144 seeds on 20 cells: holding the whole cloud's X, V, D and S
     peaked at 138 MiB; the stream keeps one block and its best seeds."""
     spec, ds = _twenty_cells()
     r = weights_r(spec)
+    constants(GAMMA_SAMPLES=2 ** 17, REFINE_SWEEPS=1)
     tracemalloc.start()
     try:
-        got = drain_constants(spec, ds, r, n_samples=2 ** 17, refine_sweeps=1)
+        got = drain_constants(spec, ds, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -687,7 +690,7 @@ def test_keep_best_skips_a_block_its_floor_rules_out():
 
 @pytest.mark.parametrize("net", ["benchmark", "piecewise and pinned cells", "20 cells",
                                  "corridor of 8 copies"])
-def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch):
+def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch, constants):
     """With every demand cap infinite no Sobol block is skipped.  The search
     gives the same gamma, C, argmin and n_evaluated bit for bit either way,
     and the caps do skip blocks: counted by the rows that reach
@@ -697,7 +700,8 @@ def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch):
                 "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
                 "20 cells": _twenty_cells,
                 "corridor of 8 copies": lambda: _corridor(8, 11)}[net]()
-    kw = {} if spec.n <= 12 else {"n_samples": 2 ** 14, "refine_sweeps": 1}
+    if spec.n > 12:
+        constants(GAMMA_SAMPLES=2 ** 14, REFINE_SWEEPS=1)
     with monkeypatch.context() as mp:
         mp.setattr(diagrams, "demand_cap", lambda fd: math.inf)
         uncapped = DiagramSet(ds.demands, ds.supplies, ds.d_lo, ds.d_hi)
@@ -708,14 +712,14 @@ def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch):
     got = []
     for curves in (ds, uncapped):
         rows.clear()
-        got.append((drain_constants(spec, curves, weights_r(spec), **kw), sum(rows)))
+        got.append((drain_constants(spec, curves, weights_r(spec)), sum(rows)))
     (capped, n_capped), (full, n_full) = got
     assert capped.gamma == full.gamma and capped.C == full.C
     assert capped.n_evaluated == full.n_evaluated
     assert capped.argmin["ratio"] == full.argmin["ratio"]
     for key in "xvd":
         assert np.array_equal(capped.argmin[key], full.argmin[key])
-    cloud, skipped = 2 ** math.ceil(math.log2(kw.get("n_samples", 100_000))), n_full - n_capped
+    cloud, skipped = 2 ** math.ceil(math.log2(stability.GAMMA_SAMPLES)), n_full - n_capped
     assert 0 < skipped <= cloud and skipped % _block_rows(spec.n) == 0
     if net == "benchmark":
         assert skipped == cloud
@@ -723,7 +727,7 @@ def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch):
 
 @pytest.mark.parametrize("net", ["benchmark", "piecewise and pinned cells",
                                  "degenerate box", "20 cells"])
-def test_scans_reuse_curves_like_a_full_evaluation(net, monkeypatch):
+def test_scans_reuse_curves_like_a_full_evaluation(net, monkeypatch, constants):
     """The search (tables, base-point curves, one re-evaluated column)
     against the reference, which evaluates this bound on whole rows."""
     spec, ds = {"benchmark": lambda: (presets.reference_network(),
@@ -731,10 +735,11 @@ def test_scans_reuse_curves_like_a_full_evaluation(net, monkeypatch):
                 "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
                 "degenerate box": _degenerate_box,
                 "20 cells": _twenty_cells}[net]()
-    kw = {"n_samples": 1024, "seed": 6, "refine_sweeps": 1 if spec.n > 12 else 2}
-    got = _assert_same_search(spec, ds, _CurveSensitiveBound, **kw)
+    constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=1 if spec.n > 12 else 2)
+    got = _assert_same_search(spec, ds, _CurveSensitiveBound, seed=6)
     monkeypatch.setattr(stability, "ThrottleBound", _CurveSensitiveBound)
-    seeds = drain_constants(spec, ds, weights_r(spec), **{**kw, "refine_sweeps": 0})
+    constants(REFINE_SWEEPS=0)
+    seeds = drain_constants(spec, ds, weights_r(spec), seed=6)
     assert got.gamma < seeds.gamma  # the scans moved the points
 
 

@@ -70,18 +70,27 @@ def test_closed_loop_uses_reference_from_controller(ref_spec, ref_ds, ref_eq,
 
 
 def test_estimate_decay_recovers_a_known_rate():
+    """On 39 steps the fit opens at step 19, so M_hat is that step's deviation."""
     dev = 2.0 ** -np.arange(40, dtype=float)
     fit = estimate_decay(_record_with_deviation(dev))
     assert fit.sigma_hat == pytest.approx(math.log(2.0), rel=1e-9)
-    assert fit.M_hat == pytest.approx(1.0, rel=1e-9)
+    assert fit.M_hat == pytest.approx(2.0 ** -19, rel=1e-9)
     assert fit.residual < 1e-12
     assert not fit.converged_immediately
 
 
 def test_estimate_decay_burn_in_and_floor():
-    dev = np.concatenate([np.full(10, 7.0), 5.0 * np.exp(-0.25 * np.arange(50))])
-    fit = estimate_decay(_record_with_deviation(dev), burn_in=10)
-    assert fit.sigma_hat == pytest.approx(0.25, rel=1e-9)
+    """The burn-in is min(50, T // 2) steps of a T-step record: here exactly
+    the plateau before the decay, T // 2 = 20 on 40 steps and 50 on 199.
+    One plateau step more reaches into the fit and sets M_hat."""
+    for plateau, T in ((20, 40), (50, 199)):
+        decay = 5.0 * np.exp(-0.25 * np.arange(T + 1 - plateau))
+        dev = np.concatenate([np.full(plateau, 7.0), decay])
+        fit = estimate_decay(_record_with_deviation(dev))
+        assert fit.sigma_hat == pytest.approx(0.25, rel=1e-9)
+        assert fit.M_hat == pytest.approx(5.0, rel=1e-9)
+        longer = np.concatenate([np.full(plateau + 1, 7.0), decay[:-1]])
+        assert estimate_decay(_record_with_deviation(longer)).M_hat >= 7.0
 
     flat = _record_with_deviation(np.zeros(20))
     fit = estimate_decay(flat)
@@ -91,7 +100,7 @@ def test_estimate_decay_burn_in_and_floor():
 
 def test_estimate_decay_flags_non_decaying_runs():
     plateau = _record_with_deviation(np.full(60, 125.5))
-    fit = estimate_decay(plateau, burn_in=5)
+    fit = estimate_decay(plateau)
     assert abs(fit.sigma_hat) < 1e-12
     assert not fit.converged_immediately
     growing = _record_with_deviation(np.exp(0.1 * np.arange(60)))
@@ -181,8 +190,9 @@ def test_gridlock_demo_refuses_a_horizon_below_one(horizon):
         gridlock_demo(*presets.three_cell_cycle(), horizon=horizon)
 
 
-def test_reproduce_suite_writes_artifacts(tmp_path):
-    summary = reproduce_suite(tmp_path, seed=1, horizon=40)
+def test_reproduce_suite_writes_artifacts(tmp_path, constants):
+    constants(SUITE_HORIZON=40)
+    summary = reproduce_suite(tmp_path, seed=1)
     names = {"open_loop_congestion", "closed_loop_jam", "closed_loop_heavy",
              "closed_loop_mixed", "closed_loop_light"}
     assert set(summary["scenarios"]) == names

@@ -93,11 +93,12 @@ def _freeway_copies(copies, seed):
     return spec, DiagramSet(tuple(demands), tuple(supplies), ds8.d_lo, ds8.d_hi)
 
 
-def test_weighted_jam_mass_overflow_is_a_typed_error_naming_the_cell():
+def test_weighted_jam_mass_overflow_is_a_typed_error_naming_the_cell(constants):
     """On 128 freeway copies (1,024 cells) the top weight 2^1023 is finite,
     but r @ a is not: the gamma search refuses the weights, naming the cell
     of largest weight, before any weighted sum can overflow."""
     spec, ds = _freeway_copies(128, seed=1)
+    constants(GAMMA_SAMPLES=256)
     r = weights_r(spec)
     assert np.isfinite(r).all() and r.max() == 2.0 ** 1023
     top = int(np.argmax(r))
@@ -105,7 +106,7 @@ def test_weighted_jam_mass_overflow_is_a_typed_error_naming_the_cell():
         warnings.simplefilter("error")
         message = rf"^cell {top + 1}: weight 8.99e\+307 makes the weighted jam mass"
         with pytest.raises(NumericalError, match=message) as exc:
-            drain_constants(spec, ds, r, n_samples=256)
+            drain_constants(spec, ds, r)
     assert exc.value.cell == top
 
 
@@ -125,7 +126,7 @@ def test_weights_xi_ignores_edges_below_the_edge_tolerance():
     np.testing.assert_allclose(xi, [1.0, 7.0, 49.0], rtol=1e-15)
 
 
-def test_analysis_sorts_the_network_once(monkeypatch):
+def test_analysis_sorts_the_network_once(monkeypatch, constants):
     """solve_uep plus certify on one spec sort it once, counted at every
     module binding of topological_sort."""
     original, calls = network.topological_sort, []
@@ -141,7 +142,8 @@ def test_analysis_sorts_the_network_once(monkeypatch):
                     monkeypatch.setattr(mod, attr, counting)
     spec, ds = presets.reference_network(), presets.reference_diagrams()
     eq = solve_uep(spec, ds, presets.reference_vstar())
-    certify(spec, ds, eq, n_gamma_samples=1024)
+    constants(GAMMA_SAMPLES=1024)
+    certify(spec, ds, eq)
     assert len(calls) == 1
 
 
@@ -301,11 +303,12 @@ def test_drain_constants_reference_values(ref_spec, ref_ds, ref_cert):
     assert drain.n_evaluated > 100_000
 
 
-def test_drain_constants_input_checks(ref_spec, ref_ds):
+def test_drain_constants_input_checks(ref_spec, ref_ds, constants):
+    constants(GAMMA_SAMPLES=64)
     with pytest.raises(ValueError, match="positive"):
-        drain_constants(ref_spec, ref_ds, np.zeros(8), n_samples=64)
+        drain_constants(ref_spec, ref_ds, np.zeros(8))
     with pytest.raises(DimensionError):
-        drain_constants(ref_spec, ref_ds, np.ones(3), n_samples=64)
+        drain_constants(ref_spec, ref_ds, np.ones(3))
 
 
 def _jam_capacity(ds, cell, a):
@@ -315,47 +318,23 @@ def _jam_capacity(ds, cell, a):
     return DiagramSet(tuple(dem), tuple(sup), ds.d_lo, ds.d_hi)
 
 
-def test_drain_constants_refuse_diagrams_of_another_jam_capacity(ref_spec, ref_ds):
+def test_drain_constants_refuse_diagrams_of_another_jam_capacity(ref_spec, ref_ds,
+                                                                 constants):
     """Curves jamming at 120 on a cell that the network fills to 170 would
     bound throttles of densities those curves never admit."""
+    constants(GAMMA_SAMPLES=64)
     with pytest.raises(ValueError, match=r"^cell 3: diagrams give jam capacity "
                                          r"a = 120 but the network has a = 170$"):
-        drain_constants(ref_spec, _jam_capacity(ref_ds, 2, 120.0),
-                        weights_r(ref_spec), n_samples=64)
+        drain_constants(ref_spec, _jam_capacity(ref_ds, 2, 120.0), weights_r(ref_spec))
 
 
-def test_certify_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds, ref_eq):
+def test_certify_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds, ref_eq,
+                                                          constants):
     """The pair check in `ThrottleBound` stops `certify` too."""
+    constants(GAMMA_SAMPLES=64)
     with pytest.raises(ValueError, match=r"^cell 3: diagrams give jam capacity "
                                          r"a = 120 but the network has a = 170$"):
-        certify(ref_spec, _jam_capacity(ref_ds, 2, 120.0), ref_eq, n_gamma_samples=64)
-
-
-def _no_seed_drawn(*args, **kwargs):
-    raise AssertionError("a seed was drawn")
-
-
-@pytest.mark.parametrize("n_samples", [0, -5, 2 ** 30 + 1])
-def test_drain_constants_refuse_sample_counts_sobol_cannot_draw(
-        n_samples, ref_spec, ref_ds, monkeypatch):
-    """0 or a negative count used to run 2 Sobol rows; above 2**30 points
-    the search failed inside scipy after the structured seeds."""
-    monkeypatch.setattr(stability, "_seed_blocks", _no_seed_drawn)
-    with pytest.raises(ValueError, match=rf"n_samples = {n_samples} .*2\*\*30"):
-        drain_constants(ref_spec, ref_ds, weights_r(ref_spec), n_samples=n_samples)
-
-
-@pytest.mark.parametrize("option, value", [("refine_top", 0), ("refine_top", -3),
-                                           ("refine_sweeps", -1)])
-def test_drain_constants_refuse_bad_refinement_options(
-        option, value, ref_spec, ref_ds, monkeypatch):
-    """refine_top = 0 failed in a numpy reshape after the whole seed stream,
-    a negative one refined all but the last few seeds, and a negative
-    refine_sweeps skipped the refinement.  Each is refused before a seed is
-    drawn."""
-    monkeypatch.setattr(stability, "_seed_blocks", _no_seed_drawn)
-    with pytest.raises(ValueError, match=rf"^{option} = {value} "):
-        drain_constants(ref_spec, ref_ds, weights_r(ref_spec), **{option: value})
+        certify(ref_spec, _jam_capacity(ref_ds, 2, 120.0), ref_eq)
 
 
 def test_trapping_bound_is_minimal():
@@ -382,15 +361,15 @@ def test_lyapunov_eval_stacks_excess_then_deficit():
                                   [1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
-def test_contraction_check_passes_on_certified_box(ref_spec, ref_ds, ref_cert):
-    report = contraction_check(ref_spec, ref_ds, ref_cert.controller, ref_cert,
-                               n_samples=1500, seed=3)
+def test_contraction_check_passes_on_certified_box(ref_spec, ref_ds, ref_cert, constants):
+    constants(CONTRACTION_SAMPLES=1500)
+    report = contraction_check(ref_spec, ref_ds, ref_cert, seed=3)
     assert report.passed
     assert report.max_violation <= 1e-9
     assert report.n_samples == 1500
 
 
-def test_contraction_check_matches_per_sample_loop(ref_spec, ref_ds, ref_cert):
+def test_contraction_check_matches_per_sample_loop(ref_spec, ref_ds, ref_cert, constants):
     """The stacked Lyapunov maps give the per-sample loop's worst gap, bit for
     bit, where that gap is positive and sensitive to every rounding."""
     from netstab.control import control_law
@@ -398,11 +377,11 @@ def test_contraction_check_matches_per_sample_loop(ref_spec, ref_ds, ref_cert):
     from netstab.dynamics import step
 
     rng = np.random.default_rng(41)
+    constants(CONTRACTION_SAMPLES=300)
     for trial in range(3):
-        cert = SimpleNamespace(beta=np.array(ref_spec.a),
+        cert = SimpleNamespace(beta=np.array(ref_spec.a), controller=ref_cert.controller,
                                Gamma=rng.uniform(0.0, 0.3, (16, 16)))
-        report = contraction_check(ref_spec, ref_ds, ref_cert.controller, cert,
-                                   n_samples=300, seed=trial)
+        report = contraction_check(ref_spec, ref_ds, cert, seed=trial)
         src = _philox(trial)
         X = src.uniform(0.0, cert.beta, size=(300, 8))
         D = uniform_uncertainty(ref_ds, 300, src)
@@ -417,21 +396,13 @@ def test_contraction_check_matches_per_sample_loop(ref_spec, ref_ds, ref_cert):
         assert report.max_violation == worst
 
 
-@pytest.mark.parametrize("n_samples", [0, -1])
-def test_contraction_check_refuses_no_samples(ref_spec, ref_ds, ref_cert, n_samples):
-    """A check that sampled nothing would pass with max_violation -inf."""
-    with pytest.raises(ValueError, match=f"n_samples = {n_samples} is below 1"):
-        contraction_check(ref_spec, ref_ds, ref_cert.controller, ref_cert,
-                          n_samples=n_samples)
-
-
-def test_contraction_check_reports_a_nan_gap(ref_spec, ref_ds, ref_cert):
+def test_contraction_check_reports_a_nan_gap(ref_spec, ref_ds, ref_cert, constants):
     """A NaN gap fails the check rather than falling out of the running max."""
     Gamma = np.array(ref_cert.Gamma)
     Gamma[3, 5] = math.nan
-    cert = SimpleNamespace(beta=ref_cert.beta, Gamma=Gamma)
-    report = contraction_check(ref_spec, ref_ds, ref_cert.controller, cert,
-                               n_samples=CONTRACTION_CHUNK + 1)
+    cert = SimpleNamespace(beta=ref_cert.beta, Gamma=Gamma, controller=ref_cert.controller)
+    constants(CONTRACTION_SAMPLES=CONTRACTION_CHUNK + 1)
+    report = contraction_check(ref_spec, ref_ds, cert)
     assert math.isnan(report.max_violation)
     assert not report.passed
 
@@ -456,7 +427,7 @@ def _corridor_check(ref_cert, copies, seed):
                                        CONTRACTION_CHUNK + 1, 2000])
 @pytest.mark.parametrize("net", ["benchmark", "corridor of 8 copies"])
 def test_chunked_contraction_check_equals_whole_arrays(ref_spec, ref_ds, ref_cert,
-                                                       net, n_samples):
+                                                       net, n_samples, constants):
     """The chunks give the whole-array worst gap bit for bit, where that gap
     is positive and sensitive to every rounding, across a chunk's edges."""
     if net == "benchmark":
@@ -464,27 +435,30 @@ def test_chunked_contraction_check_equals_whole_arrays(ref_spec, ref_ds, ref_cer
     else:
         spec, ds, ctrl = _corridor_check(ref_cert, 8, 11)
     rng = np.random.default_rng(n_samples)
-    cert = SimpleNamespace(beta=np.array(spec.a),
+    cert = SimpleNamespace(beta=np.array(spec.a), controller=ctrl,
                            Gamma=rng.uniform(0.0, 2.4 / spec.n, (2 * spec.n, 2 * spec.n)))
-    report = contraction_check(spec, ds, ctrl, cert, n_samples=n_samples, seed=5)
+    constants(CONTRACTION_SAMPLES=n_samples)
+    report = contraction_check(spec, ds, cert, seed=5)
     want = oracles.contraction_reference(spec, ds, ctrl, cert, n_samples, seed=5)
     assert want > 0.0
     assert report.max_violation == want
     assert report.n_samples == n_samples
 
 
-def test_contraction_check_runs_in_chunk_memory(ref_cert):
+def test_contraction_check_runs_in_chunk_memory(ref_cert, constants):
     """On 64 cells, doubling the samples adds only their X and D rows to the
     peak: the successors, Lyapunov vectors and products live one chunk at a
     time."""
     spec, ds, ctrl = _corridor_check(ref_cert, 8, 11)
-    cert = SimpleNamespace(beta=np.array(spec.a), Gamma=np.eye(2 * spec.n))
-    contraction_check(spec, ds, ctrl, cert, n_samples=CONTRACTION_CHUNK)  # warm caches
+    cert = SimpleNamespace(beta=np.array(spec.a), Gamma=np.eye(2 * spec.n), controller=ctrl)
+    constants(CONTRACTION_SAMPLES=CONTRACTION_CHUNK)
+    contraction_check(spec, ds, cert)  # warm caches
     peaks = []
     for n_samples in (500, 1000):
+        constants(CONTRACTION_SAMPLES=n_samples)
         tracemalloc.start()
         try:
-            contraction_check(spec, ds, ctrl, cert, n_samples=n_samples)
+            contraction_check(spec, ds, cert)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -504,10 +478,10 @@ def test_certificate_consistency(ref_spec, ref_eq, ref_cert):
     assert cert.epsstar == pytest.approx(1e-5 / oracles.XI_WEIGHTS[7], rel=1e-6)
 
 
-def test_certificate_flags_oversized_floor(ref_spec, ref_ds, ref_eq, bench_ctrl):
+def test_certificate_flags_oversized_floor(ref_spec, ref_ds, ref_eq, bench_ctrl, constants):
     """The hand-tuned benchmark floor busts the drain budget: no finite bound."""
-    cert = certify(ref_spec, ref_ds, ref_eq, controller=bench_ctrl,
-                   n_gamma_samples=4096)
+    constants(GAMMA_SAMPLES=4096)
+    cert = certify(ref_spec, ref_ds, ref_eq, controller=bench_ctrl)
     assert not cert.floor_budget_ok
     assert cert.m is None
     assert cert.rho == pytest.approx(0.991, abs=1e-9)
