@@ -64,13 +64,16 @@ def h_map(z) -> np.ndarray:
 def control_law(cfg: ControllerConfig, x) -> np.ndarray:
     """Metered inflows at state x: v in [b, v*], exactly v* when x <= x*.
 
-    The three regimes are branched explicitly so the boundary values are
-    bit-exact: zero weighted excess returns v*, saturated excess returns b.
+    x is one state of shape (n,) or a stack of shape (..., n); each row of
+    a stack gets the bits of calling the law on it alone, as `np.matmul`
+    runs one matrix-vector product per row.  The three regimes are branched
+    explicitly so the boundary values are bit-exact: zero weighted excess
+    returns v*, saturated excess returns b.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != cfg.xstar.shape:
-        raise DimensionError(f"x must have shape ({cfg.n},)")
-    load = (cfg.K @ np.maximum(x - cfg.xstar, 0.0)) / cfg.tau
+    if x.shape[-1:] != cfg.xstar.shape:
+        raise DimensionError(f"x must have shape (..., {cfg.n})")
+    load = np.matmul(cfg.K, np.maximum(x - cfg.xstar, 0.0)[..., None])[..., 0] / cfg.tau
     v = cfg.vstar - cfg.span * load
     # the two saturations are disjoint, so they overwrite the ramp in any order
     np.copyto(v, cfg.b, where=load >= 1.0)

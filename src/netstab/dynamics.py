@@ -175,8 +175,12 @@ def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBr
         x = np.minimum(np.maximum(x, 0.0), spec.a)
     fb = _flows(spec, ds, x, v, d)
     x_next = x - fb.outflow + fb.inflow
-    if not (np.minimum.reduce(x_next) >= -STATE_TOL
-            and np.maximum.reduce(x_next - spec.a) <= STATE_TOL):
+    lo, hi = np.minimum.reduce(x_next), np.maximum.reduce(x_next - spec.a)
+    if lo > 0.0 and hi <= 0.0:
+        # inside (0, a] the clip is the identity; only a zero entry could
+        # change under it, as np.maximum(-0.0, 0.0) gives +0.0
+        return x_next, fb
+    if not (lo >= -STATE_TOL and hi <= STATE_TOL):
         if not np.isfinite(x_next).all():
             i = int(np.argmax(~np.isfinite(x_next)))
             raise NumericalError(f"non-finite state at cell {i + 1}", cell=i)

@@ -86,11 +86,17 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
     F = equilibrium_flows(spec, vstar)
     dref = 0.5 * (ds.d_lo + ds.d_hi)
     xstar = np.empty(spec.n)
+    # equal curves bisect alike, so each distinct (curve, throughput) is
+    # bisected once: repeated copies of a road share their densities' bits
+    roots: dict[tuple, float] = {}
     for i, fd in enumerate(ds.demands):
+        target = float(F[i])
         f_peak = float(_demand_values(fd, dref[0], dref[1], dref[2], fd.delta))
-        if F[i] > f_peak + 1e-12:
-            raise InfeasibleInflow(i, float(F[i]), f_peak)
-        xstar[i] = _invert_subcritical(fd, dref, float(F[i]))
+        if target > f_peak + 1e-12:
+            raise InfeasibleInflow(i, target, f_peak)
+        if (fd, target) not in roots:
+            roots[fd, target] = _invert_subcritical(fd, dref, target)
+        xstar[i] = roots[fd, target]
 
     # the same flows for every admissible d: demand is multi-affine in d1..d3
     # and supply linear in d4, so both checks peak at corners of the box

@@ -721,8 +721,10 @@ def contraction_check(spec: NetworkSpec, ds: DiagramSet, cert,
     law, and reports the worst entry of V(x+) - Gamma V(x) (positive means
     the bound failed).  The samples are drawn whole, then stepped and
     compared CONTRACTION_CHUNK at a time, so memory holds the sampled X and
-    D plus one chunk's successors and Lyapunov vectors, whatever the sample
-    count is.
+    D plus one chunk's inflows, successors and Lyapunov vectors, whatever
+    the sample count is.  Per chunk the law and Gamma V(x) are each one
+    stacked call, whose rows keep the bits of one call per sample; every
+    sample is still one `step`.
     """
     n_samples, controller = CONTRACTION_SAMPLES, cert.controller
     rng = _philox(seed)
@@ -733,13 +735,14 @@ def contraction_check(spec: NetworkSpec, ds: DiagramSet, cert,
     worst = -math.inf
     for lo in range(0, n_samples, CONTRACTION_CHUNK):
         Xc, Dc = X[lo:lo + CONTRACTION_CHUNK], D[lo:lo + CONTRACTION_CHUNK]
+        Vc = control.control_law(controller, Xc)
         X_next = np.empty_like(Xc)
-        for k, (x, d) in enumerate(zip(Xc, Dc)):
-            X_next[k], _ = step(spec, ds, x, control.control_law(controller, x), d)
+        for k, (x, v, d) in enumerate(zip(Xc, Vc, Dc)):
+            X_next[k], _ = step(spec, ds, x, v, d)
         gap = lyapunov_eval(X_next, controller.xstar)
-        # one matrix-vector product per sample: a batched product may round differently
-        for k, vk in enumerate(lyapunov_eval(Xc, controller.xstar)):
-            gap[k] -= Gamma @ vk
+        # np.matmul runs one matrix-vector product per sample, with the bits
+        # of Gamma @ v alone; a matrix-matrix product V @ Gamma.T rounds differently
+        gap -= np.matmul(Gamma, lyapunov_eval(Xc, controller.xstar)[..., None])[..., 0]
         worst = float(np.maximum(worst, gap.max(initial=-math.inf)))  # NaN stays NaN
     return ContractionReport(max_violation=worst, n_samples=n_samples, tol=CONTRACTION_TOL)
 

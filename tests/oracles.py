@@ -583,3 +583,28 @@ def contraction_reference(spec, ds, controller, cert, n_samples: int, seed: int 
     V_next = lyapunov_eval(X_next, controller.xstar)
     gap = V_next - np.array([Gamma @ vk for vk in V]).reshape(V.shape)
     return float(gap.max(initial=-math.inf))
+
+
+def uep_xstar_reference(spec, ds, vstar) -> np.ndarray:
+    """x* of `equilibrium.solve_uep` with one bisection per cell, as it
+    solved before equal (curve, throughput) pairs shared one: the throughput
+    of each cell by forward substitution, then its demand curve at the
+    midpoint disturbance bisected down to BISECTION_TOL."""
+    from netstab.diagrams import _demand_values
+    from netstab.equilibrium import BISECTION_TOL, equilibrium_flows
+
+    F = equilibrium_flows(spec, np.asarray(vstar, dtype=float))
+    d1, d2, d3, _ = 0.5 * (ds.d_lo + ds.d_hi)
+    xstar = np.zeros(spec.n)
+    for i, fd in enumerate(ds.demands):
+        if F[i] <= 0.0:
+            continue
+        lo, hi = 0.0, fd.delta
+        while hi - lo > BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            if _demand_values(fd, d1, d2, d3, mid) < F[i]:
+                lo = mid
+            else:
+                hi = mid
+        xstar[i] = 0.5 * (lo + hi)
+    return xstar

@@ -159,3 +159,84 @@ def test_controller_from_dict_accepts_flat_gain(ref_eq):
     doc.pop("tau")
     with pytest.raises(ValueError, match="missing"):
         controller_from_dict(doc, 8)
+
+
+def _random_controller(kind, n, rng):
+    """A uniform gain that saturates just outside a random box, or random
+    nonnegative K, around a random x*."""
+    xstar = rng.uniform(1.0, 60.0, n)
+    vstar = rng.uniform(0.0, 25.0, n)
+    vstar[rng.random(n) < 0.3] = 0.0
+    b = vstar * rng.uniform(0.0, 1.0, n)
+    if kind == "uniform":
+        K = np.full((n, n), uniform_gain(xstar + rng.uniform(0.5, 20.0, n), xstar))
+    else:
+        K = rng.uniform(0.0, 0.05, (n, n)) * (rng.random((n, n)) < 0.5)
+    return ControllerConfig(xstar, vstar, b, K, float(rng.uniform(0.05, 0.95)))
+
+
+def _stack_states(cfg, rng, N):
+    """N states: below x*, on the ramp, saturated, at x* exactly, and mixed
+    rows whose cells fall in different regimes."""
+    n, tau = cfg.n, cfg.tau
+    X = np.empty((N, n))
+    for k in range(N):
+        kind = k % 5
+        if kind == 0:
+            X[k] = cfg.xstar - rng.uniform(0.0, 1.0, n) * cfg.xstar
+        elif kind == 3:
+            X[k] = cfg.xstar
+        else:
+            e = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.6)
+            peak = float((cfg.K @ e).max()) / tau
+            # the ramp keeps every load below 1; saturation pushes it past
+            scale = rng.uniform(0.05, 0.95) if kind == 1 else rng.uniform(1.5, 50.0)
+            X[k] = cfg.xstar + (e * scale / peak if peak > 0 else e)
+            if kind == 4:
+                below = rng.random(n) < 0.4
+                X[k, below] = cfg.xstar[below] * rng.uniform(0.0, 1.0, below.sum())
+    return X
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["hand-tuned", "synthesized", "uniform", "random"]),
+       n=st.sampled_from([1, 8, 64]), N=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_law_on_a_stack_equals_one_call_per_row(bench_ctrl, ref_cert, kind, n, N, seed):
+    """A stack of states gets each row's own bits, signed zeros included:
+    the benchmark's hand-tuned and synthesized controllers (n = 8), and
+    uniform and random gains at n = 1, 8 and 64."""
+    rng = np.random.default_rng(seed)
+    cfg = {"hand-tuned": bench_ctrl, "synthesized": ref_cert.controller}.get(kind) \
+        or _random_controller(kind, n, rng)
+    n = cfg.n
+    X = _stack_states(cfg, rng, N)
+    got = control_law(cfg, X)
+    want = np.array([control_law(cfg, x) for x in X])
+    assert got.shape == (N, n)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_law_on_a_stack_reaches_every_regime(bench_ctrl, ref_cert):
+    """The stacked states above meet v* below x*, b when saturated and values
+    strictly between on the ramp, for each benchmark controller."""
+    rng = np.random.default_rng(2)
+    for cfg in (bench_ctrl, ref_cert.controller):
+        V = control_law(cfg, _stack_states(cfg, rng, 50))
+        metered = cfg.vstar > cfg.b
+        assert np.array_equal(V[0::5], np.broadcast_to(cfg.vstar, V[0::5].shape))
+        assert np.array_equal(V[3::5], np.broadcast_to(cfg.vstar, V[3::5].shape))
+        assert np.array_equal(V[2::5], np.broadcast_to(cfg.b, V[2::5].shape))
+        ramp = V[1::5][:, metered]
+        assert ((ramp > cfg.b[metered]) & (ramp < cfg.vstar[metered])).any()
+
+
+def test_law_keeps_the_leading_axes_of_a_stack(bench_ctrl):
+    rng = np.random.default_rng(3)
+    X = bench_ctrl.xstar + rng.uniform(-10.0, 40.0, (2, 3, 8))
+    V = control_law(bench_ctrl, X)
+    assert V.shape == (2, 3, 8)
+    assert V.tobytes() == np.array([[control_law(bench_ctrl, x) for x in row]
+                                    for row in X]).tobytes()
+    for bad in (np.zeros(7), np.zeros((4, 7)), np.zeros((8, 1)), 55.0):
+        with pytest.raises(DimensionError, match=r"^x must have shape \(\.\.\., 8\)$"):
+            control_law(bench_ctrl, bad)

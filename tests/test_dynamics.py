@@ -326,3 +326,78 @@ def test_non_finite_supply_names_its_cell():
         compute_flows(spec, ds, np.array([0.0, 0.0]), np.array([1.0, 1.0]),
                       np.array([0.5, 0.5, 0.5, np.inf]))
     assert exc.value.cell == 1
+
+
+def _clipped_successor(spec, ds, x, v, d):
+    """The successor as `step` returned every one before it skipped the
+    identity clip: the clipped state's flows, then the successor clipped
+    with np.minimum(np.maximum(., 0.0), a)."""
+    x = np.minimum(np.maximum(x, 0.0), spec.a)
+    fb = compute_flows(spec, ds, x, v, d)
+    return np.minimum(np.maximum(x - fb.outflow + fb.inflow, 0.0), spec.a)
+
+
+def test_successor_keeps_its_bits_and_sign_of_zero(ref_spec, ref_ds, ref_eq):
+    """Successors with exact 0 and exact a entries, states with -0.0 entries
+    (in x, and in v as well) and band states: `step` returns the bits of
+    clipping every successor, and never a -0.0."""
+    a, rng = ref_spec.a, np.random.default_rng(8)
+    ramp_dry = a.copy()
+    ramp_dry[[4, 5]] = 0.0
+    signed = ref_eq.xstar.copy()
+    signed[[1, 4, 5]] = -0.0
+    cases = [(np.zeros(8), np.zeros(8)), (np.full(8, -0.0), np.full(8, -0.0)),
+             (a.copy(), np.zeros(8)), (ramp_dry, np.zeros(8)),
+             (signed, ref_eq.vstar), (signed, np.zeros(8))]
+    for k in range(40):
+        x = rng.uniform(0.0, a)
+        cells = rng.choice(8, size=1 + k % 8, replace=False)
+        x[cells] = rng.choice(BAND, size=cells.size)
+        cases.append((x, ref_eq.vstar * rng.uniform(0.0, 2.0) * (rng.random(8) < 0.7)))
+    ends = set()
+    for x, v in cases:
+        for d in d_corners(ref_ds)[::5]:
+            got, _ = step(ref_spec, ref_ds, x, v, d)
+            assert got.tobytes() == _clipped_successor(ref_spec, ref_ds, x, v, d).tobytes()
+            assert not np.signbit(got).any()
+            ends |= {"0" for z in got if z == 0.0} | {"a" for z, top in zip(got, a) if z == top}
+    assert ends == {"0", "a"}
+
+
+@pytest.mark.parametrize("net", ["benchmark", "corridor of 8 copies", "dense 128"])
+def test_stacked_matmul_keeps_per_row_bits(ref_spec, net):
+    """`np.matmul` over a stack runs one matrix-vector product per row, with
+    the bits of that row alone: outflow rows O as (N, 1, n) @ P against each
+    o @ P (the product a batched step would route with), and A @ E[..., None]
+    against each A @ e (the control law's and the contraction check's)."""
+    from test_curve_table import _corridor
+
+    rng = np.random.default_rng(len(net))
+    P = {"benchmark": ref_spec.P, "corridor of 8 copies": _corridor(8, 11)[0].P,
+         "dense 128": rng.uniform(0.0, 1.0 / 128, (128, 128))}[net]
+    n = len(P)
+    O = rng.uniform(0.0, 30.0, (200, n)) * (rng.random((200, n)) < 0.8)
+    routed = np.matmul(O[:, None, :], P)[:, 0, :]
+    assert routed.tobytes() == np.array([o @ P for o in O]).tobytes()
+    A = rng.uniform(0.0, 0.3, (n, n))
+    assert np.matmul(A, O[..., None])[..., 0].tobytes() == np.array([A @ o for o in O]).tobytes()
+
+
+def test_successor_past_a_is_clipped_within_the_band_and_refused_beyond(ref_spec, ref_ds):
+    """A supply scale above 1 (wave 1.5 on cell 2) lets a cell just below a
+    take in more than its room; its outflow is blocked by a full cell 3.  An
+    overshoot inside STATE_TOL is clipped to a exactly, a larger one raises
+    NumericalError naming the cell."""
+    sup = list(ref_ds.supplies)
+    sup[1] = dataclasses.replace(sup[1], wave=1.5)
+    ds = dataclasses.replace(ref_ds, supplies=tuple(sup))
+    d = np.array([0.5, 0.5, 0.5, 0.25])
+    x = np.full(8, 50.0)
+    x[1], x[2] = ref_spec.a[1] - 1e-9, ref_spec.a[2]
+    got, _ = step(ref_spec, ds, x, np.zeros(8), d)
+    assert got[1] == ref_spec.a[1]
+    assert got.tobytes() == _clipped_successor(ref_spec, ds, x, np.zeros(8), d).tobytes()
+    x[1] = ref_spec.a[1] - 4e-9
+    with pytest.raises(NumericalError, match=r"^state left its box at cell 2 by 2e-09$") as exc:
+        step(ref_spec, ds, x, np.zeros(8), d)
+    assert exc.value.cell == 1

@@ -96,3 +96,75 @@ def test_supply_scale_fit(ref_spec, ref_ds):
     assert 0.2590 < d4 < 0.2610
     assert residual < 1e-2
     assert ref_ds.d_lo[3] <= d4 <= ref_ds.d_hi[3]
+
+
+def _piecewise_net(rng):
+    """A random acyclic net of `oracles` whose cells carry one of two
+    continuous disturbance-free polynomial curves (each also as an equal
+    copy, as a file read gives), with inflows from a few levels so
+    throughputs repeat."""
+    import dataclasses
+
+    from netstab.diagrams import DiagramSet, Piece
+    from netstab.network import NetworkSpec
+    from test_curve_table import PIECEWISE
+
+    P, _, _ = oracles.random_acyclic_instance(rng)
+    n = len(P)
+    curves = tuple(dataclasses.replace(PIECEWISE, subcritical=(
+        Piece(0.0, 30.0, (0.0, slope)), Piece(30.0, presets.DELTA, (c0, slope, c2))))
+        for slope, c0, c2 in ((0.5, 0.9, -0.001), (0.45, 0.72, -0.0008)))
+    pool = curves + tuple(dataclasses.replace(fd) for fd in curves)
+    demands = tuple(pool[k] for k in rng.integers(0, len(pool), n))
+    ref = presets.reference_diagrams()
+    spec = NetworkSpec(n=n, a=np.full(n, presets.JAM), P=P, Qexit=1.0 - P.sum(axis=1),
+                       mu=np.full(n, presets.MU_MAIN), vmax=np.full(n, 25.0))
+    v = rng.choice([0.0, 7.0, 14.0], n)
+    v *= min(1.0, 22.0 / max(v.sum(), 1.0))  # every throughput stays below 22
+    return spec, DiagramSet(demands, (ref.supplies[0],) * n, ref.d_lo, ref.d_hi), v
+
+
+def _uep_cases():
+    """(name, spec, diagrams, v*, distinct pairs or None) of the benchmark,
+    its 8 relabelled copies and random nets of two curves."""
+    from test_curve_table import _corridor
+
+    yield ("benchmark", presets.reference_network(), presets.reference_diagrams(),
+           presets.reference_vstar(), 2)
+    spec, ds = _corridor(8, 11)
+    v = np.zeros(spec.n)
+    v[np.random.default_rng(11).permutation(spec.n)] = np.tile(presets.reference_vstar(), 8)
+    yield "corridor of 8 copies", spec, ds, v, 2
+    rng = np.random.default_rng(17)
+    for k in range(12):
+        yield (f"random net {k}", *_piecewise_net(rng), None)
+
+
+def test_solver_bisects_each_distinct_curve_and_throughput_once(monkeypatch):
+    """x* equals one bisection per cell bit for bit, while the solver bisects
+    each distinct (curve, throughput) pair once; equal curves that are
+    separate objects share their bisection too."""
+    from netstab import equilibrium
+
+    bisect = equilibrium._invert_subcritical
+    calls = []
+
+    def counted(fd, dref, target):
+        calls.append((fd, target))
+        return bisect(fd, dref, target)
+
+    monkeypatch.setattr(equilibrium, "_invert_subcritical", counted)
+    cells = bisections = shared = 0
+    for name, spec, ds, v, n_pairs in _uep_cases():
+        calls.clear()
+        eq = solve_uep(spec, ds, v)
+        assert eq.xstar.tobytes() == oracles.uep_xstar_reference(spec, ds, v).tobytes(), name
+        pairs = {(fd, float(F)) for fd, F in zip(ds.demands, eq.flows)}
+        assert len(calls) == len(set(calls)) == len(pairs), name
+        if n_pairs is not None:
+            assert len(pairs) == n_pairs, name
+            continue
+        cells, bisections = cells + spec.n, bisections + len(calls)
+        shared += len({(id(fd), float(F)) for fd, F in zip(ds.demands, eq.flows)}) - len(pairs)
+    # the random nets repeat pairs, some of them through equal curve objects
+    assert bisections < cells and shared > 0
