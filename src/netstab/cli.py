@@ -50,13 +50,19 @@ def _emit(doc: dict, fh) -> None:
 
 def _load_pair(args, spec=None, ds=None):
     """Network and diagrams from --network/--diagrams; a file not given is
-    `spec` or `ds`, or else the benchmark's."""
+    `spec` or `ds`, or else the benchmark's.  A --network file that breaks a
+    `validate_spec` constraint is an input error naming the first one, except
+    to `validate`, which reports them all."""
     try:
         spec = load_network(args.network) if args.network else spec or reference_network()
         ds = load_diagrams(args.diagrams) if args.diagrams else ds or reference_diagrams()
         check_pair(spec, ds)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
+    violations = validate_spec(spec) if args.network and args.command != "validate" else []
+    if violations:
+        raise _InputError(f"{args.network}: {violations[0].message} "
+                          f"({violations[0].constraint})")
     return spec, ds
 
 

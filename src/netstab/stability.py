@@ -249,7 +249,7 @@ class ThrottleBound:
     and every rounded operation on the way (the product p * F, the
     subtraction, the division by a positive cap, the clip and the minimum)
     is monotone.  The gamma search's skip of Sobol blocks rests on it
-    (`_seed_ratios`), so a stand-in bound must keep it too.
+    (`drain_constants`), so a stand-in bound must keep it too.
     """
 
     def __init__(self, spec: NetworkSpec, ds: DiagramSet):
@@ -372,7 +372,7 @@ def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
     A scrambled-Sobol cloud over (x, v, d) of n_samples rows, rounded up to
     a power of two, follows; it is drawn in power-of-two chunks, which equal
     one whole draw bit for bit, and its rows are all distinct.  Its F is
-    None: `_seed_ratios` evaluates the demands only of a block that its
+    None: `drain_constants` evaluates the demands only of a block that its
     floor does not rule out.  No block mixes the two kinds.
     """
     n, block = spec.n, _block_rows(spec.n)
@@ -406,75 +406,6 @@ def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
         D = u[:, 2 * n:] * (ds.d_hi - ds.d_lo) + ds.d_lo
         del u  # 2n + 4 columns, not to be held while the consumer bounds the block
         yield X, V, None, supply_batch(ds, D, X), np.arange(chunk), D
-
-
-def _keep_best(blocks, k: int):
-    """The k rows of lowest ratio in a stream of (floor, evaluate) blocks.
-
-    `floor` bounds the block's ratios from below, row by row, and is finite
-    exactly where they are; `evaluate()` returns (ratios, take), where
-    `take(t)` returns the arrays of the block's rows t.  Once k rows are
-    kept, a block whose floor sorts no row before the last kept one is
-    skipped unevaluated: none of its rows could enter.  `take` is called
-    only for rows that may be kept, and before the next block is drawn, so
-    a block need not hold arrays for all of its rows.  Returns
-    (ratios, *arrays) of the kept rows in (ratio, row) order, as a stable
-    sort of the whole stream orders them, with the count of finite ratios
-    in the stream.
-    """
-    kept, n_finite = (), 0
-    for floor, evaluate in blocks:
-        full = bool(kept) and len(kept[0]) == k
-        if full and floor.min() >= kept[0][-1]:
-            n_finite += int(np.isfinite(floor).sum())
-            continue
-        ratios, take = evaluate()
-        n_finite += int(np.isfinite(ratios).sum())
-        if full and ratios.min() >= kept[0][-1]:
-            continue  # no row of the block sorts before the last kept one
-        top = np.argsort(ratios, kind="stable")[:k]
-        rows = (ratios[top], *take(top))
-        if kept:  # the kept rows come first, so equal ratios stay in row order
-            rows = tuple(np.concatenate(pair) for pair in zip(kept, rows))
-        top = np.argsort(rows[0], kind="stable")[:k]
-        kept = tuple(part[top] for part in rows)
-    return kept, n_finite
-
-
-def _seed_ratios(blocks, ds: DiagramSet, bound: ThrottleBound, r: np.ndarray,
-                 mass_floor: float):
-    """(floor, evaluate) of each `_seed_blocks` block, for `_keep_best`.
-
-    Only the distinct rows are bounded and weighed; their ratios are then
-    expanded to every stream row.  `take(t)` gives stream rows t as
-    (X, V, D, F, G): X, V, F and G from their distinct rows, D their own.
-
-    A jam-pattern block is evaluated at once and is its own floor.  A Sobol
-    block's floor puts every cell's demand at its cap, `ds._fcap`
-    (`demand_cap`), so F <= cap entrywise.  `allocate` is non-increasing in
-    F (`ThrottleBound`), and `_ratios` weighs the floor's S, of the same
-    shape and order as the exact one, with the same monotone rounded
-    operations in the same sequence, so the floor is at most each exact
-    ratio, bit for bit.  The mass floor and the weighted mass are the same,
-    so for finite curves the floor is finite exactly where the ratio is.
-    Only a block that the floor does not rule out evaluates its demands.  A
-    cap that is not finite bounds nothing: every block is then evaluated at
-    once.
-    """
-    finite = np.isfinite(ds._fcap).all()
-    for X, V, F, G, rows, D in blocks:
-        def evaluate(X=X, V=V, F=F, G=G, rows=rows, D=D):
-            F = demand_batch(ds, D, X) if F is None else F
-            ratios = _ratios(bound.allocate(F, G, V), X, r, mass_floor)
-            return ratios[rows], lambda t: (X[rows[t]], V[rows[t]], D[t], F[rows[t]],
-                                            G[rows[t]])
-
-        if F is None and finite:
-            caps = np.broadcast_to(ds._fcap, X.shape)
-            yield _ratios(bound.allocate(caps, G, V), X, r, mass_floor)[rows], evaluate
-        else:
-            ratios, take = evaluate()
-            yield ratios, lambda ratios=ratios, take=take: (ratios, take)
 
 
 def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
@@ -533,22 +464,27 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
 
     The seed cloud is a stream of blocks of at most 1,024 rows and about
     BLOCK_ENTRIES entries (`_seed_blocks`), each bounded and reduced to its
-    ratios before the next one exists.  A jam-pattern block bounds and
-    weighs each of its distinct rows once, and its ratios are expanded to
-    every stream row (`_seed_ratios`), so the stream's ratios, their order
-    and the sample count are those of the whole cloud.  A Sobol block is
-    first bounded with every demand at its cap (`demand_cap`), which gives
-    a floor at most each of its ratios; once REFINE_TOP seeds are kept, a
-    block whose floor cannot sort a row before the last kept one is skipped
-    before its demands are evaluated.  The search keeps
-    only the best REFINE_TOP seeds, gathering their rows and curves alone
-    (`_keep_best`: seeds of equal ratio are taken in row order), and refines
-    them in lockstep: every zoom level of a coordinate scan allocates and
-    weighs all seeds' grids at once, while each seed keeps its own zoom
-    window, strict-improvement acceptance and (SCAN_WIDTH, n) @ r product.
-    As the ratios of a row do not depend on its batch (`_ratios`), the
-    result is that of evaluating the whole cloud at once and refining the
-    seeds one after another, bit for bit.
+    ratios before the next one exists.  A block bounds and weighs each of
+    its distinct rows once, and its ratios are expanded to every stream row,
+    so the stream's ratios, their order and the sample count are those of
+    the whole cloud.  Once REFINE_TOP seeds are kept, a Sobol block with
+    finite demand caps (`demand_cap`) is first bounded with every demand at
+    its cap, so F <= cap entrywise.  `allocate` is non-increasing in F
+    (`ThrottleBound`), and `_ratios` weighs the floor's S, of the shape and
+    order of the exact one, with the same monotone rounded operations, so
+    the floor is at most each exact ratio, bit for bit; with the same mass
+    floor and weighted mass, it is finite exactly where the ratio is.  A
+    block whose floor sorts no row before the last kept one is skipped
+    before its demands are evaluated, its finite rows counted from the
+    floor.  The search keeps only the best REFINE_TOP seeds, gathering
+    their rows and curves alone and merging them into the kept ones by a
+    stable sort, kept rows first, so seeds of equal ratio are taken in row
+    order.  It refines them in lockstep: every zoom level of a coordinate
+    scan allocates and weighs all seeds' grids at once, while each seed
+    keeps its own zoom window, strict-improvement acceptance and
+    (SCAN_WIDTH, n) @ r product.  As the ratios of a row do not depend on
+    its batch (`_ratios`), the result is that of evaluating the whole cloud
+    at once and refining the seeds one after another, bit for bit.
 
     Curves and bounds are evaluated only where samples differ.  A scan
     builds its grid rows once, and each zoom level writes only the scanned
@@ -592,10 +528,30 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     v_box = caps - eps_tilde
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
-    kept, n_evaluated = _keep_best(
-        _seed_ratios(_seed_blocks(spec, ds, v_box, GAMMA_SAMPLES, seed), ds, bound, r,
-                     mass_floor),
-        REFINE_TOP)
+    # the seeds of lowest ratio as (ratios, X, V, D, F, G), in (ratio, stream row) order
+    kept, n_evaluated, capped = (), 0, np.isfinite(ds._fcap).all()
+    for X, V, F, G, rows, D in _seed_blocks(spec, ds, v_box, GAMMA_SAMPLES, seed):
+        full = bool(kept) and len(kept[0]) == REFINE_TOP
+        if F is None and capped and full:
+            floor = _ratios(bound.allocate(np.broadcast_to(ds._fcap, X.shape), G, V), X, r,
+                            mass_floor)[rows]
+            if floor.min() >= kept[0][-1]:
+                n_evaluated += int(np.isfinite(floor).sum())
+                continue
+        if F is None:
+            F = demand_batch(ds, D, X)
+        ratios = _ratios(bound.allocate(F, G, V), X, r, mass_floor)[rows]
+        n_evaluated += int(np.isfinite(ratios).sum())
+        if full and ratios.min() >= kept[0][-1]:
+            continue  # no row of the block sorts before the last kept one
+        top = np.argsort(ratios, kind="stable")[:REFINE_TOP]
+        t = rows[top]
+        merged = (ratios[top], X[t], V[t], D[top], F[t], G[t])
+        if kept:  # the kept rows come first, so equal ratios stay in row order
+            merged = tuple(np.concatenate(pair) for pair in zip(kept, merged))
+        top = np.argsort(merged[0], kind="stable")[:REFINE_TOP]
+        kept = tuple(part[top] for part in merged)
+    del X, V, F, G, D  # the last block, not to be held through the refinement
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")
 

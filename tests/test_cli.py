@@ -95,6 +95,43 @@ def test_validate_reports_an_out_of_range_rate_by_edge(capsys, tmp_path):
     assert doc["acyclic"]
 
 
+def _row_sum_network(tmp_path):
+    """The benchmark with cell 4's exit fraction at 0.6: its row sums to 1.1."""
+    spec = presets.reference_network()
+    Qexit = np.array(spec.Qexit)
+    Qexit[3] = 0.6
+    path = tmp_path / "row_sum.json"
+    save_network(replace(spec, Qexit=Qexit), path)
+    return path
+
+
+_VSTAR = ("--vstar", "25,0,0,0,12.5,0,0,0")
+
+
+def test_validate_lists_the_row_sum_violation(capsys, tmp_path):
+    code, doc = run_cli(capsys, "validate", "--network", str(_row_sum_network(tmp_path)))
+    assert code == 1 and not doc["ok"] and doc["acyclic"]
+    assert [(v["constraint"], v["cell"]) for v in doc["violations"]] == [("row_sum", 4)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve-uep", "synthesize", "simulate",
+                                     "gridlock-demo"])
+def test_a_network_validate_rejects_exits_2(capsys, tmp_path, monkeypatch, command):
+    """Every subcommand but `validate` refuses a --network that breaks a
+    `validate_spec` constraint, naming the file and the first violation,
+    and writes nothing.  Unrefused, analyze certifies the row sum of 1.1
+    (``"ok": true``, trapping bound 13,135,944) and simulate runs it with a
+    mass-balance error of 0.576."""
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(_scenario_doc()))
+    path = _row_sum_network(tmp_path)
+    flags = {"simulate": ("--scenario", "scenario.json"), "gridlock-demo": ()}.get(command, _VSTAR)
+    err = _input_error(capsys, command, "--network", str(path), *flags)
+    assert err == (f"error: {path}: cell 4: turning rates plus exit fraction sum to 1.1, "
+                   f"expected 1 (row_sum)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["row_sum.json", "scenario.json"]
+
+
 def test_missing_file_is_an_input_error(capsys):
     code = main(["validate", "--network", "/no/such/file.json"])
     assert code == 2

@@ -24,9 +24,8 @@ from netstab import diagrams, presets, stability
 from netstab.diagrams import (DiagramSet, SupplyFunction, _philox, d_corners,
                               demand_batch, supply_batch, uniform_uncertainty)
 from netstab.network import NetworkSpec
-from netstab.stability import (ThrottleBound, _block_rows, _jam_patterns, _keep_best,
-                               _ratios, _seed_blocks, _seed_ratios, _zoom_grid,
-                               drain_constants, weights_r)
+from netstab.stability import (ThrottleBound, _block_rows, _jam_patterns, _ratios,
+                               _seed_blocks, _zoom_grid, drain_constants, weights_r)
 
 import oracles
 from test_curve_table import PIECEWISE, _corridor
@@ -390,15 +389,6 @@ def _expanded(block, ds):
     return X[rows], V[rows], D, F[rows], G[rows]
 
 
-def _taker(arrays):
-    return lambda t: tuple(part[t] for part in arrays)
-
-
-def _exact(ratios, take):
-    """A `_keep_best` block whose floor is its ratios."""
-    return ratios, lambda: (ratios, take)
-
-
 def _stream(spec, ds, n_samples, seed):
     """The seed blocks expanded to every stream row and stacked into
     (X, V, D, F, G), checking that each block covers at most `_block_rows`
@@ -452,33 +442,71 @@ def test_jam_pattern_seeds_come_from_corner_tables(net):
         X[:n_struct], V[:n_struct], D[:n_struct]))
 
 
-def test_kept_seeds_are_the_stable_order_of_the_whole_cloud():
-    """Equal ratios on both sides of the first block seam, on a jam-pattern
-    and a Sobol row, and on rows that sort later: the seeds kept from the
-    stream, rows and curves included, are the first k of a stable sort of
-    the whole cloud's ratios, so ties go in row order."""
+def _searched(spec, ds, bound, seed):
+    """`drain_constants` with `bound`, a ThrottleBound subclass, standing in,
+    and the (F, G, V) of the seeds it kept: the first coordinate scan (an x
+    scan) bounds the finite kept seeds, in kept order, as its base points
+    right before its first local allocation.  Needs REFINE_SWEEPS >= 1."""
+    seen = {}
+
+    class Recording(bound):
+        def allocate(self, F, G, V, cell=None, S=None):
+            if cell is not None:
+                seen.setdefault("base", seen["last"])
+            elif "base" not in seen:
+                seen["last"] = (F.copy(), G.copy(), V.copy())
+            return super().allocate(F, G, V, cell, S)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "ThrottleBound", Recording)
+        got = drain_constants(spec, ds, weights_r(spec), seed=seed)
+    return got, seen["base"]
+
+
+class _Ties(ThrottleBound):
+    """A uniform throttle: 0.5 on the zero-inflow rows of two jam patterns,
+    cell 6 alone and cells 1 and 6, which the benchmark's seed stream puts
+    on either side of its first block seam; 1 on the other zero-inflow rows
+    with at most two jammed cells (of zero supply); 1e308 elsewhere, so that
+    S * X overflows to an infinite ratio.  It does not read F, so it is
+    non-increasing in F."""
+
+    def allocate(self, F, G, V, cell=None, S=None):
+        jam, low = G == 0, (V == 0).all(axis=1)
+        tie = low & jam[:, 5] & (jam.sum(axis=1) - jam[:, 0] == 1)
+        c = np.where(tie, 0.5, np.where(low & (jam.sum(axis=1) <= 2), 1.0, 1e308))
+        return np.repeat(c[:, None], F.shape[1], axis=1)
+
+
+def test_kept_seeds_are_the_stable_order_of_the_whole_cloud(constants):
+    """Equal ratios on both sides of the first block seam (`_Ties`): the
+    seeds the search keeps are the first REFINE_TOP of a stable sort of the
+    whole cloud's ratios, curves included, so ties go in row order.  That
+    holds with 20 seeds, 16 tie rows before the seam and 4 after it, and
+    with 1,100, more than the first block's rows and than the 576 finite
+    ratios.  No scan undercuts 0.5, so the first tie row is the argmin."""
     spec, ds = _net("benchmark")
     B = _block_rows(spec.n)
-    blocks = [_expanded(b, ds) for b in _seed_blocks(spec, ds, _v_box(spec, ds), 1024, 3)]
-    whole = tuple(np.vstack(part) for part in zip(*blocks))
-    vals = np.round(whole[0].sum(axis=1) / presets.JAM) + 1.0  # ties among jam patterns
-    vals[::7] = np.inf
-    vals[[9000, B + 1, 5, B - 2, 8500, B, B - 1, 3000]] = 0.5
-    vals[8800] = 0.25
-    want = np.argsort(vals, kind="stable")[:6]
-    assert list(want) == [8800, 5, B - 2, B - 1, B, B + 1]
-    ends = np.cumsum([0] + [len(b[0]) for b in blocks])
-    stream = (_exact(vals[lo:hi], _taker(block)) for lo, hi, block in zip(ends, ends[1:], blocks))
-    kept, n_finite = _keep_best(stream, 6)
-    for got, ref in zip(kept, (vals, *whole)):
-        assert np.array_equal(got, ref[want])
-    assert n_finite == np.isfinite(vals).sum()
-    for ratios, k in ((vals, len(vals)), (np.arange(len(vals), dtype=float), 2000)):
-        # more seeds than finite ratios (the infinite ones follow in row order),
-        # and more seeds than the first block holds
-        kept, _ = _keep_best((_exact(ratios[lo:hi], _taker((np.arange(lo, hi),)))
-                              for lo, hi in zip(ends, ends[1:])), k)
-        assert np.array_equal(kept[1], np.argsort(ratios, kind="stable")[:k])
+    for k in (20, 1100):
+        constants(GAMMA_SAMPLES=1024, REFINE_TOP=k, REFINE_SWEEPS=1)
+        with np.errstate(over="ignore"):
+            got, base = _searched(spec, ds, _Ties, seed=3)
+            X, V, D = oracles.seed_cloud_reference(spec, ds, got.v_box, 1024, 3)
+            F, G = _curves(ds, X, D)
+            vals = _ratios(_Ties(spec, ds).allocate(F, G, V), X, weights_r(spec),
+                           got.mass_floor)
+        want = np.argsort(vals, kind="stable")[:k]
+        want = want[np.isfinite(vals[want])]
+        if k == 20:  # the 16 corners of cell 6 jammed alone, then 4 of cells 1 and 6
+            assert list(want) == [*range(B - 32, B - 16), *range(B, B + 4)]
+        else:
+            assert len(want) == 576
+        for part, ref in zip(base, (F, G, V)):
+            assert np.array_equal(part, ref[want])
+        assert got.n_evaluated == np.isfinite(vals).sum() == 576
+        assert got.gamma == 0.5
+        for key, ref in zip("xvd", (X, V, D)):
+            assert np.array_equal(got.argmin[key], ref[B - 32])
 
 
 def _classed_net(name):
@@ -509,45 +537,49 @@ def _rows_at(blocks, idx, ds):
 
 @pytest.mark.parametrize("net", ["benchmark", "20 cells", "8 relabelled copies",
                                  "2 classes", "1 class"])
-def test_distinct_rows_give_the_whole_cloud_ratios(net):
+def test_distinct_rows_give_the_whole_cloud_ratios(net, constants):
     """A jam-pattern block bounds and weighs one row per (pattern, inflow
     end, corner class), padded to a multiple of four rows.  Expanded to
     every stream row, its ratios equal those of bounding and weighing all
     of the block's rows, which a whole-cloud call gives too
     (`test_ratios_in_blocks_equal_the_whole_batch`), and so do its curves.
-    The seeds kept from the stream are then those of a stable sort of the
-    whole cloud, rows and curves included, with the same count of finite
+    The seeds the search keeps are then those of a stable sort of the whole
+    cloud, curves and inflows included, with the same count of finite
     ratios.  On 1 class the benchmark's last block of 992 rows has 62
     distinct rows, which OpenBLAS would weigh with its remainder kernel
     unpadded.  A mass floor of 1.5 jammed cells (n / 2 above 12 cells) makes
     some jam-pattern rows inf."""
     spec, ds, n_classes = _classed_net(net)
-    r, bound, v_box = weights_r(spec), ThrottleBound(spec, ds), _v_box(spec, ds)
+    constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=1)
+    got, base = _searched(spec, ds, ThrottleBound, seed=3)
+    r, bound = weights_r(spec), ThrottleBound(spec, ds)
     floor = presets.JAM * (1.5 if spec.n <= 12 else spec.n / 2)
-    n_struct, whole = _jam_pattern_rows(spec), []
+    n_struct, whole, searched = _jam_pattern_rows(spec), [], []
 
     def blocks():
-        return _seed_blocks(spec, ds, v_box, 1024, 3)
+        return _seed_blocks(spec, ds, got.v_box, 1024, 3)
 
     for block in blocks():
         X, V, F, G, rows, D = _filled(block, ds)
         Xe, Ve, De, Fe, Ge = _expanded(block, ds)
         for part, ref in zip((Fe, Ge), _curves(ds, Xe, De)):
             assert np.array_equal(part, ref)
-        full = _ratios(bound.allocate(Fe, Ge, Ve), Xe, r, floor)
+        S = bound.allocate(Fe, Ge, Ve)
+        searched.append(_ratios(S.copy(), Xe, r, got.mass_floor))
+        full = _ratios(S, Xe, r, floor)
         assert np.array_equal(_ratios(bound.allocate(F, G, V), X, r, floor)[rows], full)
         if sum(map(len, whole)) < n_struct:
             distinct = len(rows) // 16 * n_classes
             assert len(X) == distinct + -distinct % 4
         whole.append(full)
-    whole = np.concatenate(whole)
+    whole, searched = np.concatenate(whole), np.concatenate(searched)
     assert np.isinf(whole[:n_struct]).any() and np.isfinite(whole[:n_struct]).any()
-    kept, n_finite = _keep_best(_seed_ratios(blocks(), ds, bound, r, floor), 8)
-    want = np.argsort(whole, kind="stable")[:8]
-    assert np.array_equal(kept[0], whole[want])
-    for got, ref in zip(kept[1:], _rows_at(blocks(), np.sort(want), ds)):
-        assert np.array_equal(got, ref[np.argsort(np.argsort(want))])
-    assert n_finite == np.isfinite(whole).sum()
+    want = np.argsort(searched, kind="stable")[:stability.REFINE_TOP]
+    want = want[np.isfinite(searched[want])]
+    _, V, _, F, G = _rows_at(blocks(), np.sort(want), ds)
+    for part, ref in zip(base, (F, G, V)):
+        assert np.array_equal(part, ref[np.argsort(np.argsort(want))])
+    assert got.n_evaluated == np.isfinite(searched).sum()
 
 
 @pytest.mark.parametrize("n", [8, 20, 64, 512])
@@ -635,8 +667,28 @@ class _CurveSensitiveBound(ThrottleBound):
         return 0.55 + 0.4 * np.cos(0.11 * G + 0.05 * V) - 0.004 * F
 
 
+class _Floors(ThrottleBound):
+    """A uniform throttle looked up by a row's first inflow in `table`, a
+    (floor, exact) pair: the floor when every demand is at its cap, as the
+    search first bounds a Sobol block, the exact value otherwise.  Other
+    rows read 1.  No floor exceeds its exact value, so the throttle is
+    non-increasing in F."""
+
+    table = {}
+
+    def __init__(self, spec, ds):
+        super().__init__(spec, ds)
+        self.fcap = ds._fcap
+
+    def allocate(self, F, G, V, cell=None, S=None):
+        exact = (F < self.fcap).any(axis=1).tolist()
+        c = [self.table.get(v, (1.0, 1.0))[e] for v, e in zip(V[:, 0].tolist(), exact)]
+        return np.repeat(np.array(c)[:, None], F.shape[1], axis=1)
+
+
 BOUNDS = {"built-in": ThrottleBound, "overflowing": _Overflowing,
-          "landscape": _Landscape, "curve-sensitive": _CurveSensitiveBound}
+          "landscape": _Landscape, "curve-sensitive": _CurveSensitiveBound,
+          "floors": _Floors}
 
 
 @pytest.mark.parametrize("name", BOUNDS)
@@ -671,21 +723,37 @@ def test_allocate_is_non_increasing_in_demand(name):
         assert (bound.allocate(up, G, V) <= bound.allocate(F, G, V)).all()
 
 
-def test_keep_best_skips_a_block_its_floor_rules_out():
-    """Once k rows are kept, a block whose floor sorts no row before the
-    last kept one is not evaluated, and its finite count is the floor's; a
-    block whose floor does is evaluated and merged by its exact ratios."""
-    def never():
-        raise AssertionError("a ruled-out block was evaluated")
-
-    later = (np.array([1.7, 9.0]), _taker((np.array([10.0, 11.0]),)))
-    stream = [_exact(np.array([3.0, 1.0, np.inf, 2.0]), _taker((np.arange(4.0),))),
-              (np.array([2.0, 5.0, np.inf]), never),  # none below the last kept ratio, 2
-              (np.array([1.5, 9.0]), lambda: later),
-              (np.array([1.7, np.inf]), never)]  # a tie sorts after the kept row
-    kept, n_finite = _keep_best(iter(stream), 2)
-    assert kept[0].tolist() == [1.0, 1.7] and kept[1].tolist() == [1.0, 10.0]
-    assert n_finite == 3 + 2 + 2 + 1
+def test_search_skips_a_block_its_floor_rules_out(monkeypatch, constants):
+    """Two seeds kept, the benchmark's jam-pattern seeds all of ratio 1, and
+    four Sobol blocks (`_Floors`): block 0 holds a row of ratio 0.5, block 1
+    a floor that ties with the last kept ratio, 1, block 2 a floor of 0.25
+    over an exact 0.5 and block 3 a floor that ties with the last kept
+    ratio, now 0.5.  Blocks 1 and 3 are skipped: their rows never reach
+    `demand_batch`, and their finite rows, all but ten overflowing ones
+    each, are counted from the floor.  Block 2 is evaluated and merged by
+    its exact ratio, after the equal one of block 0."""
+    spec, ds = _net("benchmark")
+    constants(GAMMA_SAMPLES=4096, REFINE_TOP=2, REFINE_SWEEPS=0)
+    caps = np.minimum(spec.vmax, ds.min_supply_at_zero())
+    v_box = caps - 0.5 * caps.min()  # the search's inflow box
+    sobol = [block for block in _seed_blocks(spec, ds, v_box, 4096, 5) if block[2] is None]
+    first = [V[:, 0].tolist() for _, V, *_ in sobol]
+    table = {v: (1e308, 1e308) for b in (1, 3) for v in first[b][10:20]}
+    table.update({first[0][3]: (0.5, 0.5), first[2][5]: (0.25, 0.5), first[3][7]: (0.5, 0.5)})
+    monkeypatch.setattr(_Floors, "table", table)
+    evaluated = []
+    monkeypatch.setattr(stability, "demand_batch",
+                        lambda ds, D, X: evaluated.append(X) or demand_batch(ds, D, X))
+    with np.errstate(over="ignore"):
+        got = _assert_same_search(spec, ds, _Floors, seed=5)
+    evaluated = [X for X in evaluated if len(X) == _block_rows(spec.n)]
+    assert len(sobol) == 4 and len(evaluated) == 2
+    for X, b in zip(evaluated, (0, 2)):
+        assert np.array_equal(X, sobol[b][0])
+    assert got.n_evaluated == _jam_pattern_rows(spec) + 4096 - 20
+    assert got.gamma == 0.5
+    for key, part in zip("xvd", (0, 1, 5)):
+        assert np.array_equal(got.argmin[key], sobol[0][part][3])
 
 
 @pytest.mark.parametrize("net", ["benchmark", "piecewise and pinned cells", "20 cells",

@@ -369,6 +369,39 @@ def test_contraction_check_passes_on_certified_box(ref_spec, ref_ds, ref_cert, c
     assert report.n_samples == 1500
 
 
+@pytest.mark.parametrize("name", ["synthesized", "hand-tuned"])
+def test_contraction_holds_above_the_equilibrium(ref_spec, ref_ds, ref_cert, bench_ctrl,
+                                                 name):
+    """`contraction_check` draws x uniformly from [0, beta], and beta - x* is
+    at most 1e-5 on the benchmark, so none of its samples has an excess over
+    x* and the law returns v* for all of them.  Here each cell is drawn from
+    [0, x*] or from [x*, beta]: the synthesized law saturates on most
+    samples, the hand-tuned one ramps, and V(x+) - Gamma V(x) stays within
+    CONTRACTION_TOL for both."""
+    from netstab.control import control_law
+    from netstab.diagrams import uniform_uncertainty
+    from netstab.dynamics import step
+
+    ctrl = ref_cert.controller if name == "synthesized" else bench_ctrl
+    Gamma, _ = build_gamma(ref_spec, *_ref_slopes(ref_ds), ctrl.vstar, ctrl.b, ctrl.K,
+                           ctrl.tau)
+    rng = np.random.default_rng(2024)
+    N, xstar, beta = 4000, ctrl.xstar, ref_cert.beta
+    above = rng.random((N, ref_spec.n)) < 0.5
+    X = np.where(above, rng.uniform(xstar, beta, above.shape),
+                 rng.uniform(0.0, xstar, above.shape))
+    D = uniform_uncertainty(ref_ds, N, rng)
+    V = control_law(ctrl, X)
+    worst = max(float((lyapunov_eval(step(ref_spec, ref_ds, x, v, d)[0], xstar)
+                       - Gamma @ lyapunov_eval(x, xstar)).max())
+                for x, v, d in zip(X, V, D))
+    assert worst <= stability.CONTRACTION_TOL
+    metered = ctrl.b < ctrl.vstar
+    ramp = ((V > ctrl.b) & (V < ctrl.vstar) & metered).any(axis=1).sum()
+    saturated = ((V == ctrl.b) & metered).any(axis=1).sum()
+    assert (ramp if name == "hand-tuned" else saturated) > N // 2
+
+
 def test_contraction_check_matches_per_sample_loop(ref_spec, ref_ds, ref_cert, constants):
     """The stacked Lyapunov maps give the per-sample loop's worst gap, bit for
     bit, where that gap is positive and sensitive to every rounding."""
