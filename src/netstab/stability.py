@@ -457,8 +457,10 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     gamma is a sampled infimum: structured seeds (every binary jam pattern
     for small networks, inflows at both box ends, all uncertainty corners)
     plus a joint low-discrepancy cloud of GAMMA_SAMPLES points, followed by
-    REFINE_SWEEPS sweeps of coordinate-descent refinement of the best seeds
-    with a zooming grid per coordinate.  A nonpositive gamma raises
+    up to REFINE_SWEEPS sweeps of coordinate-descent refinement of the best
+    seeds with a zooming grid per coordinate; it stops early once 2n + 4
+    scans in a row, one per coordinate, move no seed, since every later
+    scan would repeat one of them.  A nonpositive gamma raises
     ThrottleBoundViolation with the witness sample.  The three constants
     are read at call time.
 
@@ -568,8 +570,10 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     grid = {key: np.empty((K * w, p.shape[1])) for key, p in pts.items()}
     Fw, Gw, Sb, Sw = (np.empty((K * w, n)) for _ in range(4))
 
-    def scan(kind, idx, lo_full, hi_full):
+    def scan(kind, idx, lo_full, hi_full) -> bool:
+        """Refine coordinate idx of `kind` in every seed; True if any moved."""
         nonlocal best
+        moved = False
         lo, hi = np.full(K, lo_full), np.full(K, hi_full)
         # w grid rows per seed; a zoom level moves only column idx of `kind`
         rows = {key: _repeat_into(grid[key], p) for key, p in pts.items()}
@@ -594,20 +598,26 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
             k = np.argmin(cand, axis=1)
             t_k = ts[seed_of, k]
             better = cand[seed_of, k] < best
+            moved |= bool(better.any())
             best = np.where(better, cand[seed_of, k], best)
             pts[kind][better, idx] = t_k[better]
             won = (seed_of * w + k)[better]  # the winning grid rows become the base
             Fb[better], Gb[better] = F[won], G[won]
             lo = np.maximum(lo_full, t_k - span)
             hi = np.minimum(hi_full, t_k + span)
+        return moved
 
-    for _ in range(REFINE_SWEEPS):
-        for i in range(n):
-            scan("x", i, 0.0, float(spec.a[i]))
-        for i in range(n):
-            scan("v", i, 0.0, float(v_box[i]))
-        for k in range(4):
-            scan("d", k, float(ds.d_lo[k]), float(ds.d_hi[k]))
+    # A scan that moves no seed leaves pts, best, Fb and Gb as they were, so
+    # once every coordinate in a row has passed without a move, each later
+    # scan would repeat an earlier one: the refinement stops there.
+    coords = ([("x", i, 0.0, float(spec.a[i])) for i in range(n)]
+              + [("v", i, 0.0, float(v_box[i])) for i in range(n)]
+              + [("d", k, float(ds.d_lo[k]), float(ds.d_hi[k])) for k in range(4)])
+    idle = 0
+    for coord in coords * REFINE_SWEEPS:
+        if idle == len(coords):
+            break
+        idle = 0 if scan(*coord) else idle + 1
 
     b = int(np.argmin(best))  # the first seed that reached the smallest ratio
     gamma, x_min, v_min, d_min = float(best[b]), pts["x"][b], pts["v"][b], pts["d"][b]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,17 @@ def test_solver_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds):
     with pytest.raises(ValueError, match=r"^cell 3: diagrams give jam capacity "
                                          r"a = 120 but the network has a = 170$"):
         solve_uep(ref_spec, _jam_capacity(ref_ds, 2, 120.0), presets.reference_vstar())
+
+
+def test_solver_refuses_a_network_validate_rejects(ref_spec, ref_ds):
+    """The benchmark with cell 4's exit fraction at 0.6, so its row sums to
+    1.1: every certify path starts here, and the refusal reads as the
+    first violation does on the command line."""
+    Qexit = ref_spec.Qexit.copy()
+    Qexit[3] = 0.6
+    with pytest.raises(ValueError, match=r"^cell 4: turning rates plus exit fraction "
+                                         r"sum to 1\.1, expected 1 \(row_sum\)$"):
+        solve_uep(replace(ref_spec, Qexit=Qexit), ref_ds, presets.reference_vstar())
 
 
 def test_supply_scale_fit(ref_spec, ref_ds):

@@ -266,10 +266,38 @@ def _assert_same_search(spec, ds, bound=None, seed=0):
     return got
 
 
+def _scan_count(spec, ds, seed):
+    """The coordinate scans `drain_constants` runs, counted through a
+    stand-in bound.  The refinement starts with an x scan, whose base points
+    are bounded right before its first local allocation.  From there an x or
+    v scan makes one full allocation and three local ones (`cell` set), a d
+    scan three full ones."""
+    cells = []
+
+    class Counting(ThrottleBound):
+        def allocate(self, F, G, V, cell=None, S=None):
+            cells.append(cell)
+            return super().allocate(F, G, V, cell, S)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "ThrottleBound", Counting)
+        drain_constants(spec, ds, weights_r(spec), seed=seed)
+    start = next(k for k, cell in enumerate(cells) if cell is not None) - 1
+    local = sum(cell is not None for cell in cells[start:])
+    full = len(cells) - start - local
+    return local // 3 + (full - local // 3) // 3
+
+
 @pytest.mark.parametrize("net", ["benchmark", "pinned-wave benchmark",
                                  "piecewise and pinned cells", "degenerate box",
-                                 "one corner class", "11 cells", "20 cells"])
+                                 "one corner class", "11 cells", "20 cells",
+                                 "20 cells, three sweeps"])
 def test_drain_constants_match_per_seed_refinement(net, constants):
+    """The reference refines every seed for all REFINE_SWEEPS sweeps.  On the
+    nets up to 12 cells the last move comes in the first sweep, so the search
+    stops early (`test_refinement_stops_once_a_cycle_of_scans_is_idle`); on
+    20 cells over three sweeps seeds still move in the third, so it runs
+    every scan."""
     spec, ds = {"benchmark": lambda: (presets.reference_network(),
                                       presets.reference_diagrams()),
                 "pinned-wave benchmark": _pinned_benchmark,
@@ -277,14 +305,27 @@ def test_drain_constants_match_per_seed_refinement(net, constants):
                 "degenerate box": _degenerate_box,
                 "one corner class": lambda: _classed_net("1 class")[:2],
                 "11 cells": lambda: _freeways_and_chain(1, 3, pinned=(9,)),
-                "20 cells": _twenty_cells}[net]()
+                "20 cells": _twenty_cells,
+                "20 cells, three sweeps": _twenty_cells}[net]()
     constants(GAMMA_SAMPLES=2048)
-    if spec.n > 12:
+    if net == "20 cells":
         constants(REFINE_SWEEPS=1)
     got = _assert_same_search(spec, ds, seed=4)
     assert got.n_evaluated > _block_rows(spec.n)  # the seed cloud spans several blocks
     # cells without a junction (no routed inflow) take v scans as well
     assert () in spec.predecessors
+    if net == "20 cells, three sweeps":
+        assert _scan_count(spec, ds, seed=4) == 3 * (2 * spec.n + 4)
+
+
+def test_refinement_stops_once_a_cycle_of_scans_is_idle():
+    """A scan that moves no seed changes nothing the next scan reads, so after
+    2n + 4 idle scans in a row every later one would repeat.  On the
+    benchmark the last move comes in scan 7: the search stops after scan
+    27 of 60."""
+    spec, ds = presets.reference_network(), presets.reference_diagrams()
+    assert stability.REFINE_SWEEPS * (2 * spec.n + 4) == 60
+    assert _scan_count(spec, ds, seed=0) == 7 + 2 * spec.n + 4
 
 
 class _LowCornerBound(ThrottleBound):
