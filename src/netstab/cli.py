@@ -26,8 +26,8 @@ from .errors import DimensionError, DomainError, MisuseError
 from .harness import (ControlSpec, DisturbanceSpec, ScenarioConfig,
                       estimate_decay, export_csv, gridlock_demo,
                       mass_balance_residuals, reproduce_suite, run_scenario)
-from .network import (_check_fields, _checked, _located, find_cycle,
-                      load_network, validate_spec)
+from .network import (_check_fields, _checked, _located, check_spec,
+                      find_cycle, load_network, validate_spec)
 from .presets import (reference_diagrams, reference_network, reference_vstar,
                       three_cell_cycle)
 from .stability import certify, contraction_check
@@ -59,10 +59,11 @@ def _load_pair(args, spec=None, ds=None):
         check_pair(spec, ds)
     except (OSError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
-    violations = validate_spec(spec) if args.network and args.command != "validate" else []
-    if violations:
-        raise _InputError(f"{args.network}: {violations[0].message} "
-                          f"({violations[0].constraint})")
+    if args.network and args.command != "validate":
+        try:
+            check_spec(spec)
+        except ValueError as exc:
+            raise _InputError(f"{args.network}: {exc}") from exc
     return spec, ds
 
 

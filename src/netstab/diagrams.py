@@ -31,7 +31,6 @@ _D_DIM = 4
 DEMAND_FLOOR = 1e-12   # a density (or demand) below this is an empty cell
 D_TOL = 1e-12          # admission tolerance for d against the uncertainty box
 SUPPLY_TOL = 1e-4      # supply-margin slack below zero that still passes
-ROW_LOOP_CELLS = 32    # `demand_all` loops over cells in Python floats up to this many
 
 
 # --- curve coefficients ------------------------------------------------------
@@ -47,8 +46,6 @@ ROW_LOOP_CELLS = 32    # `demand_all` loops over cells in Python floats up to th
 _PHI1 = (None, 5.0 / 11.0, None)
 _PHI6 = (None, -(3.0 / 23.0), 740.0 / 23.0)
 _PHI7 = (83.0 / 52900.0, -(4471.0 / 10580.0), 46019.0 / 1058.0)
-# phi1, phi6 and phi7 with zeros for missing terms, as the piece table has them
-_SHARED_PIECES = tuple(tuple(0.0 if t is None else t for t in c) for c in (_PHI1, _PHI6, _PHI7))
 
 _FAMILY_BRANCHES = {
     "freeway-main": (
@@ -66,12 +63,11 @@ def _quad(c, z):
     """c2*z*z + c1*z + c0, term by term in the order the formulas are written.
 
     None terms are skipped, so a linear or constant-free piece costs no extra
-    array pass.  `demand_all` passes coefficient arrays with zeros for the
+    array pass.  `demand_all` takes the A and B pieces with zeros for the
     missing terms instead; adding a zero term leaves every nonzero value
-    unchanged.  The terms are indexed, not unpacked: unpacking the rows of an
-    array costs about three times as much.
+    unchanged.
     """
-    c2, c1, c0 = c[0], c[1], c[2]
+    c2, c1, c0 = c
     q = c1 * z if c2 is None else c2 * z * z + c1 * z
     return q if c0 is None else q + c0
 
@@ -98,63 +94,23 @@ def _blend(d1, d2, d3, z, delta, A, B):
     return np.where(z <= delta, sub, over)
 
 
-def _piece_table(families) -> tuple:
-    """Every cell's five demand pieces (phi1, A, B, phi6, phi7) as arrays.
-
-    Returns the knees, shape (5, n), and the (c2, c1, c0) coefficients up to
-    and above each knee, shape (3, 5, n), with zeros for missing terms.  A
-    piece without a knee gets an infinite one and repeats its coefficients
-    above it; cells outside the built-in families get the main family's
-    values, which `demand_all` overwrites.
-    """
-    cells = [((None, _PHI1, None),)
-             + _FAMILY_BRANCHES.get(fam, _FAMILY_BRANCHES["freeway-main"])
-             + ((None, _PHI6, None), (None, _PHI7, None)) for fam in families]
-    knee = np.array([[math.inf if b[0] is None else b[0] for b in cell]
-                     for cell in cells]).reshape(-1, 5)
-    lo, hi = (np.array([[[0.0 if c is None else c for c in (b[end] or b[1])] for b in cell]
-                        for cell in cells]).reshape(-1, 5, 3) for end in (1, 2))
-    # cell-major lists, piece-major arrays: a contiguous copy keeps the knee
-    # pick in `demand_all` off strided reads
-    return tuple(np.ascontiguousarray(t.T) for t in (knee, lo, hi))
+def _branch_row(branch) -> tuple:
+    """A branch as (knee, (c2, c1, c0) up to it, (c2, c1, c0) above it) in
+    floats, zeros for missing terms; a branch without a knee gets an infinite
+    one and repeats its coefficients above it."""
+    knee, lo, hi = branch
+    lo, hi = (tuple(0.0 if c is None else c for c in piece) for piece in (lo, hi or lo))
+    return math.inf if knee is None else knee, lo, hi
 
 
-def _cell_rows(delta: np.ndarray, pieces: tuple) -> tuple:
-    """Each cell's delta and its A and B branches, from the piece table, as
-    Python floats: (delta, A knee, A's (c2, c1, c0) up to the knee and above
-    it, B knee, B's two (c2, c1, c0)).  phi1, phi6 and phi7 are the same for
-    every cell."""
-    knee, lo, hi = (t.tolist() for t in pieces)  # knee[piece][cell], lo[term][piece][cell]
-
-    def branch(p, k):
-        return knee[p][k], tuple(c[p][k] for c in lo), tuple(c[p][k] for c in hi)
-
-    return tuple((dk, *branch(1, k), *branch(2, k)) for k, dk in enumerate(delta.tolist()))
-
-
-def _demand_row(rows: tuple, d1: float, d2: float, d3: float, xl: list) -> list:
-    """`demand_all` of the built-in cells as a Python loop over `_cell_rows`.
-
-    Per cell it takes the same IEEE double operations in the same order as
-    the piece table: c2*z*z + c1*z + c0 on every piece, zero terms included,
-    each weighted piece, the weighted pieces summed in `_blend`'s order.  It
-    only skips the pieces that `np.where` would discard, so every value,
-    NaN and inf included, has the table's bits.
-    """
-    (e2, e1, e0), (s2, s1, s0), (t2, t1, t0) = _SHARED_PIECES
-    w2, w3, w5 = d2 * (1.0 - d1), (1.0 - d2) * (1.0 - d1), 1.0 - d3
-    out = []
-    for z, (delta, ka, alo, ahi, kb, blo, bhi) in zip(xl, rows):
-        if z < DEMAND_FLOOR:
-            out.append(0.0)
-        elif z <= delta:
-            a2, a1, a0 = alo if z <= ka else ahi
-            b2, b1, b0 = blo if z <= kb else bhi
-            out.append(d1 * (e2 * z * z + e1 * z + e0) + w2 * (a2 * z * z + a1 * z + a0)
-                       + w3 * (b2 * z * z + b1 * z + b0))
-        else:
-            out.append(d3 * (s2 * z * z + s1 * z + s0) + w5 * (t2 * z * z + t1 * z + t0))
-    return out
+def _cell_rows(demands) -> tuple:
+    """Each cell's (delta, A knee, A's two pieces, B knee, B's two pieces),
+    as `_branch_row` writes a branch, for `demand_all`.  phi1, phi6 and phi7
+    are the same for every cell; cells outside the built-in families get the
+    main family's branches, which `demand_all` overwrites."""
+    family = {fam: _branch_row(A) + _branch_row(B) for fam, (A, B) in _FAMILY_BRANCHES.items()}
+    return tuple((float(fd.delta), *family.get(fd.family, family["freeway-main"]))
+                 for fd in demands)
 
 
 @dataclass(frozen=True)
@@ -271,16 +227,15 @@ class DiagramSet:
     d_hi: np.ndarray
     # cached per-cell arrays, the built-in families' index groups and the
     # piecewise cells; _wave is None unless some supply pins its scale (NaN
-    # marks the cells scaled by d4); _pieces holds every cell's demand piece
-    # table for `demand_all` and _rows the same coefficients per cell as
-    # floats (`_cell_rows`), _fcap every cell's `demand_cap` and
-    # _d_lo_tol/_d_hi_tol the box that `step` admits d from
+    # marks the cells scaled by d4); _rows holds every cell's delta and A and
+    # B branches as floats for `demand_all` (`_cell_rows`), _fcap every
+    # cell's `demand_cap` and _d_lo_tol/_d_hi_tol the box that `step` admits
+    # d from
     _a: np.ndarray = field(init=False, repr=False, compare=False)
     _delta: np.ndarray = field(init=False, repr=False, compare=False)
     _qcap: np.ndarray = field(init=False, repr=False, compare=False)
     _wave: np.ndarray | None = field(init=False, repr=False, compare=False)
     _groups: dict = field(init=False, repr=False, compare=False)
-    _pieces: tuple = field(init=False, repr=False, compare=False)
     _rows: tuple = field(init=False, repr=False, compare=False)
     _fcap: np.ndarray = field(init=False, repr=False, compare=False)
     _piecewise: tuple = field(init=False, repr=False, compare=False)
@@ -327,9 +282,7 @@ class DiagramSet:
         object.__setattr__(self, "_groups", groups)
         object.__setattr__(self, "_piecewise", tuple(
             k for k, fd in enumerate(self.demands) if fd.family == "piecewise"))
-        object.__setattr__(self, "_pieces",
-                           _piece_table([fd.family for fd in self.demands]))
-        object.__setattr__(self, "_rows", _cell_rows(self._delta, self._pieces))
+        object.__setattr__(self, "_rows", _cell_rows(self.demands))
         caps = {fd: demand_cap(fd) for fd in set(self.demands)}
         object.__setattr__(self, "_fcap", np.array([caps[fd] for fd in self.demands]))
         object.__setattr__(self, "_d_lo_tol", self.d_lo - D_TOL)
@@ -393,26 +346,30 @@ def demand_all(ds: DiagramSet, d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """All cells' demand at state x (one uncertainty sample), both float
     arrays; same values as the matching row of `demand_batch`.
 
-    Up to ROW_LOOP_CELLS cells a Python loop evaluates each cell's active
-    pieces in floats (`_demand_row`): there the cost of a numpy call, not its
-    arithmetic, sets the price.  Above it each cell's knee picks the
-    coefficients of its five pieces, so one quadratic pass evaluates them
-    all; the weighted pieces are then summed in `_blend`'s order.
+    A Python loop over the cells in floats: at the sizes netstab runs, the
+    cost of a numpy call, not its arithmetic, would set the price.  Per cell
+    it takes the active branch only and picks each knee piece with one
+    comparison.  It evaluates phi1, phi6 and phi7 term by term as `_quad`
+    does and each A and B piece as c2*z*z + c1*z + c0, zero terms included,
+    then sums the weighted pieces in `_blend`'s order.
     """
     d1, d2, d3 = d[:3].tolist()
-    if ds.n <= ROW_LOOP_CELLS:
-        out = _demand_row(ds._rows, d1, d2, d3, x.tolist())
-        for k in ds._piecewise:
-            out[k] = float(_demand_values(ds.demands[k], d1, d2, d3, x[k]))
-        return np.array(out)
-    knee, lo, hi = ds._pieces
-    w = np.array([d1, d2 * (1.0 - d1), (1.0 - d2) * (1.0 - d1), d3, 1.0 - d3])[:, None]
-    q = w * _quad(np.where(x <= knee, lo, hi), x)
-    out = np.where(x <= ds._delta, q[0] + q[1] + q[2], q[3] + q[4])
+    (_, e1, _), (_, s1, s0), (t2, t1, t0) = _PHI1, _PHI6, _PHI7  # the None terms skipped
+    w2, w3, w5 = d2 * (1.0 - d1), (1.0 - d2) * (1.0 - d1), 1.0 - d3
+    out = []
+    for z, (delta, ka, alo, ahi, kb, blo, bhi) in zip(x.tolist(), ds._rows):
+        if z < DEMAND_FLOOR:
+            out.append(0.0)
+        elif z <= delta:
+            a2, a1, a0 = alo if z <= ka else ahi
+            b2, b1, b0 = blo if z <= kb else bhi
+            out.append(d1 * (e1 * z) + w2 * (a2 * z * z + a1 * z + a0)
+                       + w3 * (b2 * z * z + b1 * z + b0))
+        else:
+            out.append(d3 * (s1 * z + s0) + w5 * (t2 * z * z + t1 * z + t0))
     for k in ds._piecewise:
-        out[k] = _demand_values(ds.demands[k], d1, d2, d3, x[k])
-    out[x < DEMAND_FLOOR] = 0.0
-    return out
+        out[k] = float(_demand_values(ds.demands[k], d1, d2, d3, x[k]))
+    return np.array(out)
 
 
 def supply_all(ds: DiagramSet, d: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from . import dynamics
 from .diagrams import (DiagramSet, _demand_values, check_pair, d_corners,
                        demand_batch, supply_batch)
 from .errors import DomainError, InfeasibleInflow, NonUniformEquilibrium
-from .network import NetworkSpec, validate_spec
+from .network import NetworkSpec, check_spec
 
 BISECTION_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
@@ -66,14 +66,11 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
     NonUniformEquilibrium when the solved densities fail to carry the same
     flow under every admissible disturbance, ValueError naming the cell when
     the strict supply slack fails or the diagrams do not describe the network's
-    cells (`check_pair`), ValueError naming the first violation (in the words
-    `netstab` prints) when the network breaks a `validate_spec` constraint,
-    and AcyclicityError when the network has a cycle.
+    cells (`check_pair`) or the network breaks a `validate_spec` constraint
+    (`check_spec`), and AcyclicityError when the network has a cycle.
     """
     check_pair(spec, ds)
-    violations = validate_spec(spec)
-    if violations:
-        raise ValueError(f"{violations[0].message} ({violations[0].constraint})")
+    check_spec(spec)
     vstar = np.asarray(vstar, dtype=float)
     v_cap = np.minimum(spec.vmax, ds.min_supply_at_zero())
     if not np.isfinite(vstar).all():

@@ -216,6 +216,14 @@ def validate_spec(spec: NetworkSpec) -> list[Violation]:
     return out
 
 
+def check_spec(spec: NetworkSpec) -> None:
+    """ValueError naming the first `validate_spec` violation, in the words
+    `netstab` prints, if the network breaks any constraint."""
+    violations = validate_spec(spec)
+    if violations:
+        raise ValueError(f"{violations[0].message} ({violations[0].constraint})")
+
+
 @dataclass(frozen=True)
 class TopologicalOrder:
     """A cell ordering under which the routing matrix is strictly upper triangular."""

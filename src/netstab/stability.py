@@ -24,7 +24,7 @@ from .diagrams import (DiagramSet, _demand_values, _philox, _supply_values,
 from .dynamics import step
 from .errors import (DimensionError, NumericalError, StructuralError,
                      ThrottleBoundViolation, TrappingInfeasible)
-from .network import NetworkSpec, group_claims
+from .network import NetworkSpec, check_spec, group_claims
 from .sobol import Sobol
 
 SQUARINGS = 48         # matrix squarings in the spectral-radius estimator
@@ -746,8 +746,11 @@ def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
     Stage one computes weights, the invariant box, and the drain constants
     from the network alone.  Stage two synthesizes a controller when none is
     given (its floor then respects the drain budget by construction), builds
-    the comparison matrix, and attempts the trapping bound.
+    the comparison matrix, and attempts the trapping bound.  A network that
+    breaks a `validate_spec` constraint raises ValueError (`check_spec`),
+    whatever `eq` was solved for.
     """
+    check_spec(spec)
     r = weights_r(spec)
     L = np.array([fd.L for fd in ds.demands])
     G = np.array([fd.G for fd in ds.demands])

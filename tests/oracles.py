@@ -87,10 +87,9 @@ def is_topological(P, order):
     return all(pos[i] < pos[j] for i, j in zip(rows, cols))
 
 
-def random_acyclic_instance(rng, n_max=12, n=None):
-    """Random routing matrix with row sums <= 1 plus release/inflow slopes,
-    on n cells, or on 2 to n_max drawn at random."""
-    n = int(rng.integers(2, n_max + 1)) if n is None else n
+def random_acyclic_instance(rng, n_max=12):
+    """Random routing matrix with row sums <= 1 plus release/inflow slopes."""
+    n = int(rng.integers(2, n_max + 1))
     perm = rng.permutation(n)
     P = np.zeros((n, n))
     for a in range(n - 1):

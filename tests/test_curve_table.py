@@ -2,10 +2,9 @@
 loop references in `oracles`, bit for bit.
 
 `demand_batch` evaluates each built-in family with scalar coefficients,
-`demand_all` every cell of one state, up to ROW_LOOP_CELLS cells in a Python
-loop over floats and above it from a per-cell piece table, and `step` runs
-on that row path.  The nets below lie on both sides of ROW_LOOP_CELLS.  None
-of it may move a bit of a demand value, a flow field or a successor state.
+`demand_all` every cell of one state in a Python loop over floats, and
+`step` runs on that row path.  None of it may move a bit of a demand value,
+a flow field or a successor state.
 """
 
 import math
@@ -19,7 +18,7 @@ from netstab.diagrams import (DEMAND_FLOOR, DemandFunction, DiagramSet, Piece,
                               d_corners, demand_all, demand_batch, demand_cap,
                               uniform_uncertainty)
 from netstab.dynamics import compute_flows, step
-from netstab.errors import NumericalError
+from netstab.errors import DomainError, NumericalError
 from netstab.network import NetworkSpec
 
 import oracles
@@ -69,10 +68,9 @@ def _corridor(copies, seed, ds8=None):
     return spec, DiagramSet(tuple(dem), tuple(sup), ds8.d_lo, ds8.d_hi)
 
 
-def _random_net(rng, n=None):
-    """A random acyclic net from `oracles` with mixed families and pinned
-    waves, on n cells or on at most 12."""
-    P, _, _ = oracles.random_acyclic_instance(rng, n=n)
+def _random_net(rng):
+    """A random acyclic net from `oracles` with mixed families and pinned waves."""
+    P, _, _ = oracles.random_acyclic_instance(rng)
     n = len(P)
     ref = presets.reference_diagrams()
     pool = (ref.demands[0], ref.demands[4], PIECEWISE)
@@ -123,29 +121,13 @@ def _nets():
             "turning rate above 1": _turning_rate_above_one()}
     for k in range(6):
         nets[f"random {k}"] = _random_net(rng)
-    # both sides of the evaluator choice, and curves the large corridor lacks
-    # above it: `demand_all` loops up to ROW_LOOP_CELLS cells
-    rng = np.random.default_rng(31)
-    for n in (diagrams.ROW_LOOP_CELLS, diagrams.ROW_LOOP_CELLS + 1):
-        nets[f"random, {n} cells"] = _random_net(rng, n)
+    # the curves the large corridor lacks, on as many cells
     nets["corridor of 8 copies, piecewise and pinned"] = _corridor(
         8, 13, _benchmark(pinned=(0, 4, 7), piecewise=(2, 5))[1])
     return nets
 
 
 NETS = _nets()
-
-
-def test_nets_lie_on_both_sides_of_the_evaluator_choice():
-    """Nets at ROW_LOOP_CELLS and one above it, and nets above it with
-    piecewise cells and pinned waves, so every test over NETS runs both
-    `demand_all` evaluators on every kind of cell."""
-    limit = diagrams.ROW_LOOP_CELLS
-    sizes = {ds.n for _, ds in NETS.values()}
-    assert {limit, limit + 1} <= sizes and min(sizes) < limit < max(sizes)
-    for side in (True, False):
-        assert any(ds._piecewise and ds._wave is not None
-                   for _, ds in NETS.values() if (ds.n <= limit) == side)
 
 
 @pytest.mark.parametrize("name", NETS)
@@ -229,14 +211,13 @@ def test_demand_never_exceeds_its_cap(name):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["benchmark, piecewise cell",
                                   "corridor of 8 copies, piecewise and pinned"])
-def test_non_finite_densities_fail_alike_on_both_evaluators(name, bad, monkeypatch):
+def test_non_finite_densities_fail_alike_on_row_and_batch_paths(name, bad):
     """`compute_flows` does not screen x.  A NaN or +inf density in a
-    built-in cell gives a non-finite demand there, and both evaluators raise
-    the same NumericalError naming that cell; -inf lies below DEMAND_FLOOR,
-    so that cell emits nothing and the flows agree bit for bit.  In a
-    piecewise cell NaN and +inf lie on no piece, and -inf is empty as well.
-    The piece table multiplies zero terms by inf and numpy warns about it;
-    the loop takes the same operations in Python floats, which do not."""
+    built-in cell gives a non-finite demand there, with the same bits on the
+    row path, the batch path and the reference, and the flows raise
+    NumericalError naming that cell; -inf lies below DEMAND_FLOOR, so that
+    cell emits nothing.  In a piecewise cell no piece covers a non-finite
+    density, and every path raises the same DomainError."""
     spec, ds = NETS[name]
     piecewise, builtin = ds._piecewise[0], min(set(range(ds.n)) - set(ds._piecewise))
     d = 0.5 * (ds.d_lo + ds.d_hi)
@@ -244,18 +225,24 @@ def test_non_finite_densities_fail_alike_on_both_evaluators(name, bad, monkeypat
         x = 0.5 * spec.a
         x[cell] = bad
         outcomes = []
-        for limit in (ds.n, ds.n - 1):  # the loop, then the piece table
-            monkeypatch.setattr(diagrams, "ROW_LOOP_CELLS", limit)
+        for demand in (lambda: demand_all(ds, d, x),
+                       lambda: demand_batch(ds, d[None], x[None])[0],
+                       lambda: oracles.demand_batch_reference(ds, d[None], x[None])[0]):
             try:
                 with np.errstate(invalid="ignore"):
-                    fb = compute_flows(spec, ds, x, np.ones(ds.n), d)
-                outcomes.append([getattr(fb, field).tobytes() for field in oracles.FLOW_FIELDS])
-            except (NumericalError, ValueError) as exc:
-                outcomes.append((type(exc), str(exc), getattr(exc, "cell", None)))
-        assert outcomes[0] == outcomes[1], (cell, outcomes)
-        if cell == builtin and bad != -math.inf:
-            assert outcomes[0] == (NumericalError, f"non-finite demand at cell {cell + 1}",
-                                   cell)
+                    outcomes.append(demand().tobytes())
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1] == outcomes[2], (cell, outcomes)
+        if cell == piecewise:
+            assert outcomes[0] == f"no polynomial piece covers density {bad}"
+        elif bad == -math.inf:
+            assert compute_flows(spec, ds, x, np.ones(ds.n), d).attempted_demand[cell] == 0.0
+        else:
+            refusal = f"^non-finite demand at cell {cell + 1}$"
+            with pytest.raises(NumericalError, match=refusal) as exc:
+                compute_flows(spec, ds, x, np.ones(ds.n), d)
+            assert exc.value.cell == cell
 
 
 def test_demand_cap_per_curve(monkeypatch):

@@ -8,6 +8,7 @@ from netstab.diagrams import d_corners
 from netstab.equilibrium import (equilibrium_flows, equilibrium_residual,
                                  fit_supply_scale, solve_uep)
 from netstab.errors import DomainError, InfeasibleInflow, NonUniformEquilibrium
+from netstab.stability import certify
 
 import oracles
 from test_stability import _jam_capacity
@@ -92,13 +93,18 @@ def test_solver_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds):
 
 def test_solver_refuses_a_network_validate_rejects(ref_spec, ref_ds):
     """The benchmark with cell 4's exit fraction at 0.6, so its row sums to
-    1.1: every certify path starts here, and the refusal reads as the
-    first violation does on the command line."""
+    1.1.  `solve_uep` refuses it, and so does `certify` around an
+    equilibrium solved on the sound network; the refusal reads as the first
+    violation does on the command line."""
     Qexit = ref_spec.Qexit.copy()
     Qexit[3] = 0.6
-    with pytest.raises(ValueError, match=r"^cell 4: turning rates plus exit fraction "
-                                         r"sum to 1\.1, expected 1 \(row_sum\)$"):
-        solve_uep(replace(ref_spec, Qexit=Qexit), ref_ds, presets.reference_vstar())
+    bad = replace(ref_spec, Qexit=Qexit)
+    refusal = r"^cell 4: turning rates plus exit fraction sum to 1\.1, expected 1 \(row_sum\)$"
+    with pytest.raises(ValueError, match=refusal):
+        solve_uep(bad, ref_ds, presets.reference_vstar())
+    eq = solve_uep(ref_spec, ref_ds, presets.reference_vstar())
+    with pytest.raises(ValueError, match=refusal):
+        certify(bad, ref_ds, eq)
 
 
 def test_supply_scale_fit(ref_spec, ref_ds):

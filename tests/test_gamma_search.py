@@ -267,25 +267,18 @@ def _assert_same_search(spec, ds, bound=None, seed=0):
 
 
 def _scan_count(spec, ds, seed):
-    """The coordinate scans `drain_constants` runs, counted through a
-    stand-in bound.  The refinement starts with an x scan, whose base points
-    are bounded right before its first local allocation.  From there an x or
-    v scan makes one full allocation and three local ones (`cell` set), a d
-    scan three full ones."""
-    cells = []
+    """The coordinate scans `drain_constants` runs: each zooms in three
+    times, and only a scan draws a zoom grid (`_zoom_grid`)."""
+    grids = []
 
-    class Counting(ThrottleBound):
-        def allocate(self, F, G, V, cell=None, S=None):
-            cells.append(cell)
-            return super().allocate(F, G, V, cell, S)
+    def counting(lo, hi, w):
+        grids.append(w)
+        return _zoom_grid(lo, hi, w)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "ThrottleBound", Counting)
+        mp.setattr(stability, "_zoom_grid", counting)
         drain_constants(spec, ds, weights_r(spec), seed=seed)
-    start = next(k for k, cell in enumerate(cells) if cell is not None) - 1
-    local = sum(cell is not None for cell in cells[start:])
-    full = len(cells) - start - local
-    return local // 3 + (full - local // 3) // 3
+    return len(grids) // 3
 
 
 @pytest.mark.parametrize("net", ["benchmark", "pinned-wave benchmark",
