@@ -68,16 +68,37 @@ def control_law(cfg: ControllerConfig, x) -> np.ndarray:
     a stack gets the bits of calling the law on it alone, as `np.matmul`
     runs one matrix-vector product per row.  The three regimes are branched
     explicitly so the boundary values are bit-exact: zero weighted excess
-    returns v*, saturated excess returns b.
+    returns v*, saturated excess returns b.  A regime no entry is in costs
+    one count: loads that are all zero return v*, and loads that all reach
+    1 return b, each in the load's own fresh array; otherwise each
+    saturation is written only where some entry has reached it.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != cfg.xstar.shape:
         raise DimensionError(f"x must have shape (..., {cfg.n})")
-    load = np.matmul(cfg.K, np.maximum(x - cfg.xstar, 0.0)[..., None])[..., 0] / cfg.tau
-    v = cfg.vstar - cfg.span * load
+    excess = x - cfg.xstar
+    np.maximum(excess, 0.0, out=excess)
+    load = np.matmul(cfg.K, excess[..., None])[..., 0]
+    load /= cfg.tau
+    # K and the excess are nonnegative, so each load is nonnegative or NaN,
+    # and the loads at or below 0 are the ones count_nonzero leaves out
+    nonzero = np.count_nonzero(load)
+    if nonzero == 0:
+        np.copyto(load, cfg.vstar)
+        return load
+    full = load >= 1.0
+    saturated = np.count_nonzero(full)
+    if saturated == load.size:
+        np.copyto(load, cfg.b)
+        return load
+    # the ramp, written over the excess, which the load no longer needs
+    v = np.multiply(cfg.span, load, out=excess)
+    np.subtract(cfg.vstar, v, out=v)
     # the two saturations are disjoint, so they overwrite the ramp in any order
-    np.copyto(v, cfg.b, where=load >= 1.0)
-    np.copyto(v, cfg.vstar, where=load <= 0.0)
+    if saturated:
+        np.copyto(v, cfg.b, where=full)
+    if nonzero < load.size:
+        np.copyto(v, cfg.vstar, where=load <= 0.0)
     return v
 
 

@@ -229,8 +229,8 @@ class DiagramSet:
     # piecewise cells; _wave is None unless some supply pins its scale (NaN
     # marks the cells scaled by d4); _rows holds every cell's delta and A and
     # B branches as floats for `demand_all` (`_cell_rows`), _fcap every
-    # cell's `demand_cap` and _d_lo_tol/_d_hi_tol the box that `step` admits
-    # d from
+    # cell's `demand_cap` and _d_box the box that `step` admits d from, as
+    # (lo, hi) tuples of four floats
     _a: np.ndarray = field(init=False, repr=False, compare=False)
     _delta: np.ndarray = field(init=False, repr=False, compare=False)
     _qcap: np.ndarray = field(init=False, repr=False, compare=False)
@@ -239,8 +239,7 @@ class DiagramSet:
     _rows: tuple = field(init=False, repr=False, compare=False)
     _fcap: np.ndarray = field(init=False, repr=False, compare=False)
     _piecewise: tuple = field(init=False, repr=False, compare=False)
-    _d_lo_tol: np.ndarray = field(init=False, repr=False, compare=False)
-    _d_hi_tol: np.ndarray = field(init=False, repr=False, compare=False)
+    _d_box: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "demands", tuple(self.demands))
@@ -285,8 +284,8 @@ class DiagramSet:
         object.__setattr__(self, "_rows", _cell_rows(self.demands))
         caps = {fd: demand_cap(fd) for fd in set(self.demands)}
         object.__setattr__(self, "_fcap", np.array([caps[fd] for fd in self.demands]))
-        object.__setattr__(self, "_d_lo_tol", self.d_lo - D_TOL)
-        object.__setattr__(self, "_d_hi_tol", self.d_hi + D_TOL)
+        object.__setattr__(self, "_d_box", (tuple((self.d_lo - D_TOL).tolist()),
+                                            tuple((self.d_hi + D_TOL).tolist())))
 
     @property
     def n(self) -> int:

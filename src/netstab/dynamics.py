@@ -98,13 +98,15 @@ def _allocate(spec: NetworkSpec, fl: list, gl: list, vl: list) -> list:
 
 def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
     """Flow breakdown at (x, v, d) without validation; see `step` for checks."""
-    return _flows(spec, ds, np.asarray(x, dtype=float), np.asarray(v, dtype=float),
+    v = np.asarray(v, dtype=float)
+    return _flows(spec, ds, np.asarray(x, dtype=float), v, v.tolist(),
                   np.asarray(d, dtype=float))
 
 
-def _flows(spec: NetworkSpec, ds: DiagramSet, x: np.ndarray, v: np.ndarray,
+def _flows(spec: NetworkSpec, ds: DiagramSet, x: np.ndarray, v: np.ndarray, vl: list,
            d: np.ndarray) -> FlowBreakdown:
-    """`compute_flows` on x, v and d already converted to float arrays."""
+    """`compute_flows` on x, v and d already converted to float arrays, and v
+    as a list."""
     f = demand_all(ds, d, x)
     g = supply_all(ds, d, x)
     fl, gl = f.tolist(), g.tolist()
@@ -114,7 +116,7 @@ def _flows(spec: NetworkSpec, ds: DiagramSet, x: np.ndarray, v: np.ndarray,
             if not np.isfinite(y).all():
                 i = int(np.argmax(~np.isfinite(y)))
                 raise NumericalError(f"non-finite {what} at cell {i + 1}", cell=i)
-    s = np.array(_allocate(spec, fl, gl, v.tolist()))
+    s = np.array(_allocate(spec, fl, gl, vl))
     outflow = s * f
     accepted = np.minimum(v, g)
     return FlowBreakdown(outflow, accepted + outflow @ spec.P, s, f,
@@ -130,7 +132,7 @@ def _within(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
 def _check_domain(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> None:
     """The domain checks of `step` on float arrays of the right shapes; None
     skips one.  Each admission test is written so that NaN fails it.  `step`
-    screens with the same tests and calls this only to name what failed."""
+    screens for the same box and calls this to name what failed."""
     refused = x is not None and ~((x >= -STATE_TOL) & (x <= spec.a + STATE_TOL))
     if np.any(refused):
         # the refused cell furthest out, NaN and inf first: an admitted cell
@@ -143,8 +145,9 @@ def _check_domain(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> None:
         i = int(np.argmax(~((v >= 0.0) & (v < np.inf))))
         what = "negative" if np.isfinite(v[i]) else "non-finite"
         raise DomainError(f"cell {i + 1}: {what} external inflow {v[i]:.6g}")
-    if d is not None and not ((d >= ds._d_lo_tol).all() and (d <= ds._d_hi_tol).all()):
-        k = int(np.argmax(~((d >= ds._d_lo_tol) & (d <= ds._d_hi_tol))))
+    lo, hi = ds._d_box
+    if d is not None and not ((d >= lo).all() and (d <= hi).all()):
+        k = int(np.argmax(~((d >= lo) & (d <= hi))))
         raise DomainError(
             f"disturbance coordinate d{k + 1} = {d[k]:.6g} outside the uncertainty "
             f"box [{ds.d_lo[k]:.6g}, {ds.d_hi[k]:.6g}]")
@@ -165,21 +168,27 @@ def step(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> tuple[np.ndarray, FlowBr
         raise DimensionError(f"x and v must have shape ({spec.n},)")
     if d.shape != ds.d_lo.shape:
         raise DimensionError(f"d must have shape {ds.d_lo.shape}, got {d.shape}")
-    # one screen against bounds cached on spec and ds, strict for x, so a
-    # state a step returned (clipped to [0, a]) skips the clip; otherwise
-    # `_check_domain` raises, naming what failed, unless x lies in the
-    # STATE_TOL band around the box, which is clipped
-    if not (_within(np.concatenate((x, v)), *spec.admission)
-            and _within(d, ds._d_lo_tol, ds._d_hi_tol)):
+    # one screen, strict for x, against bounds cached on spec and ds: x in
+    # [0, a]; v's list, which the allocation reads too, by a finite sum (no
+    # NaN or inf) and its least entry (-0.0 passes); d's four floats against
+    # the widened box.  A state a step returned (clipped to [0, a]) passes
+    # unclipped.  Otherwise `_check_domain` raises, naming what failed,
+    # unless x lies in the STATE_TOL band around the box, which is clipped,
+    # or v's finite entries overflowed its sum, which it admits
+    vl = v.tolist()
+    d1, d2, d3, d4 = d.tolist()
+    (l1, l2, l3, l4), (h1, h2, h3, h4) = ds._d_box
+    if not (_within(x, *spec.admission) and math.isfinite(sum(vl)) and min(vl) >= 0.0
+            and l1 <= d1 <= h1 and l2 <= d2 <= h2 and l3 <= d3 <= h3 and l4 <= d4 <= h4):
         _check_domain(spec, ds, x, v, d)
         x = np.minimum(np.maximum(x, 0.0), spec.a)
-    fb = _flows(spec, ds, x, v, d)
+    fb = _flows(spec, ds, x, v, vl, d)
     x_next = x - fb.outflow + fb.inflow
-    lo, hi = np.minimum.reduce(x_next), np.maximum.reduce(x_next - spec.a)
-    if lo > 0.0 and hi <= 0.0:
+    if _within(x_next, *spec.successor_box):
         # inside (0, a] the clip is the identity; only a zero entry could
         # change under it, as np.maximum(-0.0, 0.0) gives +0.0
         return x_next, fb
+    lo, hi = np.minimum.reduce(x_next), np.maximum.reduce(x_next - spec.a)
     if not (lo >= -STATE_TOL and hi <= STATE_TOL):
         if not np.isfinite(x_next).all():
             i = int(np.argmax(~np.isfinite(x_next)))

@@ -19,7 +19,7 @@ from . import dynamics
 from .control import ControllerConfig, control_law
 from .diagrams import DiagramSet, _philox, check_pair, uniform_uncertainty
 from .errors import MisuseError
-from .network import NetworkSpec, find_cycle
+from .network import NetworkSpec, check_spec, find_cycle
 from .presets import (benchmark_initial_states, congested_candidate,
                       experiment_controller, reference_diagrams,
                       reference_network, reference_vstar)
@@ -117,9 +117,11 @@ def run_scenario(spec: NetworkSpec, ds: DiagramSet,
     """Roll the network forward for cfg.horizon steps and record everything.
 
     Raises ValueError naming the cell when the diagrams do not describe the
-    network's cells (`check_pair`).
+    network's cells (`check_pair`) or the network breaks a `validate_spec`
+    constraint (`check_spec`).
     """
     check_pair(spec, ds)
+    check_spec(spec)
     n = spec.n
     T = int(cfg.horizon)
     xref = _resolve_reference(cfg, n)

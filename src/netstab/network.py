@@ -116,13 +116,17 @@ class NetworkSpec:
 
     @cached_property
     def admission(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (lo, hi) bounds that `dynamics.step` admits ``(x, v)`` between
-        without a second look, concatenated: x in [0, a] and v in [0, DBL_MAX],
-        the float form of v < inf that NaN also fails.  `step` clips a state
-        in the STATE_TOL band around [0, a] and refuses the rest."""
-        lo = np.zeros(2 * self.n)
-        hi = np.concatenate((self.a, np.full(self.n, np.finfo(float).max)))
-        return _frozen_array(lo), _frozen_array(hi)
+        """The (lo, hi) bounds that `dynamics.step` admits x between without
+        a second look: [0, a].  `step` clips a state in the STATE_TOL band
+        around [0, a] and refuses the rest."""
+        return _frozen_array(np.zeros(self.n)), self.a
+
+    @cached_property
+    def successor_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (lo, hi) bounds of (0, a], the box that `dynamics.step` returns
+        a successor in without clipping it: lo is the least positive float,
+        so z >= lo is z > 0."""
+        return _frozen_array(np.full(self.n, np.nextafter(0.0, 1.0))), self.a
 
     @cached_property
     def claim_levels(self):

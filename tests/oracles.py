@@ -434,6 +434,32 @@ def step_reference(spec, ds, x, v, d):
     return np.clip(x_next, 0.0, spec.a), fields
 
 
+def control_law_reference(cfg, x):
+    """The metering law as it was written before it skipped the regimes no
+    entry is in: the ramp for every entry, then b written where the load
+    reaches 1 and v* where it is 0, on a state or a stack of states."""
+    x = np.asarray(x, dtype=float)
+    load = np.matmul(cfg.K, np.maximum(x - cfg.xstar, 0.0)[..., None])[..., 0] / cfg.tau
+    v = cfg.vstar - cfg.span * load
+    np.copyto(v, cfg.b, where=load >= 1.0)
+    np.copyto(v, cfg.vstar, where=load <= 0.0)
+    return v
+
+
+def closed_loop_reference(spec, ds, cfg, x0, D):
+    """(states, inflows, flow fields) of a closed loop run as a loop of
+    `control_law_reference` and `step_reference` over the disturbances D;
+    the last inflow row is the law at the final state, as a record keeps it."""
+    states, inflows, fields = [np.asarray(x0, dtype=float)], [], []
+    for d in D:
+        inflows.append(control_law_reference(cfg, states[-1]))
+        x, f = step_reference(spec, ds, states[-1], inflows[-1], d)
+        states.append(x)
+        fields.append(f)
+    inflows.append(control_law_reference(cfg, states[-1]))
+    return np.array(states), np.array(inflows), fields
+
+
 def eager_mass_balance(spec, ds, record):
     """(w, exit, residuals) of a run as the step computed w and exit for
     every breakdown before they were derived on demand: w from the supply at

@@ -10,6 +10,8 @@ from netstab.control import (ControllerConfig, control_law,
                              save_controller, synthesize, uniform_gain)
 from netstab.errors import DimensionError
 
+import oracles
+
 
 def test_law_equals_vstar_at_or_below_equilibrium(bench_ctrl, ref_eq):
     np.testing.assert_array_equal(control_law(bench_ctrl, ref_eq.xstar),
@@ -202,9 +204,10 @@ def _stack_states(cfg, rng, N):
 @given(kind=st.sampled_from(["hand-tuned", "synthesized", "uniform", "random"]),
        n=st.sampled_from([1, 8, 64]), N=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
 def test_law_on_a_stack_equals_one_call_per_row(bench_ctrl, ref_cert, kind, n, N, seed):
-    """A stack of states gets each row's own bits, signed zeros included:
-    the benchmark's hand-tuned and synthesized controllers (n = 8), and
-    uniform and random gains at n = 1, 8 and 64."""
+    """A stack of states gets each row's own bits, signed zeros included,
+    and the bits of the reference law: the benchmark's hand-tuned and
+    synthesized controllers (n = 8), and uniform and random gains at n = 1,
+    8 and 64."""
     rng = np.random.default_rng(seed)
     cfg = {"hand-tuned": bench_ctrl, "synthesized": ref_cert.controller}.get(kind) \
         or _random_controller(kind, n, rng)
@@ -214,6 +217,7 @@ def test_law_on_a_stack_equals_one_call_per_row(bench_ctrl, ref_cert, kind, n, N
     want = np.array([control_law(cfg, x) for x in X])
     assert got.shape == (N, n)
     assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == oracles.control_law_reference(cfg, X).tobytes()
 
 
 def test_law_on_a_stack_reaches_every_regime(bench_ctrl, ref_cert):
@@ -228,6 +232,77 @@ def test_law_on_a_stack_reaches_every_regime(bench_ctrl, ref_cert):
         assert np.array_equal(V[2::5], np.broadcast_to(cfg.b, V[2::5].shape))
         ramp = V[1::5][:, metered]
         assert ((ramp > cfg.b[metered]) & (ramp < cfg.vstar[metered])).any()
+
+
+def test_law_just_above_the_equilibrium_is_on_the_ramp(bench_ctrl, ref_cert):
+    """States a few ulps above x*, whose loads are positive but far below 1:
+    every metered cell with a load gets a ramp value below v*, not v*
+    itself, with the bits of the reference law, one state at a time and
+    stacked.  The random gain has every third row zero, so those cells keep
+    v* beside ramp cells in one state; their v* is -0.0 over a floor of
+    0.0, where the ramp v* - (v* - b) * 0 would give +0.0."""
+    rand = _random_controller("random", 64, np.random.default_rng(8))
+    K, vstar, b = np.array(rand.K), np.array(rand.vstar), np.array(rand.b)
+    K[::3], vstar[::3], b[::3] = 0.0, -0.0, 0.0
+    rand = ControllerConfig(rand.xstar, vstar, b, K, rand.tau)
+    for cfg in (bench_ctrl, ref_cert.controller, rand):
+        X = cfg.xstar + np.array([1.0, 2.0, 16.0, 1024.0])[:, None] * np.spacing(cfg.xstar)
+        V = control_law(cfg, X)
+        assert V.tobytes() == oracles.control_law_reference(cfg, X).tobytes()
+        assert V.tobytes() == np.array([control_law(cfg, x) for x in X]).tobytes()
+        ramp = (cfg.vstar > cfg.b) & ((X - cfg.xstar) @ cfg.K.T > 0.0)
+        assert ramp.any() and (V[ramp] < np.broadcast_to(cfg.vstar, V.shape)[ramp]).all()
+    assert np.signbit(V[:, ::3]).all()
+
+
+def test_law_returns_a_fresh_writable_array(bench_ctrl, ref_cert):
+    """In every regime, on one state and on stacks (one of rows at or below
+    x* only, one of saturated rows): the result is writable and shares
+    memory with neither x nor the controller's arrays, so writing into it
+    changes no later call."""
+    rng = np.random.default_rng(5)
+    for cfg in (bench_ctrl, ref_cert.controller):
+        X = _stack_states(cfg, rng, 10)
+        want = oracles.control_law_reference(cfg, X)
+        for x in (*X, X, X[[0, 3, 5, 8]], X[[2, 7]]):
+            v = control_law(cfg, x)
+            assert v.flags.writeable
+            for other in (x, cfg.xstar, cfg.vstar, cfg.b, cfg.span):
+                assert not np.shares_memory(v, other)
+            v[...] = -1.0
+        assert control_law(cfg, X).tobytes() == want.tobytes()
+        assert np.array_equal(cfg.span, cfg.vstar - cfg.b)
+
+
+def test_law_on_a_stack_below_the_equilibrium_gives_vstar_per_row(bench_ctrl, ref_cert):
+    """Every row at or below x*, so no load anywhere: each row is v*, as one
+    call per row and the reference law give it, for leading axes of any
+    shape, the zeros of the hand-tuned v* included."""
+    rng = np.random.default_rng(7)
+    for cfg in (bench_ctrl, ref_cert.controller, _random_controller("random", 64, rng)):
+        X = cfg.xstar * rng.uniform(0.0, 1.0, (3, 7, cfg.n))
+        X[0, 0] = cfg.xstar
+        V = control_law(cfg, X)
+        assert V.shape == X.shape
+        assert V.tobytes() == np.array([[control_law(cfg, x) for x in row]
+                                        for row in X]).tobytes()
+        assert V.tobytes() == oracles.control_law_reference(cfg, X).tobytes()
+        assert V.tobytes() == np.broadcast_to(cfg.vstar, X.shape).tobytes()
+
+
+def test_law_gives_nan_on_a_nan_state(bench_ctrl, ref_cert):
+    """A NaN density makes the loads NaN, and the law returns NaN there as
+    the reference law does, on one state and in a stack whose other rows
+    (saturated ones among them) keep their own bits."""
+    rng = np.random.default_rng(6)
+    for cfg in (bench_ctrl, ref_cert.controller):
+        X = _stack_states(cfg, rng, 10)
+        X[[1, 2, 4], rng.integers(0, cfg.n, 3)] = np.nan
+        V = control_law(cfg, X)
+        assert V.tobytes() == oracles.control_law_reference(cfg, X).tobytes()
+        assert np.isnan(V[[1, 2, 4]]).any(axis=1).all() and not np.isnan(V[[0, 3, 7]]).any()
+        for x, v in zip(X, V):
+            assert control_law(cfg, x).tobytes() == v.tobytes()
 
 
 def test_law_keeps_the_leading_axes_of_a_stack(bench_ctrl):

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netstab import presets
+from netstab import dynamics, presets
 from netstab.diagrams import (D_TOL, DiagramSet, SupplyFunction, d_corners, demand_all,
                               demand_batch, supply_all,
                               supply_batch, uniform_uncertainty)
@@ -151,9 +152,12 @@ def _past(z, toward):
 
 
 BOX = "outside the uncertainty box"
+DBL_MAX = float(np.finfo(float).max)
+TINY = _past(0.0, np.inf)  # 5e-324
 # (input, index, value, DomainError message or None when admitted): x is
-# edited at cell 3 (a = 170), v at cell 5 and d at its second and fourth
-# coordinates (box [0, 1] and [0.22, 0.3])
+# edited at cell 3 (a = 170), v at cell 5 and d at each coordinate (box
+# [0, 1] for d1..d3 and [0.22, 0.3] for d4); an index list edits several
+# cells, here to inflows whose finite entries overflow their sum
 EDGES = [
     ("x", 2, -STATE_TOL, None),
     ("x", 2, presets.JAM + STATE_TOL, None),
@@ -162,12 +166,30 @@ EDGES = [
     ("x", 2, np.nan, "cell 3: non-finite density nan"),
     ("x", 2, np.inf, "cell 3: non-finite density inf"),
     ("x", 2, -np.inf, "cell 3: non-finite density -inf"),
+    ("x", 2, -0.0, None),
+    ("x", 2, 0.0, None),
+    ("x", 2, TINY, None),
+    ("x", 2, presets.JAM, None),
+    ("x", 2, _past(presets.JAM, np.inf), None),
+    ("x", 2, STATE_TOL / 2, None),
+    ("x", 2, -STATE_TOL / 2, None),
+    ("x", 2, DBL_MAX, "cell 3: density 1.79769e+308 outside [0, 170]"),
+    ("x", 2, -DBL_MAX, "cell 3: density -1.79769e+308 outside [0, 170]"),
     ("v", 4, -0.0, None),
-    ("v", 4, float(np.finfo(float).max), None),
+    ("v", 4, DBL_MAX, None),
     ("v", 4, _past(0.0, -np.inf), "cell 5: negative external inflow -4.94066e-324"),
     ("v", 4, np.nan, "cell 5: non-finite external inflow nan"),
     ("v", 4, np.inf, "cell 5: non-finite external inflow inf"),
     ("v", 4, -np.inf, "cell 5: non-finite external inflow -inf"),
+    ("v", 4, 0.0, None),
+    ("v", 4, TINY, None),
+    ("v", 4, presets.JAM, None),
+    ("v", 4, _past(presets.JAM, np.inf), None),
+    ("v", 4, STATE_TOL / 2, None),
+    ("v", 4, -STATE_TOL / 2, "cell 5: negative external inflow -5e-10"),
+    ("v", 4, -DBL_MAX, "cell 5: negative external inflow -1.79769e+308"),
+    ("v", [0, 4], DBL_MAX, None),
+    ("v", [0, 4, 6], [DBL_MAX, DBL_MAX, np.nan], "cell 7: non-finite external inflow nan"),
     ("d", 1, 0.0 - D_TOL, None),
     ("d", 1, 1.0 + D_TOL, None),
     ("d", 3, 0.22 - D_TOL, None),
@@ -179,23 +201,39 @@ EDGES = [
     ("d", 1, np.nan, f"disturbance coordinate d2 = nan {BOX} [0, 1]"),
     ("d", 3, np.inf, f"disturbance coordinate d4 = inf {BOX} [0.22, 0.3]"),
     ("d", 3, -np.inf, f"disturbance coordinate d4 = -inf {BOX} [0.22, 0.3]"),
+    *[("d", k, edge, None) for k in (0, 2) for edge in (0.0 - D_TOL, 1.0 + D_TOL)],
+    *[("d", k, _past(edge, out), f"disturbance coordinate d{k + 1} = {_past(edge, out):.6g} "
+       f"{BOX} [0, 1]") for k in (0, 2) for edge, out in ((-D_TOL, -np.inf), (1 + D_TOL, np.inf))],
+    *[("d", k, np.nan, f"disturbance coordinate d{k + 1} = nan {BOX} [0, 1]") for k in (0, 2)],
 ]
 
 
 @pytest.mark.parametrize("which, index, value, message", EDGES)
-def test_step_admits_exactly_its_box(ref_spec, ref_ds, ref_eq, which, index, value,
-                                     message):
-    """The admission edges of `step`: the state box widened by STATE_TOL, v in
-    [0, inf) and the uncertainty box widened by D_TOL, each edge admitted and
-    the next float past it refused with a message naming the cell or the
-    coordinate of d."""
+def test_step_admits_exactly_its_box(ref_spec, ref_ds, ref_eq, monkeypatch, which, index,
+                                     value, message):
+    """The admission edges of `step` and each value its screens can meet:
+    the state box widened by STATE_TOL, v in [0, inf) and the uncertainty
+    box widened by D_TOL, each edge admitted and the next float past it
+    refused with a message naming the cell or the coordinate of d.  An
+    admitted input gives x_next and every flow field of
+    `oracles.step_reference` bit for bit, which clips every state and
+    screens nothing, and reaches the slow path (`_check_domain`) only for
+    a density outside [0, a] or inflows whose sum overflows."""
     args = {"x": ref_eq.xstar.copy(), "v": ref_eq.vstar.copy(),
             "d": np.array([0.5, 0.5, 0.5, 0.25])}
     args[which][index] = value
     if message is None:
+        slow = []
+        check = dynamics._check_domain
+        monkeypatch.setattr(dynamics, "_check_domain", lambda *a: slow.append(a) or check(*a))
         x_next, fb = step(ref_spec, ref_ds, args["x"], args["v"], args["d"])
-        assert np.all((x_next >= 0.0) & (x_next <= ref_spec.a))
-        assert np.isfinite(fb.inflow).all()
+        x = args["x"]
+        fast = ((x >= 0.0) & (x <= ref_spec.a)).all() and math.isfinite(sum(args["v"].tolist()))
+        assert len(slow) == (not fast)
+        want_x, want = oracles.step_reference(ref_spec, ref_ds, args["x"], args["v"], args["d"])
+        assert x_next.tobytes() == want_x.tobytes()
+        for field in oracles.FLOW_FIELDS:
+            assert getattr(fb, field).tobytes() == want[field].tobytes(), field
     else:
         with pytest.raises(DomainError) as exc:
             step(ref_spec, ref_ds, args["x"], args["v"], args["d"])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -119,6 +120,22 @@ def test_run_scenario_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds)
         run_scenario(ref_spec, _jam_capacity(ref_ds, 2, 120.0), cfg)
 
 
+def test_run_scenario_refuses_a_network_validate_rejects(ref_spec, ref_ds):
+    """The benchmark with cell 4's exit fraction at 0.6, so its row sums to
+    1.1: this run from the jam ran with mass-balance residuals up to 0.47
+    before `run_scenario` checked the network.  The refusal reads as the
+    first violation does on the command line."""
+    Qexit = ref_spec.Qexit.copy()
+    Qexit[3] = 0.6
+    bad = dataclasses.replace(ref_spec, Qexit=Qexit)
+    cfg = ScenarioConfig(x0=np.array(ref_spec.a), horizon=30,
+                         disturbance=DisturbanceSpec(kind="uniform", seed=0),
+                         control=ControlSpec(kind="open-loop", v=presets.reference_vstar()))
+    with pytest.raises(ValueError, match=r"^cell 4: turning rates plus exit fraction "
+                                         r"sum to 1\.1, expected 1 \(row_sum\)$"):
+        run_scenario(bad, ref_ds, cfg)
+
+
 def test_mass_balance_residuals_are_tiny(ref_spec, ref_ds):
     rec = run_scenario(ref_spec, ref_ds, _open_loop(40, seed=5))
     res = mass_balance_residuals(rec)
@@ -147,6 +164,32 @@ def test_derived_flow_fields_equal_the_eager_formulas(ref_spec, ref_ds, ref_cert
         assert np.array_equal(stacked[0], w) and np.array_equal(stacked[1], exit_flow)
         for t, fb in enumerate(rec.flows):
             assert np.array_equal(fb.w, w[t]) and np.array_equal(fb.exit, exit_flow[t])
+
+
+@pytest.mark.parametrize("net", ["benchmark", "corridor of 8 copies"])
+def test_closed_loop_record_equals_the_reference_loop(ref_spec, ref_ds, ref_cert, net):
+    """Closed-loop records with the synthesized controller (n = 8, and on
+    each copy of a 64-cell corridor, whose copies sit in different regimes
+    of the law at once) from the jam and from random starts: states, inflows
+    and every flow field equal bit for bit a loop of the reference law and
+    `oracles.step_reference`, which screen and clip nothing by shortcut."""
+    if net == "benchmark":
+        spec, ds, ctrl = ref_spec, ref_ds, ref_cert.controller
+    else:
+        spec, ds, ctrl = _corridor_check(ref_cert, 8, 11)
+    rng = np.random.default_rng(spec.n + 1)
+    for k, x0 in enumerate([np.array(spec.a), *rng.uniform(0.0, spec.a, (5, spec.n))]):
+        cfg = ScenarioConfig(x0=x0, horizon=80,
+                             disturbance=DisturbanceSpec(kind="uniform", seed=k),
+                             control=ControlSpec(kind="closed-loop", controller=ctrl))
+        rec = run_scenario(spec, ds, cfg)
+        states, inflows, fields = oracles.closed_loop_reference(spec, ds, ctrl, x0,
+                                                                rec.disturbances)
+        assert rec.states.tobytes() == states.tobytes()
+        assert rec.inflows.tobytes() == inflows.tobytes()
+        for fb, want in zip(rec.flows, fields, strict=True):
+            for field in oracles.FLOW_FIELDS:
+                assert getattr(fb, field).tobytes() == want[field].tobytes(), field
 
 
 def test_export_csv_round_trips(tmp_path, ref_spec, ref_ds):
