@@ -400,11 +400,20 @@ def demand_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def supply_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Supply for a batch: D is (N, 4), X is (N, n); returns (N, n)."""
-    scale = D[:, 3:4] if ds._wave is None else np.where(np.isnan(ds._wave), D[:, 3:4],
-                                                        ds._wave)
-    return scale * np.minimum(ds._qcap, ds._a - X)
+def supply_batch(ds: DiagramSet, D: np.ndarray, X: np.ndarray,
+                 cells: np.ndarray | None = None) -> np.ndarray:
+    """Supply for a batch: D is (N, 4), X is (N, n); returns (N, n).
+
+    Supply reads d4 alone, the last column of D, so D may also be that
+    column, (N, 1).  With `cells`, X holds the densities of those cells
+    only, (N, len(cells)), and so does the result; each entry has the bits
+    of the whole row's.
+    """
+    qcap, a, wave, d4 = ds._qcap, ds._a, ds._wave, D[:, -1:]
+    if cells is not None:
+        qcap, a, wave = qcap[cells], a[cells], None if wave is None else wave[cells]
+    scale = d4 if wave is None else np.where(np.isnan(wave), d4, wave)
+    return scale * np.minimum(qcap, a - X)
 
 
 # --- uncertainty sampling ---------------------------------------------------

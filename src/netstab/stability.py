@@ -37,6 +37,8 @@ SCAN_WIDTH = 33         # grid points per zoom level of a gamma-search scan
 GAMMA_SAMPLES = 100_000  # Sobol points of the gamma search, rounded up to a power of two
 REFINE_TOP = 8          # best seeds the gamma search refines
 REFINE_SWEEPS = 3       # coordinate-descent sweeps over every x, v and d coordinate
+WITNESS_CELLS = 4       # heaviest cells whose throttle floor first bounds a Sobol' block
+WITNESS_MARGIN = 2.0 ** -30  # relative margin of the witness floor's comparisons
 
 
 def weights_r(spec: NetworkSpec) -> np.ndarray:
@@ -243,6 +245,18 @@ class ThrottleBound:
     bit.  A bound that ignores `cell` and `S` and allocates in full is
     equally correct, only slower.
 
+    `allocate(F, G, V, cells=W)` is the witness form: the bounds of the
+    cells W alone, (N, len(W)), of rows whose supplies and inflows are given
+    at the junctions where W claim only, G and V (N, len(J)) in the order of
+    J = `junctions(W)`.  It replays those junctions, grouped by level, up to
+    the last level at which a cell of W claims; every junction of a bound in
+    W is among them, so the bounds equal those columns of a full `allocate`
+    bit for bit.  The gamma search rules Sobol blocks out with it
+    (`drain_constants`), which needs S <= 1 in every form.  A bound whose
+    throttles can exceed 1, or that cannot bound W from those columns,
+    answers the witness form with zeros: no block with a row of mass above
+    the floor is then ruled out, and the search evaluates it.
+
     `allocate` is non-increasing in F: F <= F' entrywise gives
     allocate(F', G, V) <= allocate(F, G, V) entrywise, bit for bit.  A larger
     demand only subtracts more from the remaining supply of later levels,
@@ -260,7 +274,7 @@ class ThrottleBound:
         for j, claim in spec.claims:
             for i, _ in claim:
                 self.sites[i].append(j)
-        self.plans = {}
+        self.plans = {}  # local plans by cell, witness plans by tuple of cells
 
     def _plan(self, cell: int):
         """(columns a change to `cell` can move, junction cells, levels)."""
@@ -272,14 +286,41 @@ class ThrottleBound:
                                 *group_claims([(j, self.claims[j]) for j in replay], self.a))
         return self.plans[cell]
 
+    def _witness_plan(self, cells: tuple):
+        """(junction cells, levels up to the last claim of `cells` with each
+        sender as its position among `cells` and the senders of those
+        levels, those cells, the position of each of `cells` among them)."""
+        if cells not in self.plans:
+            junctions, levels = group_claims(
+                [(j, self.claims[j]) for j in sorted({j for i in cells for j in self.sites[i]})],
+                self.a)
+            levels = levels[:max((k + 1 for k, level in enumerate(levels)
+                                  if np.isin(level[1], cells).any()), default=0)]
+            senders = np.unique(np.concatenate([cells, *(level[1] for level in levels)]))
+            levels = [(pos, np.searchsorted(senders, snd), cap, p, repeats)
+                      for pos, snd, cap, p, repeats in levels]
+            self.plans[cells] = (junctions, levels, senders, np.searchsorted(senders, cells))
+        return self.plans[cells]
+
+    def junctions(self, cells) -> np.ndarray:
+        """The junction cells whose supplies and inflows the witness form of
+        `allocate` reads for `cells`, in the order it reads them."""
+        return self._witness_plan(tuple(int(i) for i in cells))[0]
+
     def allocate(self, F: np.ndarray, G: np.ndarray, V: np.ndarray,
-                 cell: int | None = None, S: np.ndarray | None = None) -> np.ndarray:
+                 cell: int | None = None, S: np.ndarray | None = None,
+                 cells: np.ndarray | None = None) -> np.ndarray:
         """Throttle bounds from demands F, supplies G and inflows V, all (N, n).
 
         With `cell`, S holds the bounds of the rows before `cell` moved; only
-        the columns that can move are recomputed, in S itself.
+        the columns that can move are recomputed, in S itself.  With
+        `cells`, G and V hold the columns of `junctions(cells)` only, and the
+        bounds of `cells` are returned.
         """
-        if cell is None:
+        if cells is not None:  # S and F over the senders of the replayed levels
+            _, levels, senders, picks = self._witness_plan(tuple(int(i) for i in cells))
+            F, S, cols = F[:, senders], np.ones((len(senders), len(G))).T, slice(None)
+        elif cell is None:
             cols, levels = self.cols, self.levels
             S = np.ones(F.shape)  # C order also for a broadcast F, so `_ratios` weighs S alike
         else:
@@ -294,7 +335,7 @@ class ThrottleBound:
                 S[:, snd] = np.minimum(S[:, snd], frac)
             if k + 1 < len(levels):
                 rem[:, pos] -= p * F[:, snd]
-        return S
+        return S if cells is None else S[:, picks]
 
 
 @dataclass(frozen=True)
@@ -305,7 +346,10 @@ class DrainConstants:
     weights r, theta_i the guaranteed outflow fraction of a full cell, and
     gamma the sampled infimum of the throttled weighted-mass ratio over the
     state box, the admissible inflow box ``v_box``, and the uncertainty box
-    (states below ``mass_floor`` total mass are excluded).
+    (states below ``mass_floor`` total mass are excluded).  ``n_evaluated``
+    counts the seed rows of finite ratio, ``n_ruled_out`` the Sobol' rows
+    whose block the witness floor ruled out before their demands were
+    evaluated.
     """
 
     Qconst: float
@@ -317,6 +361,7 @@ class DrainConstants:
     v_box: np.ndarray
     mass_floor: float
     n_evaluated: int
+    n_ruled_out: int
 
 
 def _block_rows(n: int) -> int:
@@ -350,12 +395,13 @@ def _jam_patterns(n: int, seed: int, chunk: int):
 
 def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
                  n_samples: int, seed: int):
-    """The gamma search's seeds as (X, V, F, G, rows, D) blocks.
+    """The gamma search's seeds, block by block.
 
     A block covers `_block_rows(n)` rows of the seed stream, or fewer at the
-    end of a kind.  X, V, F and G hold its distinct rows (densities,
-    inflows, demands and supplies), `rows` maps each stream row to its
-    distinct row, and D holds each stream row's own uncertainty point.
+    end of a kind.  A jam-pattern block is a tuple (X, V, F, G, rows, D): X,
+    V, F and G hold its distinct rows (densities, inflows, demands and
+    supplies), `rows` maps each stream row to its distinct row, and D holds
+    each stream row's own uncertainty point.
 
     Jam-pattern rows come first: binary jam patterns (`_jam_patterns`) x
     inflows at both box ends x all uncertainty corners, in that nesting
@@ -371,9 +417,11 @@ def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
 
     A scrambled-Sobol cloud over (x, v, d) of n_samples rows, rounded up to
     a power of two, follows; it is drawn in power-of-two chunks, which equal
-    one whole draw bit for bit, and its rows are all distinct.  Its F is
-    None: `drain_constants` evaluates the demands only of a block that its
-    floor does not rule out.  No block mixes the two kinds.
+    one whole draw bit for bit, and its rows are all distinct.  Its blocks
+    are the draws themselves, (rows, 2n + 4) arrays of fractions of the
+    box, which `_cloud_rows` maps to rows: `drain_constants` first bounds a
+    block from its heaviest cells alone, and evaluates the rows only of a
+    block that this floor does not rule out.  No block mixes the two kinds.
     """
     n, block = spec.n, _block_rows(spec.n)
     ends, corners = np.stack([np.zeros(n), v_box]), d_corners(ds)
@@ -401,11 +449,26 @@ def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
     m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
     chunk = min(block, m)
     for _ in range(m // chunk):
-        u = sobol.random(chunk)
-        X, V = u[:, :n] * spec.a, u[:, n:2 * n] * v_box
-        D = u[:, 2 * n:] * (ds.d_hi - ds.d_lo) + ds.d_lo
-        del u  # 2n + 4 columns, not to be held while the consumer bounds the block
-        yield X, V, None, supply_batch(ds, D, X), np.arange(chunk), D
+        yield sobol.random(chunk)
+
+
+def _cloud_rows(u: np.ndarray, spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
+                junctions: np.ndarray | None = None):
+    """The rows (X, V, D) of a Sobol' block u: densities, inflows and
+    uncertainty points, (N, n), (N, n) and (N, 4).
+
+    With `junctions`, the form the witness floor reads: X cell-major, (n, N),
+    V at the junctions only, (N, len(junctions)), and D its d4 column alone,
+    (N, 1).  Every entry is the same product (and sum) of the same floats in
+    either form, so it has the same bits.
+    """
+    n = spec.n
+    if junctions is None:
+        return (u[:, :n] * spec.a, u[:, n:2 * n] * v_box,
+                u[:, 2 * n:] * (ds.d_hi - ds.d_lo) + ds.d_lo)
+    return (np.multiply(u[:, :n].T, spec.a[:, None], order="C"),
+            (u.T[n + junctions] * v_box[junctions, None]).T,
+            (u[:, -1] * (ds.d_hi[3] - ds.d_lo[3]) + ds.d_lo[3])[:, None])
 
 
 def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
@@ -469,16 +532,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     ratios before the next one exists.  A block bounds and weighs each of
     its distinct rows once, and its ratios are expanded to every stream row,
     so the stream's ratios, their order and the sample count are those of
-    the whole cloud.  Once REFINE_TOP seeds are kept, a Sobol block with
-    finite demand caps (`demand_cap`) is first bounded with every demand at
-    its cap, so F <= cap entrywise.  `allocate` is non-increasing in F
-    (`ThrottleBound`), and `_ratios` weighs the floor's S, of the shape and
-    order of the exact one, with the same monotone rounded operations, so
-    the floor is at most each exact ratio, bit for bit; with the same mass
-    floor and weighted mass, it is finite exactly where the ratio is.  A
-    block whose floor sorts no row before the last kept one is skipped
-    before its demands are evaluated, its finite rows counted from the
-    floor.  The search keeps only the best REFINE_TOP seeds, gathering
+    the whole cloud.  The search keeps only the best REFINE_TOP seeds, gathering
     their rows and curves alone and merging them into the kept ones by a
     stable sort, kept rows first, so seeds of equal ratio are taken in row
     order.  It refines them in lockstep: every zoom level of a coordinate
@@ -496,6 +550,46 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     zoom level recomputes only the columns that cell i can move (`allocate`
     with ``cell=i``), so its allocation costs O(degree(i)) per grid row
     instead of O(n).  A d scan allocates whole rows.
+
+    Once REFINE_TOP seeds are kept, with kappa the last kept ratio, a Sobol
+    block with finite demand caps (`demand_cap`) is first bounded from its
+    witnesses W, the WITNESS_CELLS cells of largest weight, on which the
+    weighted mass of a row mostly lies.  It is built from the draw only
+    where that floor reads (`_cloud_rows`): X on every cell, cell-major, and
+    d4, V and G at the junctions where W claim.  The floor S_i, i in W, is
+    the witness form of `allocate` with every demand at its cap: F <= cap
+    entrywise, `allocate` is non-increasing in F and its witness form has
+    the bits of a full one, so S_i is at most the bound `_ratios` would
+    weigh.  With low = sum over W of fl(S_i X_i) r_i, and with the mass and
+    den = r @ X summed cell by cell, the block is skipped, its demands never
+    evaluated, if every row has mass below mass_floor (1 - m), or mass at
+    least mass_floor (1 + m) and den = 0 or low >= kappa (1 + m) den, where
+    m = WITNESS_MARGIN; the rows of the last kind with den > 0 are counted.
+    Any other row sends the block to exact evaluation, and so does a kappa
+    below 2^-960 or below 2^-960 / (min r * mass_floor), or not finite.
+
+    Proof that a skipped block holds no row whose ratio `_ratios` rounds
+    below kappa, and that its finite ratios are the rows counted.  Let
+    u = 2^-53.  A sum of j nonnegative rounded products, in any order, fused
+    or not, lies within a factor (1 +- u)^j of the exact sum of the exact
+    products, up to 2^-1075 for each product that rounds below the normal
+    range; sums of nonnegative floats round exactly there.  `_ratios`' num
+    sums all n terms fl(S_i X_i) r_i, low only those of W, each at most
+    num's as rounding is monotone, so num >= (1 - u)^n (1 + u)^-k low with
+    k = len(W) <= 4.  Both den are within (1 +- u)^n of the exact weighted
+    mass, and the threshold kappa (1 + m) den rounds twice more.  So num >=
+    kappa den holds in `_ratios` once (1 + m)(1 - u)^(2n + 2) (1 + u)^-k >=
+    (1 + u)^n + m / 2, which m = 2^-30 covers for every n up to 1,398,099
+    cells (the weights allow 1,024).  The absolute terms, below
+    (5n + k) 2^-1075 as kappa < 2 (S <= 1), stay under the m / 2 left over
+    of kappa den >= 2^-961, which the bounds on kappa give a counted row.
+    The rounded division then keeps the ratio at or above kappa.  Both
+    masses sum the same n floats and lie within (1 +- u)^(n - 1) of their
+    exact sum, so mass >= mass_floor (1 + m) gives `_ratios`' mass at least
+    mass_floor and mass < mass_floor (1 - m) gives it below, for n up to
+    4 million.  den > 0 in either order exactly when some rounded X_i r_i is
+    positive.  And S <= 1 keeps every num finite, so a row's ratio is
+    finite exactly when the row is counted.
     """
     bound = ThrottleBound(spec, ds)
     r = np.asarray(r, dtype=float)
@@ -530,18 +624,45 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     v_box = caps - eps_tilde
     mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
 
+    witnesses = np.argsort(-r, kind="stable")[:WITNESS_CELLS]
+    junctions = bound.junctions(witnesses)
+    # kappa * least >= 2^-960 puts kappa and kappa * min(r) * mass_floor at 2^-960 or above
+    least = min(1.0, float(r.min()) * mass_floor)
+
+    def witness_count(u, kappa):
+        """The rows of finite ratio of Sobol' block u if its witness floor
+        rules the block out, else None."""
+        X, V, d4 = _cloud_rows(u, spec, ds, v_box, junctions)  # X cell-major
+        mass = X.sum(axis=0)
+        heavy = mass >= mass_floor * (1.0 + WITNESS_MARGIN)
+        if not (heavy | (mass < mass_floor * (1.0 - WITNESS_MARGIN))).all():
+            return None  # a row's mass lies within the margin of the floor
+        G = supply_batch(ds, d4, X[junctions].T, cells=junctions)
+        S = bound.allocate(np.broadcast_to(ds._fcap, (len(u), n)), G, V, cells=witnesses)
+        den = r @ X
+        counted = heavy & (den > 0)
+        low = (S * X[witnesses].T) @ r[witnesses]
+        if (low >= kappa * (1.0 + WITNESS_MARGIN) * den)[counted].all():
+            return int(counted.sum())
+        return None
+
     # the seeds of lowest ratio as (ratios, X, V, D, F, G), in (ratio, stream row) order
-    kept, n_evaluated, capped = (), 0, np.isfinite(ds._fcap).all()
-    for X, V, F, G, rows, D in _seed_blocks(spec, ds, v_box, GAMMA_SAMPLES, seed):
+    kept, n_evaluated, n_ruled_out = (), 0, 0
+    capped = np.isfinite(ds._fcap).all()
+    for block in _seed_blocks(spec, ds, v_box, GAMMA_SAMPLES, seed):
         full = bool(kept) and len(kept[0]) == REFINE_TOP
-        if F is None and capped and full:
-            floor = _ratios(bound.allocate(np.broadcast_to(ds._fcap, X.shape), G, V), X, r,
-                            mass_floor)[rows]
-            if floor.min() >= kept[0][-1]:
-                n_evaluated += int(np.isfinite(floor).sum())
-                continue
-        if F is None:
-            F = demand_batch(ds, D, X)
+        if not isinstance(block, tuple):  # a Sobol' block, as drawn
+            kappa = kept[0][-1] if full else math.inf
+            if capped and 2.0 ** -960 <= kappa * least < math.inf:
+                counted = witness_count(block, kappa)
+                if counted is not None:
+                    n_evaluated += counted
+                    n_ruled_out += len(block)
+                    continue
+            X, V, D = _cloud_rows(block, spec, ds, v_box)
+            block = (X, V, demand_batch(ds, D, X), supply_batch(ds, D, X),
+                     np.arange(len(X)), D)
+        X, V, F, G, rows, D = block
         ratios = _ratios(bound.allocate(F, G, V), X, r, mass_floor)[rows]
         n_evaluated += int(np.isfinite(ratios).sum())
         if full and ratios.min() >= kept[0][-1]:
@@ -553,7 +674,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
             merged = tuple(np.concatenate(pair) for pair in zip(kept, merged))
         top = np.argsort(merged[0], kind="stable")[:REFINE_TOP]
         kept = tuple(part[top] for part in merged)
-    del X, V, F, G, D  # the last block, not to be held through the refinement
+    del block, X, V, F, G, D  # the last blocks, not to be held through the refinement
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")
 
@@ -629,7 +750,8 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     C = Qconst * Theta * min(1.0, gamma)
     return DrainConstants(Qconst=Qconst, theta=theta, Theta=Theta, gamma=gamma,
                           C=C, argmin=argmin, v_box=v_box,
-                          mass_floor=mass_floor, n_evaluated=n_evaluated)
+                          mass_floor=mass_floor, n_evaluated=n_evaluated,
+                          n_ruled_out=n_ruled_out)
 
 
 def trapping_bound(C: float, r, beta, b, a) -> int:

@@ -8,9 +8,9 @@ samples differ: the cloud gathers the jam-pattern seeds' curves from corner
 tables, the refined points carry theirs, and a coordinate scan re-evaluates
 only the scanned cell (x), no curve (v) or every cell (d).  An x or v scan
 re-allocates only the throttle columns that its cell can move, and a Sobol
-block whose floor (every demand at its cap) rules it out is skipped unevaluated.
-None of that may change a single bit of the throttle bounds, gamma, its
-argmin or the sample count.
+block whose witness floor (its heaviest cells' throttles with every demand at
+its cap) rules it out is skipped unevaluated.  None of that may change a
+single bit of the throttle bounds, gamma, its argmin or the sample count.
 """
 
 import math
@@ -24,11 +24,13 @@ from netstab import diagrams, presets, stability
 from netstab.diagrams import (DiagramSet, SupplyFunction, _philox, d_corners,
                               demand_batch, supply_batch, uniform_uncertainty)
 from netstab.network import NetworkSpec
-from netstab.stability import (ThrottleBound, _block_rows, _jam_patterns, _ratios,
-                               _seed_blocks, _zoom_grid, drain_constants, weights_r)
+from netstab.sobol import Sobol
+from netstab.stability import (ThrottleBound, _block_rows, _cloud_rows, _jam_patterns,
+                               _ratios, _seed_blocks, _zoom_grid, drain_constants,
+                               weights_r)
 
 import oracles
-from test_curve_table import PIECEWISE, _corridor
+from test_curve_table import PIECEWISE, _corridor, _random_net
 
 
 def _diagrams_for(n, rng, pinned=(), piecewise=0.0):
@@ -186,10 +188,20 @@ def _relabelled_copies(copies, seed):
 
 def _assert_local_equals_full(spec, ds, rng, N=120):
     """For every cell, rows that move only that cell's density or inflow off
-    some base rows: `allocate` from the base rows' bounds equals a full one."""
+    some base rows: `allocate` from the base rows' bounds equals a full one.
+    So does the witness form of random cell sets, on their junctions'
+    supplies and inflows alone, in those cells' columns, with the rows'
+    demands and with every demand at its cap."""
     X, V, D = _states(spec, ds, rng, N)
     bound, (F, G) = ThrottleBound(spec, ds), _curves(ds, X, D)
     S = bound.allocate(F, G, V)
+    capped = np.broadcast_to(ds._fcap, F.shape)
+    for k in (1, 2, 4, spec.n):
+        cells = rng.choice(spec.n, size=min(k, spec.n), replace=False)
+        J = bound.junctions(cells)
+        assert np.array_equal(bound.allocate(F, G[:, J], V[:, J], cells=cells), S[:, cells])
+        assert np.array_equal(bound.allocate(capped, G[:, J], V[:, J], cells=cells),
+                              bound.allocate(capped, G, V)[:, cells])
     moved = 0
     for i in range(spec.n):
         Xi, Vi = X.copy(), V.copy()
@@ -321,6 +333,13 @@ def test_refinement_stops_once_a_cycle_of_scans_is_idle():
     assert _scan_count(spec, ds, seed=0) == 7 + 2 * spec.n + 4
 
 
+def _no_witness(G, cells):
+    """A stand-in's answer to the witness form of `allocate` when its
+    throttles can exceed 1 or read columns that form does not pass: zeros,
+    which rule out no block with a row above the mass floor."""
+    return np.zeros((len(G), len(cells)))
+
+
 class _LowCornerBound(ThrottleBound):
     """A stand-in bound that knows two curve values at the low corner d_lo:
     each cell's supply when empty and its demand when jammed."""
@@ -341,7 +360,9 @@ class _Overflowing(_LowCornerBound):
     there, and on 20 cells it then undercuts the finite seeds.  Elsewhere
     S = 1e308, so S * X overflows to an infinite ratio."""
 
-    def allocate(self, F, G, V, cell=None, S=None):
+    def allocate(self, F, G, V, cell=None, S=None, cells=None):
+        if cells is not None:
+            return _no_witness(G, cells)
         S = super().allocate(F, G, V)
         jam, count = G == 0, (G == 0).sum(axis=1)
         seeds = ((V == 0).all(axis=1) & (G <= self.g_low).all(axis=1)
@@ -372,7 +393,9 @@ class _Landscape(_LowCornerBound):
     above the low d4 corner or a jam demand below the low d3 corner's (the
     largest in the box) adds 1."""
 
-    def allocate(self, F, G, V, cell=None, S=None):
+    def allocate(self, F, G, V, cell=None, S=None, cells=None):
+        if cells is not None:
+            return _no_witness(G, cells)
         y = 1.0 - G / self.g_low
         n = y.shape[1]
         well = np.eye(n)
@@ -410,16 +433,19 @@ def _jam_pattern_rows(spec):
     return 32 * (2 ** spec.n - 1 if spec.n <= 12 else 4096)
 
 
-def _filled(block, ds):
-    """A `_seed_blocks` block with its demands: a Sobol block leaves F to
-    the consumer (None), which evaluates them like this."""
-    X, V, F, G, rows, D = block
-    return X, V, demand_batch(ds, D, X) if F is None else F, G, rows, D
+def _filled(block, spec, ds, v_box):
+    """A `_seed_blocks` block as (X, V, F, G, rows, D): a Sobol block is its
+    draw, which the consumer maps to rows (`_cloud_rows`) and evaluates like
+    this."""
+    if isinstance(block, tuple):
+        return block
+    X, V, D = _cloud_rows(block, spec, ds, v_box)
+    return X, V, demand_batch(ds, D, X), supply_batch(ds, D, X), np.arange(len(X)), D
 
 
-def _expanded(block, ds):
+def _expanded(block, spec, ds, v_box):
     """A `_seed_blocks` block as (X, V, D, F, G) on every stream row."""
-    X, V, F, G, rows, D = _filled(block, ds)
+    X, V, F, G, rows, D = _filled(block, spec, ds, v_box)
     return X[rows], V[rows], D, F[rows], G[rows]
 
 
@@ -427,15 +453,22 @@ def _stream(spec, ds, n_samples, seed):
     """The seed blocks expanded to every stream row and stacked into
     (X, V, D, F, G), checking that each block covers at most `_block_rows`
     stream rows of one kind and that its X, V and D are the reference
-    cloud's rows."""
+    cloud's rows.  A Sobol block's witness form, X cell-major and V and d4
+    at every cell taken as a junction, holds the same rows."""
     v_box = _v_box(spec, ds)
     want = oracles.seed_cloud_reference(spec, ds, v_box, n_samples, seed)
     n_struct, blocks, end = _jam_pattern_rows(spec), [], 0
     for block in _seed_blocks(spec, ds, v_box, n_samples, seed):
-        block = _expanded(block, ds)
-        lo, end = end, end + len(block[0])
+        jam = isinstance(block, tuple)
+        lo, end = end, end + len(block[4] if jam else block)
         assert 0 < end - lo <= _block_rows(spec.n)
-        assert (lo < n_struct) == (end <= n_struct)  # one kind per block
+        assert (lo < n_struct) == (end <= n_struct) == jam  # one kind per block
+        if not jam:
+            X, V, d4 = _cloud_rows(block, spec, ds, v_box, np.arange(spec.n))
+            assert X.flags.c_contiguous and d4.shape == (end - lo, 1)
+            for got, ref in zip((X.T, V, d4), (want[0], want[1], want[2][:, 3:])):
+                assert np.array_equal(got, ref[lo:end])
+        block = _expanded(block, spec, ds, v_box)
         for got, ref in zip(block[:3], want):
             assert np.array_equal(got, ref[lo:end])
         blocks.append(block)
@@ -484,12 +517,12 @@ def _searched(spec, ds, bound, seed):
     seen = {}
 
     class Recording(bound):
-        def allocate(self, F, G, V, cell=None, S=None):
+        def allocate(self, F, G, V, cell=None, S=None, cells=None):
             if cell is not None:
                 seen.setdefault("base", seen["last"])
-            elif "base" not in seen:
+            elif "base" not in seen and cells is None:
                 seen["last"] = (F.copy(), G.copy(), V.copy())
-            return super().allocate(F, G, V, cell, S)
+            return super().allocate(F, G, V, cell, S, cells)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stability, "ThrottleBound", Recording)
@@ -505,7 +538,9 @@ class _Ties(ThrottleBound):
     S * X overflows to an infinite ratio.  It does not read F, so it is
     non-increasing in F."""
 
-    def allocate(self, F, G, V, cell=None, S=None):
+    def allocate(self, F, G, V, cell=None, S=None, cells=None):
+        if cells is not None:
+            return _no_witness(G, cells)
         jam, low = G == 0, (V == 0).all(axis=1)
         tie = low & jam[:, 5] & (jam.sum(axis=1) - jam[:, 0] == 1)
         c = np.where(tie, 0.5, np.where(low & (jam.sum(axis=1) <= 2), 1.0, 1e308))
@@ -558,11 +593,11 @@ def _classed_net(name):
                             ds.d_lo, ds.d_hi), 1 if one else 2
 
 
-def _rows_at(blocks, idx, ds):
+def _rows_at(blocks, idx, spec, ds, v_box):
     """The whole cloud's expanded (X, V, D, F, G) at sorted stream rows idx."""
     got, lo = [], 0
     for block in blocks:
-        block = _expanded(block, ds)
+        block = _expanded(block, spec, ds, v_box)
         t = idx[(idx >= lo) & (idx < lo + len(block[0]))] - lo
         got.append(tuple(part[t] for part in block))
         lo += len(block[0])
@@ -594,8 +629,8 @@ def test_distinct_rows_give_the_whole_cloud_ratios(net, constants):
         return _seed_blocks(spec, ds, got.v_box, 1024, 3)
 
     for block in blocks():
-        X, V, F, G, rows, D = _filled(block, ds)
-        Xe, Ve, De, Fe, Ge = _expanded(block, ds)
+        X, V, F, G, rows, D = _filled(block, spec, ds, got.v_box)
+        Xe, Ve, De, Fe, Ge = _expanded(block, spec, ds, got.v_box)
         for part, ref in zip((Fe, Ge), _curves(ds, Xe, De)):
             assert np.array_equal(part, ref)
         S = bound.allocate(Fe, Ge, Ve)
@@ -610,7 +645,7 @@ def test_distinct_rows_give_the_whole_cloud_ratios(net, constants):
     assert np.isinf(whole[:n_struct]).any() and np.isfinite(whole[:n_struct]).any()
     want = np.argsort(searched, kind="stable")[:stability.REFINE_TOP]
     want = want[np.isfinite(searched[want])]
-    _, V, _, F, G = _rows_at(blocks(), np.sort(want), ds)
+    _, V, _, F, G = _rows_at(blocks(), np.sort(want), spec, ds, got.v_box)
     for part, ref in zip(base, (F, G, V)):
         assert np.array_equal(part, ref[np.argsort(np.argsort(want))])
     assert got.n_evaluated == np.isfinite(searched).sum()
@@ -626,12 +661,17 @@ def test_seed_blocks_keep_to_the_block_rule(n):
     spec, ds = _net("benchmark") if n == 8 else (_twenty_cells() if n == 20 else
                                                  _relabelled_copies(n // 8, 1))
     rows_seen = 0
-    for X, V, F, G, rows, D in _seed_blocks(spec, ds, _v_box(spec, ds), 300, 1):
-        assert len(X) % 4 == 0 and len(X) <= len(rows) <= 1024
-        assert len(rows) * n <= max(65_536, 64 * n)
-        assert V.shape == G.shape == X.shape and len(D) == len(rows)
-        # a Sobol block leaves its demands to the consumer
-        assert F is None if rows_seen >= _jam_pattern_rows(spec) else F.shape == X.shape
+    for block in _seed_blocks(spec, ds, _v_box(spec, ds), 300, 1):
+        jam = rows_seen < _jam_pattern_rows(spec)
+        assert isinstance(block, tuple) == jam
+        if jam:
+            X, V, F, G, rows, D = block
+            assert len(X) % 4 == 0 and len(X) <= len(rows)
+            assert V.shape == F.shape == G.shape == X.shape and len(D) == len(rows)
+        else:  # a Sobol block is its draw, which the consumer evaluates
+            rows = block
+            assert block.shape == (len(block), 2 * n + 4) and len(block) % 4 == 0
+        assert len(rows) <= 1024 and len(rows) * n <= max(65_536, 64 * n)
         rows_seen += len(rows)
     assert rows_seen == _jam_pattern_rows(spec) + 512
 
@@ -697,15 +737,18 @@ class _CurveSensitiveBound(ThrottleBound):
     keeps finding improvements.  A stale, misplaced or wrongly weighted
     curve value in any scan then changes the path of the search."""
 
-    def allocate(self, F, G, V, cell=None, S=None):
+    def allocate(self, F, G, V, cell=None, S=None, cells=None):
+        if cells is not None:
+            return _no_witness(G, cells)
         return 0.55 + 0.4 * np.cos(0.11 * G + 0.05 * V) - 0.004 * F
 
 
 class _Floors(ThrottleBound):
-    """A uniform throttle looked up by a row's first inflow in `table`, a
-    (floor, exact) pair: the floor when every demand is at its cap, as the
-    search first bounds a Sobol block, the exact value otherwise.  Other
-    rows read 1.  No floor exceeds its exact value, so the throttle is
+    """A uniform throttle in [0, 1], looked up in `table` by a row's inflow
+    into cell 2 (0-based 1), a junction of the benchmark's heaviest cell: a
+    (floor, exact) pair, the floor when every demand is at its cap, as the
+    search asks the witness form, the exact value otherwise.  Other rows
+    read 1.  No floor exceeds its exact value, so the throttle is
     non-increasing in F."""
 
     table = {}
@@ -714,10 +757,14 @@ class _Floors(ThrottleBound):
         super().__init__(spec, ds)
         self.fcap = ds._fcap
 
-    def allocate(self, F, G, V, cell=None, S=None):
+    def allocate(self, F, G, V, cell=None, S=None, cells=None):
+        if cells is not None and 1 not in self.junctions(cells):
+            return _no_witness(G, cells)
+        key = V[:, 1 if cells is None else list(self.junctions(cells)).index(1)]
         exact = (F < self.fcap).any(axis=1).tolist()
-        c = [self.table.get(v, (1.0, 1.0))[e] for v, e in zip(V[:, 0].tolist(), exact)]
-        return np.repeat(np.array(c)[:, None], F.shape[1], axis=1)
+        c = [self.table.get(v, (1.0, 1.0))[e] for v, e in zip(key.tolist(), exact)]
+        return np.repeat(np.array(c)[:, None], F.shape[1] if cells is None else len(cells),
+                         axis=1)
 
 
 BOUNDS = {"built-in": ThrottleBound, "overflowing": _Overflowing,
@@ -727,17 +774,18 @@ BOUNDS = {"built-in": ThrottleBound, "overflowing": _Overflowing,
 
 @pytest.mark.parametrize("name", BOUNDS)
 def test_allocate_is_non_increasing_in_demand(name):
-    """The search skips a Sobol block whose floor, the ratios under every
-    demand at its cap, rules it out, so F <= F' entrywise must give
-    allocate(F') <= allocate(F), for the built-in bound and for every
-    stand-in the tests swap in.  Raised demands: random increments, whole
+    """The search skips a Sobol block whose witness floor, its heaviest
+    cells' bounds under every demand at its cap, rules it out, so F <= F'
+    entrywise must give allocate(F') <= allocate(F), for the built-in bound
+    and for every stand-in the tests swap in.  Raised demands: random increments, whole
     rows at the caps, and unchanged rows; on the benchmark's first block of
     jam-pattern seeds (which reach the stand-ins' jam cases) and on random
     states of the benchmark and of dense random nets, among them nets where
     a sender claims at two junctions of one level."""
     rng = np.random.default_rng(31)
     spec, ds = _net("benchmark")
-    X, V, _, F, G = _expanded(next(_seed_blocks(spec, ds, _v_box(spec, ds), 300, 1)), ds)
+    v_box = _v_box(spec, ds)
+    X, V, _, F, G = _expanded(next(_seed_blocks(spec, ds, v_box, 300, 1)), spec, ds, v_box)
     cases, nets, shapes = [(spec, ds, F, G, V)], [(spec, ds)], []
     for _ in range(12):
         n = int(rng.integers(3, 16))
@@ -758,36 +806,46 @@ def test_allocate_is_non_increasing_in_demand(name):
 
 
 def test_search_skips_a_block_its_floor_rules_out(monkeypatch, constants):
-    """Two seeds kept, the benchmark's jam-pattern seeds all of ratio 1, and
-    four Sobol blocks (`_Floors`): block 0 holds a row of ratio 0.5, block 1
-    a floor that ties with the last kept ratio, 1, block 2 a floor of 0.25
-    over an exact 0.5 and block 3 a floor that ties with the last kept
-    ratio, now 0.5.  Blocks 1 and 3 are skipped: their rows never reach
-    `demand_batch`, and their finite rows, all but ten overflowing ones
-    each, are counted from the floor.  Block 2 is evaluated and merged by
-    its exact ratio, after the equal one of block 0."""
+    """Two seeds kept, the benchmark's jam-pattern seeds all of ratio 1/4,
+    and four Sobol blocks (`_Floors`, 1 elsewhere): block 0 holds a row of
+    ratio 1/8, so its witness floor cannot rule it out; block 1 none below
+    1; block 2 a floor of 1/16 over an exact 1/8; block 3 a row of 1/2,
+    which from the heaviest cells alone still lies above the last kept
+    ratio, now 1/8.  Blocks 1 and 3 are skipped: their rows never reach
+    `demand_batch`, they make `n_ruled_out`, and their rows, all above the
+    mass floor, count in `n_evaluated`.  Blocks 0 and 2 are evaluated, and
+    block 2 is merged by its exact ratio, after the equal one of block 0."""
     spec, ds = _net("benchmark")
     constants(GAMMA_SAMPLES=4096, REFINE_TOP=2, REFINE_SWEEPS=0)
     caps = np.minimum(spec.vmax, ds.min_supply_at_zero())
     v_box = caps - 0.5 * caps.min()  # the search's inflow box
-    sobol = [block for block in _seed_blocks(spec, ds, v_box, 4096, 5) if block[2] is None]
-    first = [V[:, 0].tolist() for _, V, *_ in sobol]
-    table = {v: (1e308, 1e308) for b in (1, 3) for v in first[b][10:20]}
-    table.update({first[0][3]: (0.5, 0.5), first[2][5]: (0.25, 0.5), first[3][7]: (0.5, 0.5)})
+    sobol = [block for block in _seed_blocks(spec, ds, v_box, 4096, 5)
+             if not isinstance(block, tuple)]
+    rows = [_cloud_rows(u, spec, ds, v_box) for u in sobol]
+    key = [V[:, 1].tolist() for _, V, _ in rows]
+    table = {0.0: (0.25, 0.25), float(v_box[1]): (0.25, 0.25),  # the jam-pattern rows
+             key[0][3]: (0.125, 0.125), key[2][5]: (0.0625, 0.125), key[3][7]: (0.5, 0.5)}
     monkeypatch.setattr(_Floors, "table", table)
     evaluated = []
     monkeypatch.setattr(stability, "demand_batch",
                         lambda ds, D, X: evaluated.append(X) or demand_batch(ds, D, X))
-    with np.errstate(over="ignore"):
-        got = _assert_same_search(spec, ds, _Floors, seed=5)
+    got = _assert_same_search(spec, ds, _Floors, seed=5)
     evaluated = [X for X in evaluated if len(X) == _block_rows(spec.n)]
     assert len(sobol) == 4 and len(evaluated) == 2
     for X, b in zip(evaluated, (0, 2)):
-        assert np.array_equal(X, sobol[b][0])
-    assert got.n_evaluated == _jam_pattern_rows(spec) + 4096 - 20
-    assert got.gamma == 0.5
-    for key, part in zip("xvd", (0, 1, 5)):
-        assert np.array_equal(got.argmin[key], sobol[0][part][3])
+        assert np.array_equal(X, rows[b][0])
+    assert got.n_ruled_out == 2 * _block_rows(spec.n)
+    assert got.n_evaluated == _jam_pattern_rows(spec) + 4096
+    assert got.gamma == 0.125
+    for key, part in zip("xvd", rows[0]):
+        assert np.array_equal(got.argmin[key], part[3])
+
+
+def _uncapped(ds):
+    """`ds` with every demand cap infinite, so that no block is ruled out."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagrams, "demand_cap", lambda fd: math.inf)
+        return DiagramSet(ds.demands, ds.supplies, ds.d_lo, ds.d_hi)
 
 
 @pytest.mark.parametrize("net", ["benchmark", "piecewise and pinned cells", "20 cells",
@@ -795,18 +853,16 @@ def test_search_skips_a_block_its_floor_rules_out(monkeypatch, constants):
 def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch, constants):
     """With every demand cap infinite no Sobol block is skipped.  The search
     gives the same gamma, C, argmin and n_evaluated bit for bit either way,
-    and the caps do skip blocks: counted by the rows that reach
-    `demand_batch`, on the benchmark at the default 100,000 samples no
-    Sobol row does."""
+    and the caps do skip blocks: counted by `n_ruled_out`, and by the rows
+    that do not reach `demand_batch`; on the benchmark at the default
+    100,000 samples every Sobol row is ruled out."""
     spec, ds = {"benchmark": lambda: _net("benchmark"),
                 "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
                 "20 cells": _twenty_cells,
                 "corridor of 8 copies": lambda: _corridor(8, 11)}[net]()
     if spec.n > 12:
         constants(GAMMA_SAMPLES=2 ** 14, REFINE_SWEEPS=1)
-    with monkeypatch.context() as mp:
-        mp.setattr(diagrams, "demand_cap", lambda fd: math.inf)
-        uncapped = DiagramSet(ds.demands, ds.supplies, ds.d_lo, ds.d_hi)
+    uncapped = _uncapped(ds)
     assert np.isfinite(ds._fcap).all() and np.isinf(uncapped._fcap).all()
     rows = []
     monkeypatch.setattr(stability, "demand_batch",
@@ -821,8 +877,9 @@ def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch, constants):
     assert capped.argmin["ratio"] == full.argmin["ratio"]
     for key in "xvd":
         assert np.array_equal(capped.argmin[key], full.argmin[key])
-    cloud, skipped = 2 ** math.ceil(math.log2(stability.GAMMA_SAMPLES)), n_full - n_capped
+    cloud, skipped = 2 ** math.ceil(math.log2(stability.GAMMA_SAMPLES)), capped.n_ruled_out
     assert 0 < skipped <= cloud and skipped % _block_rows(spec.n) == 0
+    assert full.n_ruled_out == 0 and n_full - n_capped == skipped
     if net == "benchmark":
         assert skipped == cloud
 
@@ -861,3 +918,180 @@ def test_zoom_grid_is_linspace_row_by_row(w):
         assert span[b] == (hi[b] - lo[b]) / (w - 1)
     if w == 10:
         assert not np.array_equal(ts, np.linspace(lo, hi, w, axis=1))
+
+
+def _witness_log(mp):
+    """Patch `stability._cloud_rows` to log each Sobol block the search
+    draws as [draw, witness form asked, rows evaluated]."""
+    log = []
+
+    def logged(u, spec, ds, v_box, junctions=None):
+        if not log or log[-1][0] is not u:
+            log.append([u, False, False])
+        log[-1][1 if junctions is not None else 2] = True
+        return _cloud_rows(u, spec, ds, v_box, junctions)
+
+    mp.setattr(stability, "_cloud_rows", logged)
+    return log
+
+
+def _assert_witness_floor_sound(spec, ds, seed, reference=True):
+    """Runs the search, against the reference if `reference`, and checks
+    every Sobol block it ruled out: each finite ratio of the block, as
+    `_ratios` weighs it, is at least kappa, the REFINE_TOP-th smallest
+    ratio of the stream rows before the block (in stable order), which is
+    the last kept ratio there.  The count of the whole stream's finite
+    ratios is n_evaluated, and with REFINE_SWEEPS = 0 gamma and its argmin
+    are the stream's first smallest ratio and its row.  Returns (blocks
+    ruled out, blocks evaluated after the witness form was asked)."""
+    r = weights_r(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        log = _witness_log(mp)
+        got = (_assert_same_search(spec, ds, seed=seed) if reference
+               else drain_constants(spec, ds, r, seed=seed))
+    bound, ratios, rows = ThrottleBound(spec, ds), [], []
+    for block in _seed_blocks(spec, ds, got.v_box, stability.GAMMA_SAMPLES, seed):
+        X, V, F, G, idx, D = _filled(block, spec, ds, got.v_box)
+        ratios.append(_ratios(bound.allocate(F, G, V), X, r, got.mass_floor)[idx])
+        rows.append((X[idx], V[idx], D))
+    sobol = [b for b, block in enumerate(ratios) if len(ratios) - b <= len(log)]
+    ruled_out = 0
+    for b, (u, asked, evaluated) in zip(sobol, log):
+        assert asked or evaluated
+        if evaluated:
+            continue
+        ruled_out += 1
+        prior = np.concatenate(ratios[:b])
+        kappa = np.sort(prior, kind="stable")[stability.REFINE_TOP - 1]
+        finite = ratios[b][np.isfinite(ratios[b])]
+        assert (finite >= kappa).all()
+    assert len(log) == len(sobol)
+    assert got.n_ruled_out == ruled_out * _block_rows(spec.n)
+    whole = np.concatenate(ratios)
+    assert got.n_evaluated == np.isfinite(whole).sum()
+    if stability.REFINE_SWEEPS == 0:
+        k = int(np.argmin(whole))
+        assert got.gamma == whole[k]
+        for key, part in zip("xvd", (np.vstack(p) for p in zip(*rows))):
+            assert np.array_equal(got.argmin[key], part[k])
+    return ruled_out, sum(asked and evaluated for _, asked, evaluated in log)
+
+
+@pytest.mark.parametrize("net", ["random nets", "20 cells", "corridor of 8 copies"])
+def test_witness_floor_rules_out_only_blocks_at_or_above_kappa(net, constants):
+    """Random acyclic nets built as `oracles.random_acyclic_instance` builds
+    them, with `piecewise` cells and pinned waves, among them nets where a
+    sender claims at two junctions of one level, and the 20- and 64-cell
+    nets: every block the witness floor rules out holds no finite ratio
+    below the last kept one, and the search equals the reference (the whole
+    stream's ratios on 64 cells) bit for bit.  The random nets have blocks
+    ruled out and blocks the witness floor cannot rule out, which are
+    evaluated."""
+    constants(GAMMA_SAMPLES=4096, REFINE_SWEEPS=1 if net == "random nets" else 0)
+    if net != "random nets":
+        spec, ds = _twenty_cells() if net == "20 cells" else _corridor(8, 11)
+        ruled_out, fallback = _assert_witness_floor_sound(spec, ds, 7, reference=spec.n < 64)
+        assert ruled_out == 4 and fallback == 0
+        return
+    rng, repeats, piecewise, ruled_out, fallback = np.random.default_rng(42), 0, 0, 0, 0
+    for _ in range(10):
+        spec, ds = _random_net(rng)
+        counts = _assert_witness_floor_sound(spec, ds, 3)
+        ruled_out, fallback = ruled_out + counts[0], fallback + counts[1]
+        repeats += any(spec.predecessors) and _claim_shape(spec)[1]
+        piecewise += bool(ds._piecewise)
+    assert repeats >= 5 and piecewise >= 4
+    assert ruled_out >= 15 and fallback >= 15
+
+
+def _planted(plant):
+    """The search's Sobol' engine with its third block of points passed
+    through `plant`, which writes into the draw."""
+    class Planted(Sobol):
+        def random(self, n):
+            u = super().random(n)
+            if self.num_generated == 3 * n:
+                plant(u)
+            return u
+    return Planted
+
+
+def _assert_same_as_uncapped(spec, ds, plant, bound=ThrottleBound):
+    """The search on a planted cloud, capped and uncapped: the same gamma,
+    argmin and n_evaluated.  Returns the capped search and its block log."""
+    got = []
+    for curves in (ds, _uncapped(ds)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stability, "Sobol", _planted(plant))
+            mp.setattr(stability, "ThrottleBound", bound)
+            log = _witness_log(mp)
+            got.append((drain_constants(spec, curves, weights_r(spec)), log))
+    (capped, log), (full, _) = got
+    assert capped.gamma == full.gamma and capped.n_evaluated == full.n_evaluated
+    for key in "xvd":
+        assert np.array_equal(capped.argmin[key], full.argmin[key])
+    return capped, log
+
+
+def test_a_row_at_the_mass_floor_sends_its_block_to_evaluation(constants):
+    """Row 5 of the third Sobol block is planted with cell 1 (0-based 0)
+    just below the benchmark's mass floor and seven cells at half a unit in
+    its last place: its mass reaches the floor in `_ratios`' pairwise order
+    and falls below it cell by cell.  The witness floor cannot tell which,
+    so the block is evaluated and n_evaluated counts the row as `_ratios`
+    does; the other three blocks are ruled out."""
+    spec, ds = _net("benchmark")
+    constants(GAMMA_SAMPLES=4096, REFINE_SWEEPS=0)
+    floor, a = drain_constants(spec, ds, weights_r(spec)).mass_floor, spec.a[0]
+
+    def fraction(x):
+        """A fraction of the jam density a that the draw maps to x exactly."""
+        u = x / a
+        for _ in range(4):
+            if u * a == x:
+                return u
+            u = np.nextafter(u, math.inf if u * a < x else -math.inf)
+        return None
+
+    big = np.nextafter(floor, 0.0)
+    while not (np.frexp(big)[0] * 2.0 ** 53 % 2 == 0 and fraction(big) is not None):
+        big = np.nextafter(big, 0.0)  # an even last bit: adding half a unit rounds to it
+    row = [fraction(big)] + [fraction(math.ulp(big) / 2)] * 7
+
+    def plant(u):
+        u[5, :8] = row
+        X, XT = _cloud_rows(u, spec, ds, _v_box(spec, ds))[0], (
+            _cloud_rows(u, spec, ds, _v_box(spec, ds), np.arange(8))[0])
+        assert X.sum(axis=-1)[5] >= floor > XT.sum(axis=0)[5]
+
+    got, log = _assert_same_as_uncapped(spec, ds, plant)
+    assert [asked for _, asked, _ in log] == [True] * 4
+    assert [evaluated for _, _, evaluated in log] == [False, False, True, False]
+    assert got.n_ruled_out == 3 * _block_rows(spec.n)
+
+
+class _Half(ThrottleBound):
+    """Every throttle 1/2, in every form: every ratio is exactly 1/2."""
+
+    def allocate(self, F, G, V, cell=None, S=None, cells=None):
+        return np.full((len(G), F.shape[1] if cells is None else len(cells)), 0.5)
+
+
+def test_a_witness_floor_within_the_margin_of_kappa_rules_nothing_out(constants):
+    """Every throttle 1/2 (`_Half`), so kappa is exactly 1/2.  The third
+    Sobol block is planted with densities on the benchmark's four heaviest
+    cells only, multiples of 1/64, whose every product and sum is exact: its
+    witness floor meets kappa times its weighted mass exactly, which is
+    within the margin and not above it.  So that block is evaluated too,
+    and no block is ruled out."""
+    spec, ds = _net("benchmark")
+    constants(GAMMA_SAMPLES=4096, REFINE_SWEEPS=0)
+    assert np.array_equal(np.argsort(-weights_r(spec))[:4], np.arange(4))
+    grid = np.random.default_rng(3).integers(0, 129, (_block_rows(spec.n), 4)) / 128.0
+
+    def plant(u):
+        u[:, :8] = np.c_[grid, np.zeros((len(u), 4))]  # densities k * 170 / 128 = k * 85 / 64
+
+    got, log = _assert_same_as_uncapped(spec, ds, plant, _Half)
+    assert got.gamma == 0.5 and got.n_ruled_out == 0
+    assert [asked and evaluated for _, asked, evaluated in log] == [True] * 4
