@@ -525,7 +525,7 @@ def audit_demand_curve(fd: DemandFunction) -> DemandAudit:
     monotone_ok = strict_bound_ok = True
     for sub, pieces in _branch_pieces(fd):
         lo, hi = (0.0, fd.delta) if sub else (fd.delta, fd.a)
-        ends = np.unique([lo, hi, *(e for p in pieces for e in (p.lo, p.hi) if lo < e < hi)])
+        ends = np.array(sorted({lo, hi, *(e for p in pieces for e in (p.lo, p.hi) if lo < e < hi)}))
         mids = 0.5 * (ends[:-1] + ends[1:])
         f_ends = _eval_pieces(pieces, np.concatenate([ends, mids]))[:len(ends)]  # gaps raise
         strict_bound_ok &= bool(np.all((ends == 0.0) | ((f_ends > 0.0) & (f_ends < ends))))

@@ -154,7 +154,7 @@ def group_claims(claims, a: np.ndarray):
         pos = [c for c, claim in enumerate(senders) if len(claim) > k]
         snd, p = (np.array(col) for col in zip(*(senders[c][k] for c in pos)))
         levels.append((slice(None) if len(pos) == len(senders) else np.array(pos),
-                       snd, p * a[snd], p, len(np.unique(snd)) < len(snd)))
+                       snd, p * a[snd], p, len(set(snd.tolist())) < len(snd)))
     return np.array([j for j, _ in claims], dtype=int), levels
 
 

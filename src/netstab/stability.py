@@ -212,6 +212,17 @@ def invariant_region(xstar, xi, mu) -> tuple[float, np.ndarray]:
     return epsstar, beta
 
 
+def _as_index(idx):
+    """An index array as the slice that picks the same entries, where one
+    does (a nonempty arithmetic progression up); else the array itself."""
+    if isinstance(idx, slice) or len(idx) == 0:
+        return idx
+    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+    if step <= 0 or not np.array_equal(np.diff(idx), np.full(len(idx) - 1, step)):
+        return idx
+    return slice(int(idx[0]), int(idx[-1]) + 1, step)
+
+
 class ThrottleBound:
     """Allocation-free lower bound on the outflow throttles, batched.
 
@@ -235,15 +246,18 @@ class ThrottleBound:
 
     `allocate(F, G, V, cell=i, S=S)` is the local form, for rows that differ
     from rows whose bounds S already holds in cell i's demand, supply or
-    inflow only.  Such a change can move only the columns of the claimants
-    at junction i and of the co-claimants at the junctions where i claims.
-    The local form resets those columns of S, in place, and replays every
-    junction at which they claim, grouped by level like the full form
-    (`group_claims`, planned once per cell on first use).  The other columns
-    keep their values, and a replayed junction cannot lower them:
-    ``np.minimum`` is exact, so the result equals a full `allocate` bit for
-    bit.  A bound that ignores `cell` and `S` and allocates in full is
-    equally correct, only slower.
+    inflow only.  Such a change can move only the columns `moves(i)`: cell
+    i, the claimants at junction i and the co-claimants at the junctions
+    where i claims.  The local form resets those columns of S, in place,
+    replays every junction at which they claim, grouped by level like the
+    full form (`group_claims`, planned once per cell on first use), and
+    returns S.  The other columns keep their values, and a replayed
+    junction cannot lower them: ``np.minimum`` is exact, so the result
+    equals a full `allocate` bit for bit.  The gamma search's scans weigh
+    a grid row anew only in the columns `moves(i)` when the local form
+    returns S itself (`drain_constants`).  A bound that ignores `cell` and
+    `S` and allocates in full returns another array; the search then weighs
+    every column, which is equally correct, only slower.
 
     `allocate(F, G, V, cells=W)` is the witness form: the bounds of the
     cells W alone, (N, len(W)), of rows whose supplies and inflows are given
@@ -277,14 +291,24 @@ class ThrottleBound:
         self.plans = {}  # local plans by cell, witness plans by tuple of cells
 
     def _plan(self, cell: int):
-        """(columns a change to `cell` can move, junction cells, levels)."""
+        """(columns a change to `cell` can move, the same as an index,
+        junction cells, levels), with every index that is an arithmetic
+        progression as a slice: numpy takes a slice as a view, where an
+        index array is gathered and scattered."""
         if cell not in self.plans:
-            moved = sorted({i for j in (cell, *self.sites[cell])
-                            for i, _ in self.claims.get(j, ())})
-            replay = sorted({j for i in moved for j in self.sites[i]})
-            self.plans[cell] = (np.array(moved, dtype=int),
-                                *group_claims([(j, self.claims[j]) for j in replay], self.a))
+            moved = np.array(sorted({cell, *(i for j in (cell, *self.sites[cell])
+                                             for i, _ in self.claims.get(j, ()))}), dtype=int)
+            replay = sorted({j for i in moved.tolist() for j in self.sites[i]})
+            cols, levels = group_claims([(j, self.claims[j]) for j in replay], self.a)
+            levels = [(_as_index(pos), snd if repeats else _as_index(snd), cap, p, repeats)
+                      for pos, snd, cap, p, repeats in levels]
+            self.plans[cell] = (moved, _as_index(moved), _as_index(cols), levels)
         return self.plans[cell]
+
+    def moves(self, cell: int) -> np.ndarray:
+        """The columns, ascending, that the local form of `allocate` with
+        `cell` recomputes; every other column keeps its value."""
+        return self._plan(cell)[0]
 
     def _witness_plan(self, cells: tuple):
         """(junction cells, levels up to the last claim of `cells` with each
@@ -296,7 +320,8 @@ class ThrottleBound:
                 self.a)
             levels = levels[:max((k + 1 for k, level in enumerate(levels)
                                   if np.isin(level[1], cells).any()), default=0)]
-            senders = np.unique(np.concatenate([cells, *(level[1] for level in levels)]))
+            senders = np.array(sorted({*cells, *(i for level in levels for i in level[1].tolist())}),
+                               dtype=int)
             levels = [(pos, np.searchsorted(senders, snd), cap, p, repeats)
                       for pos, snd, cap, p, repeats in levels]
             self.plans[cells] = (junctions, levels, senders, np.searchsorted(senders, cells))
@@ -324,11 +349,14 @@ class ThrottleBound:
             cols, levels = self.cols, self.levels
             S = np.ones(F.shape)  # C order also for a broadcast F, so `_ratios` weighs S alike
         else:
-            moved, cols, levels = self._plan(cell)
+            _, moved, cols, levels = self._plan(cell)
             S[:, moved] = 1.0
         rem = G[:, cols] - V[:, cols]
         for k, (pos, snd, cap, p, repeats) in enumerate(levels):
-            frac = np.clip(rem[:, pos] / cap, 0.0, 1.0)
+            # clipped to [0, 1] in half np.clip's time; only a -0.0 that np.clip
+            # would keep turns into 0.0, a zero bound either way
+            frac = rem[:, pos] / cap
+            np.minimum(np.maximum(frac, 0.0, out=frac), 1.0, out=frac)
             if repeats:
                 np.minimum.at(S.T, snd, frac.T)
             else:
@@ -349,7 +377,7 @@ class DrainConstants:
     (states below ``mass_floor`` total mass are excluded).  ``n_evaluated``
     counts the seed rows of finite ratio, ``n_ruled_out`` the Sobol' rows
     whose block the witness floor ruled out before their demands were
-    evaluated.
+    evaluated, and ``n_scans`` the coordinate scans the refinement ran.
     """
 
     Qconst: float
@@ -362,6 +390,7 @@ class DrainConstants:
     mass_floor: float
     n_evaluated: int
     n_ruled_out: int
+    n_scans: int
 
 
 def _block_rows(n: int) -> int:
@@ -478,12 +507,13 @@ def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
     States below `mass_floor` total mass (or of zero weighted mass) read
     inf.  X may stack blocks, (K, w, n): each block then takes its own
     (w, n) @ r product.  Every row is weighed and the mask applied after:
-    OpenBLAS rounds the last rows of a batch that leaves 2 or 3 rows over a
+    OpenBLAS rounds the last rows of a batch that leaves 1 to 3 rows over a
     multiple of four differently, and dropping masked rows first would move
     rows into that remainder; `_seed_blocks` pads its distinct jam-pattern
-    rows to a multiple of four for the same reason.  So a row's ratio is the
-    same in a seed block, a grid of SCAN_WIDTH rows or one call on the whole
-    cloud (see the tests).  Overwrites S with S * X.
+    rows to a multiple of four for the same reason, and so does the
+    refinement's last weighing of its seeds.  So a row's ratio is the same
+    in a seed block, in any other batch of a multiple of four rows and in
+    one call on the whole cloud (see the tests).  Overwrites S with S * X.
     """
     den = X @ r
     ok = (X.sum(axis=-1) >= mass_floor) & (den > 0)
@@ -493,14 +523,56 @@ def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
     return out
 
 
-def _repeat_into(out: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """np.repeat(p, len(out) // len(p), axis=0), written into out."""
-    out.reshape(len(p), -1, p.shape[1])[:] = p[:, None]
-    return out
+def _running_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the first axis, adding its entries in index order.
+
+    numpy's `sum` reassociates by array shape: a row of a (33, 8) batch can
+    sum to another float than the same row alone.  A running sum cannot be
+    reassociated, so every sum has the same bits in any batch or layout;
+    `np.cumsum` adds in the same order as this loop.
+    """
+    total = a[0]
+    for term in a[1:]:
+        total = total + term
+    return total
 
 
-def _zoom_grid(lo: np.ndarray, hi: np.ndarray, w: int):
-    """Row b is np.linspace(lo[b], hi[b], w) bit for bit; returns rows and steps.
+def _fixed_sums(S: np.ndarray, X: np.ndarray, r: np.ndarray, T, cell: int | None = None):
+    """What a scan's grid rows share with their seed rows S, X (K, n), per row.
+
+    A scan moves the columns T of S and, for an x scan, X's column `cell`;
+    returns (S * X * r summed outside T, X * r and X summed outside `cell`),
+    each summed in column order.  Every sum adds nonnegative terms: with
+    r_i = 2^(n-1-rank), one term can exceed the others by 2^n, so taking a
+    seed's old terms back out of its whole sums would cancel to noise once
+    a scan empties that cell.
+    """
+    parts = np.empty((3, *X.shape))
+    np.multiply(np.multiply(S, X, out=parts[0]), r, out=parts[0])
+    np.multiply(X, r, out=parts[1])
+    parts[2] = X
+    parts[0][:, T] = 0.0
+    if cell is not None:
+        parts[1:, :, cell] = 0.0
+    return tuple(parts.cumsum(axis=-1)[..., -1])
+
+
+def _scan_ratios(ST, XT, rT, out, den, mass, mass_floor: float) -> np.ndarray:
+    """Ratios (out + ST * XT * rT summed over the first axis) / den, inf
+    where mass < mass_floor or den = 0 as in `_ratios`.  ST and XT hold the
+    columns T along their first axis, cell-major, and rT their weights; the
+    arguments broadcast.  A row sums to the same bits in any batch
+    (`_running_sum`), so a grid row at its seed's point reads its seed's
+    ratio.
+    """
+    num = _running_sum(ST * XT * rT) + out
+    ok = (mass >= mass_floor) & (den > 0)
+    return np.divide(num, den, out=np.full(num.shape, np.inf), where=ok)
+
+
+def _zoom_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray):
+    """Row b is np.linspace(lo[b], hi[b], w) bit for bit, with steps =
+    np.arange(w) as floats; returns rows and step widths.
 
     That holds for a zero-width window too; only a window narrower than
     w - 1 subnormal units, whose step underflows to zero, would differ.
@@ -508,8 +580,8 @@ def _zoom_grid(lo: np.ndarray, hi: np.ndarray, w: int):
     width it computes every row as (k / (w - 1)) * width, which rounds
     differently from k * step.
     """
-    span = (hi - lo) / (w - 1)
-    ts = np.arange(w) * span[:, None] + lo[:, None]
+    span = (hi - lo) / (len(steps) - 1)
+    ts = steps * span[:, None] + lo[:, None]
     ts[:, -1] = hi
     return ts, span
 
@@ -536,20 +608,34 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     their rows and curves alone and merging them into the kept ones by a
     stable sort, kept rows first, so seeds of equal ratio are taken in row
     order.  It refines them in lockstep: every zoom level of a coordinate
-    scan allocates and weighs all seeds' grids at once, while each seed
-    keeps its own zoom window, strict-improvement acceptance and
-    (SCAN_WIDTH, n) @ r product.  As the ratios of a row do not depend on
-    its batch (`_ratios`), the result is that of evaluating the whole cloud
-    at once and refining the seeds one after another, bit for bit.
+    scan bounds and weighs all seeds' grids at once, while each seed keeps
+    its own zoom window and strict-improvement acceptance.  Every sum a
+    scan forms runs over its terms in index order (`_running_sum`), so a
+    grid row's ratio does not depend on its batch, and the result is that
+    of refining the seeds one after another, bit for bit.
 
-    Curves and bounds are evaluated only where samples differ.  A scan
-    builds its grid rows once, and each zoom level writes only the scanned
-    column.  The refined points carry their curves, Fb and Gb: an x scan
-    re-evaluates only the scanned cell, a v scan no curve, a d scan whole
-    rows.  An x or v scan of cell i bounds its base points once, and each
-    zoom level recomputes only the columns that cell i can move (`allocate`
-    with ``cell=i``), so its allocation costs O(degree(i)) per grid row
-    instead of O(n).  A d scan allocates whole rows.
+    Curves and bounds are evaluated only where samples differ.  Each seed
+    carries its point, its curves Fb and Gb and its bounds Sb from the grid
+    row that last won.  The grid rows live through the whole refinement,
+    equal to their seed's row except where the scan under way writes: an x
+    scan re-evaluates the scanned cell's curves only, a v scan no curve, a
+    d scan the one curve its coordinate enters (demands for d1-d3, supplies
+    for d4), every cell's.  An x or v scan of cell i recomputes only the
+    bounds `moves(i)` (`allocate` with ``cell=i``), and weighs a grid row
+    from two parts: its seed's sums over the columns the scan cannot move
+    (`_fixed_sums`: the numerator outside those bounds, and for an x scan
+    the weighted mass and the mass without cell i), plus the terms of the
+    moved columns, and r_i t and t for an x scan's density t.  A d scan, or
+    a bound whose local form does not return the S it was given, weighs
+    every column; a v or d scan leaves the masses as they were.  So an x or
+    v scan costs O(degree(i)) per grid row, not O(n).  Every sum adds
+    nonnegative terms: none subtracts a seed's old terms, which would
+    cancel once a scan empties a cell of weight 2^n times the others'.  A
+    candidate must beat its seed's ratio formed by the same sums at the
+    seed's point, so a scan that moves no term moves no seed.  The refined
+    seeds are finally weighed by `_ratios` in a batch padded to a multiple
+    of four rows, as a seed block is: gamma, its argmin and its ratio come
+    from that weighing, the first seed winning ties.
 
     Once REFINE_TOP seeds are kept, with kappa the last kept ratio, a Sobol
     block with finite demand caps (`demand_cap`) is first bounded from its
@@ -678,70 +764,101 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     if n_evaluated == 0:
         raise ValueError("no sample state reached the mass floor")
 
-    # coordinate-descent refinement of the finite best seeds, in lockstep
+    # coordinate-descent refinement of the finite best seeds, in lockstep;
+    # each seed carries its point, curves and bounds
     finite = np.isfinite(kept[0])
-    best, x, v, d, Fb, Gb = (part[finite] for part in kept)
-    pts = {"x": x, "v": v, "d": d}
-    K, w = len(best), SCAN_WIDTH
-    seed_of = np.arange(K)
-    # The scans fill their (K * w, n) grid rows, curves and bounds in place.
-    # Fresh arrays of that size (1 MB at n = 512) lie above glibc's mmap
-    # threshold when the seed blocks were smaller, so each one would be
-    # mapped and faulted in anew: that tripled the scans' time at n = 512.
-    grid = {key: np.empty((K * w, p.shape[1])) for key, p in pts.items()}
-    Fw, Gw, Sb, Sw = (np.empty((K * w, n)) for _ in range(4))
+    _, x, v, d, Fb, Gb = (part[finite] for part in kept)
+    Sb = bound.allocate(Fb, Gb, v)
+    K, w, everything = len(x), SCAN_WIDTH, slice(None)
+    seed_of, steps = np.arange(K), np.arange(w, dtype=float)
+    # The grid rows, w per seed, are stored cell-major, (n, K, w), so that
+    # every column is one contiguous run.  A row holds its seed's values
+    # except where the scan under way writes, and each scan restores what it
+    # wrote: its cost per grid row stays with the columns it moves.  Fresh
+    # grids in every scan would be mapped and faulted in anew: four cost
+    # 1.7 ms at n = 512, against 8 us to restore a few columns.
+    Xc, Vc, Fc, Gc, Sc = (np.repeat(p.T[:, :, None], w, axis=2) for p in (x, v, Fb, Gb, Sb))
+    X, V, F, G, S = (part.reshape(n, K * w).T for part in (Xc, Vc, Fc, Gc, Sc))
 
     def scan(kind, idx, lo_full, hi_full) -> bool:
         """Refine coordinate idx of `kind` in every seed; True if any moved."""
-        nonlocal best
-        moved = False
         lo, hi = np.full(K, lo_full), np.full(K, hi_full)
-        # w grid rows per seed; a zoom level moves only column idx of `kind`
-        rows = {key: _repeat_into(grid[key], p) for key, p in pts.items()}
-        if kind != "d":  # the base points' curves and bounds, repeated over each grid
-            F, G = _repeat_into(Fw, Fb), _repeat_into(Gw, Gb)
-            _repeat_into(Sb, bound.allocate(Fb, Gb, pts["v"]))
-        for _ in range(3):  # zoom levels
-            ts, span = _zoom_grid(lo, hi, w)
-            rows[kind][:, idx] = ts.ravel()
-            if kind == "x":
-                d1, d2, d3, d4 = pts["d"].T[:, :, None]
-                F[:, idx] = _demand_values(ds.demands[idx], d1, d2, d3, ts).ravel()
-                G[:, idx] = _supply_values(ds.supplies[idx], d4, ts).ravel()
-            if kind == "d":
-                F = demand_batch(ds, rows["d"], rows["x"])
-                G = supply_batch(ds, rows["d"], rows["x"])
-                S = bound.allocate(F, G, rows["v"])
-            else:  # allocate and _ratios both write into S
-                np.copyto(Sw, Sb)
-                S = bound.allocate(F, G, rows["v"], cell=idx, S=Sw)
-            cand = _ratios(S.reshape(K, w, -1), rows["x"].reshape(K, w, -1), r, mass_floor)
+        moved, points = np.zeros(K, dtype=bool), {"x": x, "v": v, "d": d}[kind]
+        if kind == "d":
+            D3 = np.repeat(d[:, None], w, axis=1)
+        else:
+            d1, d2, d3, d4 = d.T[:, :, None]
+
+        def ratios(ST, XT, t):
+            """Rows' ratios from their columns T and, in an x scan, x_idx = t."""
+            grown = (den + r[idx] * t, mass + t) if kind == "x" else (den, mass)
+            return _scan_ratios(ST, XT, rT, out, *grown, mass_floor)
+
+        for level in range(3):  # zoom levels
+            ts, span = _zoom_grid(lo, hi, steps)
+            if kind == "d":  # the one curve that d_idx enters, on every cell
+                D3[:, :, idx] = ts
+                D = D3.reshape(K * w, 4)
+                Fg = demand_batch(ds, D, X) if idx < 3 else F
+                Gg = supply_batch(ds, D, X) if idx == 3 else G
+                Sg = bound.allocate(Fg, Gg, V)
+            else:
+                (Xc if kind == "x" else Vc)[idx] = ts
+                if kind == "x":
+                    Fc[idx] = _demand_values(ds.demands[idx], d1, d2, d3, ts)
+                    Gc[idx] = _supply_values(ds.supplies[idx], d4, ts)
+                Fg, Gg, Sg = F, G, bound.allocate(F, G, V, cell=idx, S=S)
+            if level == 0:  # the columns weighed anew, the sums kept, the seeds' ratios
+                T = bound.moves(idx) if Sg is S else everything
+                out, den, mass = (part[:, None] for part in
+                                  _fixed_sums(Sb, x, r, T, idx if kind == "x" else None))
+                rT = r[T][:, None, None]
+                at = x[:, idx, None] if kind == "x" else None
+                base = ratios(Sb.T[T][:, :, None], x.T[T][:, :, None], at)[:, 0]
+            cand = ratios(Sg.T.reshape(n, K, w)[T], Xc[T], ts)
             k = np.argmin(cand, axis=1)
-            t_k = ts[seed_of, k]
-            better = cand[seed_of, k] < best
-            moved |= bool(better.any())
-            best = np.where(better, cand[seed_of, k], best)
-            pts[kind][better, idx] = t_k[better]
-            won = (seed_of * w + k)[better]  # the winning grid rows become the base
-            Fb[better], Gb[better] = F[won], G[won]
+            t_k, c_k = ts[seed_of, k], cand[seed_of, k]
+            better = c_k < base  # both from the same sums
+            if better.any():
+                base = np.where(better, c_k, base)
+                points[better, idx] = t_k[better]
+                won = (seed_of * w + k)[better]  # the winning grid rows become the seeds'
+                Fb[better], Gb[better], Sb[better] = Fg[won], Gg[won], Sg[won]
+                moved |= better
             lo = np.maximum(lo_full, t_k - span)
             hi = np.minimum(hi_full, t_k + span)
-        return moved
+        # give the grid rows their seeds' values again where this scan wrote
+        if kind == "x":
+            Xc[idx], Fc[idx], Gc[idx] = x[:, idx, None], Fb[:, idx, None], Gb[:, idx, None]
+        elif kind == "v":
+            Vc[idx] = v[:, idx, None]
+        else:
+            Fc[:, moved], Gc[:, moved] = Fb[moved].T[:, :, None], Gb[moved].T[:, :, None]
+        if Sg is S:
+            Sc[T] = Sb.T[T][:, :, None]
+        else:
+            Sc[:, moved] = Sb[moved].T[:, :, None]
+        return bool(moved.any())
 
-    # A scan that moves no seed leaves pts, best, Fb and Gb as they were, so
-    # once every coordinate in a row has passed without a move, each later
-    # scan would repeat an earlier one: the refinement stops there.
+    # A scan that moves no seed leaves every seed as it was, so once every
+    # coordinate in a row has passed without a move, each later scan would
+    # repeat an earlier one: the refinement stops there.
     coords = ([("x", i, 0.0, float(spec.a[i])) for i in range(n)]
               + [("v", i, 0.0, float(v_box[i])) for i in range(n)]
               + [("d", k, float(ds.d_lo[k]), float(ds.d_hi[k])) for k in range(4)])
-    idle = 0
+    n_scans = idle = 0
     for coord in coords * REFINE_SWEEPS:
         if idle == len(coords):
             break
+        n_scans += 1
         idle = 0 if scan(*coord) else idle + 1
 
-    b = int(np.argmin(best))  # the first seed that reached the smallest ratio
-    gamma, x_min, v_min, d_min = float(best[b]), pts["x"][b], pts["v"][b], pts["d"][b]
+    # the refined seeds weighed as `_ratios` weighs a seed block, padded to a
+    # multiple of four rows; the first seed of the smallest ratio wins
+    q = np.r_[seed_of, np.full(-K % 4, K - 1)]
+    best = _ratios(Sb[q], x[q], r, mass_floor)[:K]
+    b = int(np.argmin(best))
+    gamma, x_min, v_min, d_min = float(best[b]), x[b], v[b], d[b]
     if not math.isfinite(gamma) or gamma <= 0:
         raise ThrottleBoundViolation(
             f"sampled throttle ratio hit {gamma:.3g}",
@@ -751,7 +868,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     return DrainConstants(Qconst=Qconst, theta=theta, Theta=Theta, gamma=gamma,
                           C=C, argmin=argmin, v_box=v_box,
                           mass_floor=mass_floor, n_evaluated=n_evaluated,
-                          n_ruled_out=n_ruled_out)
+                          n_ruled_out=n_ruled_out, n_scans=n_scans)
 
 
 def trapping_bound(C: float, r, beta, b, a) -> int:

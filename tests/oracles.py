@@ -224,8 +224,20 @@ def seed_cloud_reference(spec, ds, v_box, n_samples, seed):
     return X_all, V_all, D_all
 
 
+def scan_columns(spec, cell):
+    """The throttle columns a change to `cell`'s density or inflow can move:
+    the cell itself, the claimants at junction `cell` and the co-claimants
+    at the junctions where it claims."""
+    preds = spec.predecessors
+    cols = {cell, *preds[cell]}
+    for j in range(spec.n):
+        if cell in preds[j]:
+            cols.update(preds[j])
+    return np.array(sorted(cols), dtype=int)
+
+
 def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
-                           refine_top=8, refine_sweeps=3):
+                           refine_top=8, refine_sweeps=3, whole_rows=False):
     """(gamma, argmin, n_evaluated) of the sampled drain-constant search.
 
     Same seeds, weights and refinement rule as `drain_constants`, with the
@@ -235,6 +247,15 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
     one, through `allocate` on the curves of whole rows; without one, the
     junction loop `stilde_bound_loop` bounds the rows.  Every row is weighed
     and the mass floor applied after, as in `stability._ratios`.
+
+    A scan weighs its grid rows from the sums it cannot move plus the terms
+    of the columns T it can: for an x or v scan of cell i the columns
+    `scan_columns` (a stand-in's `moves(i)`), or every column for a d scan
+    and for a stand-in whose local form does not return the S it was given.
+    It compares them with the point's own ratio from the same sums, and the
+    refined points are weighed again, each as a batch of four equal rows.
+    With `whole_rows`, the rule before: every grid row weighed whole, each
+    seed's ratio carried from scan to scan, gamma the smallest carried one.
     """
     from netstab.diagrams import demand_batch, supply_batch
 
@@ -260,13 +281,23 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
         out[ok] = num[ok] / den[ok]
         return out
 
+    def columns(kind, idx, x, v, d):
+        """The columns a scan weighs anew."""
+        if kind == "d":
+            return np.arange(n)
+        if stilde is None:
+            return scan_columns(spec, idx)
+        X, V, D = x[None], v[None], d[None]
+        F, G = demand_batch(ds, D, X), supply_batch(ds, D, X)
+        S = stilde.allocate(F, G, V)
+        local = stilde.allocate(F, G, V, cell=idx, S=S) is S
+        return stilde.moves(idx) if local else np.arange(n)
+
     X_all, V_all, D_all = seed_cloud_reference(spec, ds, v_box, n_samples, seed)
     vals = ratios(X_all, V_all, D_all)
     n_evaluated = int(np.isfinite(vals).sum())
 
     best_idx = np.argsort(vals, kind="stable")[:refine_top]  # equal ratios in row order
-    incumbent = (float(vals[best_idx[0]]), X_all[best_idx[0]].copy(),
-                 V_all[best_idx[0]].copy(), D_all[best_idx[0]].copy())
 
     def refine(x0, v0, d0, val0):
         pt = {"x": x0.copy(), "v": v0.copy(), "d": d0.copy()}
@@ -274,12 +305,32 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
 
         def scan(kind, idx, lo_full, hi_full):
             nonlocal val
+            T = columns(kind, idx, pt["x"], pt["v"], pt["d"])
+            S0 = sbound(pt["x"][None], pt["v"][None], pt["d"][None])[0]
+            terms, xr, xs = S0 * pt["x"] * r, pt["x"] * r, pt["x"].copy()
+            terms[T] = 0.0
+            if kind == "x":
+                xr[idx] = xs[idx] = 0.0
+            out, den, mass = (np.cumsum(part)[-1] for part in (terms, xr, xs))
+
+            def weigh(S, X):
+                num = np.cumsum(S[:, T] * X[:, T] * r[T], axis=1)[:, -1] + out
+                dd, mm = ((den + r[idx] * X[:, idx], mass + X[:, idx]) if kind == "x"
+                          else (np.full(len(X), den), np.full(len(X), mass)))
+                got = np.full(len(X), np.inf)
+                ok = (mm >= mass_floor) & (dd > 0)
+                got[ok] = num[ok] / dd[ok]
+                return got
+
+            if not whole_rows:
+                val = weigh(S0[None], pt["x"][None])[0]
             lo, hi = lo_full, hi_full
             for _ in range(3):
                 ts = np.linspace(lo, hi, 33)
                 grid = {key: np.tile(p, (33, 1)) for key, p in pt.items()}
                 grid[kind][:, idx] = ts
-                cand = ratios(grid["x"], grid["v"], grid["d"])
+                cand = (ratios(grid["x"], grid["v"], grid["d"]) if whole_rows else
+                        weigh(sbound(grid["x"], grid["v"], grid["d"]), grid["x"]))
                 k = int(np.argmin(cand))
                 if cand[k] < val:
                     val = float(cand[k])
@@ -295,13 +346,19 @@ def gamma_search_reference(spec, ds, r, stilde=None, n_samples=100_000, seed=0,
                 scan("v", i, 0.0, float(v_box[i]))
             for k in range(4):
                 scan("d", k, float(ds.d_lo[k]), float(ds.d_hi[k]))
+        if not whole_rows:  # weighed as in a seed block
+            val = float(ratios(*(np.tile(pt[key], (4, 1)) for key in "xvd"))[0])
         return val, pt["x"], pt["v"], pt["d"]
 
+    incumbent = None
+    if whole_rows:
+        incumbent = (float(vals[best_idx[0]]), X_all[best_idx[0]].copy(),
+                     V_all[best_idx[0]].copy(), D_all[best_idx[0]].copy())
     for idx in best_idx:
         if not np.isfinite(vals[idx]):
             continue
         val, x, v, d = refine(X_all[idx], V_all[idx], D_all[idx], float(vals[idx]))
-        if val < incumbent[0]:
+        if incumbent is None or val < incumbent[0]:
             incumbent = (val, x, v, d)
     gamma, x, v, d = incumbent
     return gamma, {"x": x, "v": v, "d": d, "ratio": gamma}, n_evaluated

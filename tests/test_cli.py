@@ -827,3 +827,25 @@ def test_no_subcommand_loads_scipy_stats(tmp_path):
                           capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_subcommand_loads_numpy_ma(tmp_path):
+    """analyze and reproduce-paper leave numpy.ma unimported: on numpy 2,
+    np.unique without return flags imports it (12.5 ms of import, 1.2 MB of
+    memory), so the package finds repeated senders, witness senders and
+    piece ends without it."""
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+                          capture_output=True, text=True, check=True).stdout
+    if bare.strip() == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    runs = [["analyze", "--seed", "0"], ["reproduce-paper", "--out", str(tmp_path / "repro")]]
+    probe = ("import contextlib, io, json, sys\n"
+             "from netstab import cli\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert cli.main(argv) == 0, argv\n"
+             "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -5,12 +5,15 @@
 seed cloud in row blocks, keeps its best seeds with their curves and refines
 them in lockstep.  It also evaluates the curves only where its
 samples differ: the cloud gathers the jam-pattern seeds' curves from corner
-tables, the refined points carry theirs, and a coordinate scan re-evaluates
-only the scanned cell (x), no curve (v) or every cell (d).  An x or v scan
-re-allocates only the throttle columns that its cell can move, and a Sobol
-block whose witness floor (its heaviest cells' throttles with every demand at
-its cap) rules it out is skipped unevaluated.  None of that may change a
-single bit of the throttle bounds, gamma, its argmin or the sample count.
+tables, the refined points carry theirs and their bounds, and a coordinate
+scan re-evaluates only the scanned cell (x), no curve (v) or the one curve
+its coordinate enters (d).  An x or v scan re-allocates and weighs anew only
+the throttle columns that its cell can move, and a Sobol block whose witness
+floor (its heaviest cells' throttles with every demand at its cap) rules it
+out is skipped unevaluated.  None of that may change a single bit of the
+throttle bounds, gamma, its argmin or the sample count against the
+reference, which refines each seed by the same sums; gamma stays within
+1e-12 relative of the search that weighed every grid row whole.
 """
 
 import math
@@ -188,8 +191,9 @@ def _relabelled_copies(copies, seed):
 
 def _assert_local_equals_full(spec, ds, rng, N=120):
     """For every cell, rows that move only that cell's density or inflow off
-    some base rows: `allocate` from the base rows' bounds equals a full one.
-    So does the witness form of random cell sets, on their junctions'
+    some base rows: `allocate` from the base rows' bounds returns those
+    bounds, changed only in the columns `moves(i)` (which the reference
+    derives from the claims), and equals a full one.  So does the witness form of random cell sets, on their junctions'
     supplies and inflows alone, in those cells' columns, with the rows'
     demands and with every demand at its cap."""
     X, V, D = _states(spec, ds, rng, N)
@@ -210,10 +214,15 @@ def _assert_local_equals_full(spec, ds, rng, N=120):
         for X2, V2 in ((Xi, V), (X, Vi)):
             F2, G2 = F.copy(), G.copy()  # only cell i's columns are evaluated again
             F2[:, i], G2[:, i] = (part[:, i] for part in _curves(ds, X2, D))
-            full = bound.allocate(F2, G2, V2)
-            local = bound.allocate(F2, G2, V2, cell=i, S=S.copy())
-            assert np.array_equal(local, full), f"cell {i}"
+            full, S2 = bound.allocate(F2, G2, V2), S.copy()
+            local = bound.allocate(F2, G2, V2, cell=i, S=S2)
+            assert local is S2 and np.array_equal(local, full), f"cell {i}"
+            # the columns outside moves(i) keep their bits
+            cols = bound.moves(i)
+            assert np.array_equal(np.delete(local, cols, axis=1), np.delete(S, cols, axis=1))
             moved += not np.array_equal(full, S)
+    for i in range(spec.n):
+        assert np.array_equal(bound.moves(i), oracles.scan_columns(spec, i))
     assert moved > spec.n  # most moves change some bound
 
 
@@ -278,19 +287,14 @@ def _assert_same_search(spec, ds, bound=None, seed=0):
     return got
 
 
-def _scan_count(spec, ds, seed):
-    """The coordinate scans `drain_constants` runs: each zooms in three
-    times, and only a scan draws a zoom grid (`_zoom_grid`)."""
-    grids = []
-
-    def counting(lo, hi, w):
-        grids.append(w)
-        return _zoom_grid(lo, hi, w)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "_zoom_grid", counting)
-        drain_constants(spec, ds, weights_r(spec), seed=seed)
-    return len(grids) // 3
+def _assert_near_whole_rows(spec, ds, got, seed):
+    """gamma within 1e-12 relative of the search that weighed every grid row
+    whole and carried each seed's ratio from scan to scan."""
+    gamma = oracles.gamma_search_reference(
+        spec, ds, weights_r(spec), n_samples=stability.GAMMA_SAMPLES, seed=seed,
+        refine_top=stability.REFINE_TOP, refine_sweeps=stability.REFINE_SWEEPS,
+        whole_rows=True)[0]
+    assert abs(got.gamma - gamma) <= 1e-12 * gamma
 
 
 @pytest.mark.parametrize("net", ["benchmark", "pinned-wave benchmark",
@@ -316,11 +320,12 @@ def test_drain_constants_match_per_seed_refinement(net, constants):
     if net == "20 cells":
         constants(REFINE_SWEEPS=1)
     got = _assert_same_search(spec, ds, seed=4)
+    _assert_near_whole_rows(spec, ds, got, seed=4)
     assert got.n_evaluated > _block_rows(spec.n)  # the seed cloud spans several blocks
     # cells without a junction (no routed inflow) take v scans as well
     assert () in spec.predecessors
     if net == "20 cells, three sweeps":
-        assert _scan_count(spec, ds, seed=4) == 3 * (2 * spec.n + 4)
+        assert got.n_scans == 3 * (2 * spec.n + 4)
 
 
 def test_refinement_stops_once_a_cycle_of_scans_is_idle():
@@ -330,7 +335,8 @@ def test_refinement_stops_once_a_cycle_of_scans_is_idle():
     27 of 60."""
     spec, ds = presets.reference_network(), presets.reference_diagrams()
     assert stability.REFINE_SWEEPS * (2 * spec.n + 4) == 60
-    assert _scan_count(spec, ds, seed=0) == 7 + 2 * spec.n + 4
+    got = drain_constants(spec, ds, weights_r(spec), seed=0)
+    assert got.n_scans == 7 + 2 * spec.n + 4
 
 
 def _no_witness(G, cells):
@@ -511,9 +517,9 @@ def test_jam_pattern_seeds_come_from_corner_tables(net):
 
 def _searched(spec, ds, bound, seed):
     """`drain_constants` with `bound`, a ThrottleBound subclass, standing in,
-    and the (F, G, V) of the seeds it kept: the first coordinate scan (an x
-    scan) bounds the finite kept seeds, in kept order, as its base points
-    right before its first local allocation.  Needs REFINE_SWEEPS >= 1."""
+    and the (F, G, V) of the seeds it kept: the refinement bounds the finite
+    kept seeds once, in kept order, right before the first scan's first
+    local allocation.  Needs REFINE_SWEEPS >= 1."""
     seen = {}
 
     class Recording(bound):
@@ -688,14 +694,15 @@ def test_chunked_pattern_draw_equals_the_whole_draw(n):
 
 @pytest.mark.parametrize("n", [8, 64, 128])
 def test_ratios_in_blocks_equal_the_whole_batch(n):
-    """The search weighs the seed cloud one block at a time and every scan's
-    seeds as one (K, 33, n) stack.  Both must give each row the bits of one
-    whole-batch call, rows below the mass floor included (they read inf).
-    BLAS may round a row differently in another batch shape: OpenBLAS gives
-    the last two rows of a batch that leaves 2 or 3 rows over a multiple of
-    four to another kernel, which is why `_ratios` weighs every row and
-    masks afterwards instead of weighing only the rows above the floor, and
-    why every seed block weighs a multiple of four rows."""
+    """The search weighs the seed cloud one block at a time and its refined
+    seeds as one batch padded to a multiple of four rows.  Both must give
+    each row the bits of one whole-batch call, rows below the mass floor
+    included (they read inf).  BLAS may round a row differently in another
+    batch shape: OpenBLAS gives the last rows of a batch that leaves 1 to 3
+    rows over a multiple of four to another kernel, which is why `_ratios`
+    weighs every row and masks afterwards instead of weighing only the rows
+    above the floor, and why every seed block and the refined seeds are
+    padded to a multiple of four rows."""
     rng = np.random.default_rng(n)
     N, floor = 33 * 100, 0.5
     r = 2.0 ** rng.permutation(n)
@@ -709,8 +716,9 @@ def test_ratios_in_blocks_equal_the_whole_batch(n):
     B = _block_rows(n)
     blocks = [_ratios(S[lo:lo + B].copy(), X[lo:lo + B], r, floor) for lo in range(0, N, B)]
     assert N % B and np.array_equal(np.concatenate(blocks), want)
-    stacked = _ratios(S.reshape(-1, 33, n).copy(), X.reshape(-1, 33, n), r, floor)
-    assert np.array_equal(stacked.ravel(), want)
+    for K in range(1, stability.REFINE_TOP + 1):  # the refined seeds' weighing
+        q = np.r_[np.arange(K), np.full(-K % 4, K - 1)] + 40
+        assert np.array_equal(_ratios(S[q], X[q], r, floor)[:K], want[40:40 + K])
     ok = ~np.isinf(want)
     np.testing.assert_allclose(want[ok], ((S * X)[ok] @ r) / (X[ok] @ r), rtol=1e-15)
 
@@ -902,6 +910,132 @@ def test_scans_reuse_curves_like_a_full_evaluation(net, monkeypatch, constants):
     assert got.gamma < seeds.gamma  # the scans moved the points
 
 
+@pytest.mark.parametrize("name", BOUNDS)
+def test_search_equals_the_reference_under_every_bound(name, constants):
+    """The built-in bound's local form returns the S it was given, so the
+    scans weigh only the columns `moves(i)`; every stand-in allocates in
+    full, so they weigh every column.  Either way the search equals the
+    reference's per-seed refinement by the same sums, bit for bit."""
+    spec, ds = _net("benchmark")
+    constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=1)
+    with np.errstate(over="ignore"):
+        _assert_same_search(spec, ds, BOUNDS[name], seed=8)
+
+
+def test_gamma_stays_near_the_whole_row_search_on_random_nets(constants):
+    """Random acyclic nets built as `oracles.random_acyclic_instance` builds
+    them, with `piecewise` cells and pinned waves, among them nets where a
+    sender claims at two junctions of one level: gamma within 1e-12
+    relative of the search that weighed every grid row whole."""
+    constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=2)
+    rng, repeats, piecewise, pinned, positive = np.random.default_rng(9), 0, 0, 0, 0
+    for _ in range(10):
+        spec, ds = _random_net(rng)
+        try:
+            got = drain_constants(spec, ds, weights_r(spec), seed=2)
+        except stability.ThrottleBoundViolation:  # gamma 0 on both rules
+            got = None
+        if got is None:
+            assert oracles.gamma_search_reference(
+                spec, ds, weights_r(spec), n_samples=1024, seed=2,
+                refine_top=stability.REFINE_TOP, refine_sweeps=2, whole_rows=True)[0] == 0.0
+            continue
+        _assert_near_whole_rows(spec, ds, got, seed=2)
+        positive += 1
+        repeats += any(spec.predecessors) and _claim_shape(spec)[1]
+        piecewise += bool(ds._piecewise)
+        pinned += any(sf.wave is not None for sf in ds.supplies)
+    assert positive >= 6 and repeats >= 2 and piecewise >= 3 and pinned >= 3
+
+
+def test_an_x_scan_that_empties_the_heaviest_cell_does_not_cancel():
+    """On the corridor of 8 copies the weights span 2^63.  A state holds the
+    heaviest cell jammed and mass only on cells at least 2^39 lighter.  An x
+    scan of the heaviest cell weighs a grid row from the sums its seed keeps
+    without that cell (`_fixed_sums`) plus the terms of the columns the cell
+    can move; at t = 0 the ratio is finite and within (n + 4) 2^-52 relative
+    of `_ratios` on the whole row.  Taking the jammed cell's terms back out
+    of the seed's whole sums would leave rounding noise of 2^-13."""
+    spec, ds = _corridor(8, 11)
+    n, r, bound = spec.n, weights_r(spec), ThrottleBound(spec, ds)
+    h, floor = int(np.argmax(r)), 1e-3
+    assert r[h] / r.min() >= 2.0 ** 39
+    rng = np.random.default_rng(4)
+    x = np.where(r <= r[h] * 2.0 ** -39, rng.uniform(0.0, presets.JAM, n), 0.0)
+    x[h] = spec.a[h]
+    X, V, D = x[None], rng.uniform(0.0, 5.0, (1, n)), ds.d_lo[None]
+    S = bound.allocate(*_curves(ds, X, D), V)
+    T = bound.moves(h)
+    out, den, mass = stability._fixed_sums(S, X, r, T, h)
+    X0 = X.copy()
+    X0[0, h] = 0.0
+    S0 = bound.allocate(*_curves(ds, X0, D), V)
+    got = stability._scan_ratios(S0[:, T], X0[:, T], r[T], out, den + r[h] * 0.0,
+                                 mass + 0.0, floor)[0]
+    want = _ratios(np.repeat(S0, 4, axis=0), np.repeat(X0, 4, axis=0), r, floor)[0]
+    assert np.isfinite(got) and 0.0 < want < math.inf
+    assert abs(got - want) <= (n + 4) * 2.0 ** -52 * want
+
+
+class _NoInflow(ThrottleBound):
+    """The built-in bound with every inflow read as zero, in every form: no
+    v scan moves a bound."""
+
+    def allocate(self, F, G, V, cell=None, S=None, cells=None):
+        return super().allocate(F, G, np.zeros_like(V), cell, S, cells)
+
+
+@pytest.mark.parametrize("bound", [ThrottleBound, _NoInflow], ids=["built-in", "no inflow"])
+def test_a_scan_that_moves_no_bound_moves_no_seed(bound, constants):
+    """A v scan of a cell without a junction moves no bound of the built-in
+    bound, and under `_NoInflow` no v scan moves one.  Such a scan's grid
+    rows read exactly their seed's ratio, which each is compared with,
+    formed by the same sums, so it moves no seed: on 20 cells the inflows
+    the last d scan bounds are the kept seeds' there.  A seed ratio of other
+    sums, as `_ratios` forms them, differs in the last bits: it moved 128 of
+    the 160 inflows and kept the idle stop from firing.  With the built-in
+    bound the search stops after scan 59 of 132, as the search that weighed
+    whole rows did."""
+    spec, ds = _twenty_cells()
+    constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=3)
+    seen = []
+
+    class Recording(bound):
+        def allocate(self, F, G, V, cell=None, S=None, cells=None):
+            if cells is None and cell is None:
+                seen.append(V.copy())
+            return super().allocate(F, G, V, cell, S, cells)
+
+    got, base = _searched(spec, ds, Recording, seed=3)
+    flat = ([i for i in range(spec.n) if not spec.predecessors[i]] if bound is ThrottleBound
+            else list(range(spec.n)))
+    kept, last = base[2], seen[-1][::stability.SCAN_WIDTH]
+    assert len(kept) == stability.REFINE_TOP and len(flat) >= 4
+    assert np.array_equal(last[:, flat], kept[:, flat])
+    if bound is ThrottleBound:
+        assert got.n_scans == 59
+    assert _assert_same_search(spec, ds, bound, seed=3).gamma == got.gamma
+
+
+@pytest.mark.parametrize("net", ["benchmark", "piecewise and pinned cells", "20 cells",
+                                 "corridor of 8 copies"])
+def test_gamma_is_the_ratio_of_its_argmin(net, constants):
+    """The refined seeds are weighed once more as `_ratios` weighs a seed
+    block: the reported gamma and argmin ratio are `_ratios` of the reported
+    state, bounded afresh, bit for bit.  On 20 cells and on 64 the ratio
+    that the last scan formed from its own sums differs in the last bits."""
+    spec, ds = {"benchmark": lambda: _net("benchmark"),
+                "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
+                "20 cells": _twenty_cells,
+                "corridor of 8 copies": lambda: _corridor(8, 11)}[net]()
+    if spec.n > 12:
+        constants(GAMMA_SAMPLES=2 ** 12, REFINE_SWEEPS=1)
+    got = drain_constants(spec, ds, weights_r(spec), seed=3)
+    X, V, D = (np.repeat(got.argmin[key][None], 4, axis=0) for key in "xvd")
+    S = ThrottleBound(spec, ds).allocate(*_curves(ds, X, D), V)
+    assert got.gamma == got.argmin["ratio"] == _ratios(S, X, weights_r(spec), got.mass_floor)[0]
+
+
 @pytest.mark.parametrize("w", [33, 10])
 def test_zoom_grid_is_linspace_row_by_row(w):
     """Zero-width windows mixed with others: np.linspace on the arrays would
@@ -911,7 +1045,7 @@ def test_zoom_grid_is_linspace_row_by_row(w):
     lo = rng.uniform(-3.0, 170.0, 40)
     hi = lo + rng.uniform(0.0, 90.0, 40) * (rng.random(40) < 0.7)
     lo[:3], hi[:3] = 0.0, [170.0, 1e-300, 0.0]
-    ts, span = _zoom_grid(lo, hi, w)
+    ts, span = _zoom_grid(lo, hi, np.arange(w, dtype=float))
     assert (hi == lo).sum() > 5
     for b in range(len(lo)):
         assert np.array_equal(ts[b], np.linspace(lo[b], hi[b], w))
