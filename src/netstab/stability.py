@@ -537,7 +537,7 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _fixed_sums(S: np.ndarray, X: np.ndarray, r: np.ndarray, T, cell: int | None = None):
+def _fixed_sums(S: np.ndarray, X: np.ndarray, r: np.ndarray, T, cell: int | None):
     """What a scan's grid rows share with their seed rows S, X (K, n), per row.
 
     A scan moves the columns T of S and, for an x scan, X's column `cell`;
@@ -769,7 +769,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     finite = np.isfinite(kept[0])
     _, x, v, d, Fb, Gb = (part[finite] for part in kept)
     Sb = bound.allocate(Fb, Gb, v)
-    K, w, everything = len(x), SCAN_WIDTH, slice(None)
+    K, w = len(x), SCAN_WIDTH
     seed_of, steps = np.arange(K), np.arange(w, dtype=float)
     # The grid rows, w per seed, are stored cell-major, (n, K, w), so that
     # every column is one contiguous run.  A row holds its seed's values
@@ -809,7 +809,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
                     Gc[idx] = _supply_values(ds.supplies[idx], d4, ts)
                 Fg, Gg, Sg = F, G, bound.allocate(F, G, V, cell=idx, S=S)
             if level == 0:  # the columns weighed anew, the sums kept, the seeds' ratios
-                T = bound.moves(idx) if Sg is S else everything
+                T = bound.moves(idx) if Sg is S else slice(None)
                 out, den, mass = (part[:, None] for part in
                                   _fixed_sums(Sb, x, r, T, idx if kind == "x" else None))
                 rT = r[T][:, None, None]
