@@ -27,7 +27,7 @@ from .harness import (ControlSpec, DecayFit, DisturbanceSpec, GridlockReport,
 from .network import (AcyclicityError, NetworkSpec, TopologicalOrder,
                       Violation, find_cycle, load_network, save_network,
                       topological_sort, validate_spec)
-from .stability import (ContractionReport, DrainConstants,
+from .stability import (ContractionReport, DrainConstants, DrainProblem,
                         StabilityCertificate, ThrottleBound, build_gamma,
                         certify, contraction_check, drain_constants,
                         invariant_region, lyapunov_eval, spectral_radius,
@@ -39,10 +39,10 @@ __all__ = [
     "AcyclicityError", "ContractionReport", "ControlSpec", "ControllerConfig",
     "DecayFit", "DemandAudit", "DemandFunction", "DiagramSet",
     "DimensionError", "DisturbanceSpec", "DomainError", "DrainConstants",
-    "EquilibriumPair", "FlowBreakdown", "GridlockReport", "InfeasibleInflow",
-    "MisuseError", "NetworkSpec", "NonUniformEquilibrium", "NumericalError",
-    "Piece", "ScenarioConfig", "StabilityCertificate", "StructuralError",
-    "SupplyFunction", "SupplyMarginAudit", "ThrottleBound",
+    "DrainProblem", "EquilibriumPair", "FlowBreakdown", "GridlockReport",
+    "InfeasibleInflow", "MisuseError", "NetworkSpec", "NonUniformEquilibrium",
+    "NumericalError", "Piece", "ScenarioConfig", "StabilityCertificate",
+    "StructuralError", "SupplyFunction", "SupplyMarginAudit", "ThrottleBound",
     "ThrottleBoundViolation", "TopologicalOrder", "TrajectoryRecord",
     "TrappingInfeasible", "Violation", "audit_demand_curve",
     "audit_supply_margin", "build_gamma", "certify", "compute_flows",

@@ -179,8 +179,8 @@ def cmd_analyze(args) -> int:
         "weights": {"r": cert.r, "xi": cert.xi},
         "invariant_box": {"epsstar": cert.epsstar, "beta": cert.beta},
         "drain": {
-            "Qconst": cert.drain.Qconst, "theta": cert.drain.theta,
-            "Theta": cert.drain.Theta, "gamma": cert.drain.gamma,
+            "Qconst": cert.drain.problem.Qconst, "theta": cert.drain.problem.theta,
+            "Theta": cert.drain.problem.Theta, "gamma": cert.drain.gamma,
             "C": cert.drain.C, "samples": cert.drain.n_evaluated,
         },
         "comparison": {"rho": cert.rho},

@@ -291,10 +291,6 @@ class DiagramSet:
     def n(self) -> int:
         return len(self.demands)
 
-    def min_supply_at_zero(self) -> np.ndarray:
-        """Per-cell inf over d of g(d, 0) — the guaranteed empty-cell supply."""
-        return supply_batch(self, self.d_lo[None, :], np.zeros((1, self.n)))[0]
-
 
 def check_pair(spec: NetworkSpec, ds: DiagramSet) -> None:
     """Raise ValueError unless the diagrams describe the network's cells.
@@ -311,6 +307,12 @@ def check_pair(spec: NetworkSpec, ds: DiagramSet) -> None:
         i = int(bad[0])
         raise ValueError(f"cell {i + 1}: diagrams give jam capacity a = {ds._a[i]:.10g} "
                          f"but the network has a = {spec.a[i]:.10g}")
+
+
+def inflow_caps(spec: NetworkSpec, ds: DiagramSet) -> np.ndarray:
+    """Per-cell admissible external inflow: the least of the bound vmax and
+    the supply of the empty cell at the low d4 corner, its inf over d."""
+    return np.minimum(spec.vmax, supply_batch(ds, ds.d_lo[None, :], np.zeros((1, ds.n)))[0])
 
 
 def eval_demand(fd: DemandFunction, d, x) -> float:

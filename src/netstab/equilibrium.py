@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dynamics
 from .diagrams import (DiagramSet, _demand_values, check_pair, d_corners,
-                       demand_batch, supply_batch)
+                       demand_batch, inflow_caps, supply_batch)
 from .errors import DomainError, InfeasibleInflow, NonUniformEquilibrium
 from .network import NetworkSpec, check_spec
 
@@ -72,7 +72,7 @@ def solve_uep(spec: NetworkSpec, ds: DiagramSet, vstar) -> EquilibriumPair:
     check_pair(spec, ds)
     check_spec(spec)
     vstar = np.asarray(vstar, dtype=float)
-    v_cap = np.minimum(spec.vmax, ds.min_supply_at_zero())
+    v_cap = inflow_caps(spec, ds)
     if not np.isfinite(vstar).all():
         i = int(np.argmax(~np.isfinite(vstar)))
         raise DomainError(f"cell {i + 1}: equilibrium inflow {vstar[i]} is not finite")

@@ -12,15 +12,15 @@ which any trajectory is trapped inside the invariant box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import control
 from .control import ControllerConfig, h_map
 from .diagrams import (DiagramSet, _demand_values, _philox, _supply_values,
-                       check_pair, d_corners, demand_batch, supply_batch,
-                       uniform_uncertainty)
+                       check_pair, d_corners, demand_batch, inflow_caps,
+                       supply_batch, uniform_uncertainty)
 from .dynamics import step
 from .errors import (DimensionError, NumericalError, StructuralError,
                      ThrottleBoundViolation, TrappingInfeasible)
@@ -235,7 +235,8 @@ class ThrottleBound:
     curves, so it can reuse what it already holds: the seed cloud gathers
     its jam-pattern rows' F and G from corner tables, and a scan keeps the
     curves of the cells it does not move.  `ThrottleBound(spec, ds)` checks
-    that the diagrams describe the network's cells (`check_pair`).
+    that the diagrams describe the network's cells (`check_pair`); a
+    `DrainProblem` builds the search's as its ``bound``.
 
     The claims are grouped once by priority level (`spec.claim_levels`), so
     an allocation costs a few array operations per level, not per junction
@@ -269,7 +270,8 @@ class ThrottleBound:
     (`drain_constants`), which needs S <= 1 in every form.  A bound whose
     throttles can exceed 1, or that cannot bound W from those columns,
     answers the witness form with zeros: no block with a row of mass above
-    the floor is then ruled out, and the search evaluates it.
+    the problem's ``mass_floor`` is then ruled out, and the search
+    evaluates it.
 
     `allocate` is non-increasing in F: F <= F' entrywise gives
     allocate(F', G, V) <= allocate(F, G, V) entrywise, bit for bit.  A larger
@@ -366,28 +368,94 @@ class ThrottleBound:
         return S if cells is None else S[:, picks]
 
 
+@dataclass(frozen=True, eq=False)
+class DrainProblem:
+    """The gamma search's domain and constants, computed once.
+
+    Builds ``bound = ThrottleBound(spec, ds)``, looked up when the problem
+    is built so that a stand-in can be swapped in, and checks r: its shape,
+    its sign and that r @ a, above every weighted mass the search forms, is
+    finite.  Holds the routing loss ``Qconst = min(1 - P r / r)``, each full
+    cell's guaranteed outflow fraction ``theta`` and their least ``Theta``,
+    the inflow box ``v_box`` (`inflow_caps` less eps~, half the least cap)
+    and ``mass_floor = min(min delta, eps~ / 2n)``: gamma ranges over the
+    states of `box` of at least that mass, which `ratios` weighs.
+    """
+
+    spec: NetworkSpec
+    ds: DiagramSet
+    r: np.ndarray
+    bound: ThrottleBound = field(init=False, repr=False)
+    Qconst: float = field(init=False)
+    theta: np.ndarray = field(init=False)
+    Theta: float = field(init=False)
+    v_box: np.ndarray = field(init=False)
+    mass_floor: float = field(init=False)
+
+    def __post_init__(self):
+        spec, ds = self.spec, self.ds
+        bound = ThrottleBound(spec, ds)
+        r = np.asarray(self.r, dtype=float)
+        if r.shape != (spec.n,):
+            raise DimensionError(f"r must have shape ({spec.n},)")
+        if np.any(r <= 0):
+            raise ValueError("weights r must be positive")
+        with np.errstate(over="ignore"):
+            heaviest = r @ spec.a
+        if not np.isfinite(heaviest):
+            i = int(np.argmax(r))
+            raise NumericalError(
+                f"cell {i + 1}: weight {r[i]:.3g} makes the weighted jam mass r @ a "
+                f"overflow float64", cell=i)
+
+        Qconst = float(np.min(1.0 - (spec.P @ r) / r))
+        if Qconst <= 0:
+            raise StructuralError("weights r admit no routing loss (Qconst <= 0)")
+
+        L = np.array([fd.L for fd in ds.demands])
+        delta_tilde = np.array([fd.delta_tilde for fd in ds.demands])
+        fmin = np.array([fd.fmin for fd in ds.demands])
+        theta = np.minimum(L, np.minimum(fmin / spec.a, L * delta_tilde / spec.a))
+
+        caps = inflow_caps(spec, ds)
+        if caps.min() <= 0:
+            raise ValueError("admissible external-inflow box is empty")
+        eps_tilde = 0.5 * float(caps.min())
+        vars(self).update(bound=bound, r=r, Qconst=Qconst, theta=theta, Theta=float(theta.min()),
+                          v_box=caps - eps_tilde,
+                          mass_floor=min(float(ds._delta.min()), eps_tilde / (2.0 * spec.n)))
+
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) of the searched coordinates (x, v, d), 2n + 4 each:
+        densities in [0, a], inflows in [0, v_box], d in [d_lo, d_hi]."""
+        return (np.concatenate([np.zeros(2 * self.spec.n), self.ds.d_lo]),
+                np.concatenate([self.spec.a, self.v_box, self.ds.d_hi]))
+
+    def ratios(self, X: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Ratios of the states (X, V, D), (N, n), (N, n) and (N, 4), inf below
+        the mass floor, weighed in a batch padded to a multiple of four rows:
+        each has the bits it has in a seed block (`_ratios`)."""
+        q = np.r_[np.arange(len(X)), np.full(-len(X) % 4, len(X) - 1)]
+        F, G = demand_batch(self.ds, D[q], X[q]), supply_batch(self.ds, D[q], X[q])
+        return _ratios(self.bound.allocate(F, G, V[q]), X[q], self.r, self.mass_floor)[:len(X)]
+
+
 @dataclass(frozen=True)
 class DrainConstants:
     """Sampled lower bound on the weighted mass released per step.
 
-    C = Qconst * Theta * min(1, gamma): Qconst is the routing loss under the
-    weights r, theta_i the guaranteed outflow fraction of a full cell, and
-    gamma the sampled infimum of the throttled weighted-mass ratio over the
-    state box, the admissible inflow box ``v_box``, and the uncertainty box
-    (states below ``mass_floor`` total mass are excluded).  ``n_evaluated``
-    counts the seed rows of finite ratio, ``n_ruled_out`` the Sobol' rows
-    whose block the witness floor ruled out before their demands were
-    evaluated, and ``n_scans`` the coordinate scans the refinement ran.
+    C = Qconst * Theta * min(1, gamma), with Qconst and Theta those of the
+    searched ``problem`` (`DrainProblem`) and gamma the least ratio found
+    over its box, at ``argmin``.  ``n_evaluated`` counts the seed rows of
+    finite ratio, ``n_ruled_out`` the Sobol' rows whose block the witness
+    floor ruled out before their demands were evaluated, and ``n_scans``
+    the coordinate scans the refinement ran.
     """
 
-    Qconst: float
-    theta: np.ndarray
-    Theta: float
+    problem: DrainProblem
     gamma: float
     C: float
     argmin: dict
-    v_box: np.ndarray
-    mass_floor: float
     n_evaluated: int
     n_ruled_out: int
     n_scans: int
@@ -422,9 +490,8 @@ def _jam_patterns(n: int, seed: int, chunk: int):
             yield rng.random((min(chunk, 4096 - lo), n)) < 0.5
 
 
-def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
-                 n_samples: int, seed: int):
-    """The gamma search's seeds, block by block.
+def _seed_blocks(problem: DrainProblem, seed: int):
+    """The gamma search's seeds in `problem`, block by block.
 
     A block covers `_block_rows(n)` rows of the seed stream, or fewer at the
     end of a kind.  A jam-pattern block is a tuple (X, V, F, G, rows, D): X,
@@ -444,16 +511,18 @@ def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
     (pattern, end, class), padded to a multiple of four rows by repeating
     the last one (see `_ratios`).
 
-    A scrambled-Sobol cloud over (x, v, d) of n_samples rows, rounded up to
-    a power of two, follows; it is drawn in power-of-two chunks, which equal
-    one whole draw bit for bit, and its rows are all distinct.  Its blocks
+    A scrambled-Sobol cloud over the box (x, v, d) of GAMMA_SAMPLES rows,
+    rounded up to a power of two, follows; it is drawn in power-of-two
+    chunks, which equal one whole draw bit for bit, and its rows are all
+    distinct.  Its blocks
     are the draws themselves, (rows, 2n + 4) arrays of fractions of the
     box, which `_cloud_rows` maps to rows: `drain_constants` first bounds a
     block from its heaviest cells alone, and evaluates the rows only of a
     block that this floor does not rule out.  No block mixes the two kinds.
     """
+    spec, ds = problem.spec, problem.ds
     n, block = spec.n, _block_rows(spec.n)
-    ends, corners = np.stack([np.zeros(n), v_box]), d_corners(ds)
+    ends, corners = np.stack([np.zeros(n), problem.v_box]), d_corners(ds)
     # each corner's demands and supplies of empty ([0]) and of jammed ([1]) cells
     empty, jam = np.zeros((len(corners), n)), np.tile(spec.a, (len(corners), 1))
     F = demand_batch(ds, corners, empty), demand_batch(ds, corners, jam)
@@ -475,29 +544,28 @@ def _seed_blocks(spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
                k // per_end * len(reps) + cls[k % per_end], corners[k % per_end])
 
     sobol = Sobol(2 * n + 4, seed)
-    m = 2 ** max(1, math.ceil(math.log2(max(n_samples, 2))))
+    m = 2 ** max(1, math.ceil(math.log2(max(GAMMA_SAMPLES, 2))))
     chunk = min(block, m)
     for _ in range(m // chunk):
         yield sobol.random(chunk)
 
 
-def _cloud_rows(u: np.ndarray, spec: NetworkSpec, ds: DiagramSet, v_box: np.ndarray,
-                junctions: np.ndarray | None = None):
-    """The rows (X, V, D) of a Sobol' block u: densities, inflows and
-    uncertainty points, (N, n), (N, n) and (N, 4).
+def _cloud_rows(u: np.ndarray, problem: DrainProblem, junctions: np.ndarray | None = None):
+    """The rows (X, V, D) of a Sobol' block u in `problem.box()`: densities,
+    inflows and uncertainty points, (N, n), (N, n) and (N, 4).
 
     With `junctions`, the form the witness floor reads: X cell-major, (n, N),
     V at the junctions only, (N, len(junctions)), and D its d4 column alone,
     (N, 1).  Every entry is the same product (and sum) of the same floats in
-    either form, so it has the same bits.
+    either form, so it has the same bits; adding a zero lower end is exact.
     """
-    n = spec.n
+    n, (lo, hi) = problem.spec.n, problem.box()
+    width = hi - lo
     if junctions is None:
-        return (u[:, :n] * spec.a, u[:, n:2 * n] * v_box,
-                u[:, 2 * n:] * (ds.d_hi - ds.d_lo) + ds.d_lo)
-    return (np.multiply(u[:, :n].T, spec.a[:, None], order="C"),
-            (u.T[n + junctions] * v_box[junctions, None]).T,
-            (u[:, -1] * (ds.d_hi[3] - ds.d_lo[3]) + ds.d_lo[3])[:, None])
+        return tuple(u[:, k] * width[k] + lo[k] for k in (np.s_[:n], np.s_[n:2 * n], np.s_[2 * n:]))
+    return (np.multiply(u[:, :n].T, width[:n, None], order="C"),
+            (u.T[n + junctions] * width[n + junctions, None]).T,
+            (u[:, -1] * width[-1] + lo[-1])[:, None])
 
 
 def _ratios(S: np.ndarray, X: np.ndarray, r: np.ndarray,
@@ -586,12 +654,14 @@ def _zoom_grid(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray):
     return ts, span
 
 
-def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> DrainConstants:
-    """Estimate the per-step drain constants (Qconst, theta, gamma, C).
+def drain_constants(problem: DrainProblem, seed: int = 0) -> DrainConstants:
+    """Search `problem` for gamma, the least throttled weighted-mass ratio
+    over `problem.box()` at mass at least ``problem.mass_floor``, and give
+    C = Qconst * Theta * min(1, gamma) with the problem's Qconst and Theta.
 
     gamma is a sampled infimum: structured seeds (every binary jam pattern
-    for small networks, inflows at both box ends, all uncertainty corners)
-    plus a joint low-discrepancy cloud of GAMMA_SAMPLES points, followed by
+    for small networks, inflows 0 and v_box, all uncertainty corners) plus
+    a joint low-discrepancy cloud of GAMMA_SAMPLES points, followed by
     up to REFINE_SWEEPS sweeps of coordinate-descent refinement of the best
     seeds with a zooming grid per coordinate; it stops early once 2n + 4
     scans in a row, one per coordinate, move no seed, since every later
@@ -633,9 +703,9 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     cancel once a scan empties a cell of weight 2^n times the others'.  A
     candidate must beat its seed's ratio formed by the same sums at the
     seed's point, so a scan that moves no term moves no seed.  The refined
-    seeds are finally weighed by `_ratios` in a batch padded to a multiple
-    of four rows, as a seed block is: gamma, its argmin and its ratio come
-    from that weighing, the first seed winning ties.
+    seeds are finally weighed by `problem.ratios`, in a batch padded to a
+    multiple of four rows as a seed block is: gamma, its argmin and its
+    ratio come from that weighing, the first seed winning ties.
 
     Once REFINE_TOP seeds are kept, with kappa the last kept ratio, a Sobol
     block with finite demand caps (`demand_cap`) is first bounded from its
@@ -677,39 +747,8 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     positive.  And S <= 1 keeps every num finite, so a row's ratio is
     finite exactly when the row is counted.
     """
-    bound = ThrottleBound(spec, ds)
-    r = np.asarray(r, dtype=float)
-    if r.shape != (spec.n,):
-        raise DimensionError(f"r must have shape ({spec.n},)")
-    if np.any(r <= 0):
-        raise ValueError("weights r must be positive")
-    # every weighted mass the search forms is a sum of nonnegative terms at most r @ a
-    with np.errstate(over="ignore"):
-        heaviest = r @ spec.a
-    if not np.isfinite(heaviest):
-        i = int(np.argmax(r))
-        raise NumericalError(
-            f"cell {i + 1}: weight {r[i]:.3g} makes the weighted jam mass r @ a "
-            f"overflow float64", cell=i)
-    n = spec.n
-
-    Qconst = float(np.min(1.0 - (spec.P @ r) / r))
-    if Qconst <= 0:
-        raise StructuralError("weights r admit no routing loss (Qconst <= 0)")
-
-    L = np.array([fd.L for fd in ds.demands])
-    delta_tilde = np.array([fd.delta_tilde for fd in ds.demands])
-    fmin = np.array([fd.fmin for fd in ds.demands])
-    theta = np.minimum(L, np.minimum(fmin / spec.a, L * delta_tilde / spec.a))
-    Theta = float(theta.min())
-
-    caps = np.minimum(spec.vmax, ds.min_supply_at_zero())
-    if caps.min() <= 0:
-        raise ValueError("admissible external-inflow box is empty")
-    eps_tilde = 0.5 * float(caps.min())
-    v_box = caps - eps_tilde
-    mass_floor = min(float(ds._delta.min()), eps_tilde / (2.0 * n))
-
+    spec, ds, r, bound = problem.spec, problem.ds, problem.r, problem.bound
+    n, mass_floor = spec.n, problem.mass_floor
     witnesses = np.argsort(-r, kind="stable")[:WITNESS_CELLS]
     junctions = bound.junctions(witnesses)
     # kappa * least >= 2^-960 puts kappa and kappa * min(r) * mass_floor at 2^-960 or above
@@ -718,7 +757,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     def witness_count(u, kappa):
         """The rows of finite ratio of Sobol' block u if its witness floor
         rules the block out, else None."""
-        X, V, d4 = _cloud_rows(u, spec, ds, v_box, junctions)  # X cell-major
+        X, V, d4 = _cloud_rows(u, problem, junctions)  # X cell-major
         mass = X.sum(axis=0)
         heavy = mass >= mass_floor * (1.0 + WITNESS_MARGIN)
         if not (heavy | (mass < mass_floor * (1.0 - WITNESS_MARGIN))).all():
@@ -735,7 +774,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     # the seeds of lowest ratio as (ratios, X, V, D, F, G), in (ratio, stream row) order
     kept, n_evaluated, n_ruled_out = (), 0, 0
     capped = np.isfinite(ds._fcap).all()
-    for block in _seed_blocks(spec, ds, v_box, GAMMA_SAMPLES, seed):
+    for block in _seed_blocks(problem, seed):
         full = bool(kept) and len(kept[0]) == REFINE_TOP
         if not isinstance(block, tuple):  # a Sobol' block, as drawn
             kappa = kept[0][-1] if full else math.inf
@@ -745,7 +784,7 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
                     n_evaluated += counted
                     n_ruled_out += len(block)
                     continue
-            X, V, D = _cloud_rows(block, spec, ds, v_box)
+            X, V, D = _cloud_rows(block, problem)
             block = (X, V, demand_batch(ds, D, X), supply_batch(ds, D, X),
                      np.arange(len(X)), D)
         X, V, F, G, rows, D = block
@@ -843,9 +882,9 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
     # A scan that moves no seed leaves every seed as it was, so once every
     # coordinate in a row has passed without a move, each later scan would
     # repeat an earlier one: the refinement stops there.
-    coords = ([("x", i, 0.0, float(spec.a[i])) for i in range(n)]
-              + [("v", i, 0.0, float(v_box[i])) for i in range(n)]
-              + [("d", k, float(ds.d_lo[k]), float(ds.d_hi[k])) for k in range(4)])
+    lo, hi = (end.tolist() for end in problem.box())
+    coords = list(zip(["x"] * n + ["v"] * n + ["d"] * 4, [*range(n), *range(n), *range(4)],
+                      lo, hi))
     n_scans = idle = 0
     for coord in coords * REFINE_SWEEPS:
         if idle == len(coords):
@@ -853,10 +892,8 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
         n_scans += 1
         idle = 0 if scan(*coord) else idle + 1
 
-    # the refined seeds weighed as `_ratios` weighs a seed block, padded to a
-    # multiple of four rows; the first seed of the smallest ratio wins
-    q = np.r_[seed_of, np.full(-K % 4, K - 1)]
-    best = _ratios(Sb[q], x[q], r, mass_floor)[:K]
+    # the refined seeds weighed as a seed block is; the first of the smallest ratio wins
+    best = problem.ratios(x, v, d)
     b = int(np.argmin(best))
     gamma, x_min, v_min, d_min = float(best[b]), x[b], v[b], d[b]
     if not math.isfinite(gamma) or gamma <= 0:
@@ -864,11 +901,10 @@ def drain_constants(spec: NetworkSpec, ds: DiagramSet, r, seed: int = 0) -> Drai
             f"sampled throttle ratio hit {gamma:.3g}",
             witness={"x": x_min, "v": v_min, "d": d_min})
     argmin = {"x": x_min, "v": v_min, "d": d_min, "ratio": gamma}
-    C = Qconst * Theta * min(1.0, gamma)
-    return DrainConstants(Qconst=Qconst, theta=theta, Theta=Theta, gamma=gamma,
-                          C=C, argmin=argmin, v_box=v_box,
-                          mass_floor=mass_floor, n_evaluated=n_evaluated,
-                          n_ruled_out=n_ruled_out, n_scans=n_scans)
+    C = problem.Qconst * problem.Theta * min(1.0, gamma)
+    return DrainConstants(problem=problem, gamma=gamma, C=C, argmin=argmin,
+                          n_evaluated=n_evaluated, n_ruled_out=n_ruled_out,
+                          n_scans=n_scans)
 
 
 def trapping_bound(C: float, r, beta, b, a) -> int:
@@ -995,7 +1031,7 @@ def certify(spec: NetworkSpec, ds: DiagramSet, eq, controller=None,
     G = np.array([fd.G for fd in ds.demands])
     xi = weights_xi(spec, L, G)
     epsstar, beta = invariant_region(eq.xstar, xi, spec.mu)
-    drain = drain_constants(spec, ds, r, seed=seed)
+    drain = drain_constants(DrainProblem(spec, ds, r), seed=seed)
 
     if controller is None:
         controller = control.synthesize(spec, eq, r, drain.C, beta)

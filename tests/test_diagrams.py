@@ -14,7 +14,7 @@ from netstab.diagrams import (DemandFunction, DiagramSet, Piece,
                               SupplyFunction, _philox, audit_demand_curve,
                               audit_supply_margin, d_corners, demand_all,
                               demand_batch, eval_demand, eval_supply,
-                              load_diagrams, save_diagrams, supply_all,
+                              inflow_caps, load_diagrams, save_diagrams, supply_all,
                               supply_batch, uniform_uncertainty)
 from netstab.errors import DimensionError, DomainError
 from netstab.network import NetworkSpec
@@ -148,9 +148,13 @@ def test_uncertainty_sampling(ref_ds):
     assert np.all(U >= ref_ds.d_lo) and np.all(U <= ref_ds.d_hi)
 
 
-def test_min_supply_at_zero(ref_ds):
-    np.testing.assert_allclose(ref_ds.min_supply_at_zero(),
-                               np.full(8, 0.22 * 115.0), rtol=0, atol=1e-12)
+def test_inflow_caps(ref_spec, ref_ds):
+    """The least of vmax and the empty cell's supply at the low d4 corner,
+    0.22 * 115: vmax binds on the benchmark, the supply once vmax is 100."""
+    np.testing.assert_array_equal(inflow_caps(ref_spec, ref_ds), ref_spec.vmax)
+    wide = replace(ref_spec, vmax=np.full(8, 100.0))
+    np.testing.assert_allclose(inflow_caps(wide, ref_ds), np.full(8, 0.22 * 115.0),
+                               rtol=0, atol=1e-12)
 
 
 def test_demand_audit_accepts_reference(ref_ds):

@@ -28,9 +28,9 @@ from netstab.diagrams import (DiagramSet, SupplyFunction, _philox, d_corners,
                               demand_batch, supply_batch, uniform_uncertainty)
 from netstab.network import NetworkSpec
 from netstab.sobol import Sobol
-from netstab.stability import (ThrottleBound, _block_rows, _cloud_rows, _jam_patterns,
-                               _ratios, _seed_blocks, _zoom_grid, drain_constants,
-                               weights_r)
+from netstab.stability import (DrainProblem, ThrottleBound, _block_rows, _cloud_rows,
+                               _jam_patterns, _ratios, _seed_blocks, _zoom_grid,
+                               drain_constants, weights_r)
 
 import oracles
 from test_curve_table import PIECEWISE, _corridor, _random_net
@@ -97,12 +97,23 @@ def test_supply_batch_matches_cell_loop_with_pinned_waves():
     ds = _diagrams_for(9, rng, pinned=(0, 3, 8))
     X, _, D = _states(_spec_for(_dense_net(rng, 9), rng), ds, rng, 300)
     assert np.array_equal(supply_batch(ds, D, X), oracles.supply_loop(ds, D, X))
-    want = np.array([oracles.supply_loop(ds, ds.d_lo[None, :], np.zeros((1, 9)))[0]])
-    assert np.array_equal(ds.min_supply_at_zero(), want[0])
+    empty = (ds, ds.d_lo[None, :], np.zeros((1, 9)))
+    assert np.array_equal(supply_batch(*empty), oracles.supply_loop(*empty))
 
 
 def _curves(ds, X, D):
     return demand_batch(ds, D, X), supply_batch(ds, D, X)
+
+
+def _problem(spec, ds):
+    return DrainProblem(spec, ds, weights_r(spec))
+
+
+def _search(spec, ds, seed=0, bound=ThrottleBound):
+    """`drain_constants` on the net's problem, `bound` standing in for ThrottleBound."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "ThrottleBound", bound)
+        return drain_constants(_problem(spec, ds), seed=seed)
 
 
 @pytest.mark.parametrize("seed, piecewise", [(11, 0.0), (17, 0.3)],
@@ -172,23 +183,6 @@ def _twenty_cells():
     return _freeways_and_chain(2, 4)
 
 
-def _relabelled_copies(copies, seed):
-    """`copies` disjoint benchmark freeways, cells relabelled by a seeded
-    permutation (corridor64 at eight copies)."""
-    ref, rds = presets.reference_network(), presets.reference_diagrams()
-    n = 8 * copies
-    perm = np.random.default_rng(seed).permutation(n)
-    P, old = np.zeros((n, n)), np.empty(n, dtype=int)
-    for c in range(copies):
-        new = perm[8 * c:8 * c + 8]
-        P[np.ix_(new, new)] = ref.P
-        old[new] = np.arange(8)
-    spec = NetworkSpec(n=n, a=ref.a[old], P=P, Qexit=ref.Qexit[old], mu=ref.mu[old],
-                       vmax=ref.vmax[old])
-    return spec, DiagramSet(tuple(rds.demands[k] for k in old),
-                            tuple(rds.supplies[k] for k in old), rds.d_lo, rds.d_hi)
-
-
 def _assert_local_equals_full(spec, ds, rng, N=120):
     """For every cell, rows that move only that cell's density or inflow off
     some base rows: `allocate` from the base rows' bounds returns those
@@ -243,7 +237,7 @@ def test_local_allocation_equals_a_full_one_on_random_nets():
 
 @pytest.mark.parametrize("net", ["20 cells", "8 relabelled copies"])
 def test_local_allocation_equals_a_full_one(net):
-    spec, ds = _twenty_cells() if net == "20 cells" else _relabelled_copies(8, 11)
+    spec, ds = _twenty_cells() if net == "20 cells" else _corridor(8, 11)
     _assert_local_equals_full(spec, ds, np.random.default_rng(spec.n))
 
 
@@ -266,18 +260,24 @@ def _degenerate_box():
     return presets.reference_network(), DiagramSet(ds.demands, ds.supplies, lo, hi)
 
 
+NETS = {"benchmark": lambda: (presets.reference_network(), presets.reference_diagrams()),
+        "pinned-wave benchmark": _pinned_benchmark,
+        "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
+        "degenerate box": _degenerate_box,
+        "one corner class": lambda: _classed_net("1 class")[:2],
+        "11 cells": lambda: _freeways_and_chain(1, 3, pinned=(9,)),
+        "20 cells": _twenty_cells,
+        "corridor of 8 copies": lambda: _corridor(8, 11)}
+
+
 def _assert_same_search(spec, ds, bound=None, seed=0):
     """`drain_constants` against the reference at the search constants in
     force; `bound`, a ThrottleBound subclass, stands in for the built-in
     bound in both."""
-    r = weights_r(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        if bound is not None:
-            mp.setattr(stability, "ThrottleBound", bound)
-        got = drain_constants(spec, ds, r, seed=seed)
+    got = _search(spec, ds, seed, bound or ThrottleBound)
     stilde = None if bound is None else bound(spec, ds)
     gamma, argmin, n_evaluated = oracles.gamma_search_reference(
-        spec, ds, r, stilde, n_samples=stability.GAMMA_SAMPLES, seed=seed,
+        spec, ds, weights_r(spec), stilde, n_samples=stability.GAMMA_SAMPLES, seed=seed,
         refine_top=stability.REFINE_TOP, refine_sweeps=stability.REFINE_SWEEPS)
     assert got.gamma == gamma
     assert got.argmin["ratio"] == argmin["ratio"]
@@ -307,15 +307,7 @@ def test_drain_constants_match_per_seed_refinement(net, constants):
     stops early (`test_refinement_stops_once_a_cycle_of_scans_is_idle`); on
     20 cells over three sweeps seeds still move in the third, so it runs
     every scan."""
-    spec, ds = {"benchmark": lambda: (presets.reference_network(),
-                                      presets.reference_diagrams()),
-                "pinned-wave benchmark": _pinned_benchmark,
-                "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
-                "degenerate box": _degenerate_box,
-                "one corner class": lambda: _classed_net("1 class")[:2],
-                "11 cells": lambda: _freeways_and_chain(1, 3, pinned=(9,)),
-                "20 cells": _twenty_cells,
-                "20 cells, three sweeps": _twenty_cells}[net]()
+    spec, ds = NETS[net.removesuffix(", three sweeps")]()
     constants(GAMMA_SAMPLES=2048)
     if net == "20 cells":
         constants(REFINE_SWEEPS=1)
@@ -335,8 +327,7 @@ def test_refinement_stops_once_a_cycle_of_scans_is_idle():
     27 of 60."""
     spec, ds = presets.reference_network(), presets.reference_diagrams()
     assert stability.REFINE_SWEEPS * (2 * spec.n + 4) == 60
-    got = drain_constants(spec, ds, weights_r(spec), seed=0)
-    assert got.n_scans == 7 + 2 * spec.n + 4
+    assert _search(spec, ds).n_scans == 7 + 2 * spec.n + 4
 
 
 def _no_witness(G, cells):
@@ -352,7 +343,7 @@ class _LowCornerBound(ThrottleBound):
 
     def __init__(self, spec, ds):
         super().__init__(spec, ds)
-        self.g_low = ds.min_supply_at_zero()
+        self.g_low = supply_batch(ds, ds.d_lo[None, :], np.zeros((1, spec.n)))[0]
         self.f_jam = demand_batch(ds, ds.d_lo[None, :], spec.a[None, :])[0]
 
 
@@ -383,8 +374,7 @@ def test_drain_constants_skip_infinite_seeds_like_the_reference(net, constants):
     """A bound that overflows off a handful of seeds leaves inf-ratio seeds
     among the best ones; both searches must skip the same ones (refining
     them would lower gamma on 20 cells)."""
-    spec, ds = ((presets.reference_network(), presets.reference_diagrams())
-                if net == "benchmark" else _twenty_cells())
+    spec, ds = NETS[net]()
     constants(GAMMA_SAMPLES=1024, REFINE_TOP=40, REFINE_SWEEPS=1)
     with np.errstate(over="ignore"):
         got = _assert_same_search(spec, ds, _Overflowing, seed=2)
@@ -426,55 +416,47 @@ def test_a_later_seed_can_win_with_its_own_zoom_windows(constants):
     assert abs(fill - 0.272) < 5e-4
 
 
-def _net(name):
-    return ((presets.reference_network(), presets.reference_diagrams())
-            if name == "benchmark" else _twenty_cells())
-
-
-def _v_box(spec, ds):
-    return np.minimum(spec.vmax, ds.min_supply_at_zero()) * 0.5
-
-
 def _jam_pattern_rows(spec):
     return 32 * (2 ** spec.n - 1 if spec.n <= 12 else 4096)
 
 
-def _filled(block, spec, ds, v_box):
+def _filled(block, problem):
     """A `_seed_blocks` block as (X, V, F, G, rows, D): a Sobol block is its
     draw, which the consumer maps to rows (`_cloud_rows`) and evaluates like
     this."""
     if isinstance(block, tuple):
         return block
-    X, V, D = _cloud_rows(block, spec, ds, v_box)
-    return X, V, demand_batch(ds, D, X), supply_batch(ds, D, X), np.arange(len(X)), D
+    X, V, D = _cloud_rows(block, problem)
+    return (X, V, *_curves(problem.ds, X, D), np.arange(len(X)), D)
 
 
-def _expanded(block, spec, ds, v_box):
+def _expanded(block, problem):
     """A `_seed_blocks` block as (X, V, D, F, G) on every stream row."""
-    X, V, F, G, rows, D = _filled(block, spec, ds, v_box)
+    X, V, F, G, rows, D = _filled(block, problem)
     return X[rows], V[rows], D, F[rows], G[rows]
 
 
-def _stream(spec, ds, n_samples, seed):
+def _stream(problem, seed):
     """The seed blocks expanded to every stream row and stacked into
     (X, V, D, F, G), checking that each block covers at most `_block_rows`
     stream rows of one kind and that its X, V and D are the reference
     cloud's rows.  A Sobol block's witness form, X cell-major and V and d4
     at every cell taken as a junction, holds the same rows."""
-    v_box = _v_box(spec, ds)
-    want = oracles.seed_cloud_reference(spec, ds, v_box, n_samples, seed)
+    spec = problem.spec
+    want = oracles.seed_cloud_reference(spec, problem.ds, problem.v_box,
+                                        stability.GAMMA_SAMPLES, seed)
     n_struct, blocks, end = _jam_pattern_rows(spec), [], 0
-    for block in _seed_blocks(spec, ds, v_box, n_samples, seed):
+    for block in _seed_blocks(problem, seed):
         jam = isinstance(block, tuple)
         lo, end = end, end + len(block[4] if jam else block)
         assert 0 < end - lo <= _block_rows(spec.n)
         assert (lo < n_struct) == (end <= n_struct) == jam  # one kind per block
         if not jam:
-            X, V, d4 = _cloud_rows(block, spec, ds, v_box, np.arange(spec.n))
+            X, V, d4 = _cloud_rows(block, problem, np.arange(spec.n))
             assert X.flags.c_contiguous and d4.shape == (end - lo, 1)
             for got, ref in zip((X.T, V, d4), (want[0], want[1], want[2][:, 3:])):
                 assert np.array_equal(got, ref[lo:end])
-        block = _expanded(block, spec, ds, v_box)
+        block = _expanded(block, problem)
         for got, ref in zip(block[:3], want):
             assert np.array_equal(got, ref[lo:end])
         blocks.append(block)
@@ -484,30 +466,32 @@ def _stream(spec, ds, n_samples, seed):
 
 @pytest.mark.parametrize("n_samples", [300, 1000])
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
-def test_seed_stream_equals_the_whole_cloud(net, n_samples):
+def test_seed_stream_equals_the_whole_cloud(net, n_samples, constants):
     """The blocks' X, V and D, expanded to every stream row, are the
     reference cloud's rows bit for bit, with a Sobol part of 512 rows (under
     one block) or 1,024 (one block); the benchmark's 8,160 jam-pattern rows
     end inside a block."""
-    spec, ds = _net(net)
-    X = _stream(spec, ds, n_samples, 3)[0]
+    spec, ds = NETS[net]()
+    constants(GAMMA_SAMPLES=n_samples)
+    X = _stream(_problem(spec, ds), 3)[0]
     assert len(X) - _jam_pattern_rows(spec) == (512 if n_samples == 300 else 1024)
 
 
 @pytest.mark.parametrize("net", ["benchmark", "20 cells"])
-def test_jam_pattern_seeds_come_from_corner_tables(net):
+def test_jam_pattern_seeds_come_from_corner_tables(net, constants):
     """Every block yields the demands and supplies of its own rows: the
     jam-pattern blocks gather them from 16-corner x {0, a} tables, the Sobol
     blocks evaluate them.  Expanded to every stream row, both equal
     `demand_batch`/`supply_batch` of the reference rows, and the jam-pattern
     rows' throttles equal the junction loop's.  On the benchmark the 8,160
     jam-pattern rows end inside a block; above 12 cells they are 131,072."""
-    spec, ds = _net(net)
+    spec, ds = NETS[net]()
     n_struct = _jam_pattern_rows(spec)
     assert n_struct == (8160 if net == "benchmark" else 4096 * 32)
     if net == "benchmark":
         assert n_struct % _block_rows(spec.n) != 0
-    X, V, D, F, G = _stream(spec, ds, 1024, 3)
+    constants(GAMMA_SAMPLES=1024)
+    X, V, D, F, G = _stream(_problem(spec, ds), 3)
     for part, ref in zip((F, G), _curves(ds, X, D)):
         assert np.array_equal(part, ref)
     S = ThrottleBound(spec, ds).allocate(F[:n_struct], G[:n_struct], V[:n_struct])
@@ -530,10 +514,7 @@ def _searched(spec, ds, bound, seed):
                 seen["last"] = (F.copy(), G.copy(), V.copy())
             return super().allocate(F, G, V, cell, S, cells)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "ThrottleBound", Recording)
-        got = drain_constants(spec, ds, weights_r(spec), seed=seed)
-    return got, seen["base"]
+    return _search(spec, ds, seed, Recording), seen["base"]
 
 
 class _Ties(ThrottleBound):
@@ -560,16 +541,15 @@ def test_kept_seeds_are_the_stable_order_of_the_whole_cloud(constants):
     holds with 20 seeds, 16 tie rows before the seam and 4 after it, and
     with 1,100, more than the first block's rows and than the 576 finite
     ratios.  No scan undercuts 0.5, so the first tie row is the argmin."""
-    spec, ds = _net("benchmark")
+    spec, ds = NETS["benchmark"]()
     B = _block_rows(spec.n)
     for k in (20, 1100):
         constants(GAMMA_SAMPLES=1024, REFINE_TOP=k, REFINE_SWEEPS=1)
         with np.errstate(over="ignore"):
             got, base = _searched(spec, ds, _Ties, seed=3)
-            X, V, D = oracles.seed_cloud_reference(spec, ds, got.v_box, 1024, 3)
+            X, V, D = oracles.seed_cloud_reference(spec, ds, got.problem.v_box, 1024, 3)
             F, G = _curves(ds, X, D)
-            vals = _ratios(_Ties(spec, ds).allocate(F, G, V), X, weights_r(spec),
-                           got.mass_floor)
+            vals = got.problem.ratios(X, V, D)
         want = np.argsort(vals, kind="stable")[:k]
         want = want[np.isfinite(vals[want])]
         if k == 20:  # the 16 corners of cell 6 jammed alone, then 4 of cells 1 and 6
@@ -589,9 +569,9 @@ def _classed_net(name):
     pinning every supply scale leaves 2 (d3), and a piecewise demand curve
     on every cell as well leaves 1."""
     if name in ("benchmark", "20 cells"):
-        return (*_net(name), 4)
+        return (*NETS[name](), 4)
     if name == "8 relabelled copies":
-        return (*_relabelled_copies(8, 11), 4)
+        return (*_corridor(8, 11), 4)
     spec, ds = presets.reference_network(), presets.reference_diagrams()
     pinned = tuple(replace(sf, wave=0.25) for sf in ds.supplies)
     one = name == "1 class"
@@ -599,11 +579,11 @@ def _classed_net(name):
                             ds.d_lo, ds.d_hi), 1 if one else 2
 
 
-def _rows_at(blocks, idx, spec, ds, v_box):
+def _rows_at(blocks, idx, problem):
     """The whole cloud's expanded (X, V, D, F, G) at sorted stream rows idx."""
     got, lo = [], 0
     for block in blocks:
-        block = _expanded(block, spec, ds, v_box)
+        block = _expanded(block, problem)
         t = idx[(idx >= lo) & (idx < lo + len(block[0]))] - lo
         got.append(tuple(part[t] for part in block))
         lo += len(block[0])
@@ -627,20 +607,17 @@ def test_distinct_rows_give_the_whole_cloud_ratios(net, constants):
     spec, ds, n_classes = _classed_net(net)
     constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=1)
     got, base = _searched(spec, ds, ThrottleBound, seed=3)
-    r, bound = weights_r(spec), ThrottleBound(spec, ds)
+    problem, r, bound = got.problem, weights_r(spec), ThrottleBound(spec, ds)
     floor = presets.JAM * (1.5 if spec.n <= 12 else spec.n / 2)
     n_struct, whole, searched = _jam_pattern_rows(spec), [], []
 
-    def blocks():
-        return _seed_blocks(spec, ds, got.v_box, 1024, 3)
-
-    for block in blocks():
-        X, V, F, G, rows, D = _filled(block, spec, ds, got.v_box)
-        Xe, Ve, De, Fe, Ge = _expanded(block, spec, ds, got.v_box)
+    for block in _seed_blocks(problem, 3):
+        X, V, F, G, rows, D = _filled(block, problem)
+        Xe, Ve, De, Fe, Ge = _expanded(block, problem)
         for part, ref in zip((Fe, Ge), _curves(ds, Xe, De)):
             assert np.array_equal(part, ref)
         S = bound.allocate(Fe, Ge, Ve)
-        searched.append(_ratios(S.copy(), Xe, r, got.mass_floor))
+        searched.append(_ratios(S.copy(), Xe, r, problem.mass_floor))
         full = _ratios(S, Xe, r, floor)
         assert np.array_equal(_ratios(bound.allocate(F, G, V), X, r, floor)[rows], full)
         if sum(map(len, whole)) < n_struct:
@@ -651,23 +628,24 @@ def test_distinct_rows_give_the_whole_cloud_ratios(net, constants):
     assert np.isinf(whole[:n_struct]).any() and np.isfinite(whole[:n_struct]).any()
     want = np.argsort(searched, kind="stable")[:stability.REFINE_TOP]
     want = want[np.isfinite(searched[want])]
-    _, V, _, F, G = _rows_at(blocks(), np.sort(want), spec, ds, got.v_box)
+    _, V, _, F, G = _rows_at(_seed_blocks(problem, 3), np.sort(want), problem)
     for part, ref in zip(base, (F, G, V)):
         assert np.array_equal(part, ref[np.argsort(np.argsort(want))])
     assert got.n_evaluated == np.isfinite(searched).sum()
 
 
 @pytest.mark.parametrize("n", [8, 20, 64, 512])
-def test_seed_blocks_keep_to_the_block_rule(n):
+def test_seed_blocks_keep_to_the_block_rule(n, constants):
     """Every block covers at most 1,024 stream rows and max(65,536, 64 n)
     entries, and bounds a multiple of four rows: 1,024 rows up to 64 cells,
     then the largest power of two in 65,536 / n, at least 64."""
     assert [_block_rows(m) for m in (1, 8, 64, 65, 100, 256, 512, 1024, 3000)] == \
         [1024, 1024, 1024, 512, 512, 256, 128, 64, 64]
-    spec, ds = _net("benchmark") if n == 8 else (_twenty_cells() if n == 20 else
-                                                 _relabelled_copies(n // 8, 1))
+    spec, ds = NETS["benchmark"]() if n == 8 else (_twenty_cells() if n == 20 else
+                                                 _corridor(n // 8, 1))
+    constants(GAMMA_SAMPLES=300)
     rows_seen = 0
-    for block in _seed_blocks(spec, ds, _v_box(spec, ds), 300, 1):
+    for block in _seed_blocks(_problem(spec, ds), 1):
         jam = rows_seen < _jam_pattern_rows(spec)
         assert isinstance(block, tuple) == jam
         if jam:
@@ -727,11 +705,10 @@ def test_gamma_search_runs_in_fixed_memory(constants):
     """262,144 seeds on 20 cells: holding the whole cloud's X, V, D and S
     peaked at 138 MiB; the stream keeps one block and its best seeds."""
     spec, ds = _twenty_cells()
-    r = weights_r(spec)
     constants(GAMMA_SAMPLES=2 ** 17, REFINE_SWEEPS=1)
     tracemalloc.start()
     try:
-        got = drain_constants(spec, ds, r)
+        got = _search(spec, ds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -791,9 +768,9 @@ def test_allocate_is_non_increasing_in_demand(name):
     states of the benchmark and of dense random nets, among them nets where
     a sender claims at two junctions of one level."""
     rng = np.random.default_rng(31)
-    spec, ds = _net("benchmark")
-    v_box = _v_box(spec, ds)
-    X, V, _, F, G = _expanded(next(_seed_blocks(spec, ds, v_box, 300, 1)), spec, ds, v_box)
+    problem = _problem(*NETS["benchmark"]())
+    spec, ds = problem.spec, problem.ds
+    X, V, _, F, G = _expanded(next(_seed_blocks(problem, 1)), problem)
     cases, nets, shapes = [(spec, ds, F, G, V)], [(spec, ds)], []
     for _ in range(12):
         n = int(rng.integers(3, 16))
@@ -823,15 +800,13 @@ def test_search_skips_a_block_its_floor_rules_out(monkeypatch, constants):
     `demand_batch`, they make `n_ruled_out`, and their rows, all above the
     mass floor, count in `n_evaluated`.  Blocks 0 and 2 are evaluated, and
     block 2 is merged by its exact ratio, after the equal one of block 0."""
-    spec, ds = _net("benchmark")
+    spec, ds = NETS["benchmark"]()
     constants(GAMMA_SAMPLES=4096, REFINE_TOP=2, REFINE_SWEEPS=0)
-    caps = np.minimum(spec.vmax, ds.min_supply_at_zero())
-    v_box = caps - 0.5 * caps.min()  # the search's inflow box
-    sobol = [block for block in _seed_blocks(spec, ds, v_box, 4096, 5)
-             if not isinstance(block, tuple)]
-    rows = [_cloud_rows(u, spec, ds, v_box) for u in sobol]
+    problem = _problem(spec, ds)
+    sobol = [block for block in _seed_blocks(problem, 5) if not isinstance(block, tuple)]
+    rows = [_cloud_rows(u, problem) for u in sobol]
     key = [V[:, 1].tolist() for _, V, _ in rows]
-    table = {0.0: (0.25, 0.25), float(v_box[1]): (0.25, 0.25),  # the jam-pattern rows
+    table = {0.0: (0.25, 0.25), float(problem.v_box[1]): (0.25, 0.25),  # the jam-pattern rows
              key[0][3]: (0.125, 0.125), key[2][5]: (0.0625, 0.125), key[3][7]: (0.5, 0.5)}
     monkeypatch.setattr(_Floors, "table", table)
     evaluated = []
@@ -864,10 +839,7 @@ def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch, constants):
     and the caps do skip blocks: counted by `n_ruled_out`, and by the rows
     that do not reach `demand_batch`; on the benchmark at the default
     100,000 samples every Sobol row is ruled out."""
-    spec, ds = {"benchmark": lambda: _net("benchmark"),
-                "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
-                "20 cells": _twenty_cells,
-                "corridor of 8 copies": lambda: _corridor(8, 11)}[net]()
+    spec, ds = NETS[net]()
     if spec.n > 12:
         constants(GAMMA_SAMPLES=2 ** 14, REFINE_SWEEPS=1)
     uncapped = _uncapped(ds)
@@ -878,7 +850,7 @@ def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch, constants):
     got = []
     for curves in (ds, uncapped):
         rows.clear()
-        got.append((drain_constants(spec, curves, weights_r(spec)), sum(rows)))
+        got.append((_search(spec, curves), sum(rows)))
     (capped, n_capped), (full, n_full) = got
     assert capped.gamma == full.gamma and capped.C == full.C
     assert capped.n_evaluated == full.n_evaluated
@@ -894,19 +866,14 @@ def test_skipping_sobol_blocks_changes_no_bit(net, monkeypatch, constants):
 
 @pytest.mark.parametrize("net", ["benchmark", "piecewise and pinned cells",
                                  "degenerate box", "20 cells"])
-def test_scans_reuse_curves_like_a_full_evaluation(net, monkeypatch, constants):
+def test_scans_reuse_curves_like_a_full_evaluation(net, constants):
     """The search (tables, base-point curves, one re-evaluated column)
     against the reference, which evaluates this bound on whole rows."""
-    spec, ds = {"benchmark": lambda: (presets.reference_network(),
-                                      presets.reference_diagrams()),
-                "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
-                "degenerate box": _degenerate_box,
-                "20 cells": _twenty_cells}[net]()
+    spec, ds = NETS[net]()
     constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=1 if spec.n > 12 else 2)
     got = _assert_same_search(spec, ds, _CurveSensitiveBound, seed=6)
-    monkeypatch.setattr(stability, "ThrottleBound", _CurveSensitiveBound)
     constants(REFINE_SWEEPS=0)
-    seeds = drain_constants(spec, ds, weights_r(spec), seed=6)
+    seeds = _search(spec, ds, 6, _CurveSensitiveBound)
     assert got.gamma < seeds.gamma  # the scans moved the points
 
 
@@ -916,7 +883,7 @@ def test_search_equals_the_reference_under_every_bound(name, constants):
     scans weigh only the columns `moves(i)`; every stand-in allocates in
     full, so they weigh every column.  Either way the search equals the
     reference's per-seed refinement by the same sums, bit for bit."""
-    spec, ds = _net("benchmark")
+    spec, ds = NETS["benchmark"]()
     constants(GAMMA_SAMPLES=1024, REFINE_SWEEPS=1)
     with np.errstate(over="ignore"):
         _assert_same_search(spec, ds, BOUNDS[name], seed=8)
@@ -932,7 +899,7 @@ def test_gamma_stays_near_the_whole_row_search_on_random_nets(constants):
     for _ in range(10):
         spec, ds = _random_net(rng)
         try:
-            got = drain_constants(spec, ds, weights_r(spec), seed=2)
+            got = _search(spec, ds, 2)
         except stability.ThrottleBoundViolation:  # gamma 0 on both rules
             got = None
         if got is None:
@@ -990,8 +957,8 @@ def test_a_scan_that_moves_no_bound_moves_no_seed(bound, constants):
     """A v scan of a cell without a junction moves no bound of the built-in
     bound, and under `_NoInflow` no v scan moves one.  Such a scan's grid
     rows read exactly their seed's ratio, which each is compared with,
-    formed by the same sums, so it moves no seed: on 20 cells the inflows
-    the last d scan bounds are the kept seeds' there.  A seed ratio of other
+    formed by the same sums, so it moves no seed: on 20 cells the refined
+    seeds' inflows, bounded last to weigh them, are the kept seeds' there.  A seed ratio of other
     sums, as `_ratios` forms them, differs in the last bits: it moved 128 of
     the 160 inflows and kept the idle stop from firing.  With the built-in
     bound the search stops after scan 59 of 132, as the search that weighed
@@ -1009,7 +976,7 @@ def test_a_scan_that_moves_no_bound_moves_no_seed(bound, constants):
     got, base = _searched(spec, ds, Recording, seed=3)
     flat = ([i for i in range(spec.n) if not spec.predecessors[i]] if bound is ThrottleBound
             else list(range(spec.n)))
-    kept, last = base[2], seen[-1][::stability.SCAN_WIDTH]
+    kept, last = base[2], seen[-1]
     assert len(kept) == stability.REFINE_TOP and len(flat) >= 4
     assert np.array_equal(last[:, flat], kept[:, flat])
     if bound is ThrottleBound:
@@ -1021,19 +988,18 @@ def test_a_scan_that_moves_no_bound_moves_no_seed(bound, constants):
                                  "corridor of 8 copies"])
 def test_gamma_is_the_ratio_of_its_argmin(net, constants):
     """The refined seeds are weighed once more as `_ratios` weighs a seed
-    block: the reported gamma and argmin ratio are `_ratios` of the reported
-    state, bounded afresh, bit for bit.  On 20 cells and on 64 the ratio
-    that the last scan formed from its own sums differs in the last bits."""
-    spec, ds = {"benchmark": lambda: _net("benchmark"),
-                "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
-                "20 cells": _twenty_cells,
-                "corridor of 8 copies": lambda: _corridor(8, 11)}[net]()
+    block: the reported gamma and argmin ratio are the problem's ratio of
+    the reported state alone, bit for bit.  On 20 cells and on 64 the ratio
+    that the last scan formed from its own sums differs in the last bits.
+    The argmin lies in the problem's box, at mass at least its floor."""
+    spec, ds = NETS[net]()
     if spec.n > 12:
         constants(GAMMA_SAMPLES=2 ** 12, REFINE_SWEEPS=1)
-    got = drain_constants(spec, ds, weights_r(spec), seed=3)
-    X, V, D = (np.repeat(got.argmin[key][None], 4, axis=0) for key in "xvd")
-    S = ThrottleBound(spec, ds).allocate(*_curves(ds, X, D), V)
-    assert got.gamma == got.argmin["ratio"] == _ratios(S, X, weights_r(spec), got.mass_floor)[0]
+    got = _search(spec, ds, 3)
+    problem, (x, v, d) = got.problem, (got.argmin[key] for key in "xvd")
+    assert got.gamma == got.argmin["ratio"] == problem.ratios(x[None], v[None], d[None])[0]
+    (lo, hi), point = problem.box(), np.r_[x, v, d]
+    assert ((lo <= point) & (point <= hi)).all() and x.sum() >= problem.mass_floor
 
 
 @pytest.mark.parametrize("w", [33, 10])
@@ -1059,11 +1025,11 @@ def _witness_log(mp):
     draws as [draw, witness form asked, rows evaluated]."""
     log = []
 
-    def logged(u, spec, ds, v_box, junctions=None):
+    def logged(u, problem, junctions=None):
         if not log or log[-1][0] is not u:
             log.append([u, False, False])
         log[-1][1 if junctions is not None else 2] = True
-        return _cloud_rows(u, spec, ds, v_box, junctions)
+        return _cloud_rows(u, problem, junctions)
 
     mp.setattr(stability, "_cloud_rows", logged)
     return log
@@ -1071,23 +1037,18 @@ def _witness_log(mp):
 
 def _assert_witness_floor_sound(spec, ds, seed, reference=True):
     """Runs the search, against the reference if `reference`, and checks
-    every Sobol block it ruled out: each finite ratio of the block, as
-    `_ratios` weighs it, is at least kappa, the REFINE_TOP-th smallest
+    every Sobol block it ruled out: each finite ratio of the block, as the
+    problem weighs it, is at least kappa, the REFINE_TOP-th smallest
     ratio of the stream rows before the block (in stable order), which is
     the last kept ratio there.  The count of the whole stream's finite
     ratios is n_evaluated, and with REFINE_SWEEPS = 0 gamma and its argmin
     are the stream's first smallest ratio and its row.  Returns (blocks
     ruled out, blocks evaluated after the witness form was asked)."""
-    r = weights_r(spec)
     with pytest.MonkeyPatch.context() as mp:
         log = _witness_log(mp)
-        got = (_assert_same_search(spec, ds, seed=seed) if reference
-               else drain_constants(spec, ds, r, seed=seed))
-    bound, ratios, rows = ThrottleBound(spec, ds), [], []
-    for block in _seed_blocks(spec, ds, got.v_box, stability.GAMMA_SAMPLES, seed):
-        X, V, F, G, idx, D = _filled(block, spec, ds, got.v_box)
-        ratios.append(_ratios(bound.allocate(F, G, V), X, r, got.mass_floor)[idx])
-        rows.append((X[idx], V[idx], D))
+        got = _assert_same_search(spec, ds, seed=seed) if reference else _search(spec, ds, seed)
+    rows = [_expanded(block, got.problem)[:3] for block in _seed_blocks(got.problem, seed)]
+    ratios = [got.problem.ratios(*row) for row in rows]
     sobol = [b for b, block in enumerate(ratios) if len(ratios) - b <= len(log)]
     ruled_out = 0
     for b, (u, asked, evaluated) in zip(sobol, log):
@@ -1123,7 +1084,7 @@ def test_witness_floor_rules_out_only_blocks_at_or_above_kappa(net, constants):
     evaluated."""
     constants(GAMMA_SAMPLES=4096, REFINE_SWEEPS=1 if net == "random nets" else 0)
     if net != "random nets":
-        spec, ds = _twenty_cells() if net == "20 cells" else _corridor(8, 11)
+        spec, ds = NETS[net]()
         ruled_out, fallback = _assert_witness_floor_sound(spec, ds, 7, reference=spec.n < 64)
         assert ruled_out == 4 and fallback == 0
         return
@@ -1157,9 +1118,8 @@ def _assert_same_as_uncapped(spec, ds, plant, bound=ThrottleBound):
     for curves in (ds, _uncapped(ds)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stability, "Sobol", _planted(plant))
-            mp.setattr(stability, "ThrottleBound", bound)
             log = _witness_log(mp)
-            got.append((drain_constants(spec, curves, weights_r(spec)), log))
+            got.append((_search(spec, curves, bound=bound), log))
     (capped, log), (full, _) = got
     assert capped.gamma == full.gamma and capped.n_evaluated == full.n_evaluated
     for key in "xvd":
@@ -1174,9 +1134,10 @@ def test_a_row_at_the_mass_floor_sends_its_block_to_evaluation(constants):
     and falls below it cell by cell.  The witness floor cannot tell which,
     so the block is evaluated and n_evaluated counts the row as `_ratios`
     does; the other three blocks are ruled out."""
-    spec, ds = _net("benchmark")
+    spec, ds = NETS["benchmark"]()
     constants(GAMMA_SAMPLES=4096, REFINE_SWEEPS=0)
-    floor, a = drain_constants(spec, ds, weights_r(spec)).mass_floor, spec.a[0]
+    problem = _problem(spec, ds)
+    floor, a = problem.mass_floor, spec.a[0]
 
     def fraction(x):
         """A fraction of the jam density a that the draw maps to x exactly."""
@@ -1194,8 +1155,7 @@ def test_a_row_at_the_mass_floor_sends_its_block_to_evaluation(constants):
 
     def plant(u):
         u[5, :8] = row
-        X, XT = _cloud_rows(u, spec, ds, _v_box(spec, ds))[0], (
-            _cloud_rows(u, spec, ds, _v_box(spec, ds), np.arange(8))[0])
+        X, XT = _cloud_rows(u, problem)[0], _cloud_rows(u, problem, np.arange(8))[0]
         assert X.sum(axis=-1)[5] >= floor > XT.sum(axis=0)[5]
 
     got, log = _assert_same_as_uncapped(spec, ds, plant)
@@ -1218,7 +1178,7 @@ def test_a_witness_floor_within_the_margin_of_kappa_rules_nothing_out(constants)
     witness floor meets kappa times its weighted mass exactly, which is
     within the margin and not above it.  So that block is evaluated too,
     and no block is ruled out."""
-    spec, ds = _net("benchmark")
+    spec, ds = NETS["benchmark"]()
     constants(GAMMA_SAMPLES=4096, REFINE_SWEEPS=0)
     assert np.array_equal(np.argsort(-weights_r(spec))[:4], np.arange(4))
     grid = np.random.default_rng(3).integers(0, 129, (_block_rows(spec.n), 4)) / 128.0

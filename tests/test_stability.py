@@ -15,10 +15,9 @@ from netstab.equilibrium import solve_uep
 from netstab.errors import (DimensionError, NumericalError, StructuralError,
                             TrappingInfeasible)
 from netstab.network import NetworkSpec, find_cycle
-from netstab.stability import (CONTRACTION_CHUNK, build_gamma, certify,
-                               contraction_check, drain_constants, invariant_region,
-                               lyapunov_eval, spectral_radius, trapping_bound,
-                               weights_r, weights_xi)
+from netstab.stability import (CONTRACTION_CHUNK, DrainProblem, build_gamma, certify,
+                               contraction_check, invariant_region, lyapunov_eval,
+                               spectral_radius, trapping_bound, weights_r, weights_xi)
 
 import oracles
 from test_curve_table import _corridor
@@ -75,30 +74,11 @@ def test_weight_overflow_is_a_typed_error_naming_the_cell(order, cell, power):
     assert np.isfinite(r).all() and r[0] == 2.0 ** 1023
 
 
-def _freeway_copies(copies, seed):
-    """`copies` disjoint benchmark freeways, cells relabelled by a seeded permutation."""
-    spec8, ds8 = presets.reference_network(), presets.reference_diagrams()
-    n = 8 * copies
-    perm = np.random.default_rng(seed).permutation(n).reshape(copies, 8)
-    P = np.zeros((n, n))
-    fields = {k: np.zeros(n) for k in ("a", "Qexit", "mu", "vmax")}
-    demands, supplies = [None] * n, [None] * n
-    for new in perm:
-        P[np.ix_(new, new)] = spec8.P
-        for k, vec in fields.items():
-            vec[new] = getattr(spec8, k)
-        for i, j in enumerate(new):
-            demands[j], supplies[j] = ds8.demands[i], ds8.supplies[i]
-    spec = NetworkSpec(n=n, P=P, **fields)
-    return spec, DiagramSet(tuple(demands), tuple(supplies), ds8.d_lo, ds8.d_hi)
-
-
-def test_weighted_jam_mass_overflow_is_a_typed_error_naming_the_cell(constants):
+def test_weighted_jam_mass_overflow_is_a_typed_error_naming_the_cell():
     """On 128 freeway copies (1,024 cells) the top weight 2^1023 is finite,
     but r @ a is not: the gamma search refuses the weights, naming the cell
     of largest weight, before any weighted sum can overflow."""
-    spec, ds = _freeway_copies(128, seed=1)
-    constants(GAMMA_SAMPLES=256)
+    spec, ds = _corridor(128, 1)
     r = weights_r(spec)
     assert np.isfinite(r).all() and r.max() == 2.0 ** 1023
     top = int(np.argmax(r))
@@ -106,7 +86,7 @@ def test_weighted_jam_mass_overflow_is_a_typed_error_naming_the_cell(constants):
         warnings.simplefilter("error")
         message = rf"^cell {top + 1}: weight 8.99e\+307 makes the weighted jam mass"
         with pytest.raises(NumericalError, match=message) as exc:
-            drain_constants(spec, ds, r)
+            DrainProblem(spec, ds, r)
     assert exc.value.cell == top
 
 
@@ -284,31 +264,30 @@ def test_invariant_region_hand_computation(ref_eq, ref_cert, ref_spec):
 
 
 def test_drain_constants_reference_values(ref_spec, ref_ds, ref_cert):
-    drain = ref_cert.drain
-    assert drain.Qconst == pytest.approx(0.5, abs=1e-12)
+    drain, problem = ref_cert.drain, ref_cert.drain.problem
+    assert problem.Qconst == pytest.approx(0.5, abs=1e-12)
     L = np.array([fd.L for fd in ref_ds.demands])
     fmin = np.array([fd.fmin for fd in ref_ds.demands])
     dtl = np.array([fd.delta_tilde for fd in ref_ds.demands])
     theta_hand = np.minimum(L, np.minimum(fmin / ref_spec.a,
                                           L * dtl / ref_spec.a))
-    np.testing.assert_allclose(drain.theta, theta_hand, rtol=0, atol=1e-15)
-    assert drain.Theta == pytest.approx(0.0029117657647, abs=1e-9)
+    np.testing.assert_allclose(problem.theta, theta_hand, rtol=0, atol=1e-15)
+    assert problem.Theta == pytest.approx(0.0029117657647, abs=1e-9)
     # the sampled infimum lands in the hand-located basin
     assert 0.0011 < drain.gamma < 0.0011604
     assert drain.C == pytest.approx(
-        drain.Qconst * drain.Theta * min(1.0, drain.gamma), rel=1e-12)
+        problem.Qconst * problem.Theta * min(1.0, drain.gamma), rel=1e-12)
     np.testing.assert_allclose(
-        drain.v_box,
+        problem.v_box,
         np.where(np.arange(8) % 4 == 0, 24.85, 0.15), rtol=0, atol=1e-12)
     assert drain.n_evaluated > 100_000
 
 
-def test_drain_constants_input_checks(ref_spec, ref_ds, constants):
-    constants(GAMMA_SAMPLES=64)
+def test_drain_constants_input_checks(ref_spec, ref_ds):
     with pytest.raises(ValueError, match="positive"):
-        drain_constants(ref_spec, ref_ds, np.zeros(8))
+        DrainProblem(ref_spec, ref_ds, np.zeros(8))
     with pytest.raises(DimensionError):
-        drain_constants(ref_spec, ref_ds, np.ones(3))
+        DrainProblem(ref_spec, ref_ds, np.ones(3))
 
 
 def _jam_capacity(ds, cell, a):
@@ -318,14 +297,12 @@ def _jam_capacity(ds, cell, a):
     return DiagramSet(tuple(dem), tuple(sup), ds.d_lo, ds.d_hi)
 
 
-def test_drain_constants_refuse_diagrams_of_another_jam_capacity(ref_spec, ref_ds,
-                                                                 constants):
+def test_drain_constants_refuse_diagrams_of_another_jam_capacity(ref_spec, ref_ds):
     """Curves jamming at 120 on a cell that the network fills to 170 would
     bound throttles of densities those curves never admit."""
-    constants(GAMMA_SAMPLES=64)
     with pytest.raises(ValueError, match=r"^cell 3: diagrams give jam capacity "
                                          r"a = 120 but the network has a = 170$"):
-        drain_constants(ref_spec, _jam_capacity(ref_ds, 2, 120.0), weights_r(ref_spec))
+        DrainProblem(ref_spec, _jam_capacity(ref_ds, 2, 120.0), weights_r(ref_spec))
 
 
 def test_certify_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds, ref_eq,
