@@ -27,7 +27,7 @@ from .harness import (ControlSpec, DisturbanceSpec, ScenarioConfig,
                       estimate_decay, export_csv, gridlock_demo,
                       mass_balance_residuals, reproduce_suite, run_scenario)
 from .network import (_check_fields, _checked, _located, check_spec,
-                      find_cycle, load_network, validate_spec)
+                      find_cycle, load_network)
 from .presets import (reference_diagrams, reference_network, reference_vstar,
                       three_cell_cycle)
 from .stability import certify, contraction_check
@@ -118,7 +118,7 @@ def _violation_doc(v) -> dict:
 
 def cmd_validate(args) -> int:
     spec, ds = _load_pair(args)
-    violations = validate_spec(spec)
+    violations = spec.violations
     cycle = find_cycle(spec.P)
     doc = {
         "violations": [_violation_doc(v) for v in violations],

@@ -68,16 +68,25 @@ def control_law(cfg: ControllerConfig, x) -> np.ndarray:
     a stack gets the bits of calling the law on it alone, as `np.matmul`
     runs one matrix-vector product per row.  The three regimes are branched
     explicitly so the boundary values are bit-exact: zero weighted excess
-    returns v*, saturated excess returns b.  A regime no entry is in costs
-    one count: loads that are all zero return v*, and loads that all reach
-    1 return b, each in the load's own fresh array; otherwise each
-    saturation is written only where some entry has reached it.
+    returns v*, saturated excess returns b.  The clipped excess is counted
+    before the gain product: with no cell above x* it is all zero, every
+    load would be zero, and v* is returned in the excess's own fresh array
+    with no product formed.  Past that, a regime no entry is in costs one
+    count: loads that are all zero (K's rows miss the excess) return v*,
+    and loads that all reach 1 return b, each in the load's own fresh
+    array; otherwise each saturation is written only where some entry has
+    reached it.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != cfg.xstar.shape:
         raise DimensionError(f"x must have shape (..., {cfg.n})")
     excess = x - cfg.xstar
     np.maximum(excess, 0.0, out=excess)
+    # count_nonzero leaves out 0.0 and -0.0 and counts NaN, so a NaN state
+    # reaches the loads below
+    if not np.count_nonzero(excess):
+        np.copyto(excess, cfg.vstar)
+        return excess
     load = np.matmul(cfg.K, excess[..., None])[..., 0]
     load /= cfg.tau
     # K and the excess are nonnegative, so each load is nonnegative or NaN,

@@ -115,6 +115,12 @@ class NetworkSpec:
         return topological_sort(self.P)
 
     @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """`validate_spec`'s report, checked on first use and then kept: the
+        arrays it reads are the spec's own read-only copies."""
+        return tuple(validate_spec(self))
+
+    @cached_property
     def admission(self) -> tuple[np.ndarray, np.ndarray]:
         """The (lo, hi) bounds that `dynamics.step` admits x between without
         a second look: [0, a].  `step` clips a state in the STATE_TOL band
@@ -222,8 +228,9 @@ def validate_spec(spec: NetworkSpec) -> list[Violation]:
 
 def check_spec(spec: NetworkSpec) -> None:
     """ValueError naming the first `validate_spec` violation, in the words
-    `netstab` prints, if the network breaks any constraint."""
-    violations = validate_spec(spec)
+    `netstab` prints, if the network breaks any constraint.  The checks run
+    once per network object (`NetworkSpec.violations`)."""
+    violations = spec.violations
     if violations:
         raise ValueError(f"{violations[0].message} ({violations[0].constraint})")
 

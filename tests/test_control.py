@@ -305,6 +305,79 @@ def test_law_gives_nan_on_a_nan_state(bench_ctrl, ref_cert):
             assert control_law(cfg, x).tobytes() == v.tobytes()
 
 
+def _boundary_cases(rng):
+    """(controller, stack) pairs at the edge of the law's first count:
+    states whose excess entries are exactly 0.0 or -0.0, NaN rows among
+    rows at or below x*, and a nonnegative K with a zero row and a zero
+    column, so an excess in that column gives every load zero."""
+    cfg = _random_controller("random", 8, rng)
+    xstar = np.array(cfg.xstar)
+    xstar[[1, 6]] = 0.0
+    cfg = ControllerConfig(xstar, cfg.vstar, cfg.b, cfg.K, cfg.tau)
+    at = np.tile(cfg.xstar, (6, 1))
+    at[1, [1, 6]] = -0.0              # -0.0 - 0.0 is an excess of -0.0
+    at[2] = cfg.xstar * rng.uniform(0.0, 1.0, 8)
+    at[3, [1, 6]] = -0.0
+    at[4, 0] = np.nan                 # the other entries stay at x*
+    at[5, 3] = np.nan
+    K = rng.uniform(0.01, 0.05, (8, 8))
+    K[2], K[:, 5] = 0.0, 0.0
+    missed = ControllerConfig(cfg.xstar, cfg.vstar, cfg.b, K, cfg.tau)
+    off = np.tile(cfg.xstar, (4, 1))
+    off[0, 5] += 3.0                  # excess only where K's column is zero
+    off[1, 5] = np.nan
+    off[2, [2, 5]] += 1.0             # cell 3's zero row keeps v* beside the ramp
+    off[3] = cfg.xstar * 0.5
+    return (cfg, at), (missed, off)
+
+
+def test_law_on_the_boundary_of_its_first_count_matches_the_reference():
+    """Excess entries of exactly 0.0 or -0.0 give v* with no product; a NaN
+    row still reaches the loads and gives NaN as the reference law does;
+    and a nonzero excess that K's rows miss gives zero loads, so v*.  One
+    state at a time, as a stack and as stacks of two rows, bit for bit."""
+    cases = _boundary_cases(np.random.default_rng(9))
+    for cfg, X in cases:
+        want = oracles.control_law_reference(cfg, X)
+        assert control_law(cfg, X).tobytes() == want.tobytes()
+        for k, x in enumerate(X):
+            assert control_law(cfg, x).tobytes() == want[k].tobytes()
+        for pair in zip(X[:-1], X[1:]):
+            assert control_law(cfg, np.array(pair)).tobytes() == \
+                oracles.control_law_reference(cfg, np.array(pair)).tobytes()
+    (cfg, at), (missed, off) = cases
+    assert np.signbit(at[1, [1, 6]]).all() and np.isnan(control_law(cfg, at[4])).any()
+    assert control_law(missed, off[0]).tobytes() == missed.vstar.tobytes()
+    ramp = control_law(missed, off[2])
+    assert ramp[2] == missed.vstar[2] and (ramp < missed.vstar).any()
+
+
+def test_law_at_or_below_the_equilibrium_forms_no_product(bench_ctrl, ref_cert, monkeypatch):
+    """A state or stack with no cell above x*, -0.0 excesses included,
+    returns v* without calling `np.matmul`; one cell above x* calls it once."""
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    rng = np.random.default_rng(10)
+    (zeros, at), _ = _boundary_cases(rng)
+    for cfg, X in ((bench_ctrl, bench_ctrl.xstar * rng.uniform(0.0, 1.0, (5, 8))),
+                   (ref_cert.controller, np.tile(ref_cert.controller.xstar, (3, 1))),
+                   (zeros, at[:4])):
+        for x in (*X, X, X[None]):
+            assert control_law(cfg, x).tobytes() == \
+                np.broadcast_to(cfg.vstar, np.shape(x)).tobytes()
+        assert not calls
+    above = bench_ctrl.xstar.copy()
+    above[7] += 1.0
+    control_law(bench_ctrl, above)
+    assert len(calls) == 1
+
+
 def test_law_keeps_the_leading_axes_of_a_stack(bench_ctrl):
     rng = np.random.default_rng(3)
     X = bench_ctrl.xstar + rng.uniform(-10.0, 40.0, (2, 3, 8))

@@ -8,6 +8,7 @@ a flow field or a successor state.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,14 +38,14 @@ PIECEWISE = DemandFunction(
 )
 
 
-def _benchmark(pinned=(), piecewise=()):
-    """The 8-cell freeway; `pinned` cells fix their supply scale (`wave`) and
-    `piecewise` cells take a user polynomial curve."""
+def _benchmark(wave=None, pinned=(), piecewise=()):
+    """The 8-cell freeway; `pinned` cells (0-based) fix their supply scale at
+    `wave` and `piecewise` cells take a user polynomial curve."""
     spec, ref = presets.reference_network(), presets.reference_diagrams()
     demands = tuple(PIECEWISE if k in piecewise else fd
                     for k, fd in enumerate(ref.demands))
-    supplies = tuple(SupplyFunction(qcap=sf.qcap, a=sf.a, wave=0.27) if k in pinned
-                     else sf for k, sf in enumerate(ref.supplies))
+    supplies = tuple(replace(sf, wave=wave) if k in pinned else sf
+                     for k, sf in enumerate(ref.supplies))
     return spec, DiagramSet(demands, supplies, ref.d_lo, ref.d_hi)
 
 
@@ -114,8 +115,8 @@ def _states(spec, ds, rng, N):
 def _nets():
     rng = np.random.default_rng(29)
     nets = {"benchmark": _benchmark(),
-            "benchmark, pinned waves": _benchmark(pinned=(0, 4, 7)),
-            "benchmark, piecewise cell": _benchmark(pinned=(2,), piecewise=(2, 5)),
+            "benchmark, pinned waves": _benchmark(0.27, pinned=(0, 4, 7)),
+            "benchmark, piecewise cell": _benchmark(0.27, pinned=(2,), piecewise=(2, 5)),
             "corridor of 3 copies": _corridor(3, 7),
             "corridor of 8 copies": _corridor(8, 11),
             "turning rate above 1": _turning_rate_above_one()}
@@ -123,7 +124,7 @@ def _nets():
         nets[f"random {k}"] = _random_net(rng)
     # the curves the large corridor lacks, on as many cells
     nets["corridor of 8 copies, piecewise and pinned"] = _corridor(
-        8, 13, _benchmark(pinned=(0, 4, 7), piecewise=(2, 5))[1])
+        8, 13, _benchmark(0.27, pinned=(0, 4, 7), piecewise=(2, 5))[1])
     return nets
 
 

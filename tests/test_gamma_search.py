@@ -33,7 +33,7 @@ from netstab.stability import (DrainProblem, ThrottleBound, _block_rows, _cloud_
                                drain_constants, weights_r)
 
 import oracles
-from test_curve_table import PIECEWISE, _corridor, _random_net
+from test_curve_table import PIECEWISE, _benchmark, _corridor, _random_net
 
 
 def _diagrams_for(n, rng, pinned=(), piecewise=0.0):
@@ -241,16 +241,6 @@ def test_local_allocation_equals_a_full_one(net):
     _assert_local_equals_full(spec, ds, np.random.default_rng(spec.n))
 
 
-def _pinned_benchmark(piecewise=()):
-    """The benchmark with cells 3 and 7 pinned to a fixed supply scale and
-    the `piecewise` cells (0-based) on a user polynomial curve."""
-    ds = presets.reference_diagrams()
-    sup = tuple(replace(sf, wave=0.25) if k in (2, 6) else sf
-                for k, sf in enumerate(ds.supplies))
-    dem = tuple(PIECEWISE if k in piecewise else fd for k, fd in enumerate(ds.demands))
-    return presets.reference_network(), DiagramSet(dem, sup, ds.d_lo, ds.d_hi)
-
-
 def _degenerate_box():
     """The benchmark with d2 and d4 pinned: two zero-width zoom windows."""
     ds = presets.reference_diagrams()
@@ -261,8 +251,8 @@ def _degenerate_box():
 
 
 NETS = {"benchmark": lambda: (presets.reference_network(), presets.reference_diagrams()),
-        "pinned-wave benchmark": _pinned_benchmark,
-        "piecewise and pinned cells": lambda: _pinned_benchmark((1, 2, 5)),
+        "pinned-wave benchmark": lambda: _benchmark(0.25, pinned=(2, 6)),
+        "piecewise and pinned cells": lambda: _benchmark(0.25, pinned=(2, 6), piecewise=(1, 2, 5)),
         "degenerate box": _degenerate_box,
         "one corner class": lambda: _classed_net("1 class")[:2],
         "11 cells": lambda: _freeways_and_chain(1, 3, pinned=(9,)),
@@ -572,11 +562,9 @@ def _classed_net(name):
         return (*NETS[name](), 4)
     if name == "8 relabelled copies":
         return (*_corridor(8, 11), 4)
-    spec, ds = presets.reference_network(), presets.reference_diagrams()
-    pinned = tuple(replace(sf, wave=0.25) for sf in ds.supplies)
     one = name == "1 class"
-    return spec, DiagramSet((PIECEWISE,) * 8 if one else ds.demands, pinned,
-                            ds.d_lo, ds.d_hi), 1 if one else 2
+    return (*_benchmark(0.25, pinned=range(8), piecewise=range(8) if one else ()),
+            1 if one else 2)
 
 
 def _rows_at(blocks, idx, problem):

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from netstab import presets
+from netstab import network, presets
 from netstab.dynamics import derived_fields
 from netstab.errors import MisuseError
 from netstab.harness import (ControlSpec, DisturbanceSpec, ScenarioConfig,
                              TrajectoryRecord, estimate_decay, export_csv,
                              gridlock_demo, mass_balance_residuals,
                              reproduce_suite, run_scenario)
+from netstab.equilibrium import solve_uep
+from netstab.stability import certify
 
 import oracles
 from test_stability import _corridor_check, _jam_capacity
@@ -120,20 +122,64 @@ def test_run_scenario_refuses_diagrams_of_another_jam_capacity(ref_spec, ref_ds)
         run_scenario(ref_spec, _jam_capacity(ref_ds, 2, 120.0), cfg)
 
 
+def _row_sum_1_1(spec):
+    """`spec` with cell 4's exit fraction at 0.6, so its row sums to 1.1."""
+    Qexit = spec.Qexit.copy()
+    Qexit[3] = 0.6
+    return dataclasses.replace(spec, Qexit=Qexit)
+
+
+ROW_SUM_REFUSAL = "cell 4: turning rates plus exit fraction sum to 1.1, expected 1 (row_sum)"
+
+
 def test_run_scenario_refuses_a_network_validate_rejects(ref_spec, ref_ds):
     """The benchmark with cell 4's exit fraction at 0.6, so its row sums to
     1.1: this run from the jam ran with mass-balance residuals up to 0.47
     before `run_scenario` checked the network.  The refusal reads as the
     first violation does on the command line."""
-    Qexit = ref_spec.Qexit.copy()
-    Qexit[3] = 0.6
-    bad = dataclasses.replace(ref_spec, Qexit=Qexit)
     cfg = ScenarioConfig(x0=np.array(ref_spec.a), horizon=30,
                          disturbance=DisturbanceSpec(kind="uniform", seed=0),
                          control=ControlSpec(kind="open-loop", v=presets.reference_vstar()))
-    with pytest.raises(ValueError, match=r"^cell 4: turning rates plus exit fraction "
-                                         r"sum to 1\.1, expected 1 \(row_sum\)$"):
-        run_scenario(bad, ref_ds, cfg)
+    with pytest.raises(ValueError) as exc:
+        run_scenario(_row_sum_1_1(ref_spec), ref_ds, cfg)
+    assert str(exc.value) == ROW_SUM_REFUSAL
+
+
+def test_a_network_is_validated_once_per_object(ref_ds, monkeypatch):
+    """Three runs on one network run `validate_spec` once.  A copy made by
+    `dataclasses.replace` is another network: it is checked on its own
+    first use, and a bad exit fraction in it is refused although the
+    original passed."""
+    checked = []
+    validate = network.validate_spec
+    monkeypatch.setattr(network, "validate_spec",
+                        lambda spec: checked.append(spec) or validate(spec))
+    spec = presets.reference_network()
+    for seed in range(3):
+        run_scenario(spec, ref_ds, _open_loop(5, seed=seed))
+    assert len(checked) == 1 and checked[0] is spec
+    assert spec.violations == () and spec.violations is spec.violations
+    bad = _row_sum_1_1(spec)
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            run_scenario(bad, ref_ds, _open_loop(5))
+        assert str(exc.value) == ROW_SUM_REFUSAL
+    run_scenario(spec, ref_ds, _open_loop(5))
+    assert len(checked) == 2 and checked[1] is bad
+
+
+def test_a_rejected_network_is_refused_alike_on_every_call(ref_spec, ref_ds, ref_eq):
+    """Once its violations are kept, a network that `validate_spec` rejects
+    is still refused with the same words by every call of `run_scenario`,
+    `solve_uep` and `certify`, in any order."""
+    bad = _row_sum_1_1(ref_spec)
+    calls = (lambda: run_scenario(bad, ref_ds, _open_loop(5)),
+             lambda: solve_uep(bad, ref_ds, presets.reference_vstar()),
+             lambda: certify(bad, ref_ds, ref_eq))
+    for call in (*calls, *reversed(calls), *calls):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == ROW_SUM_REFUSAL
 
 
 def test_mass_balance_residuals_are_tiny(ref_spec, ref_ds):
