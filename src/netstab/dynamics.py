@@ -7,7 +7,10 @@ remaining supply in descending cell-index order, each claiming its routed
 share p_{i,j} f_i or whatever is left.  A sender feeding several junctions is
 throttled by the tightest one.  The per-cell throttle s_i multiplies the whole
 outflow (including the exit share), so mass is conserved by construction:
-sent always equals received and total inflow never exceeds supply.
+sent always equals received and total inflow never exceeds supply.  On a
+network of at least `network.SCREEN_CLAIMS` junctions, a step whose
+unthrottled inflow clears every supply by a rounding margin throttles
+nobody, and skips the allocation.
 """
 
 from __future__ import annotations
@@ -106,7 +109,42 @@ def compute_flows(spec: NetworkSpec, ds: DiagramSet, x, v, d) -> FlowBreakdown:
 def _flows(spec: NetworkSpec, ds: DiagramSet, x: np.ndarray, v: np.ndarray, vl: list,
            d: np.ndarray) -> FlowBreakdown:
     """`compute_flows` on x, v and d already converted to float arrays, and v
-    as a list."""
+    as a list.
+
+    Where `spec.junction_screen` is a factor c = 1 - m and f, g and v are
+    nonnegative, the unthrottled inflow `min(v, g) + f @ P` is formed first.
+    If no entry exceeds c g, `_allocate` would return all ones, so the
+    breakdown is the unthrottled one: `s * f` is f, and its product with P
+    the one just formed.  Any other step allocates.
+
+    Why the margin suffices, with u = 2^-53, K the most nonzero entries in a
+    column of P (P >= 0), m >= 4 (K + 2) u, and at junction j the claims
+    c_k = p_k f_k rounded, the product's entry S and y = fl(a + S) <= t =
+    fl(g c), a = min(v, g):
+    1. The loop throttles only at a claim c_k > DEMAND_FLOOR whose remainder
+       R_k is below it (R_k >= c_k > 0 gives a ratio >= 1 >= s_i).  Every
+       term of S is >= 0 and rounding is monotone, so S >= c_k for every k,
+       whatever order the product sums in, with or without FMA.
+    2. v > g: a = g, and y >= g >= t forces y = t = g.  That needs S = 0
+       (g = 0, or g subnormal), since a normal g has t < g for m > u; so
+       every claim is 0.
+    3. v <= g: R_1 = fl(g - v) >= 0, and R_{k+1} = fl(R_k - c_k) turns
+       negative exactly when R_k < c_k and stays negative after.  While the
+       remainders are >= 0 they fall, so each of the k roundings up to R_k
+       errs by at most u R_1 <= u (1 + u) (g - v), and no claimant is
+       throttled once the exact slack g - v - sum(c) is >= K u (1 + u) g.
+       In S each nonzero term meets at most K roundings (its product unless
+       fused, and one per addition with another nonzero partial sum; adding
+       a zero is exact), so with E = sum(p f) exact, sum(c) <= (1 + u) E <=
+       (1 + u) (1 - u)^-K S, and the screen gives (v + S)(1 - u) <= y <= t
+       <= g (1 - m)(1 + u).  Together, as v >= 0, the slack is at least
+       g (1 - (1 - m)(1 + u)^2 (1 - u)^-(K+1)) >= g (m - (K + 3) u - O(K^2 u^2)),
+       which is >= K u (1 + u) g with (2K + 5) u to spare.  Underflow adds at
+       most 2^-1075 per product and to t; by 1, a claim above DEMAND_FLOOR
+       makes g > DEMAND_FLOOR / 2, so those terms stay below 2^-1000 g.
+    A negative claim would free room for later claimants, so the sum could
+    pass where the loop throttles: hence the signs.
+    """
     f = demand_all(ds, d, x)
     g = supply_all(ds, d, x)
     fl, gl = f.tolist(), g.tolist()
@@ -116,9 +154,18 @@ def _flows(spec: NetworkSpec, ds: DiagramSet, x: np.ndarray, v: np.ndarray, vl: 
             if not np.isfinite(y).all():
                 i = int(np.argmax(~np.isfinite(y)))
                 raise NumericalError(f"non-finite {what} at cell {i + 1}", cell=i)
+    accepted = np.minimum(v, g)
+    c = spec.junction_screen
+    if c is not None:
+        inflow = accepted + f @ spec.P
+        # the signs are tested second, as a throttled step fails the first
+        # test; NaN fails both
+        if (np.count_nonzero(inflow <= c * g) == spec.n
+                and np.count_nonzero(np.minimum(accepted, f) >= 0.0) == spec.n):
+            return FlowBreakdown(f.copy(), inflow, np.ones(spec.n), f,
+                                 accepted, v.copy(), spec.Qexit)
     s = np.array(_allocate(spec, fl, gl, vl))
     outflow = s * f
-    accepted = np.minimum(v, g)
     return FlowBreakdown(outflow, accepted + outflow @ spec.P, s, f,
                          accepted, v.copy(), spec.Qexit)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -24,6 +25,10 @@ from .errors import DimensionError
 EDGE_TOL = 1e-15
 CHECK_TOL = 1e-12
 STATE_TOL = 1e-9       # admission tolerance for x against the state box
+# junctions with claims (entries of NetworkSpec.claims) from which
+# `dynamics.step` screens them before it allocates: below, the screen costs
+# more than the allocation it skips
+SCREEN_CLAIMS = 24
 
 _NETWORK_FIELDS = ("n", "a", "P", "Qexit", "mu", "vmax")
 
@@ -126,6 +131,19 @@ class NetworkSpec:
         a second look: [0, a].  `step` clips a state in the STATE_TOL band
         around [0, a] and refuses the rest."""
         return _frozen_array(np.zeros(self.n)), self.a
+
+    @cached_property
+    def junction_screen(self) -> float | None:
+        """The factor 1 - m by which `dynamics.step` scales each supply to
+        screen the junctions before it allocates, or None where it does not:
+        a network with fewer than SCREEN_CLAIMS junctions with claims, or
+        whose P has a negative entry.  m is the least power of two at or above
+        4 (K + 2) u, with K the most nonzero entries in a column of P and
+        u = 2^-53; `dynamics._flows` proves that margin sound."""
+        if len(self.claims) < SCREEN_CLAIMS or (self.P < 0).any():
+            return None
+        K = int(np.count_nonzero(self.P, axis=0).max())
+        return 1.0 - 2.0 ** math.ceil(math.log2(4 * (K + 2))) * 2.0 ** -53
 
     @cached_property
     def successor_box(self) -> tuple[np.ndarray, np.ndarray]:

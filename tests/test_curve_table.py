@@ -13,13 +13,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netstab import diagrams, presets
+from netstab import diagrams, dynamics, network, presets
 from netstab.diagrams import (DEMAND_FLOOR, DemandFunction, DiagramSet, Piece,
                               SupplyFunction, _branch_pieces, _demand_values,
                               d_corners, demand_all, demand_batch, demand_cap,
-                              uniform_uncertainty)
+                              supply_all, uniform_uncertainty)
 from netstab.dynamics import compute_flows, step
+from netstab.equilibrium import solve_uep
 from netstab.errors import DomainError, NumericalError
+from netstab.harness import (ControlSpec, DisturbanceSpec, ScenarioConfig,
+                             mass_balance_residuals, run_scenario)
 from netstab.network import NetworkSpec
 
 import oracles
@@ -301,3 +304,277 @@ def test_floor_in_the_throttle_loop_equals_the_mask():
                 # below it, into a junction with no room
                 f = fb.attempted_demand[0]
                 assert f < DEMAND_FLOOR < spec.P[0, 2] * f and fb.s[0] == 1.0
+
+
+# The junction screen ----------------------------------------------------------
+# From `network.SCREEN_CLAIMS` junctions on, `step` forms the unthrottled
+# inflow first and skips the allocation when every junction clears its margin
+# (`dynamics._flows`).  These tests hold both paths to
+# `oracles.step_reference` bit for bit and count the allocations to see which
+# path ran; a net below the gate is screened with the gate lowered.
+
+
+def _dense_net(rng, n):
+    """A dense random acyclic net: in a random order each cell routes to the
+    next and to about half of the cells after it, so a column of P holds up
+    to n - 1 claims, which the product and the claim loop sum in different
+    orders."""
+    order = rng.permutation(n)
+    P = np.zeros((n, n))
+    for k in range(n - 1):
+        later = order[k + 1:]
+        to = np.union1d(later[rng.random(len(later)) < 0.5], later[:1])
+        w = rng.uniform(0.05, 1.0, len(to))
+        P[order[k], to] = w * rng.uniform(0.5, 0.95) / w.sum()
+    ref = presets.reference_diagrams()
+    demands = tuple(ref.demands[int(k)] for k in rng.choice([0, 4], size=n))
+    supplies = (SupplyFunction(qcap=presets.QCAP, a=presets.JAM),) * n
+    spec = NetworkSpec(n=n, a=np.full(n, presets.JAM), P=P, Qexit=1.0 - P.sum(axis=1),
+                       mu=np.full(n, presets.MU_MAIN), vmax=np.full(n, 20.0))
+    return spec, DiagramSet(demands, supplies, ref.d_lo, ref.d_hi)
+
+
+def _screen_nets():
+    """Name -> (spec, diagrams, x*, v*): the corridors of 16 and 64 cells at
+    their equilibrium, and dense random nets, which have none (x* and v*
+    None)."""
+    nets = {}
+    for copies, seed in ((2, 3), (8, 11)):
+        spec, ds = _corridor(copies, seed)
+        vstar = np.empty(spec.n)
+        vstar[np.random.default_rng(seed).permutation(spec.n)] = np.tile(
+            presets.reference_vstar(), copies)
+        nets[f"corridor of {copies} copies"] = (spec, ds, solve_uep(spec, ds, vstar).xstar,
+                                                vstar)
+    rng = np.random.default_rng(41)
+    for k in range(3):
+        nets[f"dense {k}"] = (*_dense_net(rng, 26 + 4 * k), None, None)
+    return nets
+
+
+SCREEN_NETS = _screen_nets()
+
+
+def _allocations(monkeypatch):
+    """A list that gains an entry at each `_allocate` call from now on."""
+    calls, allocate = [], dynamics._allocate
+    monkeypatch.setattr(dynamics, "_allocate", lambda *args: calls.append(1) or allocate(*args))
+    return calls
+
+
+def _gated(monkeypatch, spec, gate):
+    """A fresh copy of `spec`, whose junction screen is decided under `gate`
+    on first use."""
+    monkeypatch.setattr(network, "SCREEN_CLAIMS", gate)
+    return replace(spec)
+
+
+def _screened(monkeypatch, name):
+    """SCREEN_NETS[name], with the gate lowered below a narrower net."""
+    spec, ds, xstar, vstar = SCREEN_NETS[name]
+    if len(spec.claims) < network.SCREEN_CLAIMS:
+        spec = _gated(monkeypatch, spec, 0)
+    assert spec.junction_screen is not None
+    return spec, ds, xstar, vstar
+
+
+def _assert_step_is_the_reference(spec, ds, x, v, d):
+    x_next, fb = step(spec, ds, x, v, d)
+    want_x, want = oracles.step_reference(spec, ds, x, v, d)
+    assert np.array_equal(x_next, want_x)
+    for field in oracles.FLOW_FIELDS:
+        assert np.array_equal(getattr(fb, field), want[field]), field
+    return want
+
+
+@pytest.mark.parametrize("name", SCREEN_NETS)
+def test_screened_step_matches_the_reference(name, monkeypatch):
+    """At x* (a light state on the dense nets, whose curves have no uniform
+    equilibrium), at jam, near empty, with each source jammed below an
+    inflow above its supply, and at random states, under every box corner
+    and random d: x_next and every field equal `oracles.step_reference` bit
+    for bit.  The equilibrium steps skip the allocation; jam allocates."""
+    spec, ds, xstar, vstar = _screened(monkeypatch, name)
+    calls = _allocations(monkeypatch)
+    rng = np.random.default_rng(300 + len(name))
+    n, a = spec.n, spec.a
+    sources = [j for j, p in enumerate(spec.predecessors) if not p]
+    if xstar is None:
+        xstar, vstar = rng.uniform(0.0, 0.3, n) * spec.mu, np.zeros(n)
+        vstar[sources] = 1.0
+    jammed_sources = xstar.copy()
+    jammed_sources[sources] = a[sources] - 0.01
+    near_empty = rng.choice([0.0, 0.5 * DEMAND_FLOOR, DEMAND_FLOOR, 2 * DEMAND_FLOOR, 1e-9, 1e-6],
+                            n)
+    X, V, D = _states(spec, ds, rng, 24)
+    states = [(xstar, vstar), (a, vstar), (near_empty, vstar), (jammed_sources, vstar),
+              *zip(X[16:], V[16:])]
+    allocated = []
+    for x, v in states:
+        before = len(calls)
+        for d in D[:20]:
+            _assert_step_is_the_reference(spec, ds, x, v, d)
+        allocated.append(len(calls) - before)
+    assert allocated[0] == 0 and allocated[1] == len(D[:20])
+
+
+def _ulps(z, k):
+    """z and the k floats on either side of it."""
+    out, lo, hi = [z], z, z
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("name", SCREEN_NETS)
+def test_step_at_planted_junction_slack(name, monkeypatch):
+    """Light states whose busiest junction j takes an inflow that puts its
+    unthrottled inflow a few ulps either side of the screen's threshold
+    c g_j, and either side of g_j itself, equal the reference bit for bit.
+    The threshold plants run both paths.  Near g_j the dense nets hold a
+    plant that a screen without margin would pass while the claim loop
+    throttles, and a state whose product sums junction j's claims to
+    another value than the loop's order does."""
+    spec, ds, _, _ = _screened(monkeypatch, name)
+    calls = _allocations(monkeypatch)
+    rng = np.random.default_rng(400 + len(name))
+    c, n = spec.junction_screen, spec.n
+    j = int(np.argmax(np.count_nonzero(spec.P, axis=0)))
+    claims = dict(spec.claims)[j]
+    paths, unsafe, disagree = set(), 0, 0
+    for _ in range(6):
+        d = uniform_uncertainty(ds, 1, rng)[0]
+        x = rng.uniform(0.0, 0.3, n) * spec.mu
+        f, g = demand_all(ds, d, x), supply_all(ds, d, x)
+        S = (f @ spec.P)[j]
+        in_order = 0.0
+        for i, p in claims:
+            in_order += p * f[i]
+        disagree += in_order != S
+        for at_margin, y0 in ((True, c * g[j]), (False, g[j])):
+            plants = {vj for y in _ulps(y0, 3) for vj in _ulps(y - S, 2) if vj >= 0.0}
+            for vj in sorted(plants):
+                v = np.zeros(n)
+                v[j] = vj
+                before = len(calls)
+                want = _assert_step_is_the_reference(spec, ds, x, v, d)
+                if at_margin:
+                    paths.add(len(calls) == before)
+                else:
+                    unsafe += vj + S <= g[j] and want["s"].min() < 1.0
+    assert paths == {True, False}
+    if name.startswith("dense"):
+        assert unsafe and disagree, (unsafe, disagree)
+
+
+def _merge(P02, demand0):
+    """Cells 1 and 2 merging into cell 3 (0-based 0, 1 -> 2), cell 1 routing
+    P02 of its flow and taking the demand curve `demand0`."""
+    ref = presets.reference_diagrams()
+    P = np.zeros((3, 3))
+    P[0, 2], P[1, 2] = P02, 1.0
+    spec = NetworkSpec(n=3, a=np.full(3, presets.JAM), P=P, Qexit=1.0 - P.sum(axis=1),
+                       mu=np.full(3, presets.MU_MAIN), vmax=np.full(3, 20.0))
+    return spec, DiagramSet((demand0, ref.demands[0], ref.demands[0]), ref.supplies[:3],
+                            ref.d_lo, ref.d_hi)
+
+
+# -30 + 0.1 z: below 0 on the whole of [0, a] but the empty cell
+DIPPING = DemandFunction(
+    family="piecewise", a=presets.JAM, delta=presets.DELTA, delta_tilde=presets.DELTA,
+    L=0.3, G=0.5, fmin=10.0, subcritical=(Piece(0.0, presets.DELTA, (-30.0, 0.1)),),
+    overcritical=(Piece(presets.DELTA, presets.JAM, (-30.0, 0.1)),))
+
+
+@pytest.mark.parametrize("P02, demand0", [(-1.0, presets.reference_diagrams().demands[0]),
+                                          (1.0, DIPPING)], ids=["negative P", "dipping demand"])
+def test_a_negative_claim_falls_back_to_the_loop(P02, demand0, monkeypatch):
+    """Cell 2 claims more than the merge's room and is throttled; cell 1's
+    claim, after it, is negative, through a negative turning rate or a
+    demand below 0.  The sum of the claims clears the margin, so only the
+    signs keep the step on the claim loop, with the gate lowered to 0."""
+    spec, ds = _merge(P02, demand0)
+    spec = _gated(monkeypatch, spec, 0)
+    calls = _allocations(monkeypatch)
+    x, v = np.array([40.0, 40.0, presets.JAM - 1.0]), np.zeros(3)
+    for d in d_corners(ds):
+        f, g = demand_all(ds, d, x), supply_all(ds, d, x)
+        assert np.all(np.minimum(v, g) + f @ spec.P <= g)
+        want = _assert_step_is_the_reference(spec, ds, x, v, d)
+        assert want["s"][1] < 1.0
+    assert len(calls) == len(d_corners(ds))
+    assert (spec.junction_screen is None) == (P02 < 0)
+
+
+def test_negative_supply_or_inflow_falls_back_to_the_loop(monkeypatch):
+    """`compute_flows` takes states beyond a, where supply is negative, and
+    negative inflows.  With cell j past a and v_j planted so that the
+    unthrottled inflow clears the margin, the screen would pass where the
+    loop throttles; the signs keep `compute_flows` on the loop, bit for bit
+    with the same net's flows under a gate no net reaches."""
+    spec, ds, _, _ = SCREEN_NETS["dense 0"]
+    looped = _gated(monkeypatch, spec, math.inf)
+    calls = _allocations(monkeypatch)
+    rng = np.random.default_rng(17)
+    c, n = spec.junction_screen, spec.n
+    j = int(np.argmax(np.count_nonzero(spec.P, axis=0)))
+    unsafe = 0
+    for _ in range(4):
+        d = uniform_uncertainty(ds, 1, rng)[0]
+        x = rng.uniform(0.0, 0.3, n) * spec.mu
+        x[j] = spec.a[j] + 200.0
+        f, g = demand_all(ds, d, x), supply_all(ds, d, x)
+        S = (f @ spec.P)[j]
+        for vj in _ulps(c * g[j] - S, 4):
+            v = np.zeros(n)
+            v[j] = vj
+            before = len(calls)
+            fb, want = compute_flows(spec, ds, x, v, d), compute_flows(looped, ds, x, v, d)
+            assert len(calls) == before + 2
+            for field in oracles.FLOW_FIELDS:
+                assert np.array_equal(getattr(fb, field), getattr(want, field)), field
+            unsafe += vj + S <= c * g[j] and want.s.min() < 1.0
+    assert g[j] < 0.0 and unsafe
+
+
+def test_the_gate_decides_which_nets_screen(ref_spec, ref_ds, ref_eq, monkeypatch):
+    """The benchmark's 6 junctions stay below the gate and allocate at x*
+    too; the 64-cell corridor's 48 reach it and skip the allocation there."""
+    calls = _allocations(monkeypatch)
+    spec, ds, xstar, vstar = SCREEN_NETS["corridor of 8 copies"]
+    d = 0.5 * (ds.d_lo + ds.d_hi)
+    assert len(ref_spec.claims) < network.SCREEN_CLAIMS <= len(spec.claims)
+    step(ref_spec, ref_ds, ref_eq.xstar, ref_eq.vstar, d)
+    assert len(calls) == 1
+    step(spec, ds, xstar, vstar, d)
+    assert len(calls) == 1
+
+
+def test_screened_breakdowns_share_no_array(monkeypatch):
+    """On the screened path `outflow`, `attempted_demand` and `s` are three
+    fresh arrays: writing into one leaves the others, the next step's
+    breakdown and a record's mass balance unchanged."""
+    spec, ds, xstar, vstar = SCREEN_NETS["corridor of 8 copies"]
+    calls = _allocations(monkeypatch)
+    d = 0.5 * (ds.d_lo + ds.d_hi)
+    fields = ("outflow", "attempted_demand", "s")
+    for name in fields:
+        _, fb = step(spec, ds, xstar, vstar, d)
+        kept = {other: getattr(fb, other).copy() for other in fields}
+        getattr(fb, name)[:] = -1.0
+        for other in set(fields) - {name}:
+            assert np.array_equal(getattr(fb, other), kept[other])
+        _, again = step(spec, ds, xstar, vstar, d)
+        for other in fields:
+            assert np.array_equal(getattr(again, other), kept[other])
+    cfg = ScenarioConfig(x0=xstar, horizon=12,
+                         disturbance=DisturbanceSpec(kind="uniform", seed=3),
+                         control=ControlSpec(kind="open-loop", v=vstar))
+    rec = run_scenario(spec, ds, cfg)
+    residuals = mass_balance_residuals(rec)
+    for fb in rec.flows:
+        fb.attempted_demand[:] = -1.0
+        fb.s[:] = -1.0
+    assert np.array_equal(mass_balance_residuals(rec), residuals)
+    assert not calls
